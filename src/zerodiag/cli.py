@@ -6,7 +6,8 @@ and row order is fixed, so output is byte-identical across runs.
 Check-style tables carry claim/computed/expected/status columns; the
 exit status is 0 when everything passed, 1 when a check failed and 2
 for usage errors.  The worker count for the triple search is taken from
---workers, falling back to the ZERODIAG_WORKERS environment variable.
+--workers, falling back to the ZERODIAG_WORKERS environment variable,
+and capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -107,7 +108,11 @@ def cmd_search(args) -> Report:
 def cmd_param(args) -> Report:
     par = surface.low_degree_parametrization()
     if args.at is not None:
-        t0 = Fraction(args.at)
+        try:
+            t0 = Fraction(args.at)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError("--at must be a rational number, got %r"
+                             % args.at)
         pt = par.evaluate_projective(t0)
         rows = [
             ("t", str(t0)),
@@ -209,7 +214,10 @@ def cmd_descent(_args) -> Report:
 
 
 def cmd_lattice_forms(args) -> Report:
-    forms = reduced_binary_even_forms(args.det)
+    try:
+        forms = reduced_binary_even_forms(args.det)
+    except ValueError as e:
+        raise UsageError(str(e))
     annotate = args.det == 48
     if annotate:
         cert = nscat.transcendental_certificate()
@@ -413,18 +421,23 @@ class UsageError(Exception):
 
 
 def _worker_count(args_value):
+    """The worker count from --workers or ZERODIAG_WORKERS (default 1),
+    validated and capped at the CPU count."""
     if args_value is not None:
-        return args_value
-    env = os.environ.get("ZERODIAG_WORKERS")
-    if env is None:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise UsageError("ZERODIAG_WORKERS must be an integer, got %r" % env)
+        value, source = args_value, "--workers"
+    else:
+        env = os.environ.get("ZERODIAG_WORKERS")
+        if env is None:
+            return 1
+        try:
+            value = int(env)
+        except ValueError:
+            raise UsageError("ZERODIAG_WORKERS must be an integer, got %r"
+                             % env)
+        source = "ZERODIAG_WORKERS"
     if value < 1:
-        raise UsageError("ZERODIAG_WORKERS must be positive, got %d" % value)
-    return value
+        raise UsageError("%s must be positive, got %d" % (source, value))
+    return min(value, os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

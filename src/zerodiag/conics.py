@@ -25,70 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import QuadElem, quad_sqrt, rat, rat_sqrt
+from .exactnum import QuadElem, _entry, field_sqrt, nullspace, rref
 from .surface import g_apply, group_elements, normalize_projective, singular_points
 
 _NVARS = 6  # coordinates (x, y, z, a, b, c)
-
-
-def _entry(x):
-    """Canonical field element: rational QuadElems become Fractions."""
-    if isinstance(x, QuadElem):
-        return x.rational_part() if x.is_rational else x
-    return rat(x)
-
-
-def _inv(x):
-    return x.inverse() if isinstance(x, QuadElem) else 1 / x
-
-
-def _field_sqrt(x):
-    if isinstance(x, QuadElem):
-        return quad_sqrt(x)
-    root = rat_sqrt(x)
-    if root is not None:
-        return root
-    return quad_sqrt(QuadElem(x, 0))
-
-
-def rref(rows):
-    """Reduced row echelon form over Q(sqrt 3); returns (rows, pivot cols)."""
-    m = [[_entry(x) for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = _inv(m[r][col])
-        m[r] = [_entry(v * inv) for v in m[r]]
-        for i in range(nr):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [_entry(a - f * b) for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nr:
-            break
-    return [tuple(row) for row in m[:r]], pivots
-
-
-def nullspace(rows):
-    """Basis of the solution space of the linear forms."""
-    reduced, pivots = rref(rows)
-    nc = len(rows[0])
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * nc
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = _entry(-reduced[r][f])
-        basis.append(tuple(vec))
-    return basis
 
 
 def q2(p):
@@ -208,26 +148,27 @@ def _plane_form_det(basis):
     return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
 
 
+# the principal lattice of degree three: s0 + s1 + s2 = 3, s >= 0
+_CUBIC_NODES = tuple((s0, s1, 3 - s0 - s1)
+                     for s0 in range(4) for s1 in range(4 - s0))
+
+
 def _cubic_divisible(basis):
     """Whether the cubic q3 restricted to the plane is a multiple of the
     restricted quadric, i.e. whether the conic lies on the surface.
 
     Both restrictions are forms in the three plane coordinates.  The
-    multiplier, if any, is a linear form; solving for it on the grid
-    {0,1,2,3}^3 is conclusive because a difference of degree three
-    cannot vanish on four points per variable without vanishing
-    identically.
+    multiplier, if any, is a linear form; solving for it on the ten
+    _CUBIC_NODES is conclusive because they are unisolvent for ternary
+    cubic forms: the four of them on the line s0 = 0 force a vanishing
+    cubic to be divisible by s0, the quotient vanishes on the three with
+    s0 = 1, and so on down.
     """
     rows = []
-    for s0 in range(4):
-        for s1 in range(4):
-            for s2 in range(4):
-                if s0 == s1 == s2 == 0:
-                    continue
-                p = tuple(s0 * u + s1 * v + s2 * w
-                          for u, v, w in zip(*basis))
-                q = q2(p)
-                rows.append((q * s0, q * s1, q * s2, q3(p)))
+    for s0, s1, s2 in _CUBIC_NODES:
+        p = tuple(s0 * u + s1 * v + s2 * w for u, v, w in zip(*basis))
+        q = q2(p)
+        rows.append((q * s0, q * s1, q * s2, q3(p)))
     reduced, pivots = rref(rows)
     return 3 not in pivots
 
@@ -274,7 +215,7 @@ def _line_zero_points(w0, w1):
     disc = b * b - 4 * a * c
     if not disc:
         return [(_combine(-b, 2 * a, w0, w1), 2)]
-    root = _field_sqrt(disc)
+    root = field_sqrt(disc)
     if root is None:
         return []
     return [(_combine(-b + root, 2 * a, w0, w1), 1),

@@ -15,6 +15,7 @@ both directions between section parametrizations and Weierstrass points.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .exactnum import (
@@ -59,13 +60,16 @@ def ratfunc_sqrt(rf: RationalFunction):
 class WeierstrassModel:
     """v^2 = u^3 + a2 u^2 + a4 u + a6 with function-field coefficients."""
 
-    __slots__ = ("a2", "a4", "a6")
+    __slots__ = ("a2", "a4", "a6", "_disc")
 
     def __init__(self, a2, a4, a6):
         object.__setattr__(self, "a2", _rf(a2))
         object.__setattr__(self, "a4", _rf(a4))
         object.__setattr__(self, "a6", _rf(a6))
-        if self.discriminant().is_zero:
+        b2, b4, b6, b8 = self.b_invariants()
+        disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        object.__setattr__(self, "_disc", disc)
+        if disc.is_zero:
             raise ValueError("discriminant vanishes identically; "
                              "the generic fiber is singular")
 
@@ -84,9 +88,7 @@ class WeierstrassModel:
         return c4, c6
 
     def discriminant(self) -> RationalFunction:
-        b2, b4, b6, b8 = self.b_invariants()
-        return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6
-                + 9 * b2 * b4 * b6)
+        return self._disc
 
     def j_invariant(self) -> RationalFunction:
         c4, _ = self.c_invariants()
@@ -221,6 +223,7 @@ class CurvePoint:
         return "CurvePoint(u=%s, v=%s)" % (self.u, self.v)
 
 
+@lru_cache(maxsize=1)
 def family_model() -> WeierstrassModel:
     """The Weierstrass form of the fibration of the matrix surface."""
     t = Polynomial.gen()
@@ -336,23 +339,23 @@ def model_at_infinity(model: WeierstrassModel):
             if d > 0:
                 degs.append(-(-d // i))  # ceil
     k = max(degs, default=0)
+    return (twist_at_infinity(model.a2, 2 * k),
+            twist_at_infinity(model.a4, 4 * k),
+            twist_at_infinity(model.a6, 6 * k), k)
 
-    def transform(a, i):
-        if a.is_zero:
-            return a
-        num, den = a.num, a.den
-        # s^(ik) a(1/s) = s^(ik) num(1/s)/den(1/s)
-        w = i * k
-        shift = w - (num.degree - den.degree)
-        rev_num = num.reverse(num.degree)
-        rev_den = den.reverse(den.degree)
-        s = Polynomial.gen()
-        if shift >= 0:
-            return RationalFunction(rev_num * s ** shift, rev_den)
-        return RationalFunction(rev_num, rev_den * s ** (-shift))
 
-    return (transform(model.a2, 2), transform(model.a4, 4),
-            transform(model.a6, 6), k)
+def twist_at_infinity(rf: RationalFunction, w: int) -> RationalFunction:
+    """s^w rf(1/s): a function of t rewritten in s = 1/t with weight w."""
+    if rf.is_zero:
+        return rf
+    num, den = rf.num, rf.den
+    shift = w - (num.degree - den.degree)
+    rev_num = num.reverse(num.degree)
+    rev_den = den.reverse(den.degree)
+    s = Polynomial.gen()
+    if shift >= 0:
+        return RationalFunction(rev_num * s ** shift, rev_den)
+    return RationalFunction(rev_num, rev_den * s ** (-shift))
 
 
 def fiber_at(model: WeierstrassModel, place) -> LocalFiber:

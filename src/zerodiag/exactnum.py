@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, Q(sqrt 3), dense polynomials,
-rational functions.
+rational functions, and the one row reduction over Q and Q(sqrt 3) that
+ranks, nullspaces and inverses elsewhere in the package are built on.
 
 Everything here is exact.  Floats are rejected on input and never produced.
 Rationals are stdlib ``fractions.Fraction``; the quadratic field Q(sqrt 3)
@@ -216,6 +217,75 @@ def quad_sqrt(x):
             if cand * cand == x:
                 return cand
     return None
+
+
+def field_sqrt(x):
+    """Exact square root of a field element, lifting Q into Q(sqrt 3) when
+    that is where the root lives; None if it lies in neither."""
+    if isinstance(x, QuadElem):
+        return quad_sqrt(x)
+    root = rat_sqrt(x)
+    if root is not None:
+        return root
+    return quad_sqrt(QuadElem(x, 0))
+
+
+# -- linear algebra over Q and Q(sqrt 3) ---------------------------------------
+
+
+def _entry(x):
+    """Canonical field element: rational QuadElems become Fractions."""
+    if isinstance(x, QuadElem):
+        return x.rational_part() if x.is_rational else x
+    return rat(x)
+
+
+def _inv(x):
+    return x.inverse() if isinstance(x, QuadElem) else 1 / x
+
+
+def rref(rows):
+    """Reduced row echelon form over Q(sqrt 3); returns (rows, pivot cols)."""
+    m = [[_entry(x) for x in row] for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = _inv(m[r][col])
+        m[r] = [_entry(v * inv) for v in m[r]]
+        for i in range(nr):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [_entry(a - f * b) for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nr:
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def nullspace(rows):
+    """Basis of the solution space of the linear forms."""
+    reduced, pivots = rref(rows)
+    nc = len(rows[0])
+    free = [c for c in range(nc) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * nc
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = _entry(-reduced[r][f])
+        basis.append(tuple(vec))
+    return basis
+
+
+def matrix_rank(rows) -> int:
+    return len(rref(rows)[0])
 
 
 def conj(x):

@@ -10,36 +10,27 @@ vector enumeration by Fincke-Pohst with exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
+
+from .exactnum import rref
 
 
 def det(mat) -> Fraction:
-    """Exact determinant.  Bareiss on integer input, fraction elimination
-    otherwise."""
+    """Exact determinant: each row is scaled to integers by the lcm of its
+    denominators, Bareiss runs on the result, and the scales are divided
+    out again."""
     n = len(mat)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    if all(isinstance(x, int) for row in mat for x in row):
-        return Fraction(_bareiss(mat))
-    a = [[Fraction(x) for x in row] for row in mat]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= a[i][i]
-    return out
+    rows, scale = [], 1
+    for row in mat:
+        row = [Fraction(x) for x in row]
+        m = lcm(*(x.denominator for x in row))
+        rows.append([int(x * m) for x in row])
+        scale *= m
+    return Fraction(_bareiss(rows), scale)
 
 
 def _bareiss(mat) -> int:
@@ -61,22 +52,13 @@ def _bareiss(mat) -> int:
 
 
 def mat_inverse(mat):
-    """Exact inverse as Fractions."""
+    """Exact inverse as Fractions: the right half of rref([A | I])."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [list(row[n:]) for row in rows]
 
 
 def mat_vec(mat, vec):
@@ -371,15 +353,21 @@ def _floor_sqrt_plus(f: Fraction, r: Fraction) -> int:
 
 
 def _fp_coefficients(gram):
-    """Fincke-Pohst decomposition Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2."""
+    """Fincke-Pohst decomposition Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2.
+
+    This is LDL^T without pivoting.  A zero pivot is allowed when the rest
+    of its row is zero, which is the positive semidefinite case; any other
+    form raises ValueError.
+    """
     n = len(gram)
     q = [[Fraction(x) for x in row] for row in gram]
     for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("form is not positive definite")
+        if q[i][i] < 0 or (q[i][i] == 0 and any(q[i][i + 1:])):
+            raise ValueError("form is not positive semidefinite")
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
+            if q[i][i]:
+                q[i][j] = q[i][j] / q[i][i]
         for k in range(i + 1, n):
             for l in range(k, n):
                 q[k][l] = q[k][l] - q[k][i] * q[i][l]
@@ -401,6 +389,8 @@ def short_vectors(gram, bound, center=None):
     symmetric = center is None
     c = [Fraction(0)] * n if center is None else [Fraction(x) for x in center]
     q = _fp_coefficients(gram)
+    if not all(q[i][i] for i in range(n)):
+        raise ValueError("form is not positive definite")
     out = []
     x = [0] * n
 

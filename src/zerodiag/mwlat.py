@@ -31,10 +31,9 @@ from .exactnum import (
     Polynomial,
     QuadElem,
     RationalFunction,
+    field_sqrt,
     poly_gcd,
-    quad_sqrt,
     rat,
-    rat_sqrt,
     rational_roots,
     squarefree_part,
 )
@@ -42,11 +41,13 @@ from .curve import (
     CurvePoint,
     INFINITE_PLACE,
     WeierstrassModel,
+    _shift_rf,
     family_model,
     model_at_infinity,
     named_sections,
     param_to_point,
     tate_classify,
+    twist_at_infinity,
 )
 
 CHI = 2  # holomorphic Euler characteristic of the surface
@@ -167,17 +168,6 @@ def _series_of_rf(rf: RationalFunction, r, prec: int) -> Series:
     return Series.from_polynomial(num, prec) / Series.from_polynomial(den, prec)
 
 
-def _field_sqrt(c):
-    """Exact square root of a field element, lifting Q into Q(sqrt 3) when
-    that is where the root lives."""
-    if isinstance(c, QuadElem):
-        return quad_sqrt(c)
-    root = rat_sqrt(c)
-    if root is not None:
-        return root
-    return quad_sqrt(QuadElem(c, 0))
-
-
 # -- local fiber geometry -------------------------------------------------------
 
 
@@ -191,32 +181,14 @@ def _localize_section(pt: CurvePoint, place):
     the place (t - r at a finite place, s = 1/t at infinity, matching the
     twisted model there)."""
     if place == INFINITE_PLACE:
-        model = pt.model
-        a2b, a4b, a6b, k = model_at_infinity(model)
-        inf_model = WeierstrassModel(a2b, a4b, a6b)
-
-        def twist(rf, w):
-            num, den = rf.num, rf.den
-            if num.is_zero:
-                return RationalFunction(0)
-            s = Polynomial.gen()
-            shift = w - (num.degree - den.degree)
-            rn, rd = num.reverse(num.degree), den.reverse(den.degree)
-            if shift >= 0:
-                return RationalFunction(rn * s ** shift, rd)
-            return RationalFunction(rn, rd * s ** (-shift))
-
-        u = twist(pt.u, 2 * k)
-        v = twist(pt.v, 3 * k)
-        return inf_model.point(u, v)
+        a2b, a4b, a6b, k = model_at_infinity(pt.model)
+        return WeierstrassModel(a2b, a4b, a6b).point(
+            twist_at_infinity(pt.u, 2 * k), twist_at_infinity(pt.v, 3 * k))
     r = Fraction(place)
-
-    def shift(rf):
-        return RationalFunction(rf.num.shift(r), rf.den.shift(r))
-
-    model = WeierstrassModel(shift(pt.model.a2), shift(pt.model.a4),
-                             shift(pt.model.a6))
-    return model.point(shift(pt.u), shift(pt.v))
+    model = WeierstrassModel(_shift_rf(pt.model.a2, r),
+                             _shift_rf(pt.model.a4, r),
+                             _shift_rf(pt.model.a6, r))
+    return model.point(_shift_rf(pt.u, r), _shift_rf(pt.v, r))
 
 
 def _node_series(model: WeierstrassModel, prec: int) -> Series:
@@ -310,7 +282,7 @@ def _component_on_In(local: CurvePoint, fiber) -> ComponentRef:
     big_a2 = a2 + Series.constant(3, prec) * u0  # after translating by u0
     rad = big_a2 + du
     c0 = rad.at_zero()
-    root0 = _field_sqrt(c0)
+    root0 = field_sqrt(c0)
     if root0 is None:
         raise NotImplementedError(
             "node slope generates an unsupported field extension")

@@ -10,8 +10,9 @@ here in three independent ways:
   * the lattice decomposes as E8(-1) + E8(-1) + <-2> + <-24> + U after a
     change of basis by the shipped structure vectors, which pins the
     discriminant to -48 and the embedding index to 1;
-  * the degree form admits the shipped sum-of-squares expression, which
-    bounds class enumeration.
+  * 112 k^2 - 168 c.c, for classes c of degree 2k, is a weighted sum of
+    nineteen squares, derived here from its LDL^T decomposition rather
+    than shipped, which bounds class enumeration.
 
 Classes are plain 20-tuples of integers in the fixed basis.  Enumeration
 of classes with given degree and arithmetic genus reduces, via the
@@ -31,6 +32,7 @@ from . import conics
 from .curve import family_model, tate_classify
 from .lattice import (
     DiscriminantGroup,
+    _fp_coefficients,
     det,
     gram_pairing,
     is_positive_definite,
@@ -575,120 +577,43 @@ def transcendental_certificate() -> Certificate:
 
 # -- the degree identity ----------------------------------------------------------
 
-# Linear forms in (k, m2, ..., m20): key 0 is k, key j >= 2 is the j-th
-# coordinate.  Together with the listed positive weights they rewrite
-# 112(3 - 3g + k^2) for a class of degree 2k and genus g as a weighted
-# sum of nineteen integer squares, which is what makes enumeration by
-# degree finite.
-_V_FORMS = (
-    {2: 2, 5: 1, 7: 1, 10: 1, 12: 1, 14: 1, 15: 1, 16: 1, 17: 1, 18: 1,
-     20: 2, 0: -1},
-    {3: 4, 4: -1, 5: 2, 7: 2, 10: 2, 12: 2, 14: 2, 15: 2, 16: 2, 17: 1,
-     18: 2, 19: 2, 20: 3, 0: -2},
-    {4: 7, 5: -2, 7: 2, 10: 2, 12: 2, 14: 2, 15: 2, 16: 2, 17: 1, 18: 2,
-     19: 2, 20: 3, 0: -2},
-    {5: 33, 6: -14, 7: 9, 8: -14, 10: 9, 12: 9, 14: 9, 15: 9, 16: 9,
-     17: 15, 18: 9, 19: 16, 20: 24, 0: -9},
-    {6: 52, 7: -24, 8: -14, 10: 9, 12: 9, 14: 9, 15: 9, 16: 9, 17: 15,
-     18: 9, 19: 16, 20: 24, 0: -9},
-    {7: 24, 8: 1, 10: 4, 12: 4, 14: 4, 15: 4, 16: 4, 17: 11, 18: -9,
-     19: -3, 20: 2, 0: -4},
-    {8: 35, 10: 8, 12: 8, 14: 8, 15: 8, 16: 8, 17: 13, 18: 9, 19: 15,
-     20: 22, 0: -8},
-    {9: 2, 10: -1},
-    {10: 211, 11: -140, 12: 1, 14: 1, 15: 1, 16: 1, 17: 41, 18: 23,
-     19: 50, 20: 64, 0: -1},
-    {11: 282, 12: -210, 14: 1, 15: 1, 16: 1, 17: 41, 18: 23, 19: 50,
-     20: 64, 0: -1},
-    {12: 119, 13: -94, 14: 1, 15: 1, 16: 1, 17: -53, 18: 23, 19: 50,
-     20: -30, 0: -1},
-    {13: 144, 14: -118, 15: 1, 16: -118, 17: -53, 18: 23, 19: -69,
-     20: -30, 0: -1},
-    {14: 86, 15: -71, 16: -58, 17: -5, 18: 23, 19: -9, 20: 18, 0: -1},
-    {15: 1231, 16: -672, 17: 249, 18: -595, 19: 259, 20: -346, 0: -19},
-    {16: 364, 17: 19, 18: 271, 19: -89, 20: 290, 0: -41},
-    {17: 529, 18: 361, 19: 185, 20: 162, 0: -107},
-    {18: 62, 19: 1, 20: -22, 0: 8},
-    {19: 30, 20: -9, 0: -8},
-    {20: 3, 0: -4},
-)
-
-_V_WEIGHTS = (
-    Fraction(84), Fraction(42), Fraction(6), Fraction(4, 11),
-    Fraction(14, 143), Fraction(7, 13), Fraction(1, 5), Fraction(84),
-    Fraction(6, 1055), Fraction(28, 9917), Fraction(12, 799),
-    Fraction(1, 102), Fraction(7, 258), Fraction(7, 52933),
-    Fraction(6, 16003), Fraction(6, 6877), Fraction(336, 16399),
-    Fraction(28, 155), Fraction(28, 5),
-)
-
-# variable order for the identity: k first, then m2..m20
-_V_VARS = (0,) + tuple(range(2, 21))
-
-
-def _v_matrix():
-    """Symmetric matrix of the weighted sum of squares of the v-forms."""
-    n = len(_V_VARS)
-    pos = {v: i for i, v in enumerate(_V_VARS)}
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for form, weight in zip(_V_FORMS, _V_WEIGHTS):
-        for vi, ci in form.items():
-            for vj, cj in form.items():
-                M[pos[vi]][pos[vj]] += weight * ci * cj
-    return M
-
 
 def _lhs_matrix():
-    """Symmetric matrix of 112 k^2 - 168 c.c after eliminating m1.
+    """Symmetric matrix of 112 k^2 - 168 c.c after eliminating m1, in the
+    variables (m2, ..., m20, k).
 
-    The degree relation 2k = deg(c) expresses m1 through k and the other
-    coordinates; substituting it into the Gram form leaves a quadratic
-    form in (k, m2, ..., m20).  The constant 112*3 on the genus side
-    cancels against -168(2g-2)/2... stated per class:
-    112(3 - 3g + k^2) = 112 k^2 - 168 c.c.
+    The degree relation 2k = deg(c) gives m1 = k - sum_{j>=2} w_j m_j / 2
+    (w_1 = 2); substituting it into the Gram form leaves a quadratic form
+    in the other coordinates and k.  Stated per class of genus g,
+    112(3 - 3g + k^2) = 112 k^2 - 168 c.c.  In this variable order the
+    LDL^T of the form has nineteen positive pivots and a final zero.
     """
     w = _structure()["degree_pairings"]
-    n = len(_V_VARS)
-    pos = {v: i for i, v in enumerate(_V_VARS)}
-    # rows of the substitution: coordinate m_i as a linear form in the
-    # new variables
-    sub = []
-    m1 = [Fraction(0)] * n
-    m1[pos[0]] = Fraction(1)  # k
-    for j in range(2, 21):
-        m1[pos[j]] = Fraction(-w[j - 1], 2)
-    sub.append(m1)
-    for j in range(2, 21):
-        row = [Fraction(0)] * n
-        row[pos[j]] = Fraction(1)
-        sub.append(row)
     G = ns_lattice()
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(RANK):
-        for j in range(RANK):
-            if not G[i][j]:
-                continue
-            coef = Fraction(-168 * G[i][j])
-            ri, rj = sub[i], sub[j]
-            for a in range(n):
-                if not ri[a]:
-                    continue
-                for b in range(n):
-                    if rj[b]:
-                        M[a][b] += coef * ri[a] * rj[b]
-    M[pos[0]][pos[0]] += 112
+    u = [Fraction(-x, 2) for x in w[1:]] + [Fraction(1)]  # m1
+    g = list(G[0][1:]) + [0]  # e1.e_j
+    rest = [list(row[1:]) + [0] for row in G[1:]] + [[0] * RANK]
+    M = [[-168 * (G[0][0] * u[a] * u[b] + u[a] * g[b] + g[a] * u[b]
+                  + rest[a][b]) for b in range(RANK)] for a in range(RANK)]
+    M[-1][-1] += 112
     return M
 
 
 def degree_identity_certificate() -> Certificate:
     """Exact verification of the sum-of-squares identity backing the
-    class enumeration: the nineteen weighted squares agree with
-    112 k^2 - 168 c.c as quadratic forms, and all weights are positive."""
+    class enumeration: the LDL^T decomposition of 112 k^2 - 168 c.c is
+    multiplied back out as a weighted sum of squares of linear forms and
+    compared with the form, and all weights are positive."""
     lhs = _lhs_matrix()
-    rhs = _v_matrix()
+    n = len(lhs)
+    q = _fp_coefficients(lhs)
+    squares = [(q[i][i], [Fraction(0)] * i + [Fraction(1)] + q[i][i + 1:])
+               for i in range(n) if q[i][i]]
+    rhs = [[sum(wt * f[a] * f[b] for wt, f in squares if f[a] and f[b])
+            for b in range(n)] for a in range(n)]
     agree = lhs == rhs
-    positive = all(wt > 0 for wt in _V_WEIGHTS)
-    facts = [("identity.forms", len(_V_FORMS)),
+    positive = all(wt > 0 for wt, _ in squares)
+    facts = [("identity.forms", len(squares)),
              ("identity.matrices_agree", agree),
              ("identity.weights_positive", positive)]
     return Certificate("degree.identity", facts, ok=agree and positive)

@@ -22,7 +22,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .exactnum import Polynomial, QuadElem, conj, poly_gcd, rat, rational_roots
+from .exactnum import (
+    Polynomial,
+    QuadElem,
+    conj,
+    matrix_rank,
+    poly_gcd,
+    rat,
+    rational_roots,
+)
 
 
 def char_poly_coeffs(a: int, b: int, c: int):
@@ -164,27 +172,6 @@ def jacobian(pt):
         [y + z, x + z, x + y, 2 * a, 2 * b, 2 * c],
         [y * z, x * z, x * y, -2 * b * c, -2 * a * c, -2 * a * b],
     ]
-
-
-def matrix_rank(rows) -> int:
-    a = [[Fraction(x) for x in row] for row in rows]
-    rank, col = 0, 0
-    ncols = len(a[0]) if a else 0
-    while rank < len(a) and col < ncols:
-        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def is_singular_point(pt) -> bool:

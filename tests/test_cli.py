@@ -203,18 +203,41 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as e:
         cli.main(["--format", "xml", "fibers"])
     assert e.value.code == 2
-
-    assert cli.main(["ns", "count-classes", "--degree", "3",
-                     "--genus", "0"]) == 2
-    assert cli.main(["height", "--sections", "P,R"]) == 2
-    assert cli.main(["mult", "--n", "2", "--section", "R"]) == 2
     capsys.readouterr()
+
+    for argv in (["ns", "count-classes", "--degree", "3", "--genus", "0"],
+                 ["height", "--sections", "P,R"],
+                 ["mult", "--n", "2", "--section", "R"],
+                 ["param", "--at", "abc"],
+                 ["param", "--at", "1/0"],
+                 ["lattice-forms", "--det", "0"],
+                 ["lattice-forms", "--det", "-5"],
+                 ["search", "--max", "30", "--workers", "0"],
+                 ["search", "--max", "30", "--workers", "-3"],
+                 ["verify-all", "--workers", "0"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), argv
+        assert captured.out == "", argv
 
     monkeypatch.setenv("ZERODIAG_WORKERS", "zero")
     assert cli.main(["search", "--max", "30"]) == 2
     monkeypatch.setenv("ZERODIAG_WORKERS", "0")
     assert cli.main(["search", "--max", "30"]) == 2
     capsys.readouterr()
+
+
+def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("ZERODIAG_WORKERS", raising=False)
+    assert cli._worker_count(None) == 1
+    assert cli._worker_count(3) == 3
+    assert cli._worker_count(64) == 4
+    monkeypatch.setenv("ZERODIAG_WORKERS", "64")
+    assert cli._worker_count(None) == 4
+    assert cli._worker_count(2) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(8) == 1
 
 
 def test_worker_env_is_honoured(capsys, monkeypatch):

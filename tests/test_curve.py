@@ -20,6 +20,7 @@ from zerodiag.curve import (
     ratfunc_sqrt,
     shioda_tate_rank,
     tate_classify,
+    twist_at_infinity,
 )
 from zerodiag.surface import Parametrization, low_degree_parametrization
 
@@ -53,6 +54,30 @@ def test_short_model_invariants():
 def test_singular_model_rejected():
     with pytest.raises(ValueError):
         WeierstrassModel(0, 0, 0)  # v^2 = u^3 is a cusp everywhere
+
+
+def b_invariant_discriminant(m):
+    b2, b4, b6, b8 = m.b_invariants()
+    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def test_stored_discriminant(model):
+    assert family_model() is family_model()
+    lam = RationalFunction(T + 3)
+    a2, a4, a6, _ = model_at_infinity(model)
+    for m in (model, WeierstrassModel(a2, a4, a6),
+              WeierstrassModel(model.a2 / lam ** 2, model.a4 / lam ** 4,
+                               model.a6 / lam ** 6)):
+        assert m.discriminant() == b_invariant_discriminant(m)
+
+
+def test_twist_at_infinity():
+    rf = RationalFunction(3 * T ** 2 + T - 1, T ** 3 + 2)
+    for w in (0, 1, 4):
+        tw = twist_at_infinity(rf, w)
+        for s0 in (F(1), F(2), F(-1, 3)):
+            assert tw(s0) == s0 ** w * rf(1 / s0)
+    assert twist_at_infinity(RationalFunction(0), 4).is_zero
 
 
 def test_family_discriminant_factored(model):

@@ -10,12 +10,16 @@ from zerodiag.exactnum import (
     RationalFunction,
     SQRT3,
     conj,
+    field_sqrt,
     isqrt_fraction,
+    matrix_rank,
+    nullspace,
     poly_gcd,
     poly_sqrt,
     quad_sqrt,
     rat_sqrt,
     rational_roots,
+    rref,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -87,6 +91,45 @@ def test_quad_sqrt_roundtrip():
         assert root * root == sq
     assert quad_sqrt(QuadElem(0, 1)) is None  # sqrt(sqrt(3)) leaves the field
     assert quad_sqrt(QuadElem(2, 0)) is None
+
+
+def test_field_sqrt():
+    assert field_sqrt(4) == 2
+    assert field_sqrt(F(9, 4)) == F(3, 2)
+    assert field_sqrt(3) == SQRT3  # lifted into Q(sqrt 3)
+    assert field_sqrt(2) is None
+    root = field_sqrt(QuadElem(7, 4))  # (2 + sqrt 3)^2
+    assert root * root == QuadElem(7, 4)
+    assert field_sqrt(SQRT3) is None
+
+
+# -- linear algebra over Q and Q(sqrt 3) ----------------------------------------
+
+
+def test_rref_nullspace_rank_over_quadratic_field():
+    rows = [
+        (1, SQRT3, 0, QuadElem(2, 0)),
+        (SQRT3, 3, 1, QuadElem(0, 2)),       # row 0 times sqrt 3, plus e2
+        (QuadElem(1, 1), QuadElem(3, 1), 1, QuadElem(2, 2)),  # row 0 + row 1
+    ]
+    reduced, pivots = rref(rows)
+    assert pivots == [0, 2]
+    assert matrix_rank(rows) == 2
+    for i, p in enumerate(pivots):
+        assert [row[p] for row in reduced] == [int(i == r) for r in range(2)]
+    # rational QuadElems come back as Fractions
+    assert type(reduced[0][3]) is F and reduced[0][3] == 2
+    assert all(type(x) is F for x in reduced[1])
+    basis = nullspace(rows)
+    assert len(basis) == 2
+    for vec in basis:
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+    assert type(basis[0][2]) is F
+    assert any(isinstance(x, QuadElem) for vec in basis for x in vec)
+    assert matrix_rank([(QuadElem(0, 0), 0)]) == 0
+    assert matrix_rank([(1, 2), (SQRT3, 2 * SQRT3)]) == 1
+    assert matrix_rank([(1, 2), (SQRT3, 2)]) == 2
 
 
 def test_polynomial_ring_axioms():

@@ -5,6 +5,7 @@ import pytest
 
 from zerodiag.lattice import (
     DiscriminantGroup,
+    _fp_coefficients,
     char_poly,
     det,
     gram_pairing,
@@ -53,6 +54,10 @@ def test_det_against_cofactor_oracle():
         for _ in range(4):
             m = random_int_matrix(rng, n)
             assert det(m) == cofactor_det(m)
+            q = [[F(x, rng.randint(1, 9)) for x in row] for row in m]
+            assert det(q) == cofactor_det(q)
+    singular = [[F(1, 2), F(1, 3)], [F(3, 2), 1]]
+    assert det(singular) == 0
 
 
 def test_det_fraction_entries():
@@ -70,6 +75,9 @@ def test_mat_inverse_roundtrip():
     for i in range(4):
         e = mat_vec(inv, mat_vec(m, [int(k == i) for k in range(4)]))
         assert e == [F(int(k == i)) for k in range(4)]
+    for singular in ([[1, 2], [2, 4]], [[0, 1], [0, 1]], [[1, 0], [0, 0]]):
+        with pytest.raises(ZeroDivisionError):
+            mat_inverse(singular)
 
 
 def test_smith_normal_form_divisibility_and_det():
@@ -266,6 +274,21 @@ def test_short_vectors_with_center():
     assert set(sols3) == {(-2, 0), (1, 0)}
 
 
+def test_fp_coefficients_semidefinite():
+    # a zero pivot whose row is zero is allowed, last or in the middle
+    q = _fp_coefficients([[2, 1, 2], [1, 1, 1], [2, 1, 2]])
+    assert [q[i][i] for i in range(3)] == [2, F(1, 2), 0]
+    assert q[0][1:] == [F(1, 2), 1] and q[1][2] == 0
+    q = _fp_coefficients([[1, 1, 0], [1, 1, 0], [0, 0, 3]])
+    assert [q[i][i] for i in range(3)] == [1, 0, 3]
+    for indefinite in ([[0, 1], [1, 0]], [[1, 2], [2, 1]], [[-1]],
+                       [[1, 1, 0], [1, 1, 1], [0, 1, 1]]):
+        with pytest.raises(ValueError):
+            _fp_coefficients(indefinite)
+
+
 def test_short_vectors_rejects_indefinite():
     with pytest.raises(ValueError):
         short_vectors([[0, 1], [1, 0]], 2)
+    with pytest.raises(ValueError):
+        short_vectors([[1, 1], [1, 1]], 2)  # semidefinite is not enough

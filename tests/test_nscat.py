@@ -6,6 +6,8 @@ against the height machinery, which identifies fiber components through
 power series rather than linear algebra.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from zerodiag.curve import (
     param_to_point,
     tate_classify,
 )
+from zerodiag.exactnum import QuadElem, matrix_rank, nullspace, rref
 from zerodiag.lattice import det, signature
 from zerodiag.mwlat import local_contribution, section_component
 
@@ -72,6 +75,51 @@ def test_bad_planes_rejected():
     # the plane x = y = 0 meets the surface in a curve that is not a conic
     with pytest.raises(ValueError, match="surface"):
         conics.Conic([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
+
+
+def cubic_divisible_on_grid(basis):
+    # the former check, kept as the oracle: the same linear system on the
+    # 63 nonzero points of {0,1,2,3}^3, conclusive because a cubic
+    # vanishing on four values per variable vanishes identically
+    rows = []
+    for s in itertools.product(range(4), repeat=3):
+        if any(s):
+            p = tuple(s[0] * u + s[1] * v + s[2] * w
+                      for u, v, w in zip(*basis))
+            q = conics.q2(p)
+            rows.append((q * s[0], q * s[1], q * s[2], conics.q3(p)))
+    return 3 not in rref(rows)[1]
+
+
+def test_cubic_nodes_are_unisolvent():
+    # no nonzero ternary cubic form vanishes on all of them
+    monomials = [e for e in itertools.product(range(4), repeat=3)
+                 if sum(e) == 3]
+    values = [[s[0] ** e[0] * s[1] ** e[1] * s[2] ** e[2] for e in monomials]
+              for s in conics._CUBIC_NODES]
+    assert len(monomials) == len(conics._CUBIC_NODES) == 10
+    assert matrix_rank(values) == 10
+
+
+def test_cubic_divisible_against_grid_oracle():
+    planes = [nullspace(c.rows)
+              for orb in nscat.strict_transform_conics().values()
+              for c in orb]
+    assert len(planes) == 63
+    rng = random.Random(17)
+
+    def coeff():
+        r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return QuadElem(r, rng.randint(-2, 2)) if rng.random() < 0.5 else r
+
+    while len(planes) < 103:
+        forms = [[coeff() for _ in range(6)] for _ in range(2)]
+        basis = nullspace(forms + [(1, 1, 1, 0, 0, 0)])
+        if len(basis) == 3:
+            planes.append(basis)
+    got = [conics._cubic_divisible(b) for b in planes]
+    assert got == [cubic_divisible_on_grid(b) for b in planes]
+    assert got[:63] == [True] * 63
 
 
 def test_conic_orbits():
