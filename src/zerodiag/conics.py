@@ -90,17 +90,6 @@ class Conic:
         rows, _ = rref(list(self.rows) + [form])
         return len(rows) == 3
 
-    def transform(self, g) -> "Conic":
-        mat = _group_matrix(g)
-        new_rows = []
-        for row in self.rows:
-            # form' = form o g^{-1}; the inverse of a signed permutation
-            # is its transpose
-            new_rows.append(tuple(
-                sum(row[i] * mat[j][i] for i in range(_NVARS))
-                for j in range(_NVARS)))
-        return Conic(new_rows)
-
     def __eq__(self, other):
         if not isinstance(other, Conic):
             return NotImplemented
@@ -185,9 +174,20 @@ def _group_matrix(g):
 
 
 def conic_orbit(conic: Conic):
-    """Orbit of a conic under the order-144 symmetry group."""
-    return sorted({conic.transform(g) for g in group_elements()},
-                  key=lambda c: _sort_key(c))
+    """Orbit of a conic under the order-144 symmetry group.
+
+    Image planes are canonicalised by rref and deduplicated first, so
+    each distinct conic is built, and verified, once.
+    """
+    planes = set()
+    for g in group_elements():
+        mat = _group_matrix(g)
+        # form' = form o g^{-1}; the inverse of a signed permutation is
+        # its transpose
+        rows = [tuple(sum(row[i] * mat[j][i] for i in range(_NVARS))
+                      for j in range(_NVARS)) for row in conic.rows]
+        planes.add(tuple(rref(rows)[0]))
+    return sorted((Conic(p) for p in planes), key=_sort_key)
 
 
 def _sort_key(conic):
@@ -278,8 +278,6 @@ _BASIS_POINTS_RAW = {
     11: (-1, -1, 2, -1, -1, 1),
     13: (2, -1, -1, 1, 1, 1),
 }
-
-FIBER_INDEX = 20
 
 
 @lru_cache(maxsize=1)

@@ -286,7 +286,7 @@ def _ord0(rf: RationalFunction) -> int:
     return _BIG if rf.is_zero else rf.ord_at(Fraction(0))
 
 
-def _classify_local(a2, a4, a6, place):
+def _classify_local(model, place):
     """Tate classification at the place t = 0 of a local model.
 
     Residue characteristic zero, so only the valuations of c4, c6 and
@@ -295,14 +295,12 @@ def _classify_local(a2, a4, a6, place):
     """
     t = RationalFunction(Polynomial.gen())
     while True:
-        model = WeierstrassModel(a2, a4, a6)
         c4, c6 = model.c_invariants()
         dlt = model.discriminant()
         alpha, beta, delta = _ord0(c4), _ord0(c6), _ord0(dlt)
         if alpha >= 4 and beta >= 6 and delta >= 12:
-            a2 = a2 / t ** 2
-            a4 = a4 / t ** 4
-            a6 = a6 / t ** 6
+            model = WeierstrassModel(model.a2 / t ** 2, model.a4 / t ** 4,
+                                     model.a6 / t ** 6)
             continue
         break
     if delta == 0:
@@ -358,14 +356,27 @@ def twist_at_infinity(rf: RationalFunction, w: int) -> RationalFunction:
     return RationalFunction(rev_num, rev_den * s ** (-shift))
 
 
+@lru_cache(maxsize=64)
+def local_model(model: WeierstrassModel, place):
+    """The model in the local coordinate of a place, t - r at a rational
+    place r or s = 1/t at infinity, and the map localize(f, w) that
+    rewrites a function f of weight w (u has weight 2, v weight 3) in
+    that coordinate, twisted at infinity as model_at_infinity does."""
+    if place == INFINITE_PLACE:
+        a2, a4, a6, k = model_at_infinity(model)
+        return (WeierstrassModel(a2, a4, a6),
+                lambda f, w: twist_at_infinity(f, w * k))
+    r = Fraction(place)
+    return (WeierstrassModel(_shift_rf(model.a2, r), _shift_rf(model.a4, r),
+                             _shift_rf(model.a6, r)),
+            lambda f, w: _shift_rf(f, r))
+
+
 def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
     """Kodaira type of the fiber at a rational place, or at infinity."""
-    if place == INFINITE_PLACE:
-        a2, a4, a6, _ = model_at_infinity(model)
-        return _classify_local(a2, a4, a6, INFINITE_PLACE)
-    r = Fraction(place)
-    return _classify_local(_shift_rf(model.a2, r), _shift_rf(model.a4, r),
-                           _shift_rf(model.a6, r), r)
+    if place != INFINITE_PLACE:
+        place = Fraction(place)
+    return _classify_local(local_model(model, place)[0], place)
 
 
 def bad_places(model: WeierstrassModel):
@@ -389,18 +400,13 @@ def bad_places(model: WeierstrassModel):
     return places, inf
 
 
-def tate_classify(model: WeierstrassModel):
+@lru_cache(maxsize=8)
+def tate_classify(model: WeierstrassModel) -> tuple:
     """All singular fibers of the model, finite rational places first
     (sorted), then infinity."""
     places, inf_fiber = bad_places(model)
-    out = []
-    for r in places:
-        fib = fiber_at(model, r)
-        if fib.delta > 0:
-            out.append(fib)
-    if inf_fiber.delta > 0:
-        out.append(inf_fiber)
-    return out
+    fibers = [fiber_at(model, r) for r in places] + [inf_fiber]
+    return tuple(fib for fib in fibers if fib.delta > 0)
 
 
 def euler_number(model: WeierstrassModel) -> int:

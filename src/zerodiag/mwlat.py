@@ -24,7 +24,6 @@ objects the command line tool prints.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import (
     PoleError,
@@ -39,15 +38,13 @@ from .exactnum import (
 )
 from .curve import (
     CurvePoint,
-    INFINITE_PLACE,
     WeierstrassModel,
-    _shift_rf,
     family_model,
+    local_model,
     model_at_infinity,
     named_sections,
     param_to_point,
     tate_classify,
-    twist_at_infinity,
 )
 
 CHI = 2  # holomorphic Euler characteristic of the surface
@@ -171,24 +168,11 @@ def _series_of_rf(rf: RationalFunction, r, prec: int) -> Series:
 # -- local fiber geometry -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _family_fibers():
-    return tuple(tate_classify(family_model()))
-
-
 def _localize_section(pt: CurvePoint, place):
-    """(u, v) of a section as rational functions in the local coordinate of
-    the place (t - r at a finite place, s = 1/t at infinity, matching the
-    twisted model there)."""
-    if place == INFINITE_PLACE:
-        a2b, a4b, a6b, k = model_at_infinity(pt.model)
-        return WeierstrassModel(a2b, a4b, a6b).point(
-            twist_at_infinity(pt.u, 2 * k), twist_at_infinity(pt.v, 3 * k))
-    r = Fraction(place)
-    model = WeierstrassModel(_shift_rf(pt.model.a2, r),
-                             _shift_rf(pt.model.a4, r),
-                             _shift_rf(pt.model.a6, r))
-    return model.point(_shift_rf(pt.u, r), _shift_rf(pt.v, r))
+    """The section as a point of the local model of the place (see
+    curve.local_model)."""
+    model, localize = local_model(pt.model, place)
+    return model.point(localize(pt.u, 2), localize(pt.v, 3))
 
 
 def _node_series(model: WeierstrassModel, prec: int) -> Series:
@@ -398,7 +382,7 @@ def mutual_intersection(s: CurvePoint, t: CurvePoint) -> Fraction:
 
 def height_pairing(s: CurvePoint, t: CurvePoint = None) -> Fraction:
     """Canonical height pairing of sections of the family fibration."""
-    fibers = _family_fibers()
+    fibers = tate_classify(family_model())
     if t is None or t == s:
         if s.is_infinity:
             return Fraction(0)

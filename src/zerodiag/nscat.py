@@ -2,11 +2,11 @@
 
 The twenty basis classes are: twelve plane conics (among them the five
 sections of the fibration), seven exceptional curves over double points,
-and the fiber class.  Their Gram matrix is shipped as data and certified
-here in three independent ways:
+and the fiber class.  Their Gram matrix is certified here in three
+independent ways:
 
-  * every pairing is recomputed from scratch by the conic intersection
-    engine (see conics);
+  * every pairing is computed by the conic intersection engine (see
+    conics) from both sides, and the two are cross-checked by symmetry;
   * the lattice decomposes as E8(-1) + E8(-1) + <-2> + <-24> + U after a
     change of basis by the shipped structure vectors, which pins the
     discriminant to -48 and the embedding index to 1;
@@ -50,10 +50,8 @@ RANK = 20
 _FIBER = 20  # basis index of the fiber class
 
 _DATA_CHECKSUMS = {
-    "ns_gram.json":
-        "2e25939ab142ac86cfc8809fff2d577c95ab98451248756cdc83a23c454438b5",
     "structure_vectors.json":
-        "279c227ab6a01a79f6e3e2e9288145fff0ac310feac95e8c37b50ace5af598af",
+        "7881f8bd2b2139b4a5b4c56409cc500aa5b744130dc063fefd1ce59e421b7923",
 }
 
 
@@ -70,11 +68,15 @@ def _load_data(name):
 
 @lru_cache(maxsize=1)
 def ns_lattice():
-    """Gram matrix of the twenty basis classes, rows as tuples."""
-    obj = _load_data("ns_gram.json")
-    gram = tuple(tuple(int(x) for x in row) for row in obj["gram"])
-    if len(gram) != RANK or any(len(r) != RANK for r in gram):
-        raise RuntimeError("gram matrix has wrong shape")
+    """Gram matrix of the twenty basis classes, rows as tuples: the
+    intersection vectors of the nineteen basis curves, then the fiber
+    row read off their fiber column, with F.F = 0."""
+    cs, pts = conics.basis_conics(), conics.basis_points()
+    rows = [conics.intersection_vector(("conic", cs[i]) if i in cs
+                                       else ("point", pts[i]))
+            for i in range(1, RANK)]
+    rows.append([row[_FIBER - 1] for row in rows] + [0])
+    gram = tuple(tuple(row) for row in rows)
     if any(gram[i][j] != gram[j][i] for i in range(RANK) for j in range(RANK)):
         raise RuntimeError("gram matrix is not symmetric")
     if det(gram) != -48:
@@ -90,8 +92,15 @@ def _structure():
         "glue_neg2": tuple(obj["glue_neg2"]),
         "glue_neg24": tuple(obj["glue_neg24"]),
         "hyperbolic_pair": tuple(tuple(v) for v in obj["hyperbolic_pair"]),
-        "degree_pairings": tuple(obj["degree_pairings"]),
     }
+
+
+@lru_cache(maxsize=1)
+def _degree_pairings():
+    """Pairings of the basis with the hyperplane class H = F + C0, for
+    the base conic C0 of the pencil."""
+    c0 = conics.intersection_vector(("conic", conics.base_conic()))
+    return tuple(f + c for f, c in zip(ns_lattice()[_FIBER - 1], c0))
 
 
 @lru_cache(maxsize=1)
@@ -105,7 +114,7 @@ def pairing(u, v) -> int:
 
 def degree(c) -> int:
     """Degree of a class against the hyperplane section."""
-    w = _structure()["degree_pairings"]
+    w = _degree_pairings()
     return sum(wi * ci for wi, ci in zip(w, c))
 
 
@@ -120,7 +129,7 @@ def hyperplane_class():
     Solves G h = w for the degree pairing vector w; integrality of the
     solution is part of the claim.
     """
-    w = _structure()["degree_pairings"]
+    w = _degree_pairings()
     h = mat_vec(_gram_inverse(), list(w))
     out = []
     for x in h:
@@ -235,7 +244,7 @@ def _degree_kernel_basis():
     as they are, the remaining ones are corrected by the degree-2 class
     e17 (and twice it for the degree-4 fiber class).
     """
-    w = _structure()["degree_pairings"]
+    w = _degree_pairings()
     cols = []
     for j in range(1, RANK + 1):
         if j == 17:
@@ -588,7 +597,7 @@ def _lhs_matrix():
     112(3 - 3g + k^2) = 112 k^2 - 168 c.c.  In this variable order the
     LDL^T of the form has nineteen positive pivots and a final zero.
     """
-    w = _structure()["degree_pairings"]
+    w = _degree_pairings()
     G = ns_lattice()
     u = [Fraction(-x, 2) for x in w[1:]] + [Fraction(1)]  # m1
     g = list(G[0][1:]) + [0]  # e1.e_j

@@ -169,7 +169,7 @@ def test_minimality_rescaling():
 
 def test_good_reduction_everywhere():
     m = WeierstrassModel(0, -1, 0)
-    assert tate_classify(m) == []
+    assert tate_classify(m) == ()
 
 
 def test_nonrational_place_raises():

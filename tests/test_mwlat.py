@@ -11,6 +11,7 @@ from zerodiag.curve import (
     fiber_at,
     named_sections,
     param_to_point,
+    tate_classify,
 )
 from zerodiag.mwlat import (
     Certificate,
@@ -27,7 +28,6 @@ from zerodiag.mwlat import (
     section_component,
     torsion_certificate,
     torsion_points,
-    _family_fibers,
     _series_of_rf,
 )
 
@@ -139,7 +139,7 @@ def test_component_table(pts):
         Fraction(2): [("cycle", 2), ("cycle", 1), ("cycle", 2), ("identity", None)],
         "inf": [("identity", None), ("cycle", 1), ("identity", None), ("cycle", 1)],
     }
-    for fib in _family_fibers():
+    for fib in tate_classify(family_model()):
         want = expected[fib.place]
         for pt, (kind, index) in zip((pts["P"], pts["Q"], pts["T1"], pts["T2"]), want):
             ref = section_component(pt, fib)
@@ -147,13 +147,13 @@ def test_component_table(pts):
 
 
 def test_zero_section_on_identity(pts):
-    for fib in _family_fibers():
+    for fib in tate_classify(family_model()):
         ref = section_component(pts["O"], fib)
         assert ref.kind == "identity"
 
 
 def test_contribution_values():
-    fibers = {f.place: f for f in _family_fibers()}
+    fibers = {f.place: f for f in tate_classify(family_model())}
     i4 = fibers[Fraction(2)]
     mid = ComponentRef(2, "I4", "cycle", 2)
     side = ComponentRef(2, "I4", "cycle", 1)

@@ -1,12 +1,15 @@
 """Exact checks for the Neron-Severi lattice machinery.
 
-The conic intersection engine is validated by reproducing the full Gram
-matrix from scratch, and the fiber decompositions are cross-checked
-against the height machinery, which identifies fiber components through
-power series rather than linear algebra.
+The Gram matrix derived by the conic intersection engine is checked
+against the digest of the matrix formerly shipped as data, and the fiber
+decompositions are cross-checked against the height machinery, which
+identifies fiber components through power series rather than linear
+algebra.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +30,11 @@ GRAM = nscat.ns_lattice()
 
 SECTION_BASIS = {"O": 3, "P": 19, "Q": 15, "T1": 12, "T2": 7}
 
+# sha256 of the canonical JSON of the Gram matrix that used to be shipped
+# as data/ns_gram.json, the oracle for the matrix the engine derives
+FORMER_GRAM_SHA256 = (
+    "2e25939ab142ac86cfc8809fff2d577c95ab98451248756cdc83a23c454438b5")
+
 
 def unit(i):
     return tuple(1 if j == i - 1 else 0 for j in range(20))
@@ -40,15 +48,27 @@ def test_gram_data():
     assert signature([list(r) for r in GRAM]) == (1, 19, 0)
 
 
+def test_gram_matches_former_shipped_data():
+    obj = {"rank": 20, "gram": [list(r) for r in GRAM]}
+    canon = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canon).hexdigest() == FORMER_GRAM_SHA256
+
+
+def test_degree_pairings_match_former_shipped_data():
+    assert nscat._degree_pairings() == (
+        2, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 4)
+
+
 def test_data_checksum_guard(monkeypatch):
-    monkeypatch.setitem(nscat._DATA_CHECKSUMS, "ns_gram.json", "0" * 64)
+    monkeypatch.setitem(nscat._DATA_CHECKSUMS, "structure_vectors.json",
+                        "0" * 64)
     with pytest.raises(RuntimeError, match="checksum"):
-        nscat._load_data("ns_gram.json")
+        nscat._load_data("structure_vectors.json")
 
 
 def test_basis_classes_are_unit_vectors():
-    # the engine recomputes every pairing from plane geometry; solving
-    # against the shipped Gram matrix must give back the basis
+    # solving the engine's intersection vectors against the Gram matrix
+    # must give back the basis
     for i, conic in conics.basis_conics().items():
         assert nscat.class_of_conic(conic) == unit(i)
     for i, point in conics.basis_points().items():
@@ -130,6 +150,22 @@ def test_conic_orbits():
     for nodes, orb in orbits.items():
         for c in orb:
             assert len(c.double_points_on()) == nodes
+
+
+def test_conic_orbit_verifies_each_conic_once(monkeypatch):
+    cs = conics.basis_conics()
+    real = conics._cubic_divisible
+    calls = []
+
+    def counted(basis):
+        calls.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(conics, "_cubic_divisible", counted)
+    for seed, size in ((17, 9), (16, 36), (10, 18)):
+        calls.clear()
+        assert len(conics.conic_orbit(cs[seed])) == size
+        assert len(calls) == size
 
 
 def test_exceptional_classes():
