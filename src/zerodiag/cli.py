@@ -29,11 +29,9 @@ from .curve import (
     tate_classify,
 )
 from .exactnum import Polynomial, RationalFunction
-from .lattice import reduced_binary_even_forms
+from .lattice import kummer_condition, reduced_binary_even_forms
 
 CHECK_COLUMNS = ("claim", "computed", "expected", "status")
-
-SECTION_NAMES = ("O", "P", "Q", "T1", "T2")
 
 
 class Report:
@@ -49,19 +47,6 @@ def _render(value) -> str:
     if isinstance(value, (list, tuple)):
         return "(" + ", ".join(_render(v) for v in value) + ")"
     return str(value)
-
-
-def _check(claim, computed, expected):
-    status = "pass" if computed == expected else "fail"
-    return (claim, _render(computed), _render(expected), status)
-
-
-def _assumed(text):
-    return ("assumed", text, "", "assumed")
-
-
-def _failed(rows):
-    return sum(1 for r in rows if r[-1] == "fail")
 
 
 def _emit(report: Report, fmt: str, out) -> None:
@@ -150,12 +135,13 @@ def cmd_mult(args) -> Report:
     return Report(("field", "value"), rows)
 
 
+def _fiber_rows():
+    return tuple((str(f.place), f.symbol, f.components, f.simple)
+                 for f in tate_classify(family_model()))
+
+
 def cmd_fibers(_args) -> Report:
-    rows = []
-    for fib in tate_classify(family_model()):
-        place = "inf" if fib.place == "inf" else str(Fraction(fib.place))
-        rows.append((place, fib.symbol, fib.components, fib.simple))
-    return Report(("place", "type", "components", "simple"), rows)
+    return Report(("place", "type", "components", "simple"), _fiber_rows())
 
 
 def cmd_height(args) -> Report:
@@ -170,47 +156,6 @@ def cmd_height(args) -> Report:
     rows = [(names[i],) + tuple(str(v) for v in gram[i])
             for i in range(len(names))]
     return Report(("section",) + tuple(names), rows)
-
-
-def _fact_checks(cert, pairs):
-    """Check rows comparing certificate facts against expected values."""
-    return [_check(claim, cert.fact(key), expected)
-            for claim, key, expected in pairs]
-
-
-def cmd_descent(_args) -> Report:
-    sat = mwlat.saturation_certificate()
-    tor = mwlat.torsion_certificate()
-    rank = mwlat.rank_formula_certificate()
-    rows = _fact_checks(sat, (
-        ("height.PP", "height.PP", Fraction(3, 2)),
-        ("height.QQ", "height.QQ", Fraction(1, 2)),
-        ("height.PQ", "height.PQ", Fraction(0)),
-        ("descent.scaled_gram", "lattice.scaled_gram", ((6, 0), (0, 2))),
-        ("descent.scaled_disc", "lattice.scaled_disc", 12),
-        ("descent.halving_blocked", "halving.sum_blocked_for",
-         ("O", "T1", "T1+T2", "T2")),
-        ("descent.index", "lattice.index", 1),
-        ("descent.rank", "lattice.rank", 2),
-    ))
-    rows += _fact_checks(tor, (
-        ("torsion.order", "torsion.order", 4),
-        ("torsion.structure", "torsion.structure", "(Z/2)^2"),
-    ))
-    rows += _fact_checks(rank, (
-        ("rank.euler", "euler.number", 24),
-        ("rank.components", "fibers.component_excess", 16),
-        ("rank.picard", "picard.number", 20),
-    ))
-    for cert in (sat, tor, rank):
-        rows.append(_check("certificate.%s" % cert.name, cert.ok, True))
-    seen = []
-    for cert in (sat, tor, rank):
-        for text in cert.imported:
-            if text not in seen:
-                seen.append(text)
-                rows.append(_assumed(text))
-    return Report(CHECK_COLUMNS, rows, _failed(rows))
 
 
 def cmd_lattice_forms(args) -> Report:
@@ -230,8 +175,7 @@ def cmd_lattice_forms(args) -> Report:
         if annotate:
             row.append("yes" if f in attains else "no")
             row.append("yes" if f in matches else "no")
-            row.append("yes" if (a % 4 == 0 and c % 4 == 0 and b % 2 == 0)
-                       else "no")
+            row.append("yes" if kummer_condition(f) else "no")
         rows.append(tuple(row))
     columns = ("gram",)
     if annotate:
@@ -240,44 +184,7 @@ def cmd_lattice_forms(args) -> Report:
     return Report(columns, rows)
 
 
-def _ns_verify_rows():
-    dec = nscat.decomposition_certificate()
-    hyp = nscat.hyperplane_certificate()
-    ident = nscat.degree_identity_certificate()
-    fib = nscat.fiber_class_certificate()
-    rows = _fact_checks(dec, (
-        ("ns.disc", "lattice.disc", -48),
-        ("ns.signature", "lattice.signature", (1, 19, 0)),
-        ("ns.neg2", "block.neg2", -2),
-        ("ns.neg24", "block.neg24", -24),
-        ("ns.hyperbolic", "block.hyperbolic", ((0, 1), (1, 0))),
-        ("ns.orthogonal", "blocks.orthogonal", "yes"),
-        ("ns.index", "sublattice.index", 1),
-    ))
-    rows.append(_check("ns.e8_1.roots", dec.fact("block.e8_1")["roots"], 240))
-    rows.append(_check("ns.e8_2.roots", dec.fact("block.e8_2")["roots"], 240))
-    rows += _fact_checks(hyp, (
-        ("ns.hyperplane.square", "hyperplane.self_intersection", 6),
-        ("ns.hyperplane.degree", "hyperplane.degree", 6),
-    ))
-    rows.append(_check("ns.identity.squares", ident.fact("identity.forms"), 19))
-    rows.append(_check("ns.identity.agree",
-                       ident.fact("identity.matrices_agree"), True))
-    rows.append(_check("ns.fibers.components",
-                       fib.fact("fiber.total_components"), 22))
-    closed = all(v["sums_to_fiber_class"] and v["dual_graph"]
-                 for k, v in fib.facts if k.startswith("fiber.") and
-                 isinstance(v, dict))
-    rows.append(_check("ns.fibers.closed", closed, True))
-    for cert in (dec, hyp, ident, fib):
-        rows.append(_check("certificate.%s" % cert.name, cert.ok, True))
-    return rows
-
-
 def cmd_ns(args) -> Report:
-    if args.ns_cmd == "verify":
-        rows = _ns_verify_rows()
-        return Report(CHECK_COLUMNS, rows, _failed(rows))
     if args.ns_cmd == "count-classes":
         try:
             classes = nscat.enumerate_classes(args.degree, args.genus)
@@ -302,115 +209,191 @@ def cmd_ns(args) -> Report:
     return Report(("family", "size"), rows)
 
 
-def cmd_orbits(_args) -> Report:
-    group = surface.group_elements()
-    points = surface.singular_points()
-    orbits = surface.partition_orbits(points)
-    ranks = {surface.matrix_rank(surface.jacobian(p)) for p in points}
-    rows = [
-        _check("orbit.group_order", len(group), 144),
-        _check("orbit.double_points", len(points), 12),
-        _check("orbit.count", len(orbits), 1),
-        _check("orbit.sizes", tuple(sorted(len(o) for o in orbits)), (12,)),
-        _check("orbit.jacobian_rank", tuple(sorted(ranks)), (2,)),
-    ]
-    return Report(CHECK_COLUMNS, rows, _failed(rows))
-
-
-def _verify_all_rows(workers):
-    t = Polynomial.gen()
-    rows = []
-
-    triple = surface.integral_eigenvalues(125, 99, 57)
-    rows.append(_check("eig.125_99_57", triple, (190, -55, -135)))
-    par = surface.low_degree_parametrization()
-    rows.append(_check("eig.param_at_3", par.evaluate_projective(3),
-                       (190, -55, -135, 125, 99, 57)))
-    rows.append(_check("search.114", surface.search(114, workers=workers),
-                       [((26, 51, 114), (136, -19, -117))]))
-    rows.append(_check("locus.trivial_integers",
-                       surface.integer_trivial_locus(par),
-                       [-2, -1, 0, 1, 2, 4, 10]))
-
-    model = family_model()
-    disc_expected = 1024 * t ** 2 * (t ** 2 - 1) ** 6 * (t ** 2 - 4) ** 4
-    rows.append(_check("curve.discriminant",
-                       RationalFunction(disc_expected) == model.discriminant(),
-                       True))
-    j_expected = RationalFunction(4 * (t ** 4 + 56 * t ** 2 + 16) ** 3,
-                                  t ** 2 * (t ** 2 - 4) ** 4)
-    rows.append(_check("curve.j", model.j_invariant() == j_expected, True))
-    table = tuple(
-        ("inf" if f.place == "inf" else str(Fraction(f.place)),
-         f.symbol, f.components, f.simple)
-        for f in tate_classify(model))
-    rows.append(_check("fibers.table", table, (
-        ("-2", "I4", 4, 4), ("-1", "I0*", 5, 4), ("0", "I2", 2, 2),
-        ("1", "I0*", 5, 4), ("2", "I4", 4, 4), ("inf", "I2", 2, 2))))
-    rows.append(_check("fibers.euler", euler_number(model), 24))
-
-    secs = named_sections()
-    pts = {n: param_to_point(secs[n]) for n in SECTION_NAMES}
-    rows.append(_check("height.PP", mwlat.height_pairing(pts["P"]),
-                       Fraction(3, 2)))
-    rows.append(_check("height.QQ", mwlat.height_pairing(pts["Q"]),
-                       Fraction(1, 2)))
-    rows.append(_check("height.PQ",
-                       mwlat.height_pairing(pts["P"], pts["Q"]), Fraction(0)))
-    rows.append(_check("height.T1", mwlat.height_pairing(pts["T1"]),
-                       Fraction(0)))
-    rows.append(_check("height.T2", mwlat.height_pairing(pts["T2"]),
-                       Fraction(0)))
-    rows.append(_check("height.2P", mwlat.height_pairing(2 * pts["P"]),
-                       Fraction(6)))
-
-    sat = mwlat.saturation_certificate()
-    tor = mwlat.torsion_certificate()
-    rank = mwlat.rank_formula_certificate()
-    rows.append(_check("descent.scaled_disc",
-                       sat.fact("lattice.scaled_disc"), 12))
-    rows.append(_check("descent.halving_blocked",
-                       sat.fact("halving.sum_blocked_for"),
-                       ("O", "T1", "T1+T2", "T2")))
-    rows.append(_check("descent.index", sat.fact("lattice.index"), 1))
-    rows.append(_check("torsion.order", tor.fact("torsion.order"), 4))
-    rows.append(_check("rank.components",
-                       rank.fact("fibers.component_excess"), 16))
-    rows.append(_check("rank.picard", rank.fact("picard.number"), 20))
-
-    rows.extend(_ns_verify_rows())
-
-    forms = reduced_binary_even_forms(48)
-    rows.append(_check("forms.count", len(forms), 4))
-    tra = nscat.transcendental_certificate()
-    rows.append(_check("forms.opposite",
-                       tra.fact("match.opposite_disc_form"),
-                       [((2, 0), (0, 24))]))
-    rows.append(_check("forms.attains_1_24",
-                       tra.fact("match.attains_1_24"), [((2, 0), (0, 24))]))
-    rows.append(_check("forms.kummer", tra.fact("kummer.condition"), False))
-
-    count = nscat.count_certificate()
-    rows.append(_check("count.441", count.fact("count.total"), 441))
-    rows.append(_check("count.families", count.fact("count.families"),
-                       {0: 9, 2: 144, 4: 288}))
-    rows.append(_check("count.strict", count.fact("count.strict_transforms"),
-                       63))
-
-    rows.extend(cmd_orbits(None).rows)
-
-    seen = []
-    for cert in (sat, tor, rank):
-        for text in cert.imported:
-            if text not in seen:
-                seen.append(text)
-                rows.append(_assumed(text))
-    return rows
+def cmd_checks(args) -> Report:
+    """descent, ns verify and orbits: the claims tagged with the command."""
+    return claims_report(args.command)
 
 
 def cmd_verify_all(args) -> Report:
-    rows = _verify_all_rows(args.workers)
-    return Report(CHECK_COLUMNS, rows, _failed(rows))
+    return claims_report(None, args.workers)
+
+
+# -- the claims registry -----------------------------------------------------
+
+# The certificates the claims read, by short name.  Each is looked up in its
+# module when a run first needs it, so a test can substitute one.
+_CERTS = {
+    "sat": (mwlat, "saturation_certificate"),
+    "tor": (mwlat, "torsion_certificate"),
+    "rank": (mwlat, "rank_formula_certificate"),
+    "dec": (nscat, "decomposition_certificate"),
+    "hyp": (nscat, "hyperplane_certificate"),
+    "ident": (nscat, "degree_identity_certificate"),
+    "fib": (nscat, "fiber_class_certificate"),
+    "tra": (nscat, "transcendental_certificate"),
+    "count": (nscat, "count_certificate"),
+}
+
+
+class _Run:
+    """One evaluation of the claims.  Every value fetched through `get`,
+    each certificate among them, is built at most once; `built` keeps them
+    in the order they were built."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.built = {}
+
+    def get(self, fn):
+        if fn not in self.built:
+            self.built[fn] = fn()
+        return self.built[fn]
+
+    def cert(self, name):
+        module, attr = _CERTS[name]
+        return self.get(getattr(module, attr))
+
+
+def _fact(cert, key):
+    return lambda run: run.cert(cert).fact(key)
+
+
+def _ok(cert):
+    return lambda run: run.cert(cert).ok
+
+
+def _point(name):
+    return param_to_point(named_sections()[name])
+
+
+def _orbits():
+    return surface.partition_orbits(surface.singular_points())
+
+
+_T = Polynomial.gen()
+
+# Every claim once, in the order verify-all prints them: (claim id, the
+# check command that also prints it or None, compute(run), expected).  The
+# claims of `ns verify` carry the tag "ns".
+CLAIMS = (
+    ("eig.125_99_57", None,
+     lambda r: surface.integral_eigenvalues(125, 99, 57), (190, -55, -135)),
+    ("eig.param_at_3", None,
+     lambda r: r.get(surface.low_degree_parametrization)
+     .evaluate_projective(3), (190, -55, -135, 125, 99, 57)),
+    ("search.114", None, lambda r: surface.search(114, workers=r.workers),
+     [((26, 51, 114), (136, -19, -117))]),
+    ("locus.trivial_integers", None, lambda r: surface.integer_trivial_locus(
+        r.get(surface.low_degree_parametrization)), [-2, -1, 0, 1, 2, 4, 10]),
+    ("curve.discriminant", None,
+     lambda r: family_model().discriminant() == RationalFunction(
+         1024 * _T ** 2 * (_T ** 2 - 1) ** 6 * (_T ** 2 - 4) ** 4), True),
+    ("curve.j", None,
+     lambda r: family_model().j_invariant() == RationalFunction(
+         4 * (_T ** 4 + 56 * _T ** 2 + 16) ** 3, _T ** 2 * (_T ** 2 - 4) ** 4),
+     True),
+    ("fibers.table", None, lambda r: _fiber_rows(), (
+        ("-2", "I4", 4, 4), ("-1", "I0*", 5, 4), ("0", "I2", 2, 2),
+        ("1", "I0*", 5, 4), ("2", "I4", 4, 4), ("inf", "I2", 2, 2))),
+    ("fibers.euler", None, lambda r: euler_number(family_model()), 24),
+    ("height.PP", "descent", _fact("sat", "height.PP"), Fraction(3, 2)),
+    ("height.QQ", "descent", _fact("sat", "height.QQ"), Fraction(1, 2)),
+    ("height.PQ", "descent", _fact("sat", "height.PQ"), Fraction(0)),
+    ("height.T1", None, lambda r: mwlat.height_pairing(_point("T1")),
+     Fraction(0)),
+    ("height.T2", None, lambda r: mwlat.height_pairing(_point("T2")),
+     Fraction(0)),
+    ("height.2P", None, lambda r: mwlat.height_pairing(2 * _point("P")),
+     Fraction(6)),
+    ("descent.scaled_gram", "descent", _fact("sat", "lattice.scaled_gram"),
+     ((6, 0), (0, 2))),
+    ("descent.scaled_disc", "descent", _fact("sat", "lattice.scaled_disc"),
+     12),
+    ("descent.halving_blocked", "descent",
+     _fact("sat", "halving.sum_blocked_for"), ("O", "T1", "T1+T2", "T2")),
+    ("descent.index", "descent", _fact("sat", "lattice.index"), 1),
+    ("descent.rank", "descent", _fact("sat", "lattice.rank"), 2),
+    ("torsion.order", "descent", _fact("tor", "torsion.order"), 4),
+    ("torsion.structure", "descent", _fact("tor", "torsion.structure"),
+     "(Z/2)^2"),
+    ("rank.euler", "descent", _fact("rank", "euler.number"), 24),
+    ("rank.components", "descent",
+     _fact("rank", "fibers.component_excess"), 16),
+    ("rank.picard", "descent", _fact("rank", "picard.number"), 20),
+    ("certificate.saturation", "descent", _ok("sat"), True),
+    ("certificate.torsion", "descent", _ok("tor"), True),
+    ("certificate.rank-formula", "descent", _ok("rank"), True),
+    ("ns.disc", "ns", _fact("dec", "lattice.disc"), -48),
+    ("ns.signature", "ns", _fact("dec", "lattice.signature"), (1, 19, 0)),
+    ("ns.neg2", "ns", _fact("dec", "block.neg2"), -2),
+    ("ns.neg24", "ns", _fact("dec", "block.neg24"), -24),
+    ("ns.hyperbolic", "ns", _fact("dec", "block.hyperbolic"),
+     ((0, 1), (1, 0))),
+    ("ns.orthogonal", "ns", _fact("dec", "blocks.orthogonal"), "yes"),
+    ("ns.index", "ns", _fact("dec", "sublattice.index"), 1),
+    ("ns.e8_1.roots", "ns",
+     lambda r: r.cert("dec").fact("block.e8_1")["roots"], 240),
+    ("ns.e8_2.roots", "ns",
+     lambda r: r.cert("dec").fact("block.e8_2")["roots"], 240),
+    ("ns.hyperplane.square", "ns",
+     _fact("hyp", "hyperplane.self_intersection"), 6),
+    ("ns.hyperplane.degree", "ns", _fact("hyp", "hyperplane.degree"), 6),
+    ("ns.identity.squares", "ns", _fact("ident", "identity.forms"), 19),
+    ("ns.identity.agree", "ns", _fact("ident", "identity.matrices_agree"),
+     True),
+    ("ns.fibers.components", "ns", _fact("fib", "fiber.total_components"),
+     22),
+    ("ns.fibers.closed", "ns", lambda r: all(
+        v["sums_to_fiber_class"] and v["dual_graph"]
+        for k, v in r.cert("fib").facts
+        if k.startswith("fiber.") and isinstance(v, dict)), True),
+    ("certificate.lattice.decomposition", "ns", _ok("dec"), True),
+    ("certificate.lattice.hyperplane", "ns", _ok("hyp"), True),
+    ("certificate.degree.identity", "ns", _ok("ident"), True),
+    ("certificate.fiber.decompositions", "ns", _ok("fib"), True),
+    ("forms.count", None, lambda r: len(reduced_binary_even_forms(48)), 4),
+    ("forms.opposite", None, _fact("tra", "match.opposite_disc_form"),
+     [((2, 0), (0, 24))]),
+    ("forms.attains_1_24", None, _fact("tra", "match.attains_1_24"),
+     [((2, 0), (0, 24))]),
+    ("forms.kummer", None, _fact("tra", "kummer.condition"), False),
+    ("certificate.lattice.transcendental", None, _ok("tra"), True),
+    ("count.441", None, _fact("count", "count.total"), 441),
+    ("count.families", None, _fact("count", "count.families"),
+     {0: 9, 2: 144, 4: 288}),
+    ("count.strict", None, _fact("count", "count.strict_transforms"), 63),
+    ("certificate.count.441", None, _ok("count"), True),
+    ("orbit.group_order", "orbits", lambda r: len(surface.group_elements()),
+     144),
+    ("orbit.double_points", "orbits",
+     lambda r: len(r.get(surface.singular_points)), 12),
+    ("orbit.count", "orbits", lambda r: len(r.get(_orbits)), 1),
+    ("orbit.sizes", "orbits",
+     lambda r: tuple(sorted(len(o) for o in r.get(_orbits))), (12,)),
+    ("orbit.jacobian_rank", "orbits", lambda r: tuple(sorted(
+        {surface.matrix_rank(surface.jacobian(p))
+         for p in r.get(surface.singular_points)})), (2,)),
+)
+
+
+def claims_report(command, workers=1) -> Report:
+    """Check rows of the claims `command` prints, or of every claim when it
+    is None, then one row per imported fact of the certificates they used,
+    in the order the certificates were built."""
+    run = _Run(workers)
+    rows = []
+    for claim, cmd, compute, expected in CLAIMS:
+        if command is None or cmd == command:
+            computed = compute(run)
+            rows.append((claim, _render(computed), _render(expected),
+                         "pass" if computed == expected else "fail"))
+    failed = sum(row[-1] == "fail" for row in rows)
+    imported = [text for value in run.built.values()
+                if isinstance(value, mwlat.Certificate)
+                for text in value.imported]
+    rows += [("assumed", text, "", "assumed")
+             for text in dict.fromkeys(imported)]
+    return Report(CHECK_COLUMNS, rows, failed)
 
 
 # -- wiring ------------------------------------------------------------------
@@ -477,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_height)
 
     p = sub.add_parser("descent", help="rank two descent certificate")
-    p.set_defaults(func=cmd_descent)
+    p.set_defaults(func=cmd_checks)
 
     p = sub.add_parser("lattice-forms",
                        help="reduced positive even binary forms")
@@ -487,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ns", help="Neron-Severi lattice operations")
     ns_sub = p.add_subparsers(dest="ns_cmd", required=True)
     q = ns_sub.add_parser("verify", help="structure certificates")
-    q.set_defaults(func=cmd_ns)
+    q.set_defaults(func=cmd_checks)
     q = ns_sub.add_parser("count-classes", help="classes by degree and genus")
     q.add_argument("--degree", type=int, required=True)
     q.add_argument("--genus", type=int, required=True)
@@ -498,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_ns)
 
     p = sub.add_parser("orbits", help="symmetry action on double points")
-    p.set_defaults(func=cmd_orbits)
+    p.set_defaults(func=cmd_checks)
 
     p = sub.add_parser("verify-all", help="run every check")
     p.add_argument("--workers", type=int, default=None)

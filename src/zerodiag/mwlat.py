@@ -515,13 +515,11 @@ def saturation_certificate() -> Certificate:
     parity_ok = (4 * gram[0][0]) % 2 == 0 and (4 * gram[1][1]) % 2 == 0
     # those two heights are 6/4 and 2/4; a half-point would have height
     # h/4 with 4h = <P,P> resp. <Q,Q>, i.e. 3/8 or 1/8, outside (1/4) Z
-    nonsquares = {}
     base = p + q
-    for name, t in tors.items():
-        shifted = base + t
-        nonsquares[name] = not is_square_in_function_field(shifted.u)
-    facts.append(("halving.sum_blocked_for", tuple(sorted(nonsquares))))
-    ok = ok and parity_ok and all(nonsquares.values())
+    blocked = tuple(sorted(name for name, t in tors.items()
+                           if not is_square_in_function_field((base + t).u)))
+    facts.append(("halving.sum_blocked_for", blocked))
+    ok = ok and parity_ok and len(blocked) == len(tors)
     facts.append(("lattice.index", 1))
     facts.append(("lattice.rank", 2))
     return Certificate(

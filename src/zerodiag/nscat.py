@@ -159,6 +159,7 @@ def _unit(i):
 # -- classes of curves ----------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
 def class_of_conic(conic) -> tuple:
     """Class of the strict transform of a plane conic on the surface."""
     vec = conics.intersection_vector(("conic", conic))
@@ -382,7 +383,7 @@ def reconstruct_fiber_classes():
     out = {}
     for fib in tate_classify(family_model()):
         place = fib.place
-        key = "inf" if place == "inf" else str(Fraction(place))
+        key = str(place)
         form = _fiber_form(place)
         comps = []
         base = conics.base_conic()
@@ -399,7 +400,7 @@ def reconstruct_fiber_classes():
             if place == "inf":
                 onfiber = p[3] == 0
             else:
-                onfiber = p[0] - Fraction(place) * p[3] == 0
+                onfiber = p[0] - place * p[3] == 0
             if onfiber:
                 comps.append((_point_label(p), 1, exc[p]))
         if fib.kind == "I*":
@@ -421,7 +422,7 @@ def fiber_class_certificate() -> Certificate:
     ok = True
     total_components = 0
     for fib in tate_classify(family_model()):
-        key = "inf" if fib.place == "inf" else str(Fraction(fib.place))
+        key = str(fib.place)
         comps = decomp[key]
         total_components += len(comps)
         sums = [0] * RANK

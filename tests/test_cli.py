@@ -12,6 +12,37 @@ from zerodiag import cli
 from zerodiag.mwlat import Certificate
 
 
+DESCENT_CLAIMS = [
+    "height.PP", "height.QQ", "height.PQ", "descent.scaled_gram",
+    "descent.scaled_disc", "descent.halving_blocked", "descent.index",
+    "descent.rank", "torsion.order", "torsion.structure", "rank.euler",
+    "rank.components", "rank.picard", "certificate.saturation",
+    "certificate.torsion", "certificate.rank-formula"]
+NS_VERIFY_CLAIMS = [
+    "ns.disc", "ns.signature", "ns.neg2", "ns.neg24", "ns.hyperbolic",
+    "ns.orthogonal", "ns.index", "ns.e8_1.roots", "ns.e8_2.roots",
+    "ns.hyperplane.square", "ns.hyperplane.degree", "ns.identity.squares",
+    "ns.identity.agree", "ns.fibers.components", "ns.fibers.closed",
+    "certificate.lattice.decomposition", "certificate.lattice.hyperplane",
+    "certificate.degree.identity", "certificate.fiber.decompositions"]
+ORBIT_CLAIMS = ["orbit.group_order", "orbit.double_points", "orbit.count",
+                "orbit.sizes", "orbit.jacobian_rank"]
+# every claim of descent, ns verify and orbits, plus verify-all's own
+VERIFY_ALL_CLAIMS = (
+    ["eig.125_99_57", "eig.param_at_3", "search.114", "locus.trivial_integers",
+     "curve.discriminant", "curve.j", "fibers.table", "fibers.euler",
+     "height.PP", "height.QQ", "height.PQ", "height.T1", "height.T2",
+     "height.2P"]
+    + DESCENT_CLAIMS[3:]
+    + NS_VERIFY_CLAIMS
+    + ["forms.count", "forms.opposite", "forms.attains_1_24", "forms.kummer",
+       "certificate.lattice.transcendental", "count.441", "count.families",
+       "count.strict", "certificate.count.441"]
+    + ORBIT_CLAIMS)
+IMPORTED = ["the torsion order divides 4",
+            "quarter-integrality of the height pairing"]
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -119,8 +150,8 @@ def test_descent_certificate_passes(capsys):
     statuses = {row[3] for row in payload["rows"]}
     assert statuses == {"pass", "assumed"}
     claims = [row[0] for row in payload["rows"]]
-    assert "descent.scaled_disc" in claims
-    assert "torsion.order" in claims
+    assert claims == DESCENT_CLAIMS + ["assumed"] * 2
+    assert [row[1] for row in payload["rows"][-2:]] == IMPORTED
 
 
 def test_descent_failure_sets_exit_code(capsys, monkeypatch):
@@ -162,6 +193,7 @@ def test_ns_verify_passes(capsys):
     claims = dict((row[0], row[1]) for row in payload["rows"])
     assert claims["ns.disc"] == "-48"
     assert claims["ns.fibers.components"] == "22"
+    assert [row[0] for row in payload["rows"]] == NS_VERIFY_CLAIMS
 
 
 def test_ns_count_classes(capsys):
@@ -187,13 +219,50 @@ def test_orbits(capsys):
     assert claims["orbit.group_order"] == "144"
     assert claims["orbit.double_points"] == "12"
     assert claims["orbit.jacobian_rank"] == "(2)"
+    assert [row[0] for row in payload["rows"]] == ORBIT_CLAIMS
 
 
 def test_verify_all_green(capsys):
     code, out = run(capsys, ["verify-all"])
     assert code == 0
-    assert "0 failed" in out
+    lines = out.splitlines()
+    assert lines[-1] == "60 checks, 0 failed"
     assert "fail\n" not in out
+    assert [line.split()[0] for line in lines[2:-1]] == (
+        VERIFY_ALL_CLAIMS + ["assumed"] * 2)
+
+
+def test_claim_ids_are_unique():
+    ids = [claim[0] for claim in cli.CLAIMS]
+    assert len(ids) == len(set(ids)) == 60
+
+
+def test_verify_all_fails_on_a_failed_certificate(capsys, monkeypatch):
+    # right facts, failed flag: only the certificate row can catch it
+    bad = Certificate("torsion",
+                      [("torsion.order", 4),
+                       ("torsion.structure", "(Z/2)^2")],
+                      imported=["the torsion order divides 4"], ok=False)
+    monkeypatch.setattr(cli.mwlat, "torsion_certificate", lambda: bad)
+    code, payload = run_json(capsys, ["verify-all"])
+    assert code == 1
+    assert payload["failed"] == 1
+    failing = [row[0] for row in payload["rows"] if row[3] == "fail"]
+    assert failing == ["certificate.torsion"]
+
+
+def test_square_sum_fails_descent_and_verify_all(capsys, monkeypatch):
+    # if u(P + Q + T) were a square, P + Q + T could be halved
+    monkeypatch.setattr(cli.mwlat, "is_square_in_function_field",
+                        lambda rf: True)
+    for argv in (["descent"], ["verify-all"]):
+        code, payload = run_json(capsys, argv)
+        assert code == 1, argv
+        rows = {row[0]: row for row in payload["rows"]}
+        assert rows["descent.halving_blocked"][1:] == [
+            "()", "(O, T1, T1+T2, T2)", "fail"], argv
+        assert rows["certificate.saturation"][3] == "fail", argv
+        assert payload["failed"] == 2, argv
 
 
 def test_bad_usage_exits_2(capsys, monkeypatch):
