@@ -4,11 +4,14 @@ Every degree-2 curve on the surface is a smooth conic spanning a plane
 inside the hyperplane x+y+z = 0, and is cut out on that plane by the
 quadric q2 = xy+yz+zx+a^2+b^2+c^2 (the restriction of q2 to the plane of
 any of the conics handled here is nonzero, so it is the conic's own
-equation).  Intersection numbers of strict transforms on the resolved
-surface reduce to linear algebra:
+equation).  Each conic keeps a basis of its plane, and every query runs
+in those three plane coordinates.  Intersection numbers of strict
+transforms on the resolved surface reduce to linear algebra:
 
   * two distinct conics meet X along the intersection of their planes,
-    a line or a point, where the scheme is cut out by q2;
+    a line or a point, where the scheme is cut out by q2; the other
+    conic's equations, restricted to one conic's plane basis, are a 3x3
+    system whose solutions are that intersection;
   * blowing up an ordinary double point lowers a local intersection by
     one, so the corrected number is (total length) - (number of shared
     double points);
@@ -58,20 +61,28 @@ def _is_double_point(p):
 
 
 class Conic:
-    """A plane conic on the surface, identified by its canonical plane."""
+    """A plane conic on the surface, identified by its canonical plane.
 
-    __slots__ = ("rows",)
+    rows are the reduced equations of the plane (x+y+z = 0 among them)
+    and basis is a basis of the plane itself.
+    """
+
+    __slots__ = ("rows", "basis")
 
     def __init__(self, forms):
         rows, pivots = rref(list(forms) + [_SUM_XYZ])
         if len(rows) != 3:
             raise ValueError("plane of a conic must have codimension 3")
         object.__setattr__(self, "rows", tuple(rows))
-        w = nullspace(self.rows)
-        if _plane_form_det(w) == 0:
+        object.__setattr__(self, "basis", tuple(nullspace(self.rows)))
+        # q2 cuts a smooth conic iff its polar form is nondegenerate here
+        (a, b, c), (d, e, f), (g, h, k) = (
+            [_polar(u, v) for v in self.basis] for u in self.basis)
+        det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+        if det == 0:
             raise ValueError("quadric is degenerate on the plane; not a "
                              "smooth conic")
-        if not _cubic_divisible(w):
+        if not _cubic_divisible(self.basis):
             raise ValueError("conic does not lie on the surface")
 
     def __setattr__(self, *a):
@@ -85,10 +96,9 @@ class Conic:
         return tuple(p for p in double_points() if self.contains(p))
 
     def contains_form(self, form) -> bool:
-        """Whether a linear form vanishes on the whole conic (i.e. lies in
-        the span of the plane's equations)."""
-        rows, _ = rref(list(self.rows) + [form])
-        return len(rows) == 3
+        """Whether a linear form vanishes on the whole conic, i.e. on the
+        three basis vectors of its plane."""
+        return all(_dot(form, w) == 0 for w in self.basis)
 
     def __eq__(self, other):
         if not isinstance(other, Conic):
@@ -103,38 +113,15 @@ class Conic:
 
 
 def _dot(row, p):
-    return sum(r * x for r, x in zip(row, p))
+    return sum(r * x for r, x in zip(row, p) if r and x)
 
 
-def _restrict_q2(basis):
-    """Coefficients (A, B, C) of q2 on the span of one or two vectors;
-    for a single vector returns (A,)."""
-    if len(basis) == 1:
-        return (q2(basis[0]),)
-    w0, w1 = basis
-    a = q2(w0)
-    c = q2(w1)
-    both = q2(tuple(u + v for u, v in zip(w0, w1)))
-    return (a, both - a - c, c)
-
-
-def _plane_form_det(basis):
-    """Determinant of the Gram matrix of q2 on a 3-dimensional space;
-    nonzero exactly when the restriction cuts a smooth conic."""
-    n = len(basis)
-    if n != 3:
-        raise ValueError("expected a plane (three-dimensional span)")
-    diag = [q2(w) for w in basis]
-    gram = [[None] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = 2 * diag[i]
-        for j in range(i + 1, n):
-            s = q2(tuple(u + v for u, v in zip(basis[i], basis[j])))
-            gram[i][j] = gram[j][i] = s - diag[i] - diag[j]
-    a, b, c = gram[0]
-    d, e, f = gram[1]
-    g, h, k = gram[2]
-    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+def _polar(u, v):
+    """The polar form q2(u + v) - q2(u) - q2(v) of the quadric."""
+    x, y, z, a, b, c = u
+    X, Y, Z, A, B, C = v
+    return (x * (Y + Z) + y * (X + Z) + z * (X + Y)
+            + 2 * (a * A + b * B + c * C))
 
 
 # the principal lattice of degree three: s0 + s1 + s2 = 3, s >= 0
@@ -194,52 +181,54 @@ def _sort_key(conic):
     return tuple(tuple(str(x) for x in row) for row in conic.rows)
 
 
-def _combine(s, u, w0, w1):
-    return tuple(s * a + u * b for a, b in zip(w0, w1))
+def _combine(coeffs, vectors):
+    return tuple(sum(s * w[k] for s, w in zip(coeffs, vectors) if s and w[k])
+                 for k in range(_NVARS))
 
 
 def _line_zero_points(w0, w1):
-    """Points of the line span(w0, w1) where q2 vanishes, with
-    multiplicities, provided they are rational over Q(sqrt 3).  Returns a
-    list of (point, multiplicity); an empty list means a conjugate pair
-    in a larger field (never a double point)."""
-    a, b, c = _restrict_q2([w0, w1])
+    """Points of the line span(w0, w1) where q2 vanishes, each listed
+    once, provided they are rational over Q(sqrt 3); an empty list means
+    a conjugate pair in a larger field (never a double point)."""
+    # 2 q2(s w0 + u w1) = a s^2 + b s u + c u^2
+    a, b, c = _polar(w0, w0), 2 * _polar(w0, w1), _polar(w1, w1)
     if not a and not b and not c:
         raise ArithmeticError("quadric vanishes on a line of the plane")
     if not a:
         if not b:
-            return [(w0, 2)]  # c u^2
-        if not c:
-            return [(w0, 1), (w1, 1)]  # b s u
-        return [(w0, 1), (_combine(-c, b, w0, w1), 1)]
+            return [w0]  # c u^2
+        return [w0, _combine((-c, b), (w0, w1))]  # u (b s + c u)
     disc = b * b - 4 * a * c
     if not disc:
-        return [(_combine(-b, 2 * a, w0, w1), 2)]
+        return [_combine((-b, 2 * a), (w0, w1))]
     root = field_sqrt(disc)
     if root is None:
         return []
-    return [(_combine(-b + root, 2 * a, w0, w1), 1),
-            (_combine(-b - root, 2 * a, w0, w1), 1)]
+    return [_combine((-b + root, 2 * a), (w0, w1)),
+            _combine((-b - root, 2 * a), (w0, w1))]
 
 
 def conic_intersection(c1: Conic, c2: Conic) -> int:
-    """Intersection number of strict transforms on the resolved surface."""
+    """Intersection number of strict transforms on the resolved surface.
+
+    The planes meet where c2's equations vanish on c1's plane: the
+    nullspace of their 3x3 restriction to c1's basis, mapped back
+    through that basis, is empty, a point or a line.
+    """
     if c1 == c2:
         return -2  # smooth rational curve on a K3 surface
-    stacked, _ = rref(list(c1.rows) + list(c2.rows))
-    rank = len(stacked)
-    if rank == 3:
+    restricted = [[_dot(row, w) for w in c1.basis] for row in c2.rows]
+    meet = [_combine(s, c1.basis) for s in nullspace(restricted)]
+    if len(meet) == 3:
         raise ArithmeticError("distinct conics cannot share a plane here")
-    if rank == 6:
+    if not meet:
         return 0
-    if rank == 5:
-        q = nullspace(stacked)[0]
+    if len(meet) == 1:
+        q = meet[0]
         if q2(q) != 0:
             return 0
         return 1 - (1 if _is_double_point(q) else 0)
-    w0, w1 = nullspace(stacked)
-    points = _line_zero_points(w0, w1)
-    shared = sum(1 for p, _ in points if _is_double_point(p))
+    shared = sum(1 for p in _line_zero_points(*meet) if _is_double_point(p))
     return 2 - shared
 
 

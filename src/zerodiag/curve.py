@@ -195,12 +195,13 @@ class CurvePoint:
             return (-n) * (-self)
         out = self.model.infinity()
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out + base
-            base = base + base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base + base
 
     def conjugate(self) -> "CurvePoint":
         if self.is_infinity:

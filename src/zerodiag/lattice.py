@@ -156,10 +156,6 @@ def smith_normal_form(mat):
                 break
         if bad is not None:
             row_addmul(t, bad, 1)
-            continue_outer = True
-        else:
-            continue_outer = False
-        if continue_outer:
             continue
         if a[t][t] < 0:
             row_negate(t)
@@ -262,30 +258,6 @@ def signature(gram):
                 for c in live:
                     a[r][c] -= f * a[p][c]
     return pos, neg, n - pos - neg
-
-
-def char_poly(mat):
-    """Characteristic polynomial det(xI - A), coefficients lowest degree
-    first, by the Faddeev-LeVerrier recurrence (exact)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    coeffs = [Fraction(1)]  # leading coefficient, will reverse at the end
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        if k == 1:
-            m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        else:
-            am = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)]
-                  for i in range(n)]
-            for i in range(n):
-                am[i][i] += coeffs[-1]
-            m = am
-        am = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    return list(reversed(coeffs))
 
 
 def is_positive_definite(gram) -> bool:

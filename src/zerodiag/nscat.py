@@ -48,6 +48,9 @@ from .mwlat import Certificate
 
 RANK = 20
 _FIBER = 20  # basis index of the fiber class
+# enumeration radius of the classes of degree 4 and genus 0, the largest
+# enumerate_classes accepts; it yields 50616 classes
+_MAX_RADIUS = Fraction(14, 3)
 
 _DATA_CHECKSUMS = {
     "structure_vectors.json":
@@ -129,14 +132,7 @@ def hyperplane_class():
     Solves G h = w for the degree pairing vector w; integrality of the
     solution is part of the claim.
     """
-    w = _degree_pairings()
-    h = mat_vec(_gram_inverse(), list(w))
-    out = []
-    for x in h:
-        if x.denominator != 1:
-            raise ArithmeticError("hyperplane class is not integral: %r" % (h,))
-        out.append(int(x))
-    return tuple(out)
+    return _solve_class(_degree_pairings())
 
 
 def rr_effective(c) -> bool:
@@ -280,6 +276,8 @@ def enumerate_classes(d: int, g: int):
     Every class of degree d differs from (d/2) e17 by an element of the
     degree kernel, so the genus condition becomes a definite quadratic
     equation there, solved exactly.  Returns a sorted list of 20-tuples.
+    Raises ValueError, before enumerating, when the radius of that
+    equation exceeds _MAX_RADIUS.
     """
     if d % 2:
         raise ValueError("degree must be even")
@@ -294,6 +292,10 @@ def enumerate_classes(d: int, g: int):
     beta = vec_dot(m0, gm0) - (2 * g - 2)
     c0 = mat_vec(mat_inverse(A), b)
     radius = beta + vec_dot(c0, mat_vec(A, c0))
+    if radius > _MAX_RADIUS:
+        raise ValueError("enumeration radius %s for degree %d and genus %d "
+                         "exceeds %s, that of degree 4 and genus 0"
+                         % (radius, d, g, _MAX_RADIUS))
     if radius < 0:
         return []
 
@@ -397,11 +399,7 @@ def reconstruct_fiber_classes():
                     mult = 2 if fib.kind == "I*" else 1
                     comps.append((labels[conic], mult, class_of_conic(conic)))
         for p in conics.double_points():
-            if place == "inf":
-                onfiber = p[3] == 0
-            else:
-                onfiber = p[0] - place * p[3] == 0
-            if onfiber:
+            if vec_dot(form, p) == 0:
                 comps.append((_point_label(p), 1, exc[p]))
         if fib.kind == "I*":
             central = [c for c in comps if c[1] == 2]

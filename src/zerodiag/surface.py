@@ -111,9 +111,7 @@ def integral_eigenvalues(a: int, b: int, c: int):
 def _search_range(a_values, limit):
     found = []
     for a in a_values:
-        aa = a * a
         for b in range(a + 1, limit + 1):
-            bb = b * b
             for c in range(b + 1, limit + 1):
                 ev = integral_eigenvalues(a, b, c)
                 if ev is not None:

