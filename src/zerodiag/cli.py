@@ -84,9 +84,11 @@ def _emit(report: Report, fmt: str, out) -> None:
 
 
 def cmd_search(args) -> Report:
-    rows = []
-    for (a, b, c), (e1, e2, e3) in surface.search(args.max, workers=args.workers):
-        rows.append((a, b, c, e1, e2, e3))
+    try:
+        found = surface.search(args.max, workers=args.workers)
+    except ValueError as e:
+        raise UsageError(str(e))
+    rows = [(a, b, c, e1, e2, e3) for (a, b, c), (e1, e2, e3) in found]
     return Report(("a", "b", "c", "eig1", "eig2", "eig3"), rows)
 
 
@@ -434,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="triples with all-integral spectrum")
     p.add_argument("--max", type=int, required=True,
-                   help="upper bound for the largest entry")
+                   help="upper bound for the largest entry, at most %d"
+                        % surface.SEARCH_MAX)
     p.add_argument("--workers", type=int, default=None,
                    help="process count (default: ZERODIAG_WORKERS or 1)")
     p.set_defaults(func=cmd_search)

@@ -28,7 +28,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import QuadElem, _entry, field_sqrt, nullspace, rref
+from .exactnum import (
+    QuadElem,
+    _entry,
+    field_sqrt,
+    nullspace,
+    reduced_nullspace,
+    rref,
+)
 from .surface import g_apply, group_elements, normalize_projective, singular_points
 
 _NVARS = 6  # coordinates (x, y, z, a, b, c)
@@ -63,18 +70,20 @@ def _is_double_point(p):
 class Conic:
     """A plane conic on the surface, identified by its canonical plane.
 
-    rows are the reduced equations of the plane (x+y+z = 0 among them)
-    and basis is a basis of the plane itself.
+    rows are the reduced equations of the plane (x+y+z = 0 among them),
+    basis is a basis of the plane itself, and nodes are the double points
+    of the surface that lie on the conic.
     """
 
-    __slots__ = ("rows", "basis")
+    __slots__ = ("rows", "basis", "nodes")
 
     def __init__(self, forms):
         rows, pivots = rref(list(forms) + [_SUM_XYZ])
         if len(rows) != 3:
             raise ValueError("plane of a conic must have codimension 3")
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "basis", tuple(nullspace(self.rows)))
+        object.__setattr__(self, "basis",
+                           tuple(reduced_nullspace(rows, pivots, _NVARS)))
         # q2 cuts a smooth conic iff its polar form is nondegenerate here
         (a, b, c), (d, e, f), (g, h, k) = (
             [_polar(u, v) for v in self.basis] for u in self.basis)
@@ -84,6 +93,8 @@ class Conic:
                              "smooth conic")
         if not _cubic_divisible(self.basis):
             raise ValueError("conic does not lie on the surface")
+        object.__setattr__(self, "nodes", tuple(
+            p for p in double_points() if self.contains(p)))
 
     def __setattr__(self, *a):
         raise AttributeError("Conic is immutable")
@@ -91,9 +102,6 @@ class Conic:
     def contains(self, p) -> bool:
         return (all(_dot(row, p) == 0 for row in self.rows)
                 and q2(p) == 0)
-
-    def double_points_on(self):
-        return tuple(p for p in double_points() if self.contains(p))
 
     def contains_form(self, form) -> bool:
         """Whether a linear form vanishes on the whole conic, i.e. on the

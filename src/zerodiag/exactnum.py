@@ -272,7 +272,12 @@ def rref(rows):
 def nullspace(rows):
     """Basis of the solution space of the linear forms."""
     reduced, pivots = rref(rows)
-    nc = len(rows[0])
+    return reduced_nullspace(reduced, pivots, len(rows[0]))
+
+
+def reduced_nullspace(reduced, pivots, nc):
+    """nullspace of forms in nc variables that rref has already reduced
+    to (reduced, pivots)."""
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for f in free:

@@ -200,7 +200,7 @@ def strict_transform_conics():
             raise RuntimeError("orbit of %d-node conics has size %d"
                                % (nodes, len(orb)))
         for c in orb:
-            if len(c.double_points_on()) != nodes:
+            if len(c.nodes) != nodes:
                 raise RuntimeError("conic has wrong node count")
     return orbits
 
@@ -332,7 +332,7 @@ def catalogue_441():
         for conic in orb:
             base = class_of_conic(conic)
             strict.append(base)
-            pts = conic.double_points_on()
+            pts = conic.nodes
             for r in range(len(pts) + 1):
                 for subset in combinations(pts, r):
                     cls = list(base)

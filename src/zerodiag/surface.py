@@ -58,15 +58,17 @@ def integral_eigenvalues(a: int, b: int, c: int):
     """Eigenvalues of M as a decreasing integer triple, or None if they
     are not all integral.
 
-    Integer-only fast path: the largest eigenvalue x satisfies
-    2p/3 <= x^2 <= 2p (p = a^2+b^2+c^2, trace of M^2 is 2p and x is the
-    largest in absolute value when 2abc > 0), and the characteristic
-    polynomial is increasing there, so x comes from a binary search; the
-    remaining quadratic is tested on its discriminant.  If the largest
-    root is not integral no root is, because a monic integer cubic whose
-    roots sum to zero has either zero or three rational roots... unless a
-    single rational root pairs with an irrational conjugate pair, which
-    still forces that rational root to be located by the search.
+    Integer-only fast path.  Write p = a^2+b^2+c^2 and q = 2abc, so the
+    characteristic polynomial is f(l) = l^3 - p l - q.  For q > 0 the
+    spectrum is x > 0 > y >= z (the product is positive and the sum is
+    zero), so x is the largest root.  Since y + z = -x, p = x^2 - yz with
+    0 < yz <= x^2/4, hence p < x^2 <= 4p/3.  That range lies inside the
+    searched 2p/3 <= l^2 <= 2p, where f' = 3l^2 - p > 0, so f is
+    increasing there and a binary search finds x if it is an integer.
+    An all-integral spectrum needs x integral; given x, the discriminant
+    of the remaining quadratic l^2 + x l + (x^2 - p) decides whether y
+    and z are integers too.  q < 0 is the mirror image and q = 0 is
+    solved directly.
     """
     p, q = char_poly_coeffs(a, b, c)
 
@@ -108,13 +110,73 @@ def integral_eigenvalues(a: int, b: int, c: int):
     return (r, lam2, lam3)
 
 
-def _search_range(a_values, limit):
+# the largest limit search accepts: search(2000) finds 125 triples in about
+# two minutes of CPU on one worker, and the time grows faster than limit^2
+SEARCH_MAX = 2000
+
+
+def _smallest_prime_factors(n):
+    spf = list(range(n + 1))
+    for q in range(2, isqrt(n) + 1):
+        if spf[q] == q:
+            for k in range(q * q, n + 1, q):
+                if spf[k] == k:
+                    spf[k] = q
+    return spf
+
+
+def _search_range(x_values, limit):
+    """The triples of search(limit) whose largest eigenvalue is in
+    x_values, unsorted."""
+    spf = _smallest_prime_factors(2 * limit)
+    p_max = 3 * limit * limit  # a^2 + b^2 + c^2 < 3 limit^2
+    bc_max = limit * limit
     found = []
-    for a in a_values:
-        for b in range(a + 1, limit + 1):
-            for c in range(b + 1, limit + 1):
-                ev = integral_eigenvalues(a, b, c)
-                if ev is not None:
+    for x in x_values:
+        # spectrum (x, -m, -(x - m)); p rises as m falls
+        for m in range(x // 2, 0, -1):
+            p = x * x - x * m + m * m
+            if p >= p_max:
+                break
+            # one of x, m, x - m is even, so abc is an integer
+            abc = x * m * (x - m) // 2
+            exps = {}
+            for n in (x, m, x - m):
+                while n > 1:
+                    q = spf[n]
+                    exps[q] = exps.get(q, 0) + 1
+                    n //= q
+            exps[2] -= 1
+            # the divisors a of abc with a^3 < abc, a being the smallest
+            divisors = [1]
+            for q, e in exps.items():
+                grown = []
+                for d in divisors:
+                    for _ in range(e):
+                        d *= q
+                        if d * d * d >= abc:
+                            break
+                        grown.append(d)
+                divisors += grown
+            for a in divisors:
+                if a * bc_max < abc:
+                    continue
+                bc = abc // a
+                s = p - a * a  # b^2 + c^2
+                if s <= 2 * bc:
+                    continue
+                uu, vv = s + 2 * bc, s - 2 * bc  # (c + b)^2, (c - b)^2
+                u, v = isqrt(uu), isqrt(vv)
+                # u^2 - v^2 = 4bc, so u and v have the same parity
+                if u * u != uu or v * v != vv:
+                    continue
+                b, c = (u - v) // 2, (u + v) // 2
+                if a < b and c <= limit:
+                    ev = (x, -m, -(x - m))
+                    if integral_eigenvalues(a, b, c) != ev:
+                        raise ArithmeticError(
+                            "triple %r does not have spectrum %r"
+                            % ((a, b, c), ev))
                     found.append(((a, b, c), ev))
     return found
 
@@ -125,26 +187,44 @@ def search(limit: int, workers: int = 1):
 
     Triples with a repeated or zero entry are trivial and excluded; up to
     the symmetry group every remaining triple is of this strict form.
+
+    The search runs from the eigenvalue side.  Such a spectrum is
+    (x, -m, -(x - m)) with 1 <= m <= x/2, and it fixes
+    p = a^2 + b^2 + c^2 = x^2 - xm + m^2 and abc = xm(x - m)/2; p < 3
+    limit^2 bounds x by 2 limit.  For each pair (x, m) the candidates for
+    the smallest entry a are the divisors of abc with
+    abc/limit^2 <= a < abc^(1/3), read off a smallest-prime-factor table
+    applied to x, m and x - m.  Then bc = abc/a, and b and c follow from
+    the two squares (c + b)^2 = p - a^2 + 2bc and (c - b)^2 =
+    p - a^2 - 2bc.  That is O(limit^2) pairs times their divisors,
+    against the O(limit^3) triples of a direct scan.  Each triple found
+    is checked once by integral_eigenvalues.
+
+    Raises ValueError when limit is negative or above SEARCH_MAX.
     """
+    if not 0 <= limit <= SEARCH_MAX:
+        raise ValueError("search limit must be between 0 and %d, got %d"
+                         % (SEARCH_MAX, limit))
     if limit < 3:
         return []
-    a_values = list(range(1, limit - 1))
+    x_values = list(range(2, 2 * limit + 1))
     if workers and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [a_values[i::workers] for i in range(workers)]
+        # the work per x grows with x, so deal the x values round-robin
+        chunks = [x_values[i::workers] for i in range(workers)]
         found = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_search_chunk, [(ch, limit) for ch in chunks]):
                 found.extend(part)
     else:
-        found = _search_range(a_values, limit)
+        found = _search_range(x_values, limit)
     return sorted(found, key=lambda item: (item[0][2], item[0][0], item[0][1]))
 
 
 def _search_chunk(args):
-    a_values, limit = args
-    return _search_range(a_values, limit)
+    x_values, limit = args
+    return _search_range(x_values, limit)
 
 
 # -- the surface ------------------------------------------------------------

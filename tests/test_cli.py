@@ -285,6 +285,8 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
                  ["lattice-forms", "--det", "-5"],
                  ["search", "--max", "30", "--workers", "0"],
                  ["search", "--max", "30", "--workers", "-3"],
+                 ["search", "--max", "2001"],
+                 ["search", "--max", "-1"],
                  ["verify-all", "--workers", "0"]):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()

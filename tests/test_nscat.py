@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from zerodiag import conics, nscat
+from zerodiag import conics, exactnum, nscat
 from zerodiag.curve import (
     family_model,
     named_sections,
@@ -229,7 +229,25 @@ def test_conic_orbits():
     assert len(set(everything)) == 63
     for nodes, orb in orbits.items():
         for c in orb:
-            assert len(c.double_points_on()) == nodes
+            assert len(c.nodes) == nodes
+
+
+def test_conic_reduces_its_plane_once(monkeypatch):
+    # one reduction of the 6-column plane equations; the other is the
+    # 10x4 node system of _cubic_divisible
+    real = exactnum.rref
+    widths = []
+
+    def counted(rows):
+        widths.append(len(rows[0]))
+        return real(rows)
+
+    monkeypatch.setattr(conics, "rref", counted)
+    monkeypatch.setattr(exactnum, "rref", counted)
+    conic = conics.Conic([(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
+    assert widths == [6, 4]
+    assert conic == conics.base_conic()
+    assert len(conic.basis) == 3
 
 
 def test_conic_orbit_verifies_each_conic_once(monkeypatch):
@@ -304,8 +322,24 @@ def test_enumerate_degree_zero_roots():
         assert nscat.exceptional_class(p) in s
 
 
-def test_catalogue():
+def test_catalogue(monkeypatch):
+    # the nodes on each conic are found when it is built, not asked again;
+    # first fill the caches that build conics and their classes
+    nscat.degree(unit(17))
+    nscat._exceptional_classes()
+    for orb in nscat.strict_transform_conics().values():
+        for c in orb:
+            nscat.class_of_conic(c)
+    real = conics.Conic.contains
+    calls = []
+
+    def counted(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(conics.Conic, "contains", counted)
     cat = nscat.catalogue_441()
+    assert calls == []
     assert {k: len(v) for k, v in cat["families"].items()} == {
         0: 9, 2: 144, 4: 288}
     strict = cat["strict_transforms"]

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from zerodiag import surface
 from zerodiag.curve import named_sections
 from zerodiag.exactnum import Polynomial, rational_roots
 from zerodiag.surface import (
+    SEARCH_MAX,
     Parametrization,
     char_poly,
     char_poly_coeffs,
@@ -100,6 +102,68 @@ def test_search_small_limit_brute_force():
                     expected.append(((a, b, c), ev))
     expected.sort(key=lambda item: (item[0][2], item[0][0], item[0][1]))
     assert search(limit) == expected
+
+
+def _search_range(a_values, limit):
+    # oracle: the former search, one cubic bisection per triple a < b < c
+    found = []
+    for a in a_values:
+        for b in range(a + 1, limit + 1):
+            for c in range(b + 1, limit + 1):
+                ev = integral_eigenvalues(a, b, c)
+                if ev is not None:
+                    found.append(((a, b, c), ev))
+    return found
+
+
+def test_search_matches_cubic_bisection_oracle():
+    top = 130
+    oracle = _search_range(range(1, top - 1), top)
+    for limit in range(top + 1):
+        expected = sorted((t for t in oracle if t[0][2] <= limit),
+                          key=lambda item: (item[0][2], item[0][0], item[0][1]))
+        assert search(limit) == expected, limit
+
+
+SEARCH_250 = [
+    ((26, 51, 114), (136, -19, -117)),
+    ((57, 99, 125), (190, -55, -135)),
+    ((34, 99, 174), (216, -29, -187)),
+    ((154, 171, 186), (341, -152, -189)),
+    ((52, 102, 228), (272, -38, -234)),
+    ((23, 77, 247), (266, -13, -253)),
+    ((114, 198, 250), (380, -110, -270)),
+]
+
+
+def test_search_to_250_checks_each_triple_once(monkeypatch):
+    real = surface.integral_eigenvalues
+    calls = []
+
+    def counted(a, b, c):
+        calls.append((a, b, c))
+        return real(a, b, c)
+
+    monkeypatch.setattr(surface, "integral_eigenvalues", counted)
+    assert search(250) == SEARCH_250
+    assert sorted(calls) == sorted(t for t, _ in SEARCH_250)
+    monkeypatch.undo()
+    assert search(250, workers=2) == SEARCH_250
+    assert search(250, workers=3) == SEARCH_250
+
+
+def test_search_rejects_a_wrong_spectrum(monkeypatch):
+    monkeypatch.setattr(surface, "integral_eigenvalues",
+                        lambda a, b, c: (136, -117, -19))
+    with pytest.raises(ArithmeticError):
+        search(114)
+
+
+def test_search_limit_is_bounded():
+    for limit in (SEARCH_MAX + 1, 10 ** 9, -1):
+        with pytest.raises(ValueError):
+            search(limit)
+    assert [search(limit) for limit in range(3)] == [[], [], []]
 
 
 def test_search_finds_the_lowest_triple():
