@@ -33,6 +33,11 @@ from .lattice import kummer_condition, reduced_binary_even_forms
 
 CHECK_COLUMNS = ("claim", "computed", "expected", "status")
 
+# largest |n| that mult accepts: n*P by the group law takes 40-50 s at
+# n = 12, and point_to_param(n*P) as long at n = 6
+MULT_MAX = 12
+MULT_PARAM_MAX = 6
+
 
 class Report:
     """One table: column names, rows of strings, count of failed checks."""
@@ -117,6 +122,11 @@ def cmd_param(args) -> Report:
 
 
 def cmd_mult(args) -> Report:
+    limit = MULT_PARAM_MAX if args.emit_param else MULT_MAX
+    if abs(args.n) > limit:
+        raise UsageError("|--n| must be at most %d%s, got %d"
+                         % (limit, " with --emit-param" if args.emit_param
+                            else "", args.n))
     secs = named_sections()
     if args.section not in secs:
         raise UsageError("unknown section %r; choose from %s"
@@ -448,7 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_param)
 
     p = sub.add_parser("mult", help="multiples of a section")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help="the multiple, |n| at most %d (%d with --emit-param)"
+                        % (MULT_MAX, MULT_PARAM_MAX))
     p.add_argument("--section", default="P")
     p.add_argument("--emit-param", action="store_true",
                    help="also print the projective parametrization")

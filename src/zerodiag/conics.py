@@ -242,8 +242,8 @@ def conic_intersection(c1: Conic, c2: Conic) -> int:
 
 def conic_point_intersection(conic: Conic, point) -> int:
     """Intersection of a conic with the exceptional curve over a double
-    point: 1 iff the conic passes through the point."""
-    return 1 if conic.contains(point) else 0
+    point, given normalized: 1 iff the point is one of the conic's nodes."""
+    return 1 if point in conic.nodes else 0
 
 
 # -- the named basis --------------------------------------------------------------

@@ -4,13 +4,16 @@ Gram matrices are lists of lists of ints (or Fractions where noted).
 Provided here: determinants, Smith normal form, discriminant groups of even
 lattices with their torsion quadratic form, signatures, enumeration of
 reduced positive definite even binary forms of given determinant, and short
-vector enumeration by Fincke-Pohst with exact rational arithmetic.
+vector enumeration by integer Fincke-Pohst: a fraction-free LDL^T and an
+exact integer budget, so a vector of norm exactly the bound is recognised
+without recomputing its norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from .exactnum import rref
 
@@ -297,33 +300,6 @@ def kummer_condition(form) -> bool:
     return a % 4 == 0 and c % 4 == 0 and b % 2 == 0
 
 
-def _floor_sqrt_plus(f: Fraction, r: Fraction) -> int:
-    """floor(sqrt(f) + r) exactly, for f >= 0."""
-    if f < 0:
-        raise ValueError("negative radicand")
-    # sqrt(n/d) + p/q = (q*sqrt(n*d) + p*d) / (d*q)
-    n, dd = f.numerator, f.denominator
-    p, q = r.numerator, r.denominator
-    big_a, big_n, big_b, big_c = q, n * dd, p * dd, dd * q
-    k = (big_a * isqrt(big_n) + big_b) // big_c
-
-    def le_sqrt(val):  # val <= A*sqrt(N)?
-        if val <= 0:
-            return True
-        return val * val <= big_a * big_a * big_n
-
-    def gt_sqrt(val):  # val > A*sqrt(N)?
-        if val <= 0:
-            return False
-        return val * val > big_a * big_a * big_n
-
-    while not le_sqrt(big_c * k - big_b):
-        k -= 1
-    while not gt_sqrt(big_c * (k + 1) - big_b):
-        k += 1
-    return k
-
-
 def _fp_coefficients(gram):
     """Fincke-Pohst decomposition Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2.
 
@@ -346,28 +322,81 @@ def _fp_coefficients(gram):
     return q
 
 
-def short_vectors(gram, bound, center=None):
+def _fraction_free_ldl(gram):
+    """Fraction-free (Bareiss) LDL^T of a positive definite integer form.
+
+    Returns integer rows: rows[i] holds U_i[i:], the row of the form after
+    i elimination steps, with U_ii = d_i the leading principal minor of
+    size i + 1.  Then Q(x) = sum_i (U_i . x)^2 / (d_{i-1} d_i), d_{-1} = 1.
+    Only the upper triangle of gram is read.  A non-integral entry, or a
+    pivot <= 0 (an indefinite or semidefinite form), raises ValueError.
+    """
+    a = []
+    for row in gram:
+        ints = []
+        for x in row:
+            f = Fraction(x)
+            if f.denominator != 1:
+                raise ValueError("gram entry %s is not an integer" % (x,))
+            ints.append(f.numerator)
+        a.append(ints)
+    n = len(a)
+    rows, prev = [], 1
+    for k in range(n):
+        piv = a[k][k]
+        if piv <= 0:
+            raise ValueError("form is not positive definite")
+        rows.append(a[k][k:])
+        for i in range(k + 1, n):
+            aki = a[k][i]
+            for j in range(i, n):
+                a[i][j] = (piv * a[i][j] - aki * a[k][j]) // prev
+        prev = piv
+    return rows
+
+
+def short_vectors(gram, bound, center=None, *, _exact=False):
     """Integer vectors x with Q(x + center) <= bound, Q the form of gram.
 
     Exact enumeration.  Without a center, x and -x are identified and one
     representative is returned (first nonzero coordinate positive); the
     zero vector is omitted.  With a center, every solution is returned,
-    zero included.
+    zero included.  Raises ValueError unless gram is integral and
+    positive definite.  _exact keeps only Q(x + center) == bound, for
+    vectors_with_norm.
+
+    Integer Fincke-Pohst: the center is scaled to integers C = den *
+    center and the budget to an integer by M, a common multiple of every
+    den^2 d_{i-1} d_i and of the bound's denominator, so that
+    M Q(x + center) = sum_i k_i t_i^2 with t_i = den U_i . x + U_i . C and
+    integer weights k_i.  Level i takes x_i from
+    |t_i| <= isqrt(rem // k_i), where t_i = den d_i x_i + s and s collects
+    the coordinates already fixed.  The remaining budget is exact, so a
+    leaf with rem == 0 has norm exactly bound.
     """
     n = len(gram)
     bound = Fraction(bound)
     if bound < 0:
         return []
+    rows = _fraction_free_ldl(gram)
     symmetric = center is None
-    c = [Fraction(0)] * n if center is None else [Fraction(x) for x in center]
-    q = _fp_coefficients(gram)
-    if not all(q[i][i] for i in range(n)):
-        raise ValueError("form is not positive definite")
+    c = [Fraction(0)] * n if symmetric else [Fraction(x) for x in center]
+    den = lcm(*(x.denominator for x in c))
+    big_c = [int(x * den) for x in c]
+    minors = [1] + [row[0] for row in rows]
+    scales = [den * den * minors[i] * minors[i + 1] for i in range(n)]
+    m = lcm(bound.denominator, *scales)
+    weight = [m // s for s in scales]
+    step = [den * minors[i + 1] for i in range(n)]
+    shift = [vec_dot(rows[i], big_c[i:]) for i in range(n)]
+    tail = [[den * u for u in rows[i][1:]] for i in range(n)]
     out = []
     x = [0] * n
 
-    def recurse(i, remaining):
+    def walk(i, rem):
         if i < 0:
+            if _exact and rem:
+                return
             vec = tuple(x)
             if symmetric:
                 lead = next((v for v in vec if v), None)
@@ -375,28 +404,19 @@ def short_vectors(gram, bound, center=None):
                     return
             out.append(vec)
             return
-        off = c[i] + sum(q[i][j] * (x[j] + c[j]) for j in range(i + 1, n))
-        radic = remaining / q[i][i]
-        hi = _floor_sqrt_plus(radic, -off)
-        lo = -_floor_sqrt_plus(radic, off)
-        for xi in range(lo, hi + 1):
+        s = shift[i] + sum(map(mul, tail[i], x[i + 1:]))
+        k, d = weight[i], step[i]
+        r = isqrt(rem // k)
+        for xi in range(-((r + s) // d), (r - s) // d + 1):
             x[i] = xi
-            used = q[i][i] * (xi + off) ** 2
-            recurse(i - 1, remaining - used)
+            t = d * xi + s
+            walk(i - 1, rem - t * t * k)
         x[i] = 0
 
-    recurse(n - 1, bound)
+    walk(n - 1, bound.numerator * (m // bound.denominator))
     return sorted(out)
 
 
 def vectors_with_norm(gram, target, center=None):
     """Like short_vectors but keeps only exact norm = target."""
-    target = Fraction(target)
-    cand = short_vectors(gram, target, center=center)
-    c = [Fraction(0)] * len(gram) if center is None else [Fraction(x) for x in center]
-    out = []
-    for v in cand:
-        y = [vi + ci for vi, ci in zip(v, c)]
-        if gram_pairing(gram, y, y) == target:
-            out.append(v)
-    return out
+    return short_vectors(gram, target, center, _exact=True)

@@ -201,6 +201,10 @@ def test_ns_count_classes(capsys):
                                       "--degree", "2", "--genus", "0"])
     assert code == 0
     assert ["count", "441"] in payload["rows"]
+    code, out = run(capsys, ["ns", "count-classes", "--degree", "4",
+                             "--genus", "0"])
+    assert code == 0
+    assert "count   50616" in out.splitlines()
 
 
 def test_ns_catalogue(capsys):
@@ -279,6 +283,9 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
                  ["ns", "count-classes", "--degree", "2", "--genus", "-5"],
                  ["height", "--sections", "P,R"],
                  ["mult", "--n", "2", "--section", "R"],
+                 ["mult", "--n", "13"],
+                 ["mult", "--n", "-13"],
+                 ["mult", "--n", "7", "--emit-param"],
                  ["param", "--at", "abc"],
                  ["param", "--at", "1/0"],
                  ["lattice-forms", "--det", "0"],

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
+from zerodiag import nscat
 from zerodiag.lattice import (
     DiscriminantGroup,
     _fp_coefficients,
@@ -315,3 +317,168 @@ def test_short_vectors_rejects_indefinite():
         short_vectors([[0, 1], [1, 0]], 2)
     with pytest.raises(ValueError):
         short_vectors([[1, 1], [1, 1]], 2)  # semidefinite is not enough
+
+
+def test_short_vectors_rejects_non_integral_gram():
+    for fn in (short_vectors, vectors_with_norm):
+        with pytest.raises(ValueError):
+            fn([[F(1, 2), 0], [0, 2]], 2)
+        with pytest.raises(ValueError):
+            fn([[2, F(1, 3)], [F(1, 3), 2]], 2, center=[0, 0])
+    # an integral Fraction entry is an integer
+    assert short_vectors([[F(2), 0], [0, 2]], 2) == [(0, 1), (1, 0)]
+
+
+# -- the former Fraction enumerator, kept as the oracle ---------------------------
+
+
+def _floor_sqrt_plus(f: F, r: F) -> int:
+    """floor(sqrt(f) + r) exactly, for f >= 0."""
+    if f < 0:
+        raise ValueError("negative radicand")
+    # sqrt(n/d) + p/q = (q*sqrt(n*d) + p*d) / (d*q)
+    n, dd = f.numerator, f.denominator
+    p, q = r.numerator, r.denominator
+    big_a, big_n, big_b, big_c = q, n * dd, p * dd, dd * q
+    k = (big_a * isqrt(big_n) + big_b) // big_c
+
+    def le_sqrt(val):  # val <= A*sqrt(N)?
+        if val <= 0:
+            return True
+        return val * val <= big_a * big_a * big_n
+
+    def gt_sqrt(val):  # val > A*sqrt(N)?
+        if val <= 0:
+            return False
+        return val * val > big_a * big_a * big_n
+
+    while not le_sqrt(big_c * k - big_b):
+        k -= 1
+    while not gt_sqrt(big_c * (k + 1) - big_b):
+        k += 1
+    return k
+
+
+def fraction_short_vectors(gram, bound, center=None):
+    """Integer vectors x with Q(x + center) <= bound, Q the form of gram.
+
+    Exact enumeration.  Without a center, x and -x are identified and one
+    representative is returned (first nonzero coordinate positive); the
+    zero vector is omitted.  With a center, every solution is returned,
+    zero included.
+    """
+    n = len(gram)
+    bound = F(bound)
+    if bound < 0:
+        return []
+    symmetric = center is None
+    c = [F(0)] * n if center is None else [F(x) for x in center]
+    q = _fp_coefficients(gram)
+    if not all(q[i][i] for i in range(n)):
+        raise ValueError("form is not positive definite")
+    out = []
+    x = [0] * n
+
+    def recurse(i, remaining):
+        if i < 0:
+            vec = tuple(x)
+            if symmetric:
+                lead = next((v for v in vec if v), None)
+                if lead is None or lead < 0:
+                    return
+            out.append(vec)
+            return
+        off = c[i] + sum(q[i][j] * (x[j] + c[j]) for j in range(i + 1, n))
+        radic = remaining / q[i][i]
+        hi = _floor_sqrt_plus(radic, -off)
+        lo = -_floor_sqrt_plus(radic, off)
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            used = q[i][i] * (xi + off) ** 2
+            recurse(i - 1, remaining - used)
+        x[i] = 0
+
+    recurse(n - 1, bound)
+    return sorted(out)
+
+
+def fraction_vectors_with_norm(gram, target, center=None):
+    """Like short_vectors but keeps only exact norm = target."""
+    target = F(target)
+    cand = fraction_short_vectors(gram, target, center=center)
+    c = [F(0)] * len(gram) if center is None else [F(x) for x in center]
+    out = []
+    for v in cand:
+        y = [vi + ci for vi, ci in zip(v, c)]
+        if gram_pairing(gram, y, y) == target:
+            out.append(v)
+    return out
+
+
+def _random_definite(rng, n):
+    # diagonally dominant, hence positive definite
+    m = _random_symmetric(rng, n)
+    for i in range(n):
+        m[i][i] = sum(abs(x) for j, x in enumerate(m[i]) if j != i) \
+            + rng.randint(1, 3)
+    return m
+
+
+def _assert_matches_oracle(gram, bound, center=None):
+    got = short_vectors(gram, bound, center=center)
+    assert got == fraction_short_vectors(gram, bound, center=center)
+    exact = vectors_with_norm(gram, bound, center=center)
+    c = [0] * len(gram) if center is None else center
+    assert exact == [v for v in got
+                     if gram_pairing(gram, [a + b for a, b in zip(v, c)],
+                                     [a + b for a, b in zip(v, c)]) == bound]
+    return got, exact
+
+
+def test_short_vectors_match_fraction_oracle_on_random_forms():
+    rng = random.Random(20261018)
+    hits = 0
+    for n in range(1, 7):
+        for _ in range(6):
+            gram = _random_definite(rng, n)
+            assert is_positive_definite(gram)
+            for with_center in (False, True):
+                center = None
+                if with_center:
+                    center = [F(rng.randint(-7, 7), rng.randint(1, 6))
+                              for _ in range(n)]
+                bound = F(rng.randint(0, 30), rng.randint(1, 3))
+                _assert_matches_oracle(gram, bound, center)
+                # a bound attained by a vector near -center, so the exact
+                # walk has leaves to keep
+                c = center or [0] * n
+                v = [rng.randint(-1, 1) - round(x) for x in c]
+                y = [a + b for a, b in zip(v, c)]
+                norm = gram_pairing(gram, y, y)
+                if norm:
+                    _, exact = _assert_matches_oracle(gram, norm, center)
+                    hits += bool(exact)
+    assert hits > 30
+
+
+def test_short_vectors_match_fraction_oracle_on_e8():
+    got, roots = _assert_matches_oracle(E8, 2)
+    assert len(roots) == len(got) == 120
+    _, exact = _assert_matches_oracle(E8, 4)
+    assert len(exact) == 1080
+    G = nscat.ns_lattice()
+    for idx in nscat._structure()["e8_blocks"]:
+        block = [[-G[i - 1][j - 1] for j in idx] for i in idx]
+        _, roots = _assert_matches_oracle(block, 2)
+        assert len(roots) == 120
+        _assert_matches_oracle(block, 3, center=[F(1, 2)] * 8)
+
+
+@pytest.mark.parametrize("d,g,count", [(2, 0, 441), (2, 1, 0), (4, 1, 441),
+                                       (0, 0, 24)])
+def test_kernel_enumeration_matches_fraction_oracle(d, g, count):
+    form = [list(r) for r in nscat._kernel_form()]
+    center, radius = nscat._kernel_equation(d, g)
+    got = vectors_with_norm(form, radius, center=center)
+    assert got == fraction_vectors_with_norm(form, radius, center=center)
+    assert len(got) == count

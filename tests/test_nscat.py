@@ -313,6 +313,14 @@ def test_enumerate_conic_classes():
     assert unit(17) in set(classes)
 
 
+def test_enumerate_degree_four_rational_classes():
+    # the largest radius enumerate_classes accepts
+    classes = nscat.enumerate_classes(4, 0)
+    assert len(classes) == 50616
+    assert len(set(classes)) == 50616
+    assert classes == sorted(classes)
+
+
 def test_enumerate_degree_zero_roots():
     classes = nscat.enumerate_classes(0, 0)
     s = set(classes)
@@ -320,6 +328,34 @@ def test_enumerate_degree_zero_roots():
     assert all(tuple(-x for x in c) in s for c in s)
     for p in conics.double_points():
         assert nscat.exceptional_class(p) in s
+
+
+def test_conic_point_intersection_reads_nodes(monkeypatch):
+    conics_63 = [c for orb in nscat.strict_transform_conics().values()
+                 for c in orb]
+    assert len(conics_63) == 63
+    for c in conics_63:
+        for p in conics.double_points():
+            assert (conics.conic_point_intersection(c, p)
+                    == (1 if c.contains(p) else 0))
+    # with the conics built, the pairings with the double points and the
+    # hyperplane ask no conic whether it contains a point
+    nscat.ns_lattice()
+    conics.base_conic()
+    conics.basis_points()
+    real = conics.Conic.contains
+    calls = []
+
+    def counted(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(conics.Conic, "contains", counted)
+    nscat._exceptional_classes.cache_clear()
+    nscat._degree_pairings.cache_clear()
+    nscat._exceptional_classes()
+    nscat._degree_pairings()
+    assert calls == []
 
 
 def test_catalogue(monkeypatch):
