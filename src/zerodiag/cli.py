@@ -28,8 +28,12 @@ from .curve import (
     point_to_param,
     tate_classify,
 )
-from .exactnum import Polynomial, RationalFunction
-from .lattice import kummer_condition, reduced_binary_even_forms
+from .exactnum import Certificate, Polynomial, RationalFunction
+from .lattice import (
+    FORMS_MAX_DET,
+    kummer_condition,
+    reduced_binary_even_forms,
+)
 
 CHECK_COLUMNS = ("claim", "computed", "expected", "status")
 
@@ -401,7 +405,7 @@ def claims_report(command, workers=1) -> Report:
                          "pass" if computed == expected else "fail"))
     failed = sum(row[-1] == "fail" for row in rows)
     imported = [text for value in run.built.values()
-                if isinstance(value, mwlat.Certificate)
+                if isinstance(value, Certificate)
                 for text in value.imported]
     rows += [("assumed", text, "", "assumed")
              for text in dict.fromkeys(imported)]
@@ -479,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice-forms",
                        help="reduced positive even binary forms")
-    p.add_argument("--det", type=int, default=48)
+    p.add_argument("--det", type=int, default=48,
+                   help="the determinant, at most %d (default 48)"
+                        % FORMS_MAX_DET)
     p.set_defaults(func=cmd_lattice_forms)
 
     p = sub.add_parser("ns", help="Neron-Severi lattice operations")

@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: rationals, Q(sqrt 3), dense polynomials,
-rational functions, and the one row reduction over Q and Q(sqrt 3) that
-ranks, nullspaces and inverses elsewhere in the package are built on.
+truncated power series, rational functions, the one row reduction over Q
+and Q(sqrt 3) that ranks, nullspaces and inverses elsewhere in the package
+are built on, and the certificate record every verified claim returns.
 
 Everything here is exact.  Floats are rejected on input and never produced.
 Rationals are stdlib ``fractions.Fraction``; the quadratic field Q(sqrt 3)
@@ -14,9 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import isqrt
-
-
-Rat = Fraction
 
 
 class PoleError(ZeroDivisionError):
@@ -306,13 +304,6 @@ def conj(x):
     raise TypeError("cannot conjugate %r" % type(x))
 
 
-def _coerce_pair(a, b):
-    """Bring two coefficients into a common field (Q or Q(sqrt 3))."""
-    if isinstance(a, QuadElem) or isinstance(b, QuadElem):
-        return QuadElem._lift(a), QuadElem._lift(b)
-    return rat(a), rat(b)
-
-
 def field_zero_one(sample):
     if isinstance(sample, QuadElem):
         return QuadElem(0), QuadElem(1)
@@ -347,10 +338,6 @@ class Polynomial:
     def gen(cls):
         """The generator t."""
         return cls([0, 1])
-
-    @classmethod
-    def const(cls, c):
-        return cls([c])
 
     # -- basic structure ---------------------------------------------------
 
@@ -448,7 +435,7 @@ class Polynomial:
         rem = list(self.coeffs)
         dv = list(o.coeffs)
         dq = len(dv) - 1
-        inv_lead = 1 / dv[-1] if not isinstance(dv[-1], QuadElem) else dv[-1].inverse()
+        inv_lead = _inv(dv[-1])
         if len(rem) - 1 < dq:
             return Polynomial(), self
         quot = [0] * (len(rem) - dq)
@@ -525,7 +512,7 @@ class Polynomial:
         if self.is_zero:
             return self
         lead = self.lead()
-        inv = 1 / lead if not isinstance(lead, QuadElem) else lead.inverse()
+        inv = _inv(lead)
         return Polynomial([c * inv for c in self.coeffs])
 
     def _normalized_int(self) -> "Polynomial":
@@ -582,6 +569,124 @@ class Polynomial:
             else:
                 parts.append("%s*t^%d" % (cs, i))
         return " + ".join(parts)
+
+
+# -- truncated power series ---------------------------------------------------
+
+
+class Series:
+    """Truncated power series with exact coefficients (Q or Q(sqrt 3))."""
+
+    __slots__ = ("coeffs", "prec")
+
+    def __init__(self, coeffs, prec):
+        cs = [c if isinstance(c, QuadElem) else rat(c)
+              for c in list(coeffs)[:prec]]
+        cs += [Fraction(0)] * (prec - len(cs))
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "prec", prec)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Series is immutable")
+
+    @classmethod
+    def from_polynomial(cls, poly: Polynomial, prec: int) -> "Series":
+        return cls(list(poly.coeffs), prec)
+
+    @classmethod
+    def constant(cls, c, prec: int) -> "Series":
+        return cls([c], prec)
+
+    def __add__(self, other):
+        assert self.prec == other.prec
+        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], self.prec)
+
+    def __sub__(self, other):
+        assert self.prec == other.prec
+        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], self.prec)
+
+    def __neg__(self):
+        return Series([-a for a in self.coeffs], self.prec)
+
+    def __mul__(self, other):
+        if isinstance(other, Series):
+            assert self.prec == other.prec
+            out = [Fraction(0)] * self.prec
+            for i, a in enumerate(self.coeffs):
+                if not a:
+                    continue
+                for j in range(self.prec - i):
+                    b = other.coeffs[j]
+                    if b:
+                        out[i + j] = out[i + j] + a * b
+            return Series(out, self.prec)
+        return Series([a * other for a in self.coeffs], self.prec)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Series":
+        c0 = self.coeffs[0]
+        if not c0:
+            raise ZeroDivisionError("series with zero constant term")
+        inv0 = _inv(c0)
+        out = [inv0]
+        for k in range(1, self.prec):
+            acc = Fraction(0)
+            for i in range(1, k + 1):
+                if self.coeffs[i]:
+                    acc = acc + self.coeffs[i] * out[k - i]
+            out.append(-inv0 * acc)
+        return Series(out, self.prec)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def sqrt(self, root0) -> "Series":
+        """Square root with prescribed constant term root0."""
+        s = Series.constant(root0, self.prec)
+        steps = 1
+        while (1 << steps) < self.prec:
+            steps += 1
+        for _ in range(steps + 1):
+            s = (s + self / s) * Fraction(1, 2)
+        if not (s * s - self).is_zero():
+            raise ArithmeticError("series square root did not converge")
+        return s
+
+    def is_zero(self) -> bool:
+        return all(not c for c in self.coeffs)
+
+    def ord(self) -> int:
+        """Order of vanishing; equals prec when zero to working precision."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return self.prec
+
+    def shift_down(self, k: int) -> "Series":
+        """Divide by the k-th power of the variable."""
+        if any(self.coeffs[i] for i in range(k)):
+            raise ValueError("not divisible")
+        return Series(self.coeffs[k:] + [Fraction(0)] * k, self.prec)
+
+    def at_zero(self):
+        return self.coeffs[0]
+
+    def __repr__(self):
+        return "Series(%s + O(e^%d))" % (self.coeffs, self.prec)
+
+
+def _series_of_rf(rf: RationalFunction, r, prec: int) -> Series:
+    """Expansion of a rational function at t = r.  Raises PoleError at a
+    pole."""
+    num = rf.num.shift(r)
+    den = rf.den.shift(r)
+    if not den[0]:
+        raise PoleError("expansion at a pole")
+    return Series.from_polynomial(num, prec) / Series.from_polynomial(den, prec)
+
+
+# -- polynomial algorithms ----------------------------------------------------
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -642,7 +747,7 @@ def poly_sqrt(f: Polynomial):
     g = [Fraction(0)] * (half + 1)
     g[half] = root
     two_lead = root + root
-    inv = two_lead.inverse() if isinstance(two_lead, QuadElem) else 1 / two_lead
+    inv = _inv(two_lead)
     for k in range(half - 1, -1, -1):
         # coefficient of t^(half + k) in f must match 2*g[half]*g[k] + known
         known = Fraction(0)
@@ -736,7 +841,7 @@ class RationalFunction:
             if g.degree > 0:
                 num, den = num.exact_div(g), den.exact_div(g)
             lead = den.lead()
-            inv = lead.inverse() if isinstance(lead, QuadElem) else 1 / lead
+            inv = _inv(lead)
             num = num * inv
             den = den * inv
         object.__setattr__(self, "num", num)
@@ -883,3 +988,31 @@ def format_scalar(x) -> str:
     if isinstance(x, QuadElem):
         return str(x)
     return str(rat(x))
+
+
+# -- certificates --------------------------------------------------------------
+
+
+class Certificate:
+    """A verified claim bundle: ordered (key, value) facts, a list of
+    imported facts the verification relies on, and an overall flag."""
+
+    __slots__ = ("name", "facts", "imported", "ok")
+
+    def __init__(self, name, facts, imported=(), ok=True):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "facts", list(facts))
+        object.__setattr__(self, "imported", list(imported))
+        object.__setattr__(self, "ok", bool(ok))
+
+    def __setattr__(self, *a):
+        raise AttributeError("Certificate is immutable")
+
+    def fact(self, key):
+        for k, v in self.facts:
+            if k == key:
+                return v
+        raise KeyError(key)
+
+    def __repr__(self):
+        return "Certificate(%s, ok=%s)" % (self.name, self.ok)

@@ -2,11 +2,12 @@
 
 Gram matrices are lists of lists of ints (or Fractions where noted).
 Provided here: determinants, Smith normal form, discriminant groups of even
-lattices with their torsion quadratic form, signatures, enumeration of
-reduced positive definite even binary forms of given determinant, and short
-vector enumeration by integer Fincke-Pohst: a fraction-free LDL^T and an
-exact integer budget, so a vector of norm exactly the bound is recognised
-without recomputing its norm.
+lattices with their torsion quadratic form, enumeration of reduced positive
+definite even binary forms of given determinant, and the facts read off one
+fraction-free (Bareiss) symmetric elimination, _ldl: signatures, positive
+definiteness, and short vector enumeration by integer Fincke-Pohst, whose
+exact integer budget recognises a vector of norm exactly the bound without
+recomputing its norm.
 """
 
 from __future__ import annotations
@@ -224,49 +225,81 @@ def _mod_2z(q: Fraction) -> Fraction:
     return q - 2 * (q / 2).__floor__()
 
 
-def signature(gram):
-    """(n_plus, n_minus, n_zero) of a symmetric integer matrix, exactly.
+def _ldl(gram):
+    """Fraction-free (Bareiss) symmetric elimination of an integer form.
 
-    Congruence diagonalisation (LDL^T over Q): by Sylvester's law of
-    inertia the signs of the pivots are the signature.  When every
-    remaining diagonal entry is 0 but some a[i][j] is not, e_i is replaced
-    by e_i + e_j, whose norm 2 a[i][j] is a nonzero pivot.
+    Returns (order, rows).  Step k pivots on p = order[k], the first live
+    index with a nonzero diagonal entry.  When every live diagonal entry is
+    0 but some a[i][j] is not, e_i is first replaced by e_i + e_j, whose
+    norm 2 a[i][j] is nonzero; the change of basis is unimodular, so every
+    division stays exact.  rows[k] is the row of p over p and the indices
+    still live after it, in index order, and rows[k][0] = d_k is the
+    leading principal minor of size k + 1 of the congruent form.  The
+    elimination stops when the remainder is zero, so len(rows) is the rank.
+    A form that pivots in index order, a positive definite one say, is
+    Q(x) = sum_k (U_k . x)^2 / (d_{k-1} d_k) with U_k = [0]*k + rows[k]
+    and d_{-1} = 1.  Only the upper triangle of gram is read; a
+    non-integral entry raises ValueError.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("gram matrix must be symmetric")
-    pos = neg = 0
-    live = list(range(n))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            f = Fraction(gram[i][j])
+            if f.denominator != 1:
+                raise ValueError("gram entry %s is not an integer" % (f,))
+            a[i][j] = a[j][i] = f.numerator
+    live, order, rows, prev = list(range(n)), [], [], 1
     while live:
         p = next((i for i in live if a[i][i]), None)
         if p is None:
             pair = next(((i, j) for i in live for j in live if a[i][j]), None)
             if pair is None:
-                break  # the rest of the form is zero
+                break  # the remainder is zero
             p, j = pair
             for k in live:
                 a[p][k] += a[j][k]
             for k in live:
                 a[k][p] += a[k][j]
         live.remove(p)
-        piv = a[p][p]
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
+        piv, ap = a[p][p], a[p]
+        order.append(p)
+        rows.append([piv] + [ap[c] for c in live])
         for r in live:
-            f = a[r][p] / piv
-            if f:
-                for c in live:
-                    a[r][c] -= f * a[p][c]
-    return pos, neg, n - pos - neg
+            ar = a[r]
+            arp = ar[p]
+            for c in live:
+                ar[c] = (piv * ar[c] - arp * ap[c]) // prev
+        prev = piv
+    return order, rows
+
+
+def signature(gram):
+    """(n_plus, n_minus, n_zero) of a symmetric rational matrix, exactly.
+
+    The matrix is scaled to integers by the lcm of its denominators, which
+    keeps the signature, and run through _ldl.  By Sylvester's law of
+    inertia the signs of the pivots d_k / d_{k-1} of the congruent form are
+    the signature, and the rank is the number of pivots.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("gram matrix must be symmetric")
+    m = lcm(*(x.denominator for row in a for x in row))
+    _, rows = _ldl([[x * m for x in row] for row in a])
+    minors = [1] + [row[0] for row in rows]
+    pos = sum(1 for k in range(len(rows)) if minors[k] * minors[k + 1] > 0)
+    return pos, len(rows) - pos, n - len(rows)
 
 
 def is_positive_definite(gram) -> bool:
-    n = len(gram)
-    pos, neg, zero = signature(gram)
-    return pos == n
+    return signature(gram)[0] == len(gram)
+
+
+# the largest determinant reduced_binary_even_forms accepts: its scan is
+# linear in d and takes about 1.5 s at this bound.
+FORMS_MAX_DET = 10**8
 
 
 def reduced_binary_even_forms(d: int):
@@ -274,9 +307,11 @@ def reduced_binary_even_forms(d: int):
 
     Reduction convention: gram [[a, b], [b, c]] with 0 <= 2b <= a <= c.
     Even means a and c even.  Returns a sorted list of ((a, b), (b, c)).
+    The scan is linear in d; raises ValueError unless 0 < d <= FORMS_MAX_DET.
     """
-    if d <= 0:
-        raise ValueError("determinant must be positive")
+    if not 0 < d <= FORMS_MAX_DET:
+        raise ValueError("determinant must be between 1 and %d, got %d"
+                         % (FORMS_MAX_DET, d))
     out = []
     a = 2
     while 3 * a * a <= 4 * d:
@@ -300,61 +335,6 @@ def kummer_condition(form) -> bool:
     return a % 4 == 0 and c % 4 == 0 and b % 2 == 0
 
 
-def _fp_coefficients(gram):
-    """Fincke-Pohst decomposition Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2.
-
-    This is LDL^T without pivoting.  A zero pivot is allowed when the rest
-    of its row is zero, which is the positive semidefinite case; any other
-    form raises ValueError.
-    """
-    n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if q[i][i] < 0 or (q[i][i] == 0 and any(q[i][i + 1:])):
-            raise ValueError("form is not positive semidefinite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            if q[i][i]:
-                q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    return q
-
-
-def _fraction_free_ldl(gram):
-    """Fraction-free (Bareiss) LDL^T of a positive definite integer form.
-
-    Returns integer rows: rows[i] holds U_i[i:], the row of the form after
-    i elimination steps, with U_ii = d_i the leading principal minor of
-    size i + 1.  Then Q(x) = sum_i (U_i . x)^2 / (d_{i-1} d_i), d_{-1} = 1.
-    Only the upper triangle of gram is read.  A non-integral entry, or a
-    pivot <= 0 (an indefinite or semidefinite form), raises ValueError.
-    """
-    a = []
-    for row in gram:
-        ints = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("gram entry %s is not an integer" % (x,))
-            ints.append(f.numerator)
-        a.append(ints)
-    n = len(a)
-    rows, prev = [], 1
-    for k in range(n):
-        piv = a[k][k]
-        if piv <= 0:
-            raise ValueError("form is not positive definite")
-        rows.append(a[k][k:])
-        for i in range(k + 1, n):
-            aki = a[k][i]
-            for j in range(i, n):
-                a[i][j] = (piv * a[i][j] - aki * a[k][j]) // prev
-        prev = piv
-    return rows
-
-
 def short_vectors(gram, bound, center=None, *, _exact=False):
     """Integer vectors x with Q(x + center) <= bound, Q the form of gram.
 
@@ -365,9 +345,11 @@ def short_vectors(gram, bound, center=None, *, _exact=False):
     positive definite.  _exact keeps only Q(x + center) == bound, for
     vectors_with_norm.
 
-    Integer Fincke-Pohst: the center is scaled to integers C = den *
-    center and the budget to an integer by M, a common multiple of every
-    den^2 d_{i-1} d_i and of the bound's denominator, so that
+    Integer Fincke-Pohst on the rows U_i and minors d_i of _ldl, which
+    pivots in index order on a positive definite form.  The center is
+    scaled to integers C = den * center and the budget to an integer by M,
+    a common multiple of every den^2 d_{i-1} d_i and of the bound's
+    denominator, so that
     M Q(x + center) = sum_i k_i t_i^2 with t_i = den U_i . x + U_i . C and
     integer weights k_i.  Level i takes x_i from
     |t_i| <= isqrt(rem // k_i), where t_i = den d_i x_i + s and s collects
@@ -378,7 +360,9 @@ def short_vectors(gram, bound, center=None, *, _exact=False):
     bound = Fraction(bound)
     if bound < 0:
         return []
-    rows = _fraction_free_ldl(gram)
+    _, rows = _ldl(gram)
+    if len(rows) < n or any(row[0] <= 0 for row in rows):
+        raise ValueError("form is not positive definite")
     symmetric = center is None
     c = [Fraction(0)] * n if symmetric else [Fraction(x) for x in center]
     den = lcm(*(x.denominator for x in c))

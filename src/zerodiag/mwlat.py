@@ -17,8 +17,8 @@ node of the Weierstrass cubic is first lifted to a series root of g'
 with the node to higher order).
 
 Also here: the torsion sections, the two-descent style saturation
-argument for the full Mordell-Weil lattice, and small certificate
-objects the command line tool prints.
+argument for the full Mordell-Weil lattice, and the certificates of
+both that the command line tool prints.
 """
 
 from __future__ import annotations
@@ -26,13 +26,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import (
+    Certificate,
     PoleError,
     Polynomial,
     QuadElem,
     RationalFunction,
+    Series,
+    _series_of_rf,
     field_sqrt,
     poly_gcd,
-    rat,
     rational_roots,
     squarefree_part,
 )
@@ -48,121 +50,6 @@ from .curve import (
 )
 
 CHI = 2  # holomorphic Euler characteristic of the surface
-
-
-# -- truncated power series ----------------------------------------------------
-
-
-class Series:
-    """Truncated power series with exact coefficients (Q or Q(sqrt 3))."""
-
-    __slots__ = ("coeffs", "prec")
-
-    def __init__(self, coeffs, prec):
-        cs = [c if isinstance(c, QuadElem) else rat(c)
-              for c in list(coeffs)[:prec]]
-        cs += [Fraction(0)] * (prec - len(cs))
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Series is immutable")
-
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial, prec: int) -> "Series":
-        return cls(list(poly.coeffs), prec)
-
-    @classmethod
-    def constant(cls, c, prec: int) -> "Series":
-        return cls([c], prec)
-
-    def __add__(self, other):
-        assert self.prec == other.prec
-        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], self.prec)
-
-    def __sub__(self, other):
-        assert self.prec == other.prec
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], self.prec)
-
-    def __neg__(self):
-        return Series([-a for a in self.coeffs], self.prec)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            assert self.prec == other.prec
-            out = [Fraction(0)] * self.prec
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(self.prec - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return Series(out, self.prec)
-        return Series([a * other for a in self.coeffs], self.prec)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Series":
-        c0 = self.coeffs[0]
-        if not c0:
-            raise ZeroDivisionError("series with zero constant term")
-        inv0 = c0.inverse() if isinstance(c0, QuadElem) else 1 / c0
-        out = [inv0]
-        for k in range(1, self.prec):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-inv0 * acc)
-        return Series(out, self.prec)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def sqrt(self, root0) -> "Series":
-        """Square root with prescribed constant term root0."""
-        s = Series.constant(root0, self.prec)
-        steps = 1
-        while (1 << steps) < self.prec:
-            steps += 1
-        for _ in range(steps + 1):
-            s = (s + self / s) * Fraction(1, 2)
-        if not (s * s - self).is_zero():
-            raise ArithmeticError("series square root did not converge")
-        return s
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def ord(self) -> int:
-        """Order of vanishing; equals prec when zero to working precision."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.prec
-
-    def shift_down(self, k: int) -> "Series":
-        """Divide by the k-th power of the variable."""
-        if any(self.coeffs[i] for i in range(k)):
-            raise ValueError("not divisible")
-        return Series(self.coeffs[k:] + [Fraction(0)] * k, self.prec)
-
-    def at_zero(self):
-        return self.coeffs[0]
-
-    def __repr__(self):
-        return "Series(%s + O(e^%d))" % (self.coeffs, self.prec)
-
-
-def _series_of_rf(rf: RationalFunction, r, prec: int) -> Series:
-    """Expansion of a rational function at t = r.  Raises PoleError at a
-    pole."""
-    num = rf.num.shift(r)
-    den = rf.den.shift(r)
-    if not den[0]:
-        raise PoleError("expansion at a pole")
-    return Series.from_polynomial(num, prec) / Series.from_polynomial(den, prec)
 
 
 # -- local fiber geometry -------------------------------------------------------
@@ -432,31 +319,6 @@ def is_square_in_function_field(rf: RationalFunction) -> bool:
         return True
     return (squarefree_part(rf.num).degree == 0
             and squarefree_part(rf.den).degree == 0)
-
-
-class Certificate:
-    """A verified claim bundle: ordered (key, value) facts, a list of
-    imported facts the verification relies on, and an overall flag."""
-
-    __slots__ = ("name", "facts", "imported", "ok")
-
-    def __init__(self, name, facts, imported=(), ok=True):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "facts", list(facts))
-        object.__setattr__(self, "imported", list(imported))
-        object.__setattr__(self, "ok", bool(ok))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Certificate is immutable")
-
-    def fact(self, key):
-        for k, v in self.facts:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    def __repr__(self):
-        return "Certificate(%s, ok=%s)" % (self.name, self.ok)
 
 
 def torsion_certificate() -> Certificate:

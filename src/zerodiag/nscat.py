@@ -8,8 +8,8 @@ independent ways:
   * every pairing is computed by the conic intersection engine (see
     conics) from both sides, and the two are cross-checked by symmetry;
   * the lattice decomposes as E8(-1) + E8(-1) + <-2> + <-24> + U after a
-    change of basis by the shipped structure vectors, which pins the
-    discriminant to -48 and the embedding index to 1;
+    change of basis by witness vectors written out below and checked in
+    full, which pins the discriminant to -48 and the embedding index to 1;
   * 112 k^2 - 168 c.c, for classes c of degree 2k, is a weighted sum of
     nineteen squares, derived here from its LDL^T decomposition rather
     than shipped, which bounds class enumeration.
@@ -22,9 +22,6 @@ solved by lattice point search.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,7 +29,7 @@ from . import conics
 from .curve import family_model, tate_classify
 from .lattice import (
     DiscriminantGroup,
-    _fp_coefficients,
+    _ldl,
     det,
     gram_pairing,
     is_positive_definite,
@@ -44,7 +41,7 @@ from .lattice import (
     vec_dot,
     vectors_with_norm,
 )
-from .mwlat import Certificate
+from .exactnum import Certificate
 
 RANK = 20
 _FIBER = 20  # basis index of the fiber class
@@ -54,21 +51,19 @@ _FIBER = 20  # basis index of the fiber class
 # classes in about 12 s and 200 MB.
 _MAX_RADIUS = Fraction(14, 3)
 
-_DATA_CHECKSUMS = {
-    "structure_vectors.json":
-        "7881f8bd2b2139b4a5b4c56409cc500aa5b744130dc063fefd1ce59e421b7923",
-}
-
-
-def _load_data(name):
-    path = os.path.join(os.path.dirname(__file__), "data", name)
-    with open(path, "rb") as f:
-        obj = json.load(f)
-    canon = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    digest = hashlib.sha256(canon).hexdigest()
-    if digest != _DATA_CHECKSUMS[name]:
-        raise RuntimeError("data file %s fails checksum (%s)" % (name, digest))
-    return obj
+# Witnesses of the splitting E8(-1) + E8(-1) + <-2> + <-24> + U: the two E8
+# blocks are the basis classes 1-8 and 9-16, and the four vectors below
+# span the rest.  decomposition_certificate checks all of them in full:
+# norms, the hyperbolic Gram, orthogonality across blocks and index one.
+_E8_BLOCKS = (tuple(range(1, 9)), tuple(range(9, 17)))
+_GLUE_NEG2 = (0, 0, 0, -1, -2, -2, -2, -1, 1, 2, 3, 4, 4, 2, 0, 2, 1, -2,
+              0, 0)
+_GLUE_NEG24 = (6, 12, 26, 29, 32, 19, 6, 16, 9, 18, 27, 36, 34, 23, 12, 17,
+               7, -3, -8, 4)
+_HYPERBOLIC_PAIR = (
+    (1, 2, 4, 4, 4, 2, 0, 2, 2, 4, 6, 8, 8, 5, 2, 4, 2, -1, -1, 0),
+    (1, 2, 4, 5, 6, 4, 2, 3, 1, 2, 3, 4, 4, 3, 2, 2, 0, 0, -1, 1),
+)
 
 
 @lru_cache(maxsize=1)
@@ -87,17 +82,6 @@ def ns_lattice():
     if det(gram) != -48:
         raise RuntimeError("gram matrix has wrong discriminant")
     return gram
-
-
-@lru_cache(maxsize=1)
-def _structure():
-    obj = _load_data("structure_vectors.json")
-    return {
-        "e8_blocks": tuple(tuple(b) for b in obj["e8_blocks"]),
-        "glue_neg2": tuple(obj["glue_neg2"]),
-        "glue_neg24": tuple(obj["glue_neg24"]),
-        "hyperbolic_pair": tuple(tuple(v) for v in obj["hyperbolic_pair"]),
-    }
 
 
 @lru_cache(maxsize=1)
@@ -501,12 +485,11 @@ def decomposition_certificate() -> Certificate:
     """Change of basis splitting the lattice as E8(-1) + E8(-1) + <-2> +
     <-24> + U, with the embedding of the direct sum having index one."""
     G = [list(r) for r in ns_lattice()]
-    st = _structure()
     disc, sig = det(G), signature(G)
     facts = [("lattice.disc", disc), ("lattice.signature", sig)]
     ok = disc == -48 and sig == (1, 19, 0)
 
-    for which, idx in enumerate(st["e8_blocks"]):
+    for which, idx in enumerate(_E8_BLOCKS):
         B = _submatrix(G, idx)
         neg = [[-x for x in row] for row in B]
         even = all(B[i][i] % 2 == 0 for i in range(8))
@@ -519,8 +502,8 @@ def decomposition_certificate() -> Certificate:
                       {"even": even, "definite": posdef,
                        "unimodular": unimod, "roots": roots}))
 
-    c1, c2 = st["glue_neg2"], st["glue_neg24"]
-    c3, c4 = st["hyperbolic_pair"]
+    c1, c2 = _GLUE_NEG2, _GLUE_NEG24
+    c3, c4 = _HYPERBOLIC_PAIR
     n1 = pairing(c1, c1)
     n2 = pairing(c2, c2)
     ugram = ((pairing(c3, c3), pairing(c3, c4)),
@@ -531,8 +514,8 @@ def decomposition_certificate() -> Certificate:
     facts.append(("block.hyperbolic", ugram))
 
     # cross-block orthogonality, naming any offending pair
-    groups = [("e8_1", [_unit(i) for i in st["e8_blocks"][0]]),
-              ("e8_2", [_unit(i) for i in st["e8_blocks"][1]]),
+    groups = [("e8_1", [_unit(i) for i in _E8_BLOCKS[0]]),
+              ("e8_2", [_unit(i) for i in _E8_BLOCKS[1]]),
               ("neg2", [c1]), ("neg24", [c2]), ("hyperbolic", [c3, c4])]
     offenders = []
     for gi in range(len(groups)):
@@ -628,14 +611,15 @@ def _lhs_matrix():
 
 def degree_identity_certificate() -> Certificate:
     """Exact verification of the sum-of-squares identity backing the
-    class enumeration: the LDL^T decomposition of 112 k^2 - 168 c.c is
-    multiplied back out as a weighted sum of squares of linear forms and
-    compared with the form, and all weights are positive."""
+    class enumeration: the fraction-free LDL^T of 112 k^2 - 168 c.c,
+    sum_k (U_k . x)^2 / (d_{k-1} d_k) from lattice._ldl, is multiplied
+    back out and compared with the form, and all weights are positive."""
     lhs = _lhs_matrix()
     n = len(lhs)
-    q = _fp_coefficients(lhs)
-    squares = [(q[i][i], [Fraction(0)] * i + [Fraction(1)] + q[i][i + 1:])
-               for i in range(n) if q[i][i]]
+    _, rows = _ldl(lhs)
+    minors = [1] + [row[0] for row in rows]
+    squares = [(Fraction(1, minors[k] * minors[k + 1]), [0] * k + rows[k])
+               for k in range(len(rows))]
     rhs = [[sum(wt * f[a] * f[b] for wt, f in squares if f[a] and f[b])
             for b in range(n)] for a in range(n)]
     agree = lhs == rhs

@@ -24,7 +24,7 @@ from math import gcd, isqrt
 
 from .exactnum import (
     Polynomial,
-    QuadElem,
+    _inv,
     conj,
     matrix_rank,
     poly_gcd,
@@ -411,7 +411,7 @@ class Parametrization:
         if any(p.is_quadratic_field() for p in comps):
             anchor = next(p for p in reversed(comps) if not p.is_zero)
             lead = anchor.lead()
-            inv = lead.inverse() if isinstance(lead, QuadElem) else 1 / lead
+            inv = _inv(lead)
             return Parametrization(*(p * inv for p in comps))
         m = 1
         for p in comps:

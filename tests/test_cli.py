@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from zerodiag import cli
-from zerodiag.mwlat import Certificate
+from zerodiag.exactnum import Certificate
 
 
 DESCENT_CLAIMS = [
@@ -290,6 +290,7 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
                  ["param", "--at", "1/0"],
                  ["lattice-forms", "--det", "0"],
                  ["lattice-forms", "--det", "-5"],
+                 ["lattice-forms", "--det", "100000001"],
                  ["search", "--max", "30", "--workers", "0"],
                  ["search", "--max", "30", "--workers", "-3"],
                  ["search", "--max", "2001"],

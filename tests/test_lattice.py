@@ -7,7 +7,7 @@ import pytest
 from zerodiag import nscat
 from zerodiag.lattice import (
     DiscriminantGroup,
-    _fp_coefficients,
+    _ldl,
     det,
     gram_pairing,
     is_positive_definite,
@@ -217,6 +217,11 @@ def test_signature_against_char_poly_oracle():
         assert sig == signature_by_char_poly(m), m
         assert sum(sig) == len(m)
         assert (sig[2] == 0) == (det(m) != 0)
+        order, rows = _ldl(m)
+        assert sorted(order) == sorted(set(order)) and len(rows) == len(order)
+        if sig[2] == 0:
+            # the pivot order and e_i -> e_i + e_j keep the determinant
+            assert rows[-1][0] == det(m), m
     assert signature(U) == (1, 1, 0)
     assert signature(UU) == (2, 2, 0)
     with pytest.raises(ValueError):
@@ -312,6 +317,39 @@ def test_fp_coefficients_semidefinite():
             _fp_coefficients(indefinite)
 
 
+def test_ldl_minors_and_pivot_order():
+    # a zero remainder ends the elimination, last or in the middle
+    assert _ldl([[2, 1, 2], [1, 1, 1], [2, 1, 2]]) == ([0, 1], [[2, 1, 2], [1, 0]])
+    order, rows = _ldl([[1, 1, 0], [1, 1, 0], [0, 0, 3]])
+    assert order == [0, 2] and [row[0] for row in rows] == [1, 3]
+    assert signature([[1, 1, 0], [1, 1, 0], [0, 0, 3]]) == (2, 0, 1)
+    # every diagonal entry 0: e_0 becomes e_0 + e_1, of norm 2
+    assert _ldl([[0, 1], [1, 0]]) == ([0, 1], [[2, 1], [-1]])
+    assert _ldl([[0, 0], [0, 0]]) == ([], [])
+    for indefinite in ([[0, 1], [1, 0]], [[1, 2], [2, 1]], [[-1]],
+                       [[1, 1, 0], [1, 1, 1], [0, 1, 1]]):
+        with pytest.raises(ValueError):
+            short_vectors(indefinite, 2)
+    # without a zero pivot the minors are the leading principal minors
+    rng = random.Random(20261018)
+    for n in range(1, 7):
+        for _ in range(10):
+            m = _random_symmetric(rng, n)
+            leading = [det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+            if all(leading):
+                order, rows = _ldl(m)
+                assert order == list(range(n))
+                assert [row[0] for row in rows] == leading
+
+
+def test_signature_of_rational_form():
+    # scaled by the lcm 30 of the denominators
+    assert signature([[F(1, 2), F(1, 3)], [F(1, 3), F(-1, 5)]]) == (1, 1, 0)
+    assert signature([[15, 10], [10, -6]]) == (1, 1, 0)
+    assert signature([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 4)]]) == (2, 0, 0)
+    assert signature([[F(1, 2), 0], [0, 0]]) == (1, 0, 1)
+
+
 def test_short_vectors_rejects_indefinite():
     with pytest.raises(ValueError):
         short_vectors([[0, 1], [1, 0]], 2)
@@ -330,6 +368,29 @@ def test_short_vectors_rejects_non_integral_gram():
 
 
 # -- the former Fraction enumerator, kept as the oracle ---------------------------
+
+
+def _fp_coefficients(gram):
+    """Fincke-Pohst decomposition Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2.
+
+    This is LDL^T without pivoting.  A zero pivot is allowed when the rest
+    of its row is zero, which is the positive semidefinite case; any other
+    form raises ValueError.
+    """
+    n = len(gram)
+    q = [[F(x) for x in row] for row in gram]
+    for i in range(n):
+        if q[i][i] < 0 or (q[i][i] == 0 and any(q[i][i + 1:])):
+            raise ValueError("form is not positive semidefinite")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            if q[i][i]:
+                q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] = q[k][l] - q[k][i] * q[i][l]
+    return q
+
 
 
 def _floor_sqrt_plus(f: F, r: F) -> int:
@@ -442,6 +503,7 @@ def test_short_vectors_match_fraction_oracle_on_random_forms():
         for _ in range(6):
             gram = _random_definite(rng, n)
             assert is_positive_definite(gram)
+            assert _ldl(gram)[0] == list(range(n))
             for with_center in (False, True):
                 center = None
                 if with_center:
@@ -467,7 +529,7 @@ def test_short_vectors_match_fraction_oracle_on_e8():
     _, exact = _assert_matches_oracle(E8, 4)
     assert len(exact) == 1080
     G = nscat.ns_lattice()
-    for idx in nscat._structure()["e8_blocks"]:
+    for idx in nscat._E8_BLOCKS:
         block = [[-G[i - 1][j - 1] for j in idx] for i in idx]
         _, roots = _assert_matches_oracle(block, 2)
         assert len(roots) == 120

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from zerodiag.exactnum import Polynomial, QuadElem, RationalFunction
+from zerodiag.exactnum import (
+    Polynomial,
+    QuadElem,
+    RationalFunction,
+    Series,
+    _series_of_rf,
+)
 from zerodiag.curve import (
     WeierstrassModel,
     family_model,
@@ -14,9 +20,7 @@ from zerodiag.curve import (
     tate_classify,
 )
 from zerodiag.mwlat import (
-    Certificate,
     ComponentRef,
-    Series,
     height_gram,
     height_pairing,
     intersection_with_zero,
@@ -28,7 +32,6 @@ from zerodiag.mwlat import (
     section_component,
     torsion_certificate,
     torsion_points,
-    _series_of_rf,
 )
 
 T = Polynomial.gen()

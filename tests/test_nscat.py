@@ -65,11 +65,17 @@ def test_degree_pairings_match_former_shipped_data():
         2, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 4)
 
 
-def test_data_checksum_guard(monkeypatch):
-    monkeypatch.setitem(nscat._DATA_CHECKSUMS, "structure_vectors.json",
-                        "0" * 64)
-    with pytest.raises(RuntimeError, match="checksum"):
-        nscat._load_data("structure_vectors.json")
+def test_wrong_witness_fails_decomposition(monkeypatch, capsys):
+    from zerodiag import cli
+
+    # a root of the first E8 block: norm -2, but not orthogonal to it
+    monkeypatch.setattr(nscat, "_GLUE_NEG2", unit(1))
+    cert = nscat.decomposition_certificate()
+    assert cert.fact("block.neg2") == -2
+    assert cert.fact("blocks.orthogonal") != "yes"
+    assert not cert.ok
+    assert cli.main(["verify-all"]) == 1
+    capsys.readouterr()
 
 
 def test_basis_classes_are_unit_vectors():
