@@ -8,8 +8,15 @@ After a coordinate change each fiber becomes a Weierstrass cubic
 and curves on the surface that meet each fiber once correspond to points
 of this curve over Q(t) (or Q(sqrt 3)(t)).  This module implements
 Weierstrass models and their invariants, the group law, Kodaira fiber
-classification by valuations of (c4, c6, Delta), and the explicit maps in
-both directions between section parametrizations and Weierstrass points.
+classification, and the explicit maps in both directions between section
+parametrizations and Weierstrass points.
+
+Local questions are answered from the global model, with no local model
+rebuilt.  A function f of weight w (u is 2, v is 3, a_i is i) is written
+in the local coordinate of a place by local_series: t - r at a rational
+place r, and s = 1/t at infinity, where it is twisted to s^(w k) f(1/s)
+with k = twist_weight(model).  Fiber types come from the valuations of
+c4, c6 and Delta at the place, in the same coordinate.
 """
 
 from __future__ import annotations
@@ -19,10 +26,13 @@ from functools import lru_cache
 from math import gcd
 
 from .exactnum import (
+    PoleError,
     Polynomial,
     QuadElem,
     RationalFunction,
     SQRT3,
+    Series,
+    _series_of_rf,
     conj,
     poly_gcd,
     poly_sqrt,
@@ -279,31 +289,60 @@ def _fiber_shape(kind, n):
     return m, m1, kind
 
 
-def _shift_rf(rf: RationalFunction, r) -> RationalFunction:
-    return RationalFunction(rf.num.shift(r), rf.den.shift(r))
+def _valuation(f: RationalFunction, place, w: int, k: int) -> int:
+    """Valuation at a place of f of weight w, twisted by k at infinity as
+    local_series does."""
+    if f.is_zero:
+        return _BIG
+    if place == INFINITE_PLACE:
+        return w * k - f.degree()
+    return f.ord_at(place)
 
 
-def _ord0(rf: RationalFunction) -> int:
-    return _BIG if rf.is_zero else rf.ord_at(Fraction(0))
+def twist_weight(model: WeierstrassModel) -> int:
+    """The least k >= 0 with deg a_i <= i k: the twist
+    a_i(t) -> s^(i k) a_i(1/s) makes the model integral at s = 1/t = 0."""
+    k = 0
+    for i, a in ((2, model.a2), (4, model.a4), (6, model.a6)):
+        if not a.is_zero:
+            k = max(k, -(-a.degree() // i))
+    return k
 
 
-def _classify_local(model, place):
-    """Tate classification at the place t = 0 of a local model.
+def local_series(f: RationalFunction, place, w: int, k: int, prec: int) -> Series:
+    """Expansion of f, of weight w (u is 2, v is 3, a_i is i), in the local
+    coordinate of a place: t - r at a rational place r, and s = 1/t at
+    infinity, where f is twisted to s^(w k) f(1/s).  Raises PoleError at a
+    pole."""
+    if place != INFINITE_PLACE:
+        return _series_of_rf(f, place, prec)
+    if f.is_zero:
+        return Series([], prec)
+    shift = w * k - f.degree()
+    if shift < 0:
+        raise PoleError("expansion at a pole")
+    num, den = f.num, f.den
+    return (Series.from_polynomial(num.reverse(num.degree + shift), prec)
+            / Series.from_polynomial(den.reverse(), prec))
 
-    Residue characteristic zero, so only the valuations of c4, c6 and
-    Delta matter, after enforcing minimality (all of alpha >= 4,
-    beta >= 6, delta >= 12 allows rescaling by the uniformizer).
+
+def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
+    """Kodaira type of the fiber at a rational place, or at infinity.
+
+    Residue characteristic zero, so Tate's algorithm needs only the
+    valuations alpha, beta, delta of c4, c6 and Delta, read off the global
+    model.  Rescaling a_i by the uniformizer^(-i) lowers them by 4, 6 and
+    12; it is done while all three allow it, so the model is minimal.
     """
-    t = RationalFunction(Polynomial.gen())
-    while True:
-        c4, c6 = model.c_invariants()
-        dlt = model.discriminant()
-        alpha, beta, delta = _ord0(c4), _ord0(c6), _ord0(dlt)
-        if alpha >= 4 and beta >= 6 and delta >= 12:
-            model = WeierstrassModel(model.a2 / t ** 2, model.a4 / t ** 4,
-                                     model.a6 / t ** 6)
-            continue
-        break
+    if place != INFINITE_PLACE:
+        place = Fraction(place)
+    k = twist_weight(model)
+    c4, c6 = model.c_invariants()
+    alpha, beta, delta = (_valuation(f, place, w, k) for f, w in
+                          ((c4, 4), (c6, 6), (model.discriminant(), 12)))
+    while alpha >= 4 and beta >= 6 and delta >= 12:
+        alpha, beta, delta = (v if v == _BIG else v - d for v, d in
+                              ((alpha, 4), (beta, 6), (delta, 12)))
     if delta == 0:
         return LocalFiber(place, "I", 0, delta, alpha, beta)
     if alpha == 0:
@@ -326,58 +365,6 @@ def _classify_local(model, place):
         return LocalFiber(place, "II*", 0, delta, alpha, beta)
     raise ArithmeticError("unclassifiable fiber at %s: "
                           "alpha=%s beta=%s delta=%s" % (place, alpha, beta, delta))
-
-
-def model_at_infinity(model: WeierstrassModel):
-    """The model in the coordinate s = 1/t, with the twist weight k used:
-    a_i(t) -> s^(i k) a_i(1/s)."""
-    degs = []
-    for i, a in ((2, model.a2), (4, model.a4), (6, model.a6)):
-        if not a.is_zero:
-            d = a.degree()
-            if d > 0:
-                degs.append(-(-d // i))  # ceil
-    k = max(degs, default=0)
-    return (twist_at_infinity(model.a2, 2 * k),
-            twist_at_infinity(model.a4, 4 * k),
-            twist_at_infinity(model.a6, 6 * k), k)
-
-
-def twist_at_infinity(rf: RationalFunction, w: int) -> RationalFunction:
-    """s^w rf(1/s): a function of t rewritten in s = 1/t with weight w."""
-    if rf.is_zero:
-        return rf
-    num, den = rf.num, rf.den
-    shift = w - (num.degree - den.degree)
-    rev_num = num.reverse(num.degree)
-    rev_den = den.reverse(den.degree)
-    s = Polynomial.gen()
-    if shift >= 0:
-        return RationalFunction(rev_num * s ** shift, rev_den)
-    return RationalFunction(rev_num, rev_den * s ** (-shift))
-
-
-@lru_cache(maxsize=64)
-def local_model(model: WeierstrassModel, place):
-    """The model in the local coordinate of a place, t - r at a rational
-    place r or s = 1/t at infinity, and the map localize(f, w) that
-    rewrites a function f of weight w (u has weight 2, v weight 3) in
-    that coordinate, twisted at infinity as model_at_infinity does."""
-    if place == INFINITE_PLACE:
-        a2, a4, a6, k = model_at_infinity(model)
-        return (WeierstrassModel(a2, a4, a6),
-                lambda f, w: twist_at_infinity(f, w * k))
-    r = Fraction(place)
-    return (WeierstrassModel(_shift_rf(model.a2, r), _shift_rf(model.a4, r),
-                             _shift_rf(model.a6, r)),
-            lambda f, w: _shift_rf(f, r))
-
-
-def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
-    """Kodaira type of the fiber at a rational place, or at infinity."""
-    if place != INFINITE_PLACE:
-        place = Fraction(place)
-    return _classify_local(local_model(model, place)[0], place)
 
 
 def bad_places(model: WeierstrassModel):
@@ -449,15 +436,14 @@ def named_sections():
     return {"O": O, "P": P, "T1": T1, "T2": T2, "Q": Q}
 
 
-def param_to_point(par: Parametrization, model: WeierstrassModel = None) -> CurvePoint:
-    """Weierstrass point of a section parametrization.
+def param_to_point(par: Parametrization) -> CurvePoint:
+    """Point of the family model of a section parametrization.
 
     The section must be in fibration-adapted form, meaning x = t a
     identically.  The zero section (characterized by a + b = 0) maps to
     the point at infinity.
     """
-    if model is None:
-        model = family_model()
+    model = family_model()
     t = Polynomial.gen()
     if par.x != t * par.a:
         raise ValueError("parametrization is not fibration-adapted (x != t a)")
@@ -487,7 +473,7 @@ def _clear_denominators(comps):
     return out
 
 
-def point_to_param(pt: CurvePoint, check: bool = True) -> Parametrization:
+def point_to_param(pt: CurvePoint) -> Parametrization:
     """Section parametrization of a Weierstrass point of the family model.
 
     Inverts param_to_point.  Raises ValueError when the inversion
@@ -536,9 +522,8 @@ def point_to_param(pt: CurvePoint, check: bool = True) -> Parametrization:
     b, cc = chosen
     comps = _clear_denominators([T * 1, y, z, RationalFunction(1), b, cc])
     par = Parametrization(*comps).normalized()
-    if check:
-        if not par.verify():
-            raise ArithmeticError("inverted parametrization fails verification")
-        if param_to_point(par) != pt:
-            raise ArithmeticError("round trip failed")
+    if not par.verify():
+        raise ArithmeticError("inverted parametrization fails verification")
+    if param_to_point(par) != pt:
+        raise ArithmeticError("round trip failed")
     return par

@@ -39,13 +39,6 @@ def rat_sqrt(x: Fraction):
     return None
 
 
-def isqrt_fraction(x: Fraction) -> int:
-    # floor(sqrt(x)) for x >= 0; exact because k^2 <= x <=> k^2 <= floor(x).
-    if x < 0:
-        raise ValueError("negative argument")
-    return isqrt(int(x))
-
-
 class QuadElem:
     """Element r + s*sqrt(3) of Q(sqrt 3), with exact Fraction components."""
 

@@ -10,8 +10,10 @@ intersection data:
 u-coordinate; (S.T) is reduced to ((S-T).O) through translation by a
 section, which extends to an automorphism of the relatively minimal
 elliptic surface.  The correction terms contr_v need to know which fiber
-component a section hits, which is decided by expanding the section in
-truncated power series at each bad place; at a multiplicative place the
+component a section hits.  That is decided from truncated power series of
+a2, a4, a6, u and v in the local coordinate of each bad place
+(curve.local_series), checked against the Weierstrass equation to the
+working precision; no local model is built.  At a multiplicative place the
 node of the Weierstrass cubic is first lifted to a series root of g'
 (plain evaluation at the place is not enough, because a section can agree
 with the node to higher order).
@@ -32,7 +34,6 @@ from .exactnum import (
     QuadElem,
     RationalFunction,
     Series,
-    _series_of_rf,
     field_sqrt,
     poly_gcd,
     rational_roots,
@@ -40,13 +41,12 @@ from .exactnum import (
 )
 from .curve import (
     CurvePoint,
-    WeierstrassModel,
     family_model,
-    local_model,
-    model_at_infinity,
+    local_series,
     named_sections,
     param_to_point,
     tate_classify,
+    twist_weight,
 )
 
 CHI = 2  # holomorphic Euler characteristic of the surface
@@ -55,20 +55,30 @@ CHI = 2  # holomorphic Euler characteristic of the surface
 # -- local fiber geometry -------------------------------------------------------
 
 
-def _localize_section(pt: CurvePoint, place):
-    """The section as a point of the local model of the place (see
-    curve.local_model)."""
-    model, localize = local_model(pt.model, place)
-    return model.point(localize(pt.u, 2), localize(pt.v, 3))
+def _local_expansion(pt: CurvePoint, place, prec: int):
+    """Series (a2, a4, a6, u, v) of the model and a section in the local
+    coordinate of a place (see curve.local_series).  u and v are None when
+    the section has a pole there, so it meets the identity component.
+    Raises ArithmeticError unless v^2 = u^3 + a2 u^2 + a4 u + a6 holds to
+    precision prec."""
+    model = pt.model
+    k = twist_weight(model)
+    a2, a4, a6 = (local_series(a, place, i, k, prec) for i, a in
+                  ((2, model.a2), (4, model.a4), (6, model.a6)))
+    try:
+        u = local_series(pt.u, place, 2, k, prec)
+        v = local_series(pt.v, place, 3, k, prec)
+    except PoleError:
+        return a2, a4, a6, None, None
+    if not (v * v - ((u + a2) * u + a4) * u - a6).is_zero():
+        raise ArithmeticError("section is off the model at %s" % (place,))
+    return a2, a4, a6, u, v
 
 
-def _node_series(model: WeierstrassModel, prec: int) -> Series:
-    """The node of a multiplicative fiber at the local place 0, lifted to
-    a series: the critical point of the cubic near the double root of its
-    reduction."""
-    a2 = _series_of_rf(model.a2, Fraction(0), prec)
-    a4 = _series_of_rf(model.a4, Fraction(0), prec)
-    a6 = _series_of_rf(model.a6, Fraction(0), prec)
+def _node_series(a2: Series, a4: Series, a6: Series) -> Series:
+    """The node of a multiplicative fiber, lifted to a series: the critical
+    point of the cubic near the double root of its reduction."""
+    prec = a2.prec
     # double root of the reduced cubic
     g0 = Polynomial([a6.at_zero(), a4.at_zero(), a2.at_zero(), 1])
     dbl = poly_gcd(g0, g0.derivative())
@@ -123,11 +133,11 @@ def section_component(pt: CurvePoint, fiber) -> ComponentRef:
     """Component of the fiber hit by a section."""
     if pt.is_infinity:
         return _identity(fiber)
-    local = _localize_section(pt, fiber.place)
     if fiber.kind == "I":
-        return _component_on_In(local, fiber)
+        return _component_on_In(
+            _local_expansion(pt, fiber.place, fiber.n + 3), fiber)
     if fiber.kind == "I*" and fiber.n == 0:
-        return _component_on_I0star(local, fiber)
+        return _component_on_I0star(_local_expansion(pt, fiber.place, 4), fiber)
     if fiber.kind in ("II", "II*"):
         return _identity(fiber)  # single simple component
     raise NotImplementedError(
@@ -135,21 +145,18 @@ def section_component(pt: CurvePoint, fiber) -> ComponentRef:
         % fiber.symbol)
 
 
-def _component_on_In(local: CurvePoint, fiber) -> ComponentRef:
-    n = fiber.n
-    prec = n + 3
-    try:
-        u_s = _series_of_rf(local.u, Fraction(0), prec)
-        v_s = _series_of_rf(local.v, Fraction(0), prec)
-    except PoleError:
+def _component_on_In(expansion, fiber) -> ComponentRef:
+    a2, a4, a6, u_s, v_s = expansion
+    if u_s is None:
         return _identity(fiber)  # section meets the fiber at infinity
-    u0 = _node_series(local.model, prec)
+    n = fiber.n
+    prec = u_s.prec
+    u0 = _node_series(a2, a4, a6)
     du = u_s - u0
     if du.ord() == 0:
         return _identity(fiber)  # misses the node
     if n <= 2:
         return ComponentRef(fiber.place, fiber.symbol, "cycle", 1)
-    a2 = _series_of_rf(local.model.a2, Fraction(0), prec)
     big_a2 = a2 + Series.constant(3, prec) * u0  # after translating by u0
     rad = big_a2 + du
     c0 = rad.at_zero()
@@ -157,12 +164,6 @@ def _component_on_In(local: CurvePoint, fiber) -> ComponentRef:
     if root0 is None:
         raise NotImplementedError(
             "node slope generates an unsupported field extension")
-    if isinstance(root0, QuadElem) or any(
-            isinstance(c, QuadElem) for c in rad.coeffs):
-        rad = Series([QuadElem._lift(c) for c in rad.coeffs], prec)
-        v_s = Series([QuadElem._lift(c) for c in v_s.coeffs], prec)
-        du = Series([QuadElem._lift(c) for c in du.coeffs], prec)
-        root0 = QuadElem._lift(root0)
     beta = rad.sqrt(root0)
     x = v_s / beta - du
     k = x.ord()
@@ -173,20 +174,16 @@ def _component_on_In(local: CurvePoint, fiber) -> ComponentRef:
     return ComponentRef(fiber.place, fiber.symbol, "cycle", k)
 
 
-def _component_on_I0star(local: CurvePoint, fiber) -> ComponentRef:
-    prec = 4
-    model = local.model
-    a2 = _series_of_rf(model.a2, Fraction(0), prec)
-    ubar = -a2.at_zero() / 3  # triple root of the reduced cubic
-    try:
-        u_s = _series_of_rf(local.u, Fraction(0), prec)
-    except PoleError:
+def _component_on_I0star(expansion, fiber) -> ComponentRef:
+    a2, a4, a6, u_s, _ = expansion
+    if u_s is None:
         return _identity(fiber)
-    du = u_s - Series.constant(ubar, prec)
+    ubar = -a2.at_zero() / 3  # triple root of the reduced cubic
+    du = u_s - Series.constant(ubar, u_s.prec)
     if du.ord() == 0:
         return _identity(fiber)
     label = du.coeffs[1]
-    roots = _far_roots(model, ubar)
+    roots = _far_roots(a2, a4, a6, ubar)
     if label not in roots:
         raise ArithmeticError("section does not meet a simple component")
     if isinstance(label, QuadElem):
@@ -194,14 +191,10 @@ def _component_on_I0star(local: CurvePoint, fiber) -> ComponentRef:
     return ComponentRef(fiber.place, fiber.symbol, "far", label)
 
 
-def _far_roots(model: WeierstrassModel, ubar):
+def _far_roots(a2: Series, a4: Series, a6: Series, ubar):
     """Labels of the three non-identity simple components of an I0* fiber:
     roots of the rescaled cubic."""
-    prec = 4
-    a2 = _series_of_rf(model.a2, Fraction(0), prec)
-    a4 = _series_of_rf(model.a4, Fraction(0), prec)
-    a6 = _series_of_rf(model.a6, Fraction(0), prec)
-    ub = Series.constant(ubar, prec)
+    ub = Series.constant(ubar, a2.prec)
     big2 = a2 + 3 * ub
     big4 = a4 + 2 * ub * a2 + 3 * ub * ub
     big6 = ((ub + a2) * ub + a4) * ub + a6
@@ -248,7 +241,7 @@ def intersection_with_zero(pt: CurvePoint) -> Fraction:
     """
     if pt.is_infinity:
         raise ValueError("(O.O) is handled by the height formulas directly")
-    _, _, _, k = model_at_infinity(pt.model)
+    k = twist_weight(pt.model)
     u = pt.u
     if u.is_zero:
         return Fraction(0)
@@ -307,8 +300,8 @@ def torsion_points():
     fact that the torsion order divides 4."""
     model = family_model()
     secs = named_sections()
-    t1 = param_to_point(secs["T1"], model)
-    t2 = param_to_point(secs["T2"], model)
+    t1 = param_to_point(secs["T1"])
+    t2 = param_to_point(secs["T2"])
     return {"O": model.infinity(), "T1": t1, "T2": t2, "T1+T2": t1 + t2}
 
 
@@ -354,10 +347,9 @@ def saturation_certificate() -> Certificate:
     because u(P + Q + T) is a nonsquare in the function field for every
     torsion T.
     """
-    model = family_model()
     secs = named_sections()
-    p = param_to_point(secs["P"], model)
-    q = param_to_point(secs["Q"], model)
+    p = param_to_point(secs["P"])
+    q = param_to_point(secs["Q"])
     tors = torsion_points()
     gram = height_gram([p, q])
     scaled = [[int(4 * gram[i][j]) for j in range(2)] for i in range(2)]

@@ -3,24 +3,32 @@ from fractions import Fraction as F
 
 import pytest
 
-from zerodiag.exactnum import Polynomial, QuadElem, RationalFunction, SQRT3
+from zerodiag.exactnum import (
+    PoleError,
+    Polynomial,
+    QuadElem,
+    RationalFunction,
+    SQRT3,
+    _series_of_rf,
+)
 from zerodiag.curve import (
     CurvePoint,
     INFINITE_PLACE,
+    LocalFiber,
     WeierstrassModel,
     bad_places,
     euler_number,
     family_model,
     family_two_torsion_u,
     fiber_at,
-    model_at_infinity,
+    local_series,
     named_sections,
     param_to_point,
     point_to_param,
     ratfunc_sqrt,
     shioda_tate_rank,
     tate_classify,
-    twist_at_infinity,
+    twist_weight,
 )
 from zerodiag.surface import Parametrization, low_degree_parametrization
 
@@ -39,7 +47,99 @@ def sections():
 
 @pytest.fixture(scope="module")
 def points(model, sections):
-    return {name: param_to_point(par, model) for name, par in sections.items()}
+    return {name: param_to_point(par) for name, par in sections.items()}
+
+
+# -- oracle: local Weierstrass models rebuilt at each place --------------------
+
+
+def twist_at_infinity(rf, w):
+    """s^w rf(1/s): a function of t rewritten in s = 1/t with weight w."""
+    if rf.is_zero:
+        return rf
+    num, den = rf.num, rf.den
+    shift = w - (num.degree - den.degree)
+    rev_num = num.reverse(num.degree)
+    rev_den = den.reverse(den.degree)
+    s = Polynomial.gen()
+    if shift >= 0:
+        return RationalFunction(rev_num * s ** shift, rev_den)
+    return RationalFunction(rev_num, rev_den * s ** (-shift))
+
+
+def model_at_infinity(model):
+    """The model in s = 1/t, a_i(t) -> s^(i k) a_i(1/s), and the k used."""
+    degs = []
+    for i, a in ((2, model.a2), (4, model.a4), (6, model.a6)):
+        if not a.is_zero:
+            d = a.degree()
+            if d > 0:
+                degs.append(-(-d // i))
+    k = max(degs, default=0)
+    return (twist_at_infinity(model.a2, 2 * k),
+            twist_at_infinity(model.a4, 4 * k),
+            twist_at_infinity(model.a6, 6 * k), k)
+
+
+def shift_rf(rf, r):
+    return RationalFunction(rf.num.shift(r), rf.den.shift(r))
+
+
+def local_model(model, place):
+    """The model rewritten in the local coordinate of the place."""
+    if place == INFINITE_PLACE:
+        a2, a4, a6, _ = model_at_infinity(model)
+        return WeierstrassModel(a2, a4, a6)
+    return WeierstrassModel(*(shift_rf(a, F(place))
+                              for a in (model.a2, model.a4, model.a6)))
+
+
+def classify_local(model, place):
+    """Tate classification at t = 0 of a local model, rescaling the model
+    by t while it is not minimal."""
+    t = RationalFunction(Polynomial.gen())
+
+    def ord0(rf):
+        return 10 ** 9 if rf.is_zero else rf.ord_at(F(0))
+
+    while True:
+        c4, c6 = model.c_invariants()
+        alpha, beta, delta = ord0(c4), ord0(c6), ord0(model.discriminant())
+        if alpha >= 4 and beta >= 6 and delta >= 12:
+            model = WeierstrassModel(model.a2 / t ** 2, model.a4 / t ** 4,
+                                     model.a6 / t ** 6)
+            continue
+        break
+    if delta == 0:
+        return LocalFiber(place, "I", 0, delta, alpha, beta)
+    if alpha == 0:
+        return LocalFiber(place, "I", delta, delta, alpha, beta)
+    if delta == 2:
+        return LocalFiber(place, "II", 0, delta, alpha, beta)
+    if delta == 3:
+        return LocalFiber(place, "III", 0, delta, alpha, beta)
+    if delta == 4:
+        return LocalFiber(place, "IV", 0, delta, alpha, beta)
+    if delta == 6:
+        return LocalFiber(place, "I*", 0, delta, alpha, beta)
+    if alpha == 2 and beta == 3:
+        return LocalFiber(place, "I*", delta - 6, delta, alpha, beta)
+    if delta == 8:
+        return LocalFiber(place, "IV*", 0, delta, alpha, beta)
+    if delta == 9:
+        return LocalFiber(place, "III*", 0, delta, alpha, beta)
+    if delta == 10:
+        return LocalFiber(place, "II*", 0, delta, alpha, beta)
+    raise ArithmeticError("unclassifiable fiber")
+
+
+def series_oracle(f, place, w, k, prec):
+    """Shift to t - r, or twist at infinity, then expand at 0."""
+    if place == INFINITE_PLACE:
+        local = twist_at_infinity(f, w * k)
+    else:
+        local = shift_rf(f, F(place))
+    return _series_of_rf(local, F(0), prec)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -64,14 +164,14 @@ def b_invariant_discriminant(m):
 def test_stored_discriminant(model):
     assert family_model() is family_model()
     lam = RationalFunction(T + 3)
-    a2, a4, a6, _ = model_at_infinity(model)
-    for m in (model, WeierstrassModel(a2, a4, a6),
+    for m in (model, local_model(model, INFINITE_PLACE),
               WeierstrassModel(model.a2 / lam ** 2, model.a4 / lam ** 4,
                                model.a6 / lam ** 6)):
         assert m.discriminant() == b_invariant_discriminant(m)
 
 
 def test_twist_at_infinity():
+    # the oracle of local_series at infinity
     rf = RationalFunction(3 * T ** 2 + T - 1, T ** 3 + 2)
     for w in (0, 1, 4):
         tw = twist_at_infinity(rf, w)
@@ -131,20 +231,79 @@ def test_fiber_component_counts(model):
     assert fibers[F(0)].components == 2
 
 
+# small models pinning each classification branch at t = 0
+KODAIRA_ZOO = [
+    (WeierstrassModel(Polynomial([0, 1]), 0, Polynomial([0, 1])), "II"),
+    (WeierstrassModel(0, Polynomial([0, 1]), 0), "III"),
+    (WeierstrassModel(0, 0, Polynomial([0, 0, 1])), "IV"),
+    (WeierstrassModel(0, Polynomial([0, 0, 1]), 0), "I0*"),
+    (WeierstrassModel(0, 0, Polynomial([0] * 4 + [1])), "IV*"),
+    (WeierstrassModel(0, Polynomial([0, 0, 0, 1]), 0), "III*"),
+    (WeierstrassModel(0, 0, Polynomial([0] * 5 + [1])), "II*"),
+    (WeierstrassModel(1, 0, Polynomial([0, 1])), "I1"),
+]
+
+
 def test_kodaira_zoo():
-    # small models pinning each classification branch at t = 0
-    cases = [
-        (WeierstrassModel(Polynomial([0, 1]), 0, Polynomial([0, 1])), "II"),
-        (WeierstrassModel(0, Polynomial([0, 1]), 0), "III"),
-        (WeierstrassModel(0, 0, Polynomial([0, 0, 1])), "IV"),
-        (WeierstrassModel(0, Polynomial([0, 0, 1]), 0), "I0*"),
-        (WeierstrassModel(0, 0, Polynomial([0] * 4 + [1])), "IV*"),
-        (WeierstrassModel(0, Polynomial([0, 0, 0, 1]), 0), "III*"),
-        (WeierstrassModel(0, 0, Polynomial([0] * 5 + [1])), "II*"),
-        (WeierstrassModel(1, 0, Polynomial([0, 1])), "I1"),
-    ]
-    for m, symbol in cases:
+    for m, symbol in KODAIRA_ZOO:
         assert fiber_at(m, 0).symbol == symbol, symbol
+
+
+def test_fiber_at_matches_local_model_oracle(model):
+    e2, e3 = Polynomial([0, 1]), Polynomial([0, 0, 2])
+    i2_star = WeierstrassModel(-(e2 + e3), e2 * e3, 0)
+    e2, e3 = Polynomial([0] * 4 + [1]), Polynomial([0] * 4 + [2])
+    nonminimal = WeierstrassModel(-(e2 + e3), e2 * e3, 0)
+    cases = [(m, place) for m, _ in KODAIRA_ZOO
+             for place in (F(0), F(1), INFINITE_PLACE)]
+    cases += [(i2_star, F(0)), (nonminimal, F(0)), (nonminimal, INFINITE_PLACE)]
+    cases += [(model, f.place) for f in tate_classify(model)]
+    assert len(cases) == 24 + 3 + 6
+    for m, place in cases:
+        got = fiber_at(m, place)
+        want = classify_local(local_model(m, place), place)
+        assert got.place == want.place
+        assert ((got.symbol, got.n, got.alpha, got.beta, got.delta)
+                == (want.symbol, want.n, want.alpha, want.beta, want.delta)), (m, place)
+
+
+def random_rational_function(rng, quadratic, place):
+    def coeff():
+        c = F(rng.randint(-5, 5), rng.randint(1, 3))
+        return QuadElem(c, rng.randint(-2, 2)) if quadratic else c
+
+    num = Polynomial([coeff() for _ in range(rng.randint(1, 5))])
+    den = Polynomial([coeff() for _ in range(rng.randint(1, 4))])
+    while den.is_zero:
+        den = Polynomial([coeff()])
+    if place != INFINITE_PLACE and rng.random() < 0.3:
+        den = den * Polynomial([-place, 1])  # a pole at the place
+    return RationalFunction(num, den)
+
+
+def test_local_series_matches_shift_and_twist_oracle():
+    rng = random.Random(20041)
+    prec = 5
+    compared = poles = 0
+    for quadratic in (False, True):
+        for place in (F(0), F(2), F(-1, 3), INFINITE_PLACE):
+            for _ in range(6):
+                f = random_rational_function(rng, quadratic, place)
+                for w in (2, 3, 4, 6):
+                    for k in range(4):
+                        try:
+                            want = series_oracle(f, place, w, k, prec)
+                        except PoleError:
+                            with pytest.raises(PoleError):
+                                local_series(f, place, w, k, prec)
+                            poles += 1
+                            continue
+                        got = local_series(f, place, w, k, prec)
+                        assert got.coeffs == want.coeffs, (f, place, w, k)
+                        compared += 1
+    assert compared > 300 and poles > 50
+    for place in (F(0), INFINITE_PLACE):
+        assert local_series(RationalFunction(0), place, 6, 3, prec).is_zero()
 
 
 def test_kodaira_In_star():
@@ -181,8 +340,8 @@ def test_nonrational_place_raises():
 
 
 def test_model_at_infinity_weight(model):
-    _, _, _, k = model_at_infinity(model)
-    assert k == 2
+    assert twist_weight(model) == 2
+    assert model_at_infinity(model)[3] == 2
     assert fiber_at(model, INFINITE_PLACE).symbol == "I2"
 
 

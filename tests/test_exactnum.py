@@ -11,7 +11,6 @@ from zerodiag.exactnum import (
     SQRT3,
     conj,
     field_sqrt,
-    isqrt_fraction,
     matrix_rank,
     nullspace,
     poly_gcd,
@@ -73,12 +72,6 @@ def test_rat_sqrt():
     assert rat_sqrt(F(2)) is None
     assert rat_sqrt(F(-4)) is None
     assert rat_sqrt(F(0)) == 0
-
-
-def test_isqrt_fraction():
-    assert isqrt_fraction(F(35, 2)) == 4
-    assert isqrt_fraction(F(36)) == 6
-    assert isqrt_fraction(F(1, 3)) == 0
 
 
 def test_quad_sqrt_roundtrip():

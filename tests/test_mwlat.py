@@ -11,6 +11,7 @@ from zerodiag.exactnum import (
     Series,
     _series_of_rf,
 )
+from zerodiag import mwlat
 from zerodiag.curve import (
     WeierstrassModel,
     family_model,
@@ -45,7 +46,7 @@ def model():
 @pytest.fixture(scope="module")
 def pts(model):
     secs = named_sections()
-    out = {k: param_to_point(secs[k], model) for k in ("P", "Q", "T1", "T2")}
+    out = {k: param_to_point(secs[k]) for k in ("P", "Q", "T1", "T2")}
     out["O"] = model.infinity()
     return out
 
@@ -147,6 +148,48 @@ def test_component_table(pts):
         for pt, (kind, index) in zip((pts["P"], pts["Q"], pts["T1"], pts["T2"]), want):
             ref = section_component(pt, fib)
             assert (ref.kind, ref.index) == (kind, index), (fib.place, pt)
+
+
+def test_section_component_does_no_hidden_work(pts, monkeypatch):
+    """Components come from series of the global model and the section:
+    no local model is built and no full curve check runs."""
+    fibers = tate_classify(family_model())
+    calls = {"contains": 0, "init": 0}
+    real_contains = WeierstrassModel.contains
+    real_init = WeierstrassModel.__init__
+
+    def contains(self, u, v):
+        calls["contains"] += 1
+        return real_contains(self, u, v)
+
+    def init(self, *args):
+        calls["init"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(WeierstrassModel, "contains", contains)
+    monkeypatch.setattr(WeierstrassModel, "__init__", init)
+    refs = [section_component(pts[name], fib)
+            for fib in fibers for name in ("P", "Q", "T1", "T2")]
+    assert len(refs) == 24
+    assert calls == {"contains": 0, "init": 0}
+
+
+def test_section_off_the_model_is_refused(pts, monkeypatch):
+    # one wrong term in the expansion of v breaks v^2 = g(u) to precision
+    real = mwlat.local_series
+
+    def wrong_v(f, place, w, k, prec):
+        s = real(f, place, w, k, prec)
+        return s + Series.constant(1, prec) if w == 3 else s
+
+    fibers = tate_classify(family_model())
+    met = [(fib, name) for fib in fibers for name in ("P", "Q", "T1", "T2")
+           if section_component(pts[name], fib).kind != "identity"]
+    assert len(met) == 17
+    monkeypatch.setattr(mwlat, "local_series", wrong_v)
+    for fib, name in met:
+        with pytest.raises(ArithmeticError):
+            section_component(pts[name], fib)
 
 
 def test_zero_section_on_identity(pts):
