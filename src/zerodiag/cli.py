@@ -37,10 +37,11 @@ from .lattice import (
 
 CHECK_COLUMNS = ("claim", "computed", "expected", "status")
 
-# largest |n| that mult accepts: n*P by the group law takes 40-50 s at
-# n = 12, and point_to_param(n*P) as long at n = 6
-MULT_MAX = 12
-MULT_PARAM_MAX = 6
+# largest |n| that mult accepts, each run under about 50 s on a 2-core
+# host: n*P by the group law takes 40-46 s at n = +-15 (and 85 s at +-17),
+# and with point_to_param(n*P) about 20 s at n = -8 (51 s at n = -9)
+MULT_MAX = 16
+MULT_PARAM_MAX = 8
 
 
 class Report:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import isqrt
+from math import lcm as _lcm
 
 
 class PoleError(ZeroDivisionError):
@@ -682,12 +683,224 @@ def _series_of_rf(rf: RationalFunction, r, prec: int) -> Series:
 # -- polynomial algorithms ----------------------------------------------------
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+# The 32 largest primes p = 11 mod 12 below 2^31, largest first, that
+# poly_gcd reduces modulo.  p = 3 mod 4 and p = 2 mod 3 make 3 a square mod p
+# (quadratic reciprocity), with square root pow(3, (p + 1) // 4, p); so
+# (p, sqrt3 - w) is a prime of Z[sqrt 3] of degree 1 and Q(sqrt 3) reduces
+# into GF(p).
+_GCD_PRIMES = (
+    2147483579, 2147483543, 2147483423, 2147483399, 2147483171,
+    2147483123, 2147482943, 2147482859, 2147482811, 2147482763,
+    2147482739, 2147482583, 2147482367, 2147482343, 2147482223,
+    2147482091, 2147481899, 2147481863, 2147481827, 2147481563,
+    2147481491, 2147481359, 2147481311, 2147481263, 2147481179,
+    2147481143, 2147481071, 2147480927, 2147480843, 2147480747,
+    2147480723, 2147480651,
+)
+
+
+def _mod_p(x: Fraction, p: int):
+    """x modulo p, or None when p divides its denominator."""
+    d = x.denominator
+    if d == 1:
+        return x.numerator % p
+    if d % p == 0:
+        return None
+    return x.numerator * pow(d, -1, p) % p
+
+
+def _residues(f: Polynomial, p: int):
+    """f's coefficients modulo p, as ints over Q and as (r, s) pairs for
+    r + s*sqrt3 over Q(sqrt 3); None when p divides a denominator."""
+    out = []
+    for c in f.coeffs:
+        if isinstance(c, QuadElem):
+            r, s = _mod_p(c.r, p), _mod_p(c.s, p)
+            if r is None or s is None:
+                return None
+            out.append((r, s))
+        else:
+            r = _mod_p(c, p)
+            if r is None:
+                return None
+            out.append(r)
+    return out
+
+
+def _embed(res, w: int, p: int) -> list:
+    """The image of a residue list under sqrt3 -> w, trimmed."""
+    out = [(c[0] + c[1] * w) % p if isinstance(c, tuple) else c for c in res]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """Monic gcd over GF(p) of trimmed coefficient lists (lowest degree
+    first)."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        db = len(b) - 1
+        a = a[:]
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i]
+            if c:
+                k = i - db
+                a[k:i] = [(x - c * y) % p for x, y in zip(a[k:i], b)]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return a
+
+
+def _rational_reconstruction(x: int, m: int):
+    """The fraction n/d = x mod m with |n|, d <= sqrt(m/2), or None."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, x % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not t1 or abs(t1) > bound or _int_gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _integer_parts(f: Polynomial):
+    """Integer lists x, y and an integer d > 0 with f = (x + y*sqrt3) / d."""
+    parts = [(c.r, c.s) if isinstance(c, QuadElem) else (c, Fraction(0))
+             for c in f.coeffs]
+    d = 1
+    for r, s in parts:
+        d = _lcm(d, r.denominator, s.denominator)
+    return ([r.numerator * (d // r.denominator) for r, _ in parts],
+            [s.numerator * (d // s.denominator) for _, s in parts], d)
+
+
+def _divides(g: Polynomial, f: Polynomial) -> bool:
+    """Whether the monic g divides f: pseudo-division over Z[sqrt 3] by
+    d*g, whose leading coefficient is the integer d, scaling the remainder
+    at each step by the least integer that makes the next quotient term
+    integral."""
+    gx, gy, d = _integer_parts(g)
+    rx, ry, _ = _integer_parts(f)
+    dg = len(gx) - 1
+    for i in range(len(rx) - 1, dg - 1, -1):
+        x, y = rx[i], ry[i]
+        if not (x or y):
+            continue
+        e = _int_gcd(x, y, d)
+        if e != d:
+            m = d // e
+            rx[:i] = [v * m for v in rx[:i]]
+            ry[:i] = [v * m for v in ry[:i]]
+        qx, qy = x // e, y // e
+        k = i - dg
+        rx[k:i] = [v - qx * u - 3 * qy * w
+                   for v, u, w in zip(rx[k:i], gx, gy)]
+        ry[k:i] = [v - qx * w - qy * u
+                   for v, u, w in zip(ry[k:i], gx, gy)]
+    return not any(rx[:dg]) and not any(ry[:dg])
+
+
+def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
+    """Monic gcd of non-constant a, b from their images modulo the primes
+    of _GCD_PRIMES, or None when no prime tried yields a certificate."""
+    one = QuadElem(1) if quad else Fraction(1)
+    deg = modulus = residues = cand = None
+    for p in _GCD_PRIMES:
+        ra, rb = _residues(a, p), _residues(b, p)
+        if ra is None or rb is None:
+            continue
+        w = pow(3, (p + 1) // 4, p)
+        images = []
+        for e in ((w, p - w) if quad else (0,)):
+            ia, ib = _embed(ra, e, p), _embed(rb, e, p)
+            if len(ia) <= a.degree and len(ib) <= b.degree:
+                break  # both leading coefficients vanish: no degree bound
+            g = _gcd_mod(ia, ib, p)
+            if len(g) == 1:
+                return Polynomial([one])
+            images.append(g)
+        if len(images) < 1 + quad or len(images[0]) != len(images[-1]):
+            continue  # inconclusive, or the two embeddings disagree
+        if quad:
+            half, half_w = pow(2, -1, p), pow(2 * w, -1, p)
+            image = [v for x, y in zip(*images)
+                     for v in ((x + y) * half % p, (x - y) * half_w % p)]
+        else:
+            image = images[0]
+        d = len(images[0]) - 1
+        if deg is not None and d > deg:
+            continue  # an unlucky prime
+        if deg is None or d < deg:
+            deg, modulus, residues, cand = d, p, image, None
+        else:
+            inv = pow(modulus, -1, p)
+            residues = [x + modulus * ((y - x) * inv % p)
+                        for x, y in zip(residues, image)]
+            modulus *= p
+        fracs = [_rational_reconstruction(x, modulus) for x in residues]
+        if None in fracs:
+            cand = None
+            continue
+        if quad:
+            fracs = [QuadElem(r, s) for r, s in zip(fracs[::2], fracs[1::2])]
+        prev, cand = cand, Polynomial(fracs)
+        if (prev is not None and cand == prev
+                and _divides(cand, a) and _divides(cand, b)):
+            return cand
+    return None
+
+
+def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm with content normalization."""
     a, b = a._normalized_int(), b._normalized_int()
     while not b.is_zero:
         a, b = b, (a % b)._normalized_int()
     return a.monic() if not a.is_zero else a
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd over Q or Q(sqrt 3), certified modulo primes when it can be.
+
+    A nonzero constant argument gives 1, and a zero one the other argument
+    made monic.  Otherwise both are reduced modulo a degree-1 prime
+    P = (p, sqrt3 - w) of Z[sqrt 3] for the primes p of _GCD_PRIMES, taken
+    in turn; a prime is skipped when it divides a coefficient denominator
+    or both leading coefficients.  The local ring O_P is a DVR, so Gauss's
+    lemma holds in O_P[t]: with g the true gcd scaled to content 1 there,
+    a = g*h and b = g*k with h, k in O_P[t], and the reductions mod P of
+    g divide those of a and b.  lc(g) divides a leading coefficient that P
+    keeps, so P keeps lc(g) as well, and deg gcd(a mod P, b mod P) >= deg g.
+    A unit gcd mod P therefore proves gcd = 1.  Otherwise the monic images
+    of least degree (both embeddings sqrt3 -> +w, -w over Q(sqrt 3), to
+    separate r and s in r + s*sqrt3) are combined by the Chinese remainder
+    theorem and each coefficient is rationally reconstructed.  The
+    candidate's degree is at least deg g, so once it divides both a and b
+    exactly it is g.  A prime whose images have a larger degree is dropped,
+    and so is one whose two embeddings disagree.  When no prime settles
+    the gcd, Euclid over the field does.
+
+    The coefficients lie in the field Euclid's answer has: that of b when
+    the gcd is b made monic and deg b <= deg a, that of a when it is a
+    made monic and deg a < deg b (a nonzero constant gives the unit of its
+    field), and otherwise Q(sqrt 3) when either argument lies there.
+    """
+    if b.degree == 0 or a.degree == 0:
+        c = b.coeffs[0] if b.degree == 0 else a.coeffs[0]
+        return Polynomial([field_zero_one(c)[1]])
+    if a.is_zero or b.is_zero:
+        return b.monic() if a.is_zero else a.monic()
+    g = _modular_gcd(a, b, a.is_quadratic_field() or b.is_quadratic_field())
+    if g is None:
+        return _euclid_gcd(a, b)
+    if g.degree == b.degree <= a.degree:
+        return b.monic()
+    if g.degree == a.degree < b.degree:
+        return a.monic()
+    return g
 
 
 def squarefree_decomposition(f: Polynomial):

@@ -262,31 +262,47 @@ def mutual_intersection(s: CurvePoint, t: CurvePoint) -> Fraction:
 
 def height_pairing(s: CurvePoint, t: CurvePoint = None) -> Fraction:
     """Canonical height pairing of sections of the family fibration."""
+    return _height_pairing(s, t, section_component)
+
+
+def _height_pairing(s, t, component) -> Fraction:
+    """height_pairing, reading the fiber component a section meets as
+    component(section, fiber)."""
     fibers = tate_classify(family_model())
     if t is None or t == s:
         if s.is_infinity:
             return Fraction(0)
         total = Fraction(2 * CHI) + 2 * intersection_with_zero(s)
         for fib in fibers:
-            total -= local_contribution(fib, section_component(s, fib))
+            total -= local_contribution(fib, component(s, fib))
         return total
     if s.is_infinity or t.is_infinity:
         return Fraction(0)
     total = (Fraction(CHI) + intersection_with_zero(s)
              + intersection_with_zero(t) - mutual_intersection(s, t))
     for fib in fibers:
-        total -= local_contribution(fib, section_component(s, fib),
-                                    section_component(t, fib))
+        total -= local_contribution(fib, component(s, fib),
+                                    component(t, fib))
     return total
 
 
 def height_gram(points) -> list:
+    """Gram matrix of the height pairing; each section's component at each
+    bad fiber is computed once, for the diagonal and the mixed terms."""
     pts = list(points)
+    seen = {}
+
+    def component(pt, fib):
+        key = (pt, fib.place)
+        if key not in seen:
+            seen[key] = section_component(pt, fib)
+        return seen[key]
+
     n = len(pts)
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            val = height_pairing(pts[i]) if i == j else height_pairing(pts[i], pts[j])
+            val = _height_pairing(pts[i], None if i == j else pts[j], component)
             out[i][j] = out[j][i] = val
     return out
 

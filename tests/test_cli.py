@@ -283,9 +283,9 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
                  ["ns", "count-classes", "--degree", "2", "--genus", "-5"],
                  ["height", "--sections", "P,R"],
                  ["mult", "--n", "2", "--section", "R"],
-                 ["mult", "--n", "13"],
-                 ["mult", "--n", "-13"],
-                 ["mult", "--n", "7", "--emit-param"],
+                 ["mult", "--n", "17"],
+                 ["mult", "--n", "-17"],
+                 ["mult", "--n", "9", "--emit-param"],
                  ["param", "--at", "abc"],
                  ["param", "--at", "1/0"],
                  ["lattice-forms", "--det", "0"],

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
+from zerodiag import exactnum
 from zerodiag.exactnum import (
     PoleError,
     Polynomial,
@@ -161,6 +163,173 @@ def test_poly_gcd_quadratic_field():
     f = p * (T + 2)
     g = p * (T - 5)
     assert poly_gcd(f, g) == p
+
+
+def euclid_gcd(a, b):
+    """Oracle: the Euclidean poly_gcd, verbatim from before the modular one."""
+    a, b = a._normalized_int(), b._normalized_int()
+    while not b.is_zero:
+        a, b = b, (a % b)._normalized_int()
+    return a.monic() if not a.is_zero else a
+
+
+def assert_same_gcd(a, b):
+    """poly_gcd equals Euclid's answer, down to the field of every
+    coefficient (a rational gcd of a Q(sqrt 3) pair stays in Q(sqrt 3))."""
+    got, want = poly_gcd(a, b), euclid_gcd(a, b)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    return got
+
+
+P1, P2 = exactnum._GCD_PRIMES[:2]
+
+
+def image_gcd_degree(a, b, p, w=None):
+    """Degree of gcd(a, b) modulo p with sqrt3 -> w (default: the square
+    root poly_gcd uses)."""
+    if w is None:
+        w = pow(3, (p + 1) // 4, p)
+    ia = exactnum._embed(exactnum._residues(a, p), w, p)
+    ib = exactnum._embed(exactnum._residues(b, p), w, p)
+    return len(exactnum._gcd_mod(ia, ib, p)) - 1
+
+
+def test_gcd_primes_are_the_largest_that_reduce_sqrt3():
+    small = [q for q in range(2, 46341)  # 46341^2 > 2^31
+             if all(q % r for r in range(2, isqrt(q) + 1))]
+    primes = exactnum._GCD_PRIMES
+    want = [p for p in range(2 ** 31 - 1, primes[-1] - 1, -1)
+            if p % 12 == 11 and all(p % q for q in small)]
+    assert list(primes) == want and len(primes) == 32
+    for p in primes:
+        assert pow(pow(3, (p + 1) // 4, p), 2, p) == 3
+
+
+def random_poly(rng, degree, quad):
+    def coeff():
+        r = F(rng.randint(-40, 40), rng.randint(1, 12))
+        return QuadElem(r, F(rng.randint(-40, 40), rng.randint(1, 12))) if quad else r
+    coeffs = [coeff() for _ in range(degree)]
+    lead = coeff()
+    while not lead:
+        lead = coeff()
+    return Polynomial(coeffs + [lead])
+
+
+@pytest.mark.parametrize("fields", [(False, False, False), (True, True, True),
+                                    (False, True, False), (True, False, True),
+                                    (False, False, True)])
+def test_poly_gcd_matches_euclid_on_planted_factors(fields):
+    """fields: whether the planted factor, a's and b's cofactors lie in
+    Q(sqrt 3)."""
+    rng = random.Random(1971 + sum(k << i for i, k in enumerate(fields)))
+    quad_g, quad_u, quad_v = fields
+    degrees = [0, 0, 1, 3, 7, 12]
+    nontrivial = 0
+    for trial in range(10):
+        dg = rng.choice([0, 1, 2, 5, 10, 20])
+        du, dv = rng.choice(degrees), rng.choice(degrees)
+        if trial == 0:  # the largest case: degree 40 on both sides
+            dg, du, dv = 20, 20, 20
+        g = random_poly(rng, dg, quad_g)
+        a = g * random_poly(rng, du, quad_u)
+        b = g * random_poly(rng, dv, quad_v)
+        got = assert_same_gcd(a, b)
+        if trial:  # Euclid takes seconds on the degree-40 pair; once will do
+            assert_same_gcd(b, a)
+        assert got.degree >= dg
+        nontrivial += got.degree > 0
+    assert nontrivial >= 5
+
+
+def test_poly_gcd_zero_and_constant_arguments():
+    q = Polynomial([QuadElem(2, 1), 0, QuadElem(0, 3)])
+    f = (T - 1) * (T + F(1, 2))
+    zero = Polynomial()
+    for c in (Polynomial([F(-3, 7)]), Polynomial([QuadElem(F(1, 2), 1)]),
+              Polynomial([QuadElem(5)])):
+        for other in (zero, c, f, q, Polynomial([4]), Polynomial([SQRT3])):
+            assert_same_gcd(c, other)
+            assert_same_gcd(other, c)
+    for other in (zero, f, q, 2 * f):
+        assert_same_gcd(zero, other)
+        assert_same_gcd(other, zero)
+
+
+def test_poly_gcd_when_p_divides_a_denominator():
+    g = T - F(1, P1)
+    a, b = g * (T + 2), g * (T ** 2 - 3)
+    assert exactnum._residues(a, P1) is None  # inconclusive at the first prime
+    assert assert_same_gcd(a, b) == g
+    # a coprime pair, certified at the second prime only
+    assert assert_same_gcd(T ** 2 + F(1, P1), T ** 3 + 2).degree == 0
+    q = Polynomial([QuadElem(0, F(1, P1)), 1])
+    assert assert_same_gcd(q * (T + 1), q * (T - SQRT3)) == q
+
+
+def test_poly_gcd_when_p_divides_both_leading_numerators():
+    # the images mod P1 drop degree and are coprime, but the pair is not
+    a, b = (P1 * T + 1) * (T + 5), (P1 * T + 1) * (T - 7)
+    assert image_gcd_degree(a, b, P1) == 0
+    assert assert_same_gcd(a, b) == T + F(1, P1)
+    g = T - 2
+    a, b = (P1 * T + 1) * g, (P1 * T - 3) * g
+    assert assert_same_gcd(a, b) == g
+    # one leading coefficient kept is enough for the bound
+    assert assert_same_gcd(a, (T + 1) * g) == g
+    qa = Polynomial([1, QuadElem(P1, P1)]) * g
+    qb = Polynomial([5, QuadElem(-P1, 3 * P1)]) * g
+    assert assert_same_gcd(qa, qb) == g
+
+
+def test_poly_gcd_drops_unlucky_primes():
+    f = (T + 3) * (2 * T ** 2 - 5)
+    # coprime over Q, but not mod P1: certified at the second prime
+    assert image_gcd_degree(T + 1, T + 1 - P1, P1) == 1
+    assert assert_same_gcd((T + 1) * (T - 4), (T + 1 - P1) * (T + 9)).degree == 0
+    # the unlucky prime comes first: its image degree is discarded
+    a, b = f * T, f * (T - P1)
+    assert image_gcd_degree(a, b, P1) == 4
+    assert assert_same_gcd(a, b) == f.monic()
+    # the unlucky prime comes second: it is dropped from the CRT
+    a, b = f * T, f * (T - P2)
+    assert image_gcd_degree(a, b, P2) == 4
+    assert assert_same_gcd(a, b) == f.monic()
+    # over Q(sqrt 3): unlucky under sqrt3 -> w mod P1 but not under -w
+    w = pow(3, (P1 + 1) // 4, P1)
+    a, b = f * (T - SQRT3), f * (T - w)
+    assert image_gcd_degree(a, b, P1, w) == 4
+    assert image_gcd_degree(a, b, P1, P1 - w) == 3
+    assert assert_same_gcd(a, b) == f.monic()
+
+
+def test_poly_gcd_falls_back_to_euclid_without_a_usable_prime():
+    big = 1
+    for p in exactnum._GCD_PRIMES:
+        big *= p
+    g = T ** 2 + F(1, big)
+    a, b = g * (T - 1), g * (T + 5)
+    assert all(exactnum._residues(a, p) is None for p in exactnum._GCD_PRIMES)
+    assert assert_same_gcd(a, b) == g
+
+
+def test_divides_is_exact_division():
+    rng = random.Random(3)
+    for quad in (False, True):
+        for _ in range(10):
+            g = random_poly(rng, rng.randint(1, 6), quad).monic()
+            h = random_poly(rng, rng.randint(0, 8), not quad)
+            assert exactnum._divides(g, g * h)
+            off = g * h + random_poly(rng, rng.randint(0, g.degree - 1), quad)
+            assert exactnum._divides(g, off) == (off % g).is_zero
+    # d*g = 2t + 1 + sqrt3 has the content 1 + sqrt3 in Z[sqrt 3], so the
+    # remainder must be scaled before a quotient term is integral
+    g = Polynomial([QuadElem(F(1, 2), F(1, 2)), 1])
+    f = Polynomial([1, QuadElem(-1, 1)])
+    assert f == QuadElem(-1, 1) * g
+    assert exactnum._divides(g, f) and exactnum._divides(g, f * (T ** 3 - SQRT3))
+    assert not exactnum._divides(g, f + 1)
 
 
 def test_squarefree_part_of_cubic():

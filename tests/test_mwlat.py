@@ -246,6 +246,23 @@ def test_height_gram(pts):
     assert gram == [[Fraction(3, 2), 0], [0, Fraction(1, 2)]]
 
 
+def test_height_gram_computes_each_component_once(pts, monkeypatch):
+    sections = [pts["P"], pts["Q"], pts["T1"], pts["P"] + pts["Q"], pts["O"]]
+    want = [[height_pairing(s) if i == j else height_pairing(s, t)
+             for j, t in enumerate(sections)] for i, s in enumerate(sections)]
+    real = mwlat.section_component
+    calls = []
+
+    def counted(pt, fib):
+        calls.append((pt, fib.place))
+        return real(pt, fib)
+
+    monkeypatch.setattr(mwlat, "section_component", counted)
+    assert height_gram(sections) == want
+    # once per (section, bad fiber); O's pairings are 0 without a component
+    assert len(calls) == len(set(calls)) == 4 * len(tate_classify(family_model()))
+
+
 def test_height_of_multiples(pts):
     p = pts["P"]
     assert height_pairing(2 * p) == 6
