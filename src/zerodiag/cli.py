@@ -316,10 +316,8 @@ CLAIMS = (
     ("height.PP", "descent", _fact("sat", "height.PP"), Fraction(3, 2)),
     ("height.QQ", "descent", _fact("sat", "height.QQ"), Fraction(1, 2)),
     ("height.PQ", "descent", _fact("sat", "height.PQ"), Fraction(0)),
-    ("height.T1", None, lambda r: mwlat.height_pairing(_point("T1")),
-     Fraction(0)),
-    ("height.T2", None, lambda r: mwlat.height_pairing(_point("T2")),
-     Fraction(0)),
+    ("height.T1", None, _fact("tor", "height.T1"), Fraction(0)),
+    ("height.T2", None, _fact("tor", "height.T2"), Fraction(0)),
     ("height.2P", None, lambda r: mwlat.height_pairing(2 * _point("P")),
      Fraction(6)),
     ("descent.scaled_gram", "descent", _fact("sat", "lattice.scaled_gram"),

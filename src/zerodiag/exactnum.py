@@ -8,6 +8,12 @@ Rationals are stdlib ``fractions.Fraction``; the quadratic field Q(sqrt 3)
 gets its own small class because Galois conjugation (sqrt 3 -> -sqrt 3) has
 to be a first-class operation.  Polynomials are dense with coefficients
 listed lowest degree first.
+
+Polynomial products, exact quotients, images modulo a prime and content
+normalization do not run in field arithmetic: they work on the integer form
+of a coefficient list, integer lists x, y and an integer d > 0 with
+coefficients (x + y*sqrt3) / d.  ``_integer_parts`` is the one place that
+clears denominators and ``_from_integer_parts`` the one way back.
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ class PoleError(ZeroDivisionError):
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string or Fraction to Fraction. Floats are refused."""
+    """Coerce an int, string or Fraction to Fraction, returning a Fraction
+    itself rather than a copy. Floats are refused."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass Fraction or int")
     return Fraction(x)
@@ -304,6 +313,42 @@ def field_zero_one(sample):
     return Fraction(0), Fraction(1)
 
 
+# -- the integer form of a coefficient list ------------------------------------
+
+
+def _integer_parts(coeffs):
+    """Integer lists x, y and an integer d > 0 with coeffs[i] =
+    (x[i] + y[i]*sqrt3) / d, for coefficients in Q or Q(sqrt 3).  This is
+    the one place denominators are cleared; d is the least such integer."""
+    parts = [(c.r, c.s) if isinstance(c, QuadElem) else (c, 0)
+             for c in coeffs]
+    d = 1
+    for r, s in parts:
+        d = _lcm(d, r.denominator, s.denominator)
+    return ([r.numerator * (d // r.denominator) for r, _ in parts],
+            [s.numerator * (d // s.denominator) for _, s in parts], d)
+
+
+def _from_integer_parts(x, y, d, quad: bool) -> "Polynomial":
+    """The polynomial with coefficients (x[i] + y[i]*sqrt3) / d, over
+    Q(sqrt 3) when quad and otherwise over Q (y must then be zero)."""
+    if quad:
+        return Polynomial([QuadElem(Fraction(u, d), Fraction(v, d))
+                           for u, v in zip(x, y)])
+    return Polynomial([Fraction(u, d) for u in x])
+
+
+def _convolve(a, b) -> list:
+    """The product of two integer coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    if any(b):
+        n = len(b)
+        for i, u in enumerate(a):
+            if u:
+                out[i:i + n] = [w + u * v for w, v in zip(out[i:i + n], b)]
+    return out
+
+
 class Polynomial:
     """Dense univariate polynomial, coefficients lowest degree first.
 
@@ -396,15 +441,13 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Polynomial()
-        a, b = self.coeffs, o.coeffs
-        za, _ = field_zero_one(a[0] if a else 0)
-        out = [za] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Polynomial(out)
+        ax, ay, ad = _integer_parts(self.coeffs)
+        bx, by, bd = _integer_parts(o.coeffs)
+        yy = _convolve(ay, by)
+        x = [u + 3 * v for u, v in zip(_convolve(ax, bx), yy)]
+        y = [u + v for u, v in zip(_convolve(ax, by), _convolve(ay, bx))]
+        return _from_integer_parts(
+            x, y, ad * bd, self.is_quadratic_field() or o.is_quadratic_field())
 
     __rmul__ = __mul__
 
@@ -450,10 +493,14 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def exact_div(self, other) -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """self / other, which must divide self."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead = other.lead()
+        q = _quotient(self, other if lead == 1 else other.monic())
+        if q is None:
             raise ValueError("not an exact polynomial division")
-        return q
+        return q if lead == 1 else q * _inv(lead)
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -514,24 +561,9 @@ class Polynomial:
         # keeps Euclidean remainder sequences from blowing up.
         if self.is_zero:
             return self
-        nums, dens = [], []
-        for c in self.coeffs:
-            parts = (c.r, c.s) if isinstance(c, QuadElem) else (c,)
-            for p in parts:
-                nums.append(p.numerator)
-                dens.append(p.denominator)
-        m = 1
-        for d in dens:
-            m = m * d // _int_gcd(m, d)
-        scaled = [c * m for c in self.coeffs]
-        g = 0
-        for c in scaled:
-            parts = (c.r, c.s) if isinstance(c, QuadElem) else (c,)
-            for p in parts:
-                g = _int_gcd(g, abs(p.numerator))
-        if g > 1:
-            scaled = [c / g for c in scaled]
-        return Polynomial(scaled)
+        x, y, _ = _integer_parts(self.coeffs)
+        return _from_integer_parts(x, y, _int_gcd(*x, *y),
+                                   self.is_quadratic_field())
 
     def valuation_at(self, root) -> int:
         """Multiplicity of (t - root) in self; 0 if not a root."""
@@ -699,37 +731,14 @@ _GCD_PRIMES = (
 )
 
 
-def _mod_p(x: Fraction, p: int):
-    """x modulo p, or None when p divides its denominator."""
-    d = x.denominator
-    if d == 1:
-        return x.numerator % p
+def _image(parts, w: int, p: int):
+    """The image in GF(p)[t] of f = (x + y*sqrt3) / d, given as its integer
+    parts (x, y, d), under sqrt3 -> w, trimmed; None when p divides d."""
+    x, y, d = parts
     if d % p == 0:
         return None
-    return x.numerator * pow(d, -1, p) % p
-
-
-def _residues(f: Polynomial, p: int):
-    """f's coefficients modulo p, as ints over Q and as (r, s) pairs for
-    r + s*sqrt3 over Q(sqrt 3); None when p divides a denominator."""
-    out = []
-    for c in f.coeffs:
-        if isinstance(c, QuadElem):
-            r, s = _mod_p(c.r, p), _mod_p(c.s, p)
-            if r is None or s is None:
-                return None
-            out.append((r, s))
-        else:
-            r = _mod_p(c, p)
-            if r is None:
-                return None
-            out.append(r)
-    return out
-
-
-def _embed(res, w: int, p: int) -> list:
-    """The image of a residue list under sqrt3 -> w, trimmed."""
-    out = [(c[0] + c[1] * w) % p if isinstance(c, tuple) else c for c in res]
+    inv = pow(d, -1, p)
+    out = [(u + v * w) * inv % p for u, v in zip(x, y)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -767,41 +776,40 @@ def _rational_reconstruction(x: int, m: int):
     return Fraction(r1, t1)
 
 
-def _integer_parts(f: Polynomial):
-    """Integer lists x, y and an integer d > 0 with f = (x + y*sqrt3) / d."""
-    parts = [(c.r, c.s) if isinstance(c, QuadElem) else (c, Fraction(0))
-             for c in f.coeffs]
-    d = 1
-    for r, s in parts:
-        d = _lcm(d, r.denominator, s.denominator)
-    return ([r.numerator * (d // r.denominator) for r, _ in parts],
-            [s.numerator * (d // s.denominator) for _, s in parts], d)
+def _quotient(f: Polynomial, g: Polynomial):
+    """f / g for a monic g, or None when g does not divide f.
 
-
-def _divides(g: Polynomial, f: Polynomial) -> bool:
-    """Whether the monic g divides f: pseudo-division over Z[sqrt 3] by
-    d*g, whose leading coefficient is the integer d, scaling the remainder
-    at each step by the least integer that makes the next quotient term
-    integral."""
-    gx, gy, d = _integer_parts(g)
-    rx, ry, _ = _integer_parts(f)
+    Pseudo-division over Z[sqrt 3] by d*g, whose leading coefficient is the
+    integer d: at each step the remainder, and with it the quotient so far,
+    is scaled by the least integer that makes the next quotient term
+    integral; s tracks the total scale of f."""
+    gx, gy, d = _integer_parts(g.coeffs)
+    rx, ry, s = _integer_parts(f.coeffs)
     dg = len(gx) - 1
+    n = max(len(rx) - dg, 0)
+    qx, qy = [0] * n, [0] * n
     for i in range(len(rx) - 1, dg - 1, -1):
         x, y = rx[i], ry[i]
         if not (x or y):
             continue
+        k = i - dg
         e = _int_gcd(x, y, d)
         if e != d:
             m = d // e
             rx[:i] = [v * m for v in rx[:i]]
             ry[:i] = [v * m for v in ry[:i]]
-        qx, qy = x // e, y // e
-        k = i - dg
-        rx[k:i] = [v - qx * u - 3 * qy * w
-                   for v, u, w in zip(rx[k:i], gx, gy)]
-        ry[k:i] = [v - qx * w - qy * u
-                   for v, u, w in zip(ry[k:i], gx, gy)]
-    return not any(rx[:dg]) and not any(ry[:dg])
+            qx[k + 1:] = [v * m for v in qx[k + 1:]]
+            qy[k + 1:] = [v * m for v in qy[k + 1:]]
+            s *= m
+        qx[k], qy[k] = a, b = x // e, y // e
+        rx[k:i] = [v - a * u - 3 * b * w for v, u, w in zip(rx[k:i], gx, gy)]
+        ry[k:i] = [v - a * w - b * u for v, u, w in zip(ry[k:i], gx, gy)]
+    if any(rx[:dg]) or any(ry[:dg]):
+        return None
+    # s*f = (qx + qy*sqrt3) * d*g
+    quad = f.is_quadratic_field() or g.is_quadratic_field()
+    return _from_integer_parts([d * v for v in qx], [d * v for v in qy], s,
+                               quad)
 
 
 def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
@@ -809,14 +817,14 @@ def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
     of _GCD_PRIMES, or None when no prime tried yields a certificate."""
     one = QuadElem(1) if quad else Fraction(1)
     deg = modulus = residues = cand = None
+    pa, pb = _integer_parts(a.coeffs), _integer_parts(b.coeffs)
     for p in _GCD_PRIMES:
-        ra, rb = _residues(a, p), _residues(b, p)
-        if ra is None or rb is None:
-            continue
         w = pow(3, (p + 1) // 4, p)
         images = []
         for e in ((w, p - w) if quad else (0,)):
-            ia, ib = _embed(ra, e, p), _embed(rb, e, p)
+            ia, ib = _image(pa, e, p), _image(pb, e, p)
+            if ia is None or ib is None:
+                break  # p divides a denominator
             if len(ia) <= a.degree and len(ib) <= b.degree:
                 break  # both leading coefficients vanish: no degree bound
             g = _gcd_mod(ia, ib, p)
@@ -849,7 +857,8 @@ def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
             fracs = [QuadElem(r, s) for r, s in zip(fracs[::2], fracs[1::2])]
         prev, cand = cand, Polynomial(fracs)
         if (prev is not None and cand == prev
-                and _divides(cand, a) and _divides(cand, b)):
+                and _quotient(a, cand) is not None
+                and _quotient(b, cand) is not None):
             return cand
     return None
 
@@ -1004,13 +1013,8 @@ def rational_roots(f: Polynomial):
         coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return roots
-    m = 1
-    for c in coeffs:
-        m = m * c.denominator // _int_gcd(m, c.denominator)
-    ints = [int(c * m) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, abs(v))
+    ints, _, _ = _integer_parts(coeffs)
+    g = _int_gcd(*ints)
     ints = [v // g for v in ints]
     a0, an = ints[0], ints[-1]
 

@@ -341,7 +341,9 @@ def torsion_certificate() -> Certificate:
         doubled = 2 * p
         ok = ok and doubled.is_infinity
         if not p.is_infinity:
-            ok = ok and height_pairing(p) == 0
+            height = height_pairing(p)
+            facts.append(("height." + name, height))
+            ok = ok and height == 0
     closed = all((a + b) in tors.values()
                  for a in tors.values() for b in tors.values())
     ok = ok and closed

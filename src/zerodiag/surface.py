@@ -24,6 +24,7 @@ from math import gcd, isqrt
 
 from .exactnum import (
     Polynomial,
+    _integer_parts,
     _inv,
     conj,
     matrix_rank,
@@ -315,13 +316,8 @@ def normalize_projective(pt):
     fr = [rat(v) for v in pt]
     if all(v == 0 for v in fr):
         raise ValueError("zero vector is not a projective point")
-    m = 1
-    for v in fr:
-        m = m * v.denominator // gcd(m, v.denominator)
-    ints = [int(v * m) for v in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints, _, _ = _integer_parts(fr)
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     last = next(v for v in reversed(ints) if v)
     if last < 0:
@@ -413,15 +409,8 @@ class Parametrization:
             lead = anchor.lead()
             inv = _inv(lead)
             return Parametrization(*(p * inv for p in comps))
-        m = 1
-        for p in comps:
-            for coeff in p.coeffs:
-                m = m * coeff.denominator // gcd(m, coeff.denominator)
-        g = 0
-        for p in comps:
-            for coeff in p.coeffs:
-                g = gcd(g, abs(int(coeff * m)))
-        scale = Fraction(m, g)
+        ints, _, m = _integer_parts([c for p in comps for c in p.coeffs])
+        scale = Fraction(m, gcd(*ints))
         comps = [p * scale for p in comps]
         anchor = next((p for p in reversed(comps) if not p.is_zero), None)
         if anchor is not None and anchor.lead() < 0:

@@ -245,7 +245,9 @@ def test_verify_all_fails_on_a_failed_certificate(capsys, monkeypatch):
     # right facts, failed flag: only the certificate row can catch it
     bad = Certificate("torsion",
                       [("torsion.order", 4),
-                       ("torsion.structure", "(Z/2)^2")],
+                       ("torsion.structure", "(Z/2)^2"),
+                       ("height.T1", 0), ("height.T2", 0),
+                       ("height.T1+T2", 0)],
                       imported=["the torsion order divides 4"], ok=False)
     monkeypatch.setattr(cli.mwlat, "torsion_certificate", lambda: bad)
     code, payload = run_json(capsys, ["verify-all"])
@@ -253,6 +255,24 @@ def test_verify_all_fails_on_a_failed_certificate(capsys, monkeypatch):
     assert payload["failed"] == 1
     failing = [row[0] for row in payload["rows"] if row[3] == "fail"]
     assert failing == ["certificate.torsion"]
+
+
+def test_torsion_heights_are_read_from_the_certificate(monkeypatch):
+    real = cli.mwlat.section_component
+    calls = []
+
+    def counted(pt, fib):
+        calls.append((pt, fib.place))
+        return real(pt, fib)
+
+    monkeypatch.setattr(cli.mwlat, "section_component", counted)
+    run = cli._Run(1)
+    run.cert("tor")
+    # T1, T2 and T1 + T2, once per bad fiber
+    assert len(calls) == len(set(calls)) == 3 * 6
+    compute = {claim: fn for claim, _, fn, _ in cli.CLAIMS}
+    assert compute["height.T1"](run) == compute["height.T2"](run) == 0
+    assert len(calls) == 3 * 6
 
 
 def test_square_sum_fails_descent_and_verify_all(capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -143,6 +143,122 @@ def test_polynomial_ring_axioms():
             assert r.is_zero or r.degree < g.degree
 
 
+# -- the integer form against field arithmetic ---------------------------------
+
+
+def field_mul(f, g):
+    """Oracle: Polynomial.__mul__ in field arithmetic, from before the
+    integer form."""
+    if f.is_zero or g.is_zero:
+        return Polynomial()
+    a, b = f.coeffs, g.coeffs
+    za, _ = exactnum.field_zero_one(a[0] if a else 0)
+    out = [za] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return Polynomial(out)
+
+
+def field_exact_div(f, g):
+    """Oracle: Polynomial.exact_div by field long division."""
+    q, r = divmod(f, g)
+    if not r.is_zero:
+        raise ValueError("not an exact polynomial division")
+    return q
+
+
+def field_normalized_int(f):
+    """Oracle: Polynomial._normalized_int in field arithmetic."""
+    if f.is_zero:
+        return f
+    nums, dens = [], []
+    for c in f.coeffs:
+        parts = (c.r, c.s) if isinstance(c, QuadElem) else (c,)
+        for p in parts:
+            nums.append(p.numerator)
+            dens.append(p.denominator)
+    m = 1
+    for d in dens:
+        m = m * d // gcd(m, d)
+    scaled = [c * m for c in f.coeffs]
+    g = 0
+    for c in scaled:
+        parts = (c.r, c.s) if isinstance(c, QuadElem) else (c,)
+        for p in parts:
+            g = gcd(g, abs(p.numerator))
+    if g > 1:
+        scaled = [c / g for c in scaled]
+    return Polynomial(scaled)
+
+
+def assert_identical(got, want):
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def kernel_samples(seed):
+    """Zero, constants and seeded random polynomials over Q, over Q(sqrt 3)
+    and over Q(sqrt 3) with rational values, with non-monic leads."""
+    rng = random.Random(seed)
+    out = [Polynomial(), Polynomial([F(-3, 4)]), Polynomial([QuadElem(2, -1)]),
+           Polynomial([QuadElem(F(5, 6))]), T, 7 * T - F(2, 9)]
+    for _ in range(6):
+        out.append(random_poly(rng, rng.randint(0, 7), False))
+        out.append(random_poly(rng, rng.randint(0, 7), True))
+        f = random_poly(rng, rng.randint(1, 5), False)
+        out.append(Polynomial([QuadElem(c) for c in f.coeffs]))
+    return out
+
+
+def test_integer_mul_matches_field_mul():
+    samples = kernel_samples(41)
+    for f in samples:
+        for g in samples:
+            assert_identical(f * g, field_mul(f, g))
+    assert_identical(samples[7] * 3, field_mul(samples[7], Polynomial([3])))
+    assert_identical(SQRT3 * samples[6], field_mul(Polynomial([SQRT3]),
+                                                   samples[6]))
+
+
+def test_exact_div_matches_field_division():
+    samples = kernel_samples(43)
+    for g in samples:
+        if g.is_zero:
+            for f in samples[:3]:
+                with pytest.raises(ZeroDivisionError):
+                    f.exact_div(g)
+                with pytest.raises(ZeroDivisionError):
+                    field_exact_div(f, g)
+            continue
+        for h in samples:
+            f = field_mul(g, h)
+            assert_identical(f.exact_div(g), field_exact_div(f, g))
+            if g.degree > 0 and not h.is_zero:
+                off = f + 1
+                with pytest.raises(ValueError):
+                    off.exact_div(g)
+                with pytest.raises(ValueError):
+                    field_exact_div(off, g)
+
+
+def test_normalized_int_matches_field_content():
+    for f in kernel_samples(47):
+        for c in (1, F(-7, 3), QuadElem(F(1, 2), 3)):
+            g = field_mul(f, Polynomial([c]))
+            assert_identical(g._normalized_int(), field_normalized_int(g))
+
+
+def test_rat_returns_a_fraction_itself():
+    x = F(22, 7)
+    assert exactnum.rat(x) is x
+    assert exactnum.rat(3) == 3 and type(exactnum.rat(3)) is F
+    with pytest.raises(TypeError):
+        exactnum.rat(0.5)
+
+
 def test_polynomial_shift_and_reverse():
     f = (T - 2) ** 3 * (T + 1)
     assert f.shift(2)(F(0)) == 0
@@ -166,10 +282,11 @@ def test_poly_gcd_quadratic_field():
 
 
 def euclid_gcd(a, b):
-    """Oracle: the Euclidean poly_gcd, verbatim from before the modular one."""
-    a, b = a._normalized_int(), b._normalized_int()
+    """Oracle: the Euclidean poly_gcd from before the modular one, with the
+    field content normalization."""
+    a, b = field_normalized_int(a), field_normalized_int(b)
     while not b.is_zero:
-        a, b = b, (a % b)._normalized_int()
+        a, b = b, field_normalized_int(a % b)
     return a.monic() if not a.is_zero else a
 
 
@@ -190,8 +307,8 @@ def image_gcd_degree(a, b, p, w=None):
     root poly_gcd uses)."""
     if w is None:
         w = pow(3, (p + 1) // 4, p)
-    ia = exactnum._embed(exactnum._residues(a, p), w, p)
-    ib = exactnum._embed(exactnum._residues(b, p), w, p)
+    ia = exactnum._image(exactnum._integer_parts(a.coeffs), w, p)
+    ib = exactnum._image(exactnum._integer_parts(b.coeffs), w, p)
     return len(exactnum._gcd_mod(ia, ib, p)) - 1
 
 
@@ -260,7 +377,8 @@ def test_poly_gcd_zero_and_constant_arguments():
 def test_poly_gcd_when_p_divides_a_denominator():
     g = T - F(1, P1)
     a, b = g * (T + 2), g * (T ** 2 - 3)
-    assert exactnum._residues(a, P1) is None  # inconclusive at the first prime
+    # inconclusive at the first prime
+    assert exactnum._image(exactnum._integer_parts(a.coeffs), 0, P1) is None
     assert assert_same_gcd(a, b) == g
     # a coprime pair, certified at the second prime only
     assert assert_same_gcd(T ** 2 + F(1, P1), T ** 3 + 2).degree == 0
@@ -310,7 +428,9 @@ def test_poly_gcd_falls_back_to_euclid_without_a_usable_prime():
         big *= p
     g = T ** 2 + F(1, big)
     a, b = g * (T - 1), g * (T + 5)
-    assert all(exactnum._residues(a, p) is None for p in exactnum._GCD_PRIMES)
+    parts = exactnum._integer_parts(a.coeffs)
+    assert all(exactnum._image(parts, 0, p) is None
+               for p in exactnum._GCD_PRIMES)
     assert assert_same_gcd(a, b) == g
 
 
@@ -320,16 +440,23 @@ def test_divides_is_exact_division():
         for _ in range(10):
             g = random_poly(rng, rng.randint(1, 6), quad).monic()
             h = random_poly(rng, rng.randint(0, 8), not quad)
-            assert exactnum._divides(g, g * h)
+            q = exactnum._quotient(g * h, g)
+            assert q == h
+            assert [type(c) for c in q.coeffs] == [QuadElem] * len(h.coeffs)
             off = g * h + random_poly(rng, rng.randint(0, g.degree - 1), quad)
-            assert exactnum._divides(g, off) == (off % g).is_zero
+            want = h if (off % g).is_zero else None
+            assert exactnum._quotient(off, g) == want
     # d*g = 2t + 1 + sqrt3 has the content 1 + sqrt3 in Z[sqrt 3], so the
     # remainder must be scaled before a quotient term is integral
     g = Polynomial([QuadElem(F(1, 2), F(1, 2)), 1])
     f = Polynomial([1, QuadElem(-1, 1)])
     assert f == QuadElem(-1, 1) * g
-    assert exactnum._divides(g, f) and exactnum._divides(g, f * (T ** 3 - SQRT3))
-    assert not exactnum._divides(g, f + 1)
+    assert exactnum._quotient(f, g) == Polynomial([QuadElem(-1, 1)])
+    h = T ** 3 - SQRT3
+    assert exactnum._quotient(f * h, g) == QuadElem(-1, 1) * h
+    assert exactnum._quotient(f + 1, g) is None
+    assert exactnum._quotient(Polynomial(), g) == Polynomial()
+    assert exactnum._quotient(Polynomial([3]), T - 1) is None
 
 
 def test_squarefree_part_of_cubic():
