@@ -164,10 +164,9 @@ def cmd_fibers(_args) -> Report:
 def cmd_height(args) -> Report:
     names = [n.strip() for n in args.sections.split(",") if n.strip()]
     secs = named_sections()
-    for n in names:
-        if n not in secs:
-            raise UsageError("unknown section %r; choose from %s"
-                             % (n, ", ".join(sorted(secs))))
+    if not names or len(set(names)) < len(names) or not secs.keys() >= set(names):
+        raise UsageError("--sections takes distinct names from %s, got %r"
+                         % (", ".join(sorted(secs)), args.sections))
     points = [param_to_point(secs[n]) for n in names]
     gram = mwlat.height_gram(points)
     rows = [(names[i],) + tuple(str(v) for v in gram[i])

@@ -13,12 +13,16 @@ Polynomial products, exact quotients, images modulo a prime and content
 normalization do not run in field arithmetic: they work on the integer form
 of a coefficient list, integer lists x, y and an integer d > 0 with
 coefficients (x + y*sqrt3) / d.  ``_integer_parts`` is the one place that
-clears denominators and ``_from_integer_parts`` the one way back.
+clears denominators and ``_from_integer_parts`` the one way back.  Nothing
+divides with remainder over the field: ``_quotient`` divides exactly, gcds
+come from images modulo primes, and ``_taylor`` expands at a rational place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from math import gcd as _int_gcd
 from math import isqrt
 from math import lcm as _lcm
@@ -463,35 +467,6 @@ class Polynomial:
             n >>= 1
         return out
 
-    def __divmod__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = list(o.coeffs)
-        dq = len(dv) - 1
-        inv_lead = _inv(dv[-1])
-        if len(rem) - 1 < dq:
-            return Polynomial(), self
-        quot = [0] * (len(rem) - dq)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            q = c * inv_lead
-            quot[i - dq] = q
-            for j in range(dq + 1):
-                rem[i - dq + j] = rem[i - dq + j] - q * dv[j]
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def exact_div(self, other) -> "Polynomial":
         """self / other, which must divide self."""
         if other.is_zero:
@@ -530,14 +505,6 @@ class Polynomial:
             return zero
         return acc
 
-    def shift(self, c) -> "Polynomial":
-        """f(t + c), via Horner in (t + c)."""
-        tc = Polynomial([c, 1])
-        out = Polynomial()
-        for coeff in reversed(self.coeffs):
-            out = out * tc + coeff
-        return out
-
     def reverse(self, k=None) -> "Polynomial":
         """t^k f(1/t) for k >= deg f (default k = deg f)."""
         if self.is_zero:
@@ -556,26 +523,12 @@ class Polynomial:
         inv = _inv(lead)
         return Polynomial([c * inv for c in self.coeffs])
 
-    def _normalized_int(self) -> "Polynomial":
-        # scale by a rational so coefficient entries are small coprime ints;
-        # keeps Euclidean remainder sequences from blowing up.
-        if self.is_zero:
-            return self
-        x, y, _ = _integer_parts(self.coeffs)
-        return _from_integer_parts(x, y, _int_gcd(*x, *y),
-                                   self.is_quadratic_field())
-
     def valuation_at(self, root) -> int:
         """Multiplicity of (t - root) in self; 0 if not a root."""
         if self.is_zero:
             raise ValueError("valuation of the zero polynomial")
-        f, k = self, 0
-        lin = Polynomial([-root, 1])
-        while True:
-            q, r = divmod(f, lin)
-            if not r.is_zero:
-                return k
-            f, k = q, k + 1
+        return next(k for k, c in enumerate(
+            _taylor(self.coeffs, root, len(self.coeffs))) if c)
 
     def __repr__(self):
         return "Polynomial(%s)" % (list(map(str, self.coeffs)),)
@@ -598,6 +551,12 @@ class Polynomial:
 
 
 # -- truncated power series ---------------------------------------------------
+
+
+def newton_steps(prec: int) -> int:
+    """Newton iterations that lift a root known to one term to prec terms:
+    each doubles the terms known, and one more is spent on top."""
+    return max(1, (prec - 1).bit_length()) + 1
 
 
 class Series:
@@ -670,10 +629,7 @@ class Series:
     def sqrt(self, root0) -> "Series":
         """Square root with prescribed constant term root0."""
         s = Series.constant(root0, self.prec)
-        steps = 1
-        while (1 << steps) < self.prec:
-            steps += 1
-        for _ in range(steps + 1):
+        for _ in range(newton_steps(self.prec)):
             s = (s + self / s) * Fraction(1, 2)
         if not (s * s - self).is_zero():
             raise ArithmeticError("series square root did not converge")
@@ -702,33 +658,70 @@ class Series:
         return "Series(%s + O(e^%d))" % (self.coeffs, self.prec)
 
 
+def _taylor(coeffs, r, n: int):
+    """The first n coefficients of f(t + r), lowest degree first, for f
+    with the given coefficients and r rational.  Step k divides by t - r
+    synthetically and yields the remainder, so a caller may stop early."""
+    c = list(coeffs)
+    for k in range(min(n, len(c))):
+        for i in range(len(c) - 2, k - 1, -1):
+            c[i] = c[i] + r * c[i + 1]
+        yield c[k]
+
+
 def _series_of_rf(rf: RationalFunction, r, prec: int) -> Series:
     """Expansion of a rational function at t = r.  Raises PoleError at a
     pole."""
-    num = rf.num.shift(r)
-    den = rf.den.shift(r)
-    if not den[0]:
+    den = Series(_taylor(rf.den.coeffs, r, prec), prec)
+    if not den.at_zero():
         raise PoleError("expansion at a pole")
-    return Series.from_polynomial(num, prec) / Series.from_polynomial(den, prec)
+    return Series(_taylor(rf.num.coeffs, r, prec), prec) / den
 
 
 # -- polynomial algorithms ----------------------------------------------------
 
 
-# The 32 largest primes p = 11 mod 12 below 2^31, largest first, that
-# poly_gcd reduces modulo.  p = 3 mod 4 and p = 2 mod 3 make 3 a square mod p
-# (quadratic reciprocity), with square root pow(3, (p + 1) // 4, p); so
-# (p, sqrt3 - w) is a prime of Z[sqrt 3] of degree 1 and Q(sqrt 3) reduces
-# into GF(p).
-_GCD_PRIMES = (
-    2147483579, 2147483543, 2147483423, 2147483399, 2147483171,
-    2147483123, 2147482943, 2147482859, 2147482811, 2147482763,
-    2147482739, 2147482583, 2147482367, 2147482343, 2147482223,
-    2147482091, 2147481899, 2147481863, 2147481827, 2147481563,
-    2147481491, 2147481359, 2147481311, 2147481263, 2147481179,
-    2147481143, 2147481071, 2147480927, 2147480843, 2147480747,
-    2147480723, 2147480651,
-)
+# poly_gcd reduces modulo the primes p = 11 mod 12 below 2^31, largest first.
+# p = 3 mod 4 and p = 2 mod 3 make 3 a square mod p (quadratic reciprocity),
+# with square root pow(3, (p + 1) // 4, p); so (p, sqrt3 - w) is a prime of
+# Z[sqrt 3] of degree 1 and Q(sqrt 3) reduces into GF(p).
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 3, 5 and 7, exact for
+    n < 3215031751, the least strong pseudoprime to all four bases."""
+    if n < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _gcd_prime(i: int) -> int:
+    """The (i+1)-th largest prime p = 11 mod 12 below 2^31, found by
+    _is_prime from the one before it, and only once."""
+    # 2^31 - 9 is the largest integer = 11 mod 12 below 2^31
+    p = _gcd_prime(i - 1) - 12 if i else 2 ** 31 - 9
+    while p > 0 and not _is_prime(p):
+        p -= 12
+    if p < 0:
+        raise ArithmeticError("no prime p = 11 mod 12 below 2^31 is left")
+    return p
 
 
 def _image(parts, w: int, p: int):
@@ -814,11 +807,12 @@ def _quotient(f: Polynomial, g: Polynomial):
 
 def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
     """Monic gcd of non-constant a, b from their images modulo the primes
-    of _GCD_PRIMES, or None when no prime tried yields a certificate."""
+    _gcd_prime(0), _gcd_prime(1), ..., taken until one settles it (see
+    poly_gcd)."""
     one = QuadElem(1) if quad else Fraction(1)
     deg = modulus = residues = cand = None
     pa, pb = _integer_parts(a.coeffs), _integer_parts(b.coeffs)
-    for p in _GCD_PRIMES:
+    for p in map(_gcd_prime, count()):
         w = pow(3, (p + 1) // 4, p)
         images = []
         for e in ((w, p - w) if quad else (0,)):
@@ -860,23 +854,14 @@ def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
                 and _quotient(a, cand) is not None
                 and _quotient(b, cand) is not None):
             return cand
-    return None
-
-
-def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm with content normalization."""
-    a, b = a._normalized_int(), b._normalized_int()
-    while not b.is_zero:
-        a, b = b, (a % b)._normalized_int()
-    return a.monic() if not a.is_zero else a
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over Q or Q(sqrt 3), certified modulo primes when it can be.
+    """Monic gcd over Q or Q(sqrt 3), certified modulo primes.
 
     A nonzero constant argument gives 1, and a zero one the other argument
     made monic.  Otherwise both are reduced modulo a degree-1 prime
-    P = (p, sqrt3 - w) of Z[sqrt 3] for the primes p of _GCD_PRIMES, taken
+    P = (p, sqrt3 - w) of Z[sqrt 3] for the primes p = _gcd_prime(i), taken
     in turn; a prime is skipped when it divides a coefficient denominator
     or both leading coefficients.  The local ring O_P is a DVR, so Gauss's
     lemma holds in O_P[t]: with g the true gcd scaled to content 1 there,
@@ -889,13 +874,26 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     theorem and each coefficient is rationally reconstructed.  The
     candidate's degree is at least deg g, so once it divides both a and b
     exactly it is g.  A prime whose images have a larger degree is dropped,
-    and so is one whose two embeddings disagree.  When no prime settles
-    the gcd, Euclid over the field does.
+    and so is one whose two embeddings disagree.
 
-    The coefficients lie in the field Euclid's answer has: that of b when
-    the gcd is b made monic and deg b <= deg a, that of a when it is a
-    made monic and deg a < deg b (a nonzero constant gives the unit of its
-    field), and otherwise Q(sqrt 3) when either argument lies there.
+    Some prime settles every pair.  Only finitely many primes divide a
+    denominator or both leading coefficients, and only finitely many are
+    unlucky: the cofactors a/g and b/g are coprime, so their resultant is a
+    nonzero element of the field, and a prime that keeps a leading
+    coefficient, divides no denominator of the cofactors and still gives
+    an image of degree above deg g divides that resultant.  Two embeddings
+    disagree only when one of them is unlucky.  Every other prime gives
+    the image of the monic g, so the CRT modulus grows without bound, and
+    once it exceeds twice the square of the largest numerator or
+    denominator in the coefficients of the monic g, rational reconstruction
+    returns g itself at each further prime, two in a row agree and the
+    division check passes.
+
+    The result is over Q(sqrt 3) when both arguments are non-constant and
+    either lies there, with two exceptions that keep one argument's field:
+    when the gcd is b made monic and deg b <= deg a, it is over b's field,
+    and when it is a made monic and deg a < deg b, over a's.  A nonzero
+    constant argument gives the 1 of that argument's field.
     """
     if b.degree == 0 or a.degree == 0:
         c = b.coeffs[0] if b.degree == 0 else a.coeffs[0]
@@ -903,8 +901,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero or b.is_zero:
         return b.monic() if a.is_zero else a.monic()
     g = _modular_gcd(a, b, a.is_quadratic_field() or b.is_quadratic_field())
-    if g is None:
-        return _euclid_gcd(a, b)
     if g.degree == b.degree <= a.degree:
         return b.monic()
     if g.degree == a.degree < b.degree:

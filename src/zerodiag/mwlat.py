@@ -35,6 +35,7 @@ from .exactnum import (
     RationalFunction,
     Series,
     field_sqrt,
+    newton_steps,
     poly_gcd,
     rational_roots,
     squarefree_part,
@@ -89,10 +90,7 @@ def _node_series(a2: Series, a4: Series, a6: Series) -> Series:
     three = Series.constant(3, prec)
     two = Series.constant(2, prec)
     six = Series.constant(6, prec)
-    steps = 1
-    while (1 << steps) < prec:
-        steps += 1
-    for _ in range(steps + 1):
+    for _ in range(newton_steps(prec)):
         gp = three * u * u + two * a2 * u + a4
         gpp = six * u + two * a2
         u = u - gp / gpp

@@ -1,6 +1,7 @@
 """CLI behaviour: exact output, stable formatting, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -41,6 +42,30 @@ VERIFY_ALL_CLAIMS = (
     + ORBIT_CLAIMS)
 IMPORTED = ["the torsion order divides 4",
             "quarter-integrality of the height pairing"]
+# sha256 of the text stdout of each command: the output contract, which a
+# change to the exact arithmetic underneath must keep byte for byte
+GOLDEN_STDOUT = {
+    "verify-all":
+        "86beaa6683abf07d4e8f62dd2a2f432d55617d4db9a48937a66a4852ce1bea26",
+    "descent":
+        "2cd158a71aef5579e66cfa47883890e8019c5f876276ad6d87a07d21b8c15900",
+    "height":
+        "16df963a270d2c2e612217e152d1b7f9dd4ca7aac33d427e80d535ea3879e084",
+    "fibers":
+        "564ef286f5cdcb1921885f5195ce9235dc7d8df1f2aa8a6e60c5eb1992370c8b",
+    "ns verify":
+        "cfd2bd156f2b90cd87771969583e2a34eadb38a10aa3de4c0f634a47a1f30bbb",
+    "mult --n 4":
+        "f38c0cf7da9807dcb20701f168045d029a7bffe176979fa46a9302a53a73c81a",
+    "mult --n 3 --emit-param":
+        "8047cbbf8e33ebfa85a1be3ef5faad90285dfa367c172b97de2079f249e2b83a",
+    "mult --n 2 --section Q --emit-param":
+        "354ea2404636128340a3f1f15eb45bafc05f6b674dca29a1f0a945b8d3d16756",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(capsys, argv):
@@ -234,6 +259,15 @@ def test_verify_all_green(capsys):
     assert "fail\n" not in out
     assert [line.split()[0] for line in lines[2:-1]] == (
         VERIFY_ALL_CLAIMS + ["assumed"] * 2)
+    assert sha256(out) == GOLDEN_STDOUT["verify-all"]
+
+
+@pytest.mark.parametrize("command", [c for c in GOLDEN_STDOUT
+                                     if c != "verify-all"])
+def test_stdout_matches_the_recorded_digest(capsys, command):
+    code, out = run(capsys, command.split())
+    assert code == 0
+    assert sha256(out) == GOLDEN_STDOUT[command]
 
 
 def test_claim_ids_are_unique():
@@ -302,6 +336,8 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
                  ["ns", "count-classes", "--degree", "6", "--genus", "0"],
                  ["ns", "count-classes", "--degree", "2", "--genus", "-5"],
                  ["height", "--sections", "P,R"],
+                 ["height", "--sections", "P,P"],
+                 ["height", "--sections", ","],
                  ["mult", "--n", "2", "--section", "R"],
                  ["mult", "--n", "17"],
                  ["mult", "--n", "-17"],

@@ -81,8 +81,18 @@ def model_at_infinity(model):
             twist_at_infinity(model.a6, 6 * k), k)
 
 
+def horner_shift(f, c):
+    """Oracle: the Polynomial.shift exactnum used to have, f(t + c) via
+    Horner in (t + c)."""
+    tc = Polynomial([c, 1])
+    out = Polynomial()
+    for coeff in reversed(f.coeffs):
+        out = out * tc + coeff
+    return out
+
+
 def shift_rf(rf, r):
-    return RationalFunction(rf.num.shift(r), rf.den.shift(r))
+    return RationalFunction(horner_shift(rf.num, r), horner_shift(rf.den, r))
 
 
 def local_model(model, place):

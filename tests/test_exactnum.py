@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import takewhile
 from math import gcd, isqrt
 
 import pytest
@@ -138,9 +139,7 @@ def test_polynomial_ring_axioms():
         assert f * (g + h) == f * g + f * h
         assert (f * g) * h == f * (g * h)
         if not g.is_zero:
-            q, r = divmod(f, g)
-            assert q * g + r == f
-            assert r.is_zero or r.degree < g.degree
+            assert (f * g).exact_div(g) == f
 
 
 # -- the integer form against field arithmetic ---------------------------------
@@ -162,9 +161,55 @@ def field_mul(f, g):
     return Polynomial(out)
 
 
+def field_divmod(f, g):
+    """Oracle: Polynomial.__divmod__, long division over the field, from
+    before exactnum dropped it."""
+    o = Polynomial._lift(g)
+    if o.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f.coeffs)
+    dv = list(o.coeffs)
+    dq = len(dv) - 1
+    inv_lead = exactnum._inv(dv[-1])
+    if len(rem) - 1 < dq:
+        return Polynomial(), f
+    quot = [0] * (len(rem) - dq)
+    for i in range(len(rem) - 1, dq - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        q = c * inv_lead
+        quot[i - dq] = q
+        for j in range(dq + 1):
+            rem[i - dq + j] = rem[i - dq + j] - q * dv[j]
+    return Polynomial(quot), Polynomial(rem)
+
+
+def horner_shift(f, c):
+    """Oracle: Polynomial.shift, f(t + c) via Horner in (t + c)."""
+    tc = Polynomial([c, 1])
+    out = Polynomial()
+    for coeff in reversed(f.coeffs):
+        out = out * tc + coeff
+    return out
+
+
+def divmod_valuation(f, root):
+    """Oracle: Polynomial.valuation_at by repeated division by t - root."""
+    if f.is_zero:
+        raise ValueError("valuation of the zero polynomial")
+    k = 0
+    lin = Polynomial([-root, 1])
+    while True:
+        q, r = field_divmod(f, lin)
+        if not r.is_zero:
+            return k
+        f, k = q, k + 1
+
+
 def field_exact_div(f, g):
     """Oracle: Polynomial.exact_div by field long division."""
-    q, r = divmod(f, g)
+    q, r = field_divmod(f, g)
     if not r.is_zero:
         raise ValueError("not an exact polynomial division")
     return q
@@ -244,13 +289,6 @@ def test_exact_div_matches_field_division():
                     field_exact_div(off, g)
 
 
-def test_normalized_int_matches_field_content():
-    for f in kernel_samples(47):
-        for c in (1, F(-7, 3), QuadElem(F(1, 2), 3)):
-            g = field_mul(f, Polynomial([c]))
-            assert_identical(g._normalized_int(), field_normalized_int(g))
-
-
 def test_rat_returns_a_fraction_itself():
     x = F(22, 7)
     assert exactnum.rat(x) is x
@@ -261,11 +299,43 @@ def test_rat_returns_a_fraction_itself():
 
 def test_polynomial_shift_and_reverse():
     f = (T - 2) ** 3 * (T + 1)
-    assert f.shift(2)(F(0)) == 0
-    assert f.shift(2).valuation_at(F(0)) == 3
+    assert list(exactnum._taylor(f.coeffs, 2, 9)) == [0, 0, 0, 3, 1]
+    assert f.valuation_at(2) == 3
     rev = f.reverse(6)
     # t^6 f(1/t) vanishes to order 6 - deg f = 2 at 0
     assert rev.valuation_at(F(0)) == 2
+
+
+def test_taylor_and_valuation_match_shift_and_divmod():
+    rng = random.Random(53)
+    for quad in (False, True):
+        for m in range(6):
+            for _ in range(4):
+                r = F(rng.randint(-9, 9), rng.randint(1, 4))
+                h = random_poly(rng, rng.randint(0, 4), quad)
+                f = (T - r) ** m * h
+                shifted = horner_shift(f, r).coeffs
+                for n in (1, f.degree, f.degree + 1, f.degree + 4):
+                    got = list(exactnum._taylor(f.coeffs, r, n))
+                    assert got == list(shifted[:n])
+                    assert [type(c) for c in got] == [type(c) for c in shifted[:n]]
+                assert f.valuation_at(r) == divmod_valuation(f, r)
+                assert f.valuation_at(r) == m + (h(r) == 0)
+                den = random_poly(rng, rng.randint(0, 3), not quad)
+                if den(r) == 0:
+                    continue
+                rf = RationalFunction(f, den)
+                for prec in (2, f.degree + 3):
+                    num_s, den_s = (exactnum.Series.from_polynomial(
+                        horner_shift(p, r), prec) for p in (rf.num, rf.den))
+                    got = exactnum._series_of_rf(rf, r, prec)
+                    assert got.coeffs == (num_s / den_s).coeffs
+    zero = Polynomial()
+    assert list(exactnum._taylor(zero.coeffs, F(1, 2), 3)) == []
+    with pytest.raises(ValueError):
+        zero.valuation_at(F(1, 2))
+    with pytest.raises(ValueError):
+        divmod_valuation(zero, F(1, 2))
 
 
 def test_poly_gcd_agrees_with_construction():
@@ -286,7 +356,7 @@ def euclid_gcd(a, b):
     field content normalization."""
     a, b = field_normalized_int(a), field_normalized_int(b)
     while not b.is_zero:
-        a, b = b, field_normalized_int(a % b)
+        a, b = b, field_normalized_int(field_divmod(a, b)[1])
     return a.monic() if not a.is_zero else a
 
 
@@ -299,7 +369,7 @@ def assert_same_gcd(a, b):
     return got
 
 
-P1, P2 = exactnum._GCD_PRIMES[:2]
+P1, P2 = exactnum._gcd_prime(0), exactnum._gcd_prime(1)
 
 
 def image_gcd_degree(a, b, p, w=None):
@@ -312,15 +382,33 @@ def image_gcd_degree(a, b, p, w=None):
     return len(exactnum._gcd_mod(ia, ib, p)) - 1
 
 
+SMALL_PRIMES = [q for q in range(2, 46341)  # 46341^2 > 2^31
+                if all(q % r for r in range(2, isqrt(q) + 1))]
+
+
+def trial_division_is_prime(n):
+    return n > 1 and all(n % q for q in takewhile(lambda q: q * q <= n,
+                                                   SMALL_PRIMES))
+
+
 def test_gcd_primes_are_the_largest_that_reduce_sqrt3():
-    small = [q for q in range(2, 46341)  # 46341^2 > 2^31
-             if all(q % r for r in range(2, isqrt(q) + 1))]
-    primes = exactnum._GCD_PRIMES
+    primes = [exactnum._gcd_prime(i) for i in range(32)]
     want = [p for p in range(2 ** 31 - 1, primes[-1] - 1, -1)
-            if p % 12 == 11 and all(p % q for q in small)]
-    assert list(primes) == want and len(primes) == 32
+            if p % 12 == 11 and trial_division_is_prime(p)]
+    assert primes == want
     for p in primes:
         assert pow(pow(3, (p + 1) // 4, p), 2, p) == 3
+
+
+def test_is_prime_matches_trial_division():
+    for n in list(range(-3, 3000)) + list(range(2 ** 31 - 3000, 2 ** 31)):
+        assert exactnum._is_prime(n) == trial_division_is_prime(n), n
+    # strong pseudoprimes to base 2, caught by the bases 3, 5 and 7
+    for n in (2047, 3277, 4033, 4681, 8321):
+        assert pow(2, n - 1, n) == 1 and not exactnum._is_prime(n)
+    # the least strong pseudoprime to bases 2, 3, 5 and 7 lies above 2^31,
+    # which is why the stream stops there
+    assert exactnum._is_prime(3215031751) and 3215031751 % 151 == 0
 
 
 def random_poly(rng, degree, quad):
@@ -422,16 +510,30 @@ def test_poly_gcd_drops_unlucky_primes():
     assert assert_same_gcd(a, b) == f.monic()
 
 
-def test_poly_gcd_falls_back_to_euclid_without_a_usable_prime():
+def test_poly_gcd_settles_beyond_the_first_32_primes(monkeypatch):
+    first = [exactnum._gcd_prime(i) for i in range(33)]
     big = 1
-    for p in exactnum._GCD_PRIMES:
+    for p in first[:32]:
         big *= p
+    prime, drawn = exactnum._gcd_prime, []
+
+    def counted(i):
+        drawn.append(i)
+        return prime(i)
+
+    monkeypatch.setattr(exactnum, "_gcd_prime", counted)
     g = T ** 2 + F(1, big)
     a, b = g * (T - 1), g * (T + 5)
     parts = exactnum._integer_parts(a.coeffs)
-    assert all(exactnum._image(parts, 0, p) is None
-               for p in exactnum._GCD_PRIMES)
+    assert all(exactnum._image(parts, 0, p) is None for p in first[:32])
+    assert exactnum._image(parts, 0, first[32]) is not None
     assert assert_same_gcd(a, b) == g
+    # 1/big needs a modulus above 2*big^2: about 64 more primes
+    assert max(drawn) > 32 + 64
+    # a coprime pair is certified at the 33rd prime itself
+    del drawn[:]
+    assert assert_same_gcd(T ** 2 + F(1, big), T ** 3 + 2) == 1
+    assert drawn == list(range(33))
 
 
 def test_divides_is_exact_division():
@@ -444,7 +546,7 @@ def test_divides_is_exact_division():
             assert q == h
             assert [type(c) for c in q.coeffs] == [QuadElem] * len(h.coeffs)
             off = g * h + random_poly(rng, rng.randint(0, g.degree - 1), quad)
-            want = h if (off % g).is_zero else None
+            want = h if field_divmod(off, g)[1].is_zero else None
             assert exactnum._quotient(off, g) == want
     # d*g = 2t + 1 + sqrt3 has the content 1 + sqrt3 in Z[sqrt 3], so the
     # remainder must be scaled before a quotient term is integral
