@@ -34,7 +34,7 @@ from .exactnum import (
     Series,
     _series_of_rf,
     conj,
-    poly_gcd,
+    gcd_cofactors,
     poly_sqrt,
     rational_roots,
 )
@@ -465,12 +465,8 @@ def _clear_denominators(comps):
     all of them polynomials."""
     lcm = Polynomial([1])
     for c in comps:
-        g = poly_gcd(lcm, c.den)
-        lcm = lcm * c.den.exact_div(g) if g.degree > 0 else lcm * c.den
-    out = []
-    for c in comps:
-        out.append((c * RationalFunction(lcm)).as_polynomial())
-    return out
+        lcm = lcm * gcd_cofactors(lcm, c.den)[2]
+    return [(c * RationalFunction(lcm)).as_polynomial() for c in comps]
 
 
 def point_to_param(pt: CurvePoint) -> Parametrization:

@@ -307,7 +307,7 @@ def conj(x):
     if isinstance(x, Polynomial):
         return Polynomial([conj(c) for c in x.coeffs])
     if isinstance(x, RationalFunction):
-        return RationalFunction(conj(x.num), conj(x.den))
+        return RationalFunction._coprime(conj(x.num), conj(x.den))
     raise TypeError("cannot conjugate %r" % type(x))
 
 
@@ -467,16 +467,6 @@ class Polynomial:
             n >>= 1
         return out
 
-    def exact_div(self, other) -> "Polynomial":
-        """self / other, which must divide self."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = other.lead()
-        q = _quotient(self, other if lead == 1 else other.monic())
-        if q is None:
-            raise ValueError("not an exact polynomial division")
-        return q if lead == 1 else q * _inv(lead)
-
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
@@ -596,15 +586,8 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             assert self.prec == other.prec
-            out = [Fraction(0)] * self.prec
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(self.prec - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return Series(out, self.prec)
+            product = Polynomial(self.coeffs) * Polynomial(other.coeffs)
+            return Series(product.coeffs, self.prec)
         return Series([a * other for a in self.coeffs], self.prec)
 
     __rmul__ = __mul__
@@ -806,9 +789,9 @@ def _quotient(f: Polynomial, g: Polynomial):
 
 
 def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
-    """Monic gcd of non-constant a, b from their images modulo the primes
-    _gcd_prime(0), _gcd_prime(1), ..., taken until one settles it (see
-    poly_gcd)."""
+    """(g, a/g, b/g) for non-constant a, b: the monic g from images modulo
+    _gcd_prime(0), _gcd_prime(1), ... until one settles it (see
+    gcd_cofactors), a/g and b/g from its division check, or a, b if g = 1."""
     one = QuadElem(1) if quad else Fraction(1)
     deg = modulus = residues = cand = None
     pa, pb = _integer_parts(a.coeffs), _integer_parts(b.coeffs)
@@ -823,7 +806,7 @@ def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
                 break  # both leading coefficients vanish: no degree bound
             g = _gcd_mod(ia, ib, p)
             if len(g) == 1:
-                return Polynomial([one])
+                return Polynomial([one]), a, b
             images.append(g)
         if len(images) < 1 + quad or len(images[0]) != len(images[-1]):
             continue  # inconclusive, or the two embeddings disagree
@@ -850,16 +833,18 @@ def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
         if quad:
             fracs = [QuadElem(r, s) for r, s in zip(fracs[::2], fracs[1::2])]
         prev, cand = cand, Polynomial(fracs)
-        if (prev is not None and cand == prev
-                and _quotient(a, cand) is not None
-                and _quotient(b, cand) is not None):
-            return cand
+        if prev is not None and cand == prev:
+            qa, qb = _quotient(a, cand), _quotient(b, cand)
+            if qa is not None and qb is not None:
+                return cand, qa, qb
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over Q or Q(sqrt 3), certified modulo primes.
+def gcd_cofactors(a: Polynomial, b: Polynomial):
+    """(g, a/g, b/g) for the monic gcd g over Q or Q(sqrt 3), certified
+    modulo primes.
 
-    A nonzero constant argument gives 1, and a zero one the other argument
+    A nonzero constant argument gives g = 1 and leaves a and b as they are;
+    so does a pair certified coprime.  A zero argument gives the other one
     made monic.  Otherwise both are reduced modulo a degree-1 prime
     P = (p, sqrt3 - w) of Z[sqrt 3] for the primes p = _gcd_prime(i), taken
     in turn; a prime is skipped when it divides a coefficient denominator
@@ -889,23 +874,31 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     returns g itself at each further prime, two in a row agree and the
     division check passes.
 
-    The result is over Q(sqrt 3) when both arguments are non-constant and
-    either lies there, with two exceptions that keep one argument's field:
-    when the gcd is b made monic and deg b <= deg a, it is over b's field,
-    and when it is a made monic and deg a < deg b, over a's.  A nonzero
-    constant argument gives the 1 of that argument's field.
+    g and a nontrivial cofactor are over Q(sqrt 3) when both arguments are
+    non-constant and either lies there, with two exceptions that keep one
+    argument's field: when g is b made monic and deg b <= deg a, g and b/g
+    (the constant lc(b)) are over b's field, and likewise for a when
+    deg a < deg b.  A nonzero constant gives the 1 of its field.
     """
     if b.degree == 0 or a.degree == 0:
         c = b.coeffs[0] if b.degree == 0 else a.coeffs[0]
-        return Polynomial([field_zero_one(c)[1]])
-    if a.is_zero or b.is_zero:
-        return b.monic() if a.is_zero else a.monic()
-    g = _modular_gcd(a, b, a.is_quadratic_field() or b.is_quadratic_field())
+        return Polynomial([field_zero_one(c)[1]]), a, b
+    if a.is_zero:
+        return b.monic(), a, Polynomial(b.coeffs[-1:])
+    if b.is_zero:
+        return a.monic(), Polynomial(a.coeffs[-1:]), b
+    g, qa, qb = _modular_gcd(
+        a, b, a.is_quadratic_field() or b.is_quadratic_field())
     if g.degree == b.degree <= a.degree:
-        return b.monic()
+        return b.monic(), qa, Polynomial([b.lead()])
     if g.degree == a.degree < b.degree:
-        return a.monic()
-    return g
+        return a.monic(), Polynomial([a.lead()]), qb
+    return g, qa, qb
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd over Q or Q(sqrt 3): the first item of gcd_cofactors."""
+    return gcd_cofactors(a, b)[0]
 
 
 def squarefree_decomposition(f: Polynomial):
@@ -914,18 +907,12 @@ def squarefree_decomposition(f: Polynomial):
         raise ValueError("zero polynomial")
     f = f.monic()
     out = []
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b = f.exact_div(a)
-    c = df.exact_div(a)
+    _, b, c = gcd_cofactors(f, f.derivative())
     i = 1
     while b.degree > 0:
-        d = c - b.derivative()
-        g = poly_gcd(b, d)
+        g, b, c = gcd_cofactors(b, c - b.derivative())
         if g.degree > 0:
             out.append((g, i))
-        b = b.exact_div(g)
-        c = d.exact_div(g)
         i += 1
     return out
 
@@ -1040,18 +1027,26 @@ class RationalFunction:
         den = Polynomial([1]) if den is None else Polynomial._lift(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
+        if not num.is_zero:
+            _, num, den = gcd_cofactors(num, den)
+        self._set_monic(num, den)
+
+    def _set_monic(self, num, den):
         if num.is_zero:
             den = Polynomial([1])
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-            lead = den.lead()
-            inv = _inv(lead)
-            num = num * inv
-            den = den * inv
+            inv = _inv(den.lead())
+            num, den = num * inv, den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den for coprime num and den (den nonzero), with no gcd: for
+        results the arithmetic knows to be reduced (Henrici)."""
+        out = object.__new__(cls)
+        out._set_monic(num, den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -1061,7 +1056,8 @@ class RationalFunction:
         if isinstance(x, RationalFunction):
             return x
         if isinstance(x, (int, Fraction, QuadElem, Polynomial)):
-            return RationalFunction(Polynomial._lift(x))
+            return RationalFunction._coprime(Polynomial._lift(x),
+                                             Polynomial([1]))
         return None
 
     @property
@@ -1080,18 +1076,17 @@ class RationalFunction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        g = poly_gcd(self.den, o.den)
+        # da, db are the denominators themselves when they are coprime
+        g, da, db = gcd_cofactors(self.den, o.den)
+        num, den = self.num * db + o.num * da, self.den * db
         if g.degree > 0:
-            da, db = self.den.exact_div(g), o.den.exact_div(g)
-            return RationalFunction(self.num * db + o.num * da,
-                                    self.den * db)
-        return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den)
+            return RationalFunction(num, den)
+        return RationalFunction._coprime(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -1109,21 +1104,17 @@ class RationalFunction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        # cross-cancel before multiplying to keep degrees down
-        g1 = poly_gcd(self.num, o.den)
-        g2 = poly_gcd(o.num, self.den)
-        n1 = self.num.exact_div(g1) if g1.degree > 0 else self.num
-        d2 = o.den.exact_div(g1) if g1.degree > 0 else o.den
-        n2 = o.num.exact_div(g2) if g2.degree > 0 else o.num
-        d1 = self.den.exact_div(g2) if g2.degree > 0 else self.den
-        return RationalFunction(n1 * n2, d1 * d2)
+        # once cross-cancelled, a product of reduced fractions is reduced
+        _, n1, d2 = gcd_cofactors(self.num, o.den)
+        _, n2, d1 = gcd_cofactors(o.num, self.den)
+        return RationalFunction._coprime(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        return RationalFunction._coprime(self.den, self.num)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -1140,7 +1131,7 @@ class RationalFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
+        return RationalFunction._coprime(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         o = self._lift(other)

@@ -26,6 +26,7 @@ both that the command line tool prints.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import (
     Certificate,
@@ -56,16 +57,30 @@ CHI = 2  # holomorphic Euler characteristic of the surface
 # -- local fiber geometry -------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _model_series(model, place, prec: int):
+    """Series (a2, a4, a6) of the model in the local coordinate of a place
+    (see curve.local_series).  Like the node, they depend only on the model
+    and the place, so each place expands them once."""
+    k = twist_weight(model)
+    return tuple(local_series(a, place, i, k, prec) for i, a in
+                 ((2, model.a2), (4, model.a4), (6, model.a6)))
+
+
+@lru_cache(maxsize=64)
+def _place_node(model, place, prec: int) -> Series:
+    """_node_series at a multiplicative place of the model."""
+    return _node_series(*_model_series(model, place, prec))
+
+
 def _local_expansion(pt: CurvePoint, place, prec: int):
     """Series (a2, a4, a6, u, v) of the model and a section in the local
     coordinate of a place (see curve.local_series).  u and v are None when
     the section has a pole there, so it meets the identity component.
     Raises ArithmeticError unless v^2 = u^3 + a2 u^2 + a4 u + a6 holds to
     precision prec."""
-    model = pt.model
-    k = twist_weight(model)
-    a2, a4, a6 = (local_series(a, place, i, k, prec) for i, a in
-                  ((2, model.a2), (4, model.a4), (6, model.a6)))
+    k = twist_weight(pt.model)
+    a2, a4, a6 = _model_series(pt.model, place, prec)
     try:
         u = local_series(pt.u, place, 2, k, prec)
         v = local_series(pt.v, place, 3, k, prec)
@@ -87,14 +102,11 @@ def _node_series(a2: Series, a4: Series, a6: Series) -> Series:
         raise ArithmeticError("fiber is not a node")
     root = -dbl[0] / dbl[1]
     u = Series.constant(root, prec)
-    three = Series.constant(3, prec)
-    two = Series.constant(2, prec)
-    six = Series.constant(6, prec)
     for _ in range(newton_steps(prec)):
-        gp = three * u * u + two * a2 * u + a4
-        gpp = six * u + two * a2
+        gp = 3 * u * u + 2 * a2 * u + a4
+        gpp = 6 * u + 2 * a2
         u = u - gp / gpp
-    gp = three * u * u + two * a2 * u + a4
+    gp = 3 * u * u + 2 * a2 * u + a4
     if not gp.is_zero():
         raise ArithmeticError("node lift did not converge")
     return u
@@ -133,7 +145,7 @@ def section_component(pt: CurvePoint, fiber) -> ComponentRef:
         return _identity(fiber)
     if fiber.kind == "I":
         return _component_on_In(
-            _local_expansion(pt, fiber.place, fiber.n + 3), fiber)
+            _local_expansion(pt, fiber.place, fiber.n + 3), fiber, pt.model)
     if fiber.kind == "I*" and fiber.n == 0:
         return _component_on_I0star(_local_expansion(pt, fiber.place, 4), fiber)
     if fiber.kind in ("II", "II*"):
@@ -143,13 +155,13 @@ def section_component(pt: CurvePoint, fiber) -> ComponentRef:
         % fiber.symbol)
 
 
-def _component_on_In(expansion, fiber) -> ComponentRef:
-    a2, a4, a6, u_s, v_s = expansion
+def _component_on_In(expansion, fiber, model) -> ComponentRef:
+    a2, _, _, u_s, v_s = expansion
     if u_s is None:
         return _identity(fiber)  # section meets the fiber at infinity
     n = fiber.n
     prec = u_s.prec
-    u0 = _node_series(a2, a4, a6)
+    u0 = _place_node(model, fiber.place, prec)
     du = u_s - u0
     if du.ord() == 0:
         return _identity(fiber)  # misses the node

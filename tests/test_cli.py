@@ -61,6 +61,10 @@ GOLDEN_STDOUT = {
         "8047cbbf8e33ebfa85a1be3ef5faad90285dfa367c172b97de2079f249e2b83a",
     "mult --n 2 --section Q --emit-param":
         "354ea2404636128340a3f1f15eb45bafc05f6b674dca29a1f0a945b8d3d16756",
+    "mult --n 5 --emit-param":
+        "0d11067c98ce1031eeba9e3263cfa13b2c30d71f0ff4a3c5f2d877aa8212dd63",
+    "mult --n -3 --section Q --emit-param":
+        "549761ff44766e31f38caf139a040224c037ebfab8f662050bb9b467c70db57d",
 }
 
 

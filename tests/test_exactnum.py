@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import takewhile
+from itertools import product, takewhile
 from math import gcd, isqrt
 
 import pytest
@@ -12,8 +12,10 @@ from zerodiag.exactnum import (
     QuadElem,
     RationalFunction,
     SQRT3,
+    Series,
     conj,
     field_sqrt,
+    gcd_cofactors,
     matrix_rank,
     nullspace,
     poly_gcd,
@@ -139,7 +141,8 @@ def test_polynomial_ring_axioms():
         assert f * (g + h) == f * g + f * h
         assert (f * g) * h == f * (g * h)
         if not g.is_zero:
-            assert (f * g).exact_div(g) == f
+            m = g.monic()
+            assert exactnum._quotient(f * m, m) == f
 
 
 # -- the integer form against field arithmetic ---------------------------------
@@ -208,7 +211,7 @@ def divmod_valuation(f, root):
 
 
 def field_exact_div(f, g):
-    """Oracle: Polynomial.exact_div by field long division."""
+    """Oracle: exact division by field long division."""
     q, r = field_divmod(f, g)
     if not r.is_zero:
         raise ValueError("not an exact polynomial division")
@@ -268,25 +271,21 @@ def test_integer_mul_matches_field_mul():
                                                    samples[6]))
 
 
-def test_exact_div_matches_field_division():
+def test_quotient_matches_field_division():
     samples = kernel_samples(43)
     for g in samples:
         if g.is_zero:
-            for f in samples[:3]:
-                with pytest.raises(ZeroDivisionError):
-                    f.exact_div(g)
-                with pytest.raises(ZeroDivisionError):
-                    field_exact_div(f, g)
+            with pytest.raises(ZeroDivisionError):
+                field_exact_div(samples[1], g)
             continue
+        g = g.monic()
         for h in samples:
             f = field_mul(g, h)
-            assert_identical(f.exact_div(g), field_exact_div(f, g))
+            assert_identical(exactnum._quotient(f, g), field_exact_div(f, g))
             if g.degree > 0 and not h.is_zero:
-                off = f + 1
+                assert exactnum._quotient(f + 1, g) is None
                 with pytest.raises(ValueError):
-                    off.exact_div(g)
-                with pytest.raises(ValueError):
-                    field_exact_div(off, g)
+                    field_exact_div(f + 1, g)
 
 
 def test_rat_returns_a_fraction_itself():
@@ -561,6 +560,49 @@ def test_divides_is_exact_division():
     assert exactnum._quotient(Polynomial([3]), T - 1) is None
 
 
+def parent_exact_div(f, g):
+    """Oracle: Polynomial.exact_div, from before gcd_cofactors returned the
+    quotients: _quotient by g made monic, scaled back by lc(g)."""
+    if g.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = g.lead()
+    q = exactnum._quotient(f, g if lead == 1 else g.monic())
+    if q is None:
+        raise ValueError("not an exact polynomial division")
+    return q if lead == 1 else q * exactnum._inv(lead)
+
+
+def cofactor_samples(seed):
+    """Pairs over Q, Q(sqrt 3) and mixed: zero and constants, planted
+    common factors, and pairs where one argument divides the other."""
+    rng = random.Random(seed)
+    polys = kernel_samples(seed)[:6]
+    pairs = [(a, b) for a in polys for b in polys]
+    for quad_g, quad_u, quad_v in product((False, True), repeat=3):
+        for _ in range(3):
+            g = random_poly(rng, rng.randint(0, 4), quad_g)
+            u = random_poly(rng, rng.randint(0, 4), quad_u)
+            v = random_poly(rng, rng.randint(0, 4), quad_v)
+            pairs += [(g * u, g * v), (g * u, g), (F(2, 3) * g, g * v)]
+    return pairs
+
+
+def test_gcd_cofactors_are_the_exact_quotients():
+    nontrivial = 0
+    for a, b in cofactor_samples(59):
+        g, qa, qb = gcd_cofactors(a, b)
+        assert_identical(g, poly_gcd(a, b))
+        assert g * qa == a and g * qb == b
+        if g.degree > 0:
+            nontrivial += 1
+            assert_identical(qa, parent_exact_div(a, g))
+            assert_identical(qb, parent_exact_div(b, g))
+        elif g.degree == 0:
+            # a constant gcd divides nothing
+            assert qa is a and qb is b
+    assert nontrivial >= 60
+
+
 def test_squarefree_part_of_cubic():
     # f = t^3 - 3t + 2 = (t-1)^2 (t+2); odd-multiplicity product is t + 2
     f = T ** 3 - 3 * T + 2
@@ -571,7 +613,7 @@ def test_squarefree_part_keeps_odd_multiplicities():
     f = (T - 1) ** 3 * (T + 2) ** 2 * (T ** 2 + 1)
     assert squarefree_part(f) == (T - 1) * (T ** 2 + 1)
     # quotient by the squarefree part is a perfect square
-    ratio = f.exact_div(squarefree_part(f))
+    ratio = exactnum._quotient(f, squarefree_part(f))
     assert poly_sqrt(ratio.monic()) is not None
 
 
@@ -611,6 +653,42 @@ def test_rational_roots_handles_zero_root_and_scaling():
     assert rational_roots(f) == {F(0), F(2, 3), F(-1, 2)}
 
 
+def field_series_mul(a, b):
+    """Oracle: Series.__mul__ in field arithmetic, coefficient by
+    coefficient, from before the integer-form product."""
+    out = [F(0)] * a.prec
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j in range(a.prec - i):
+            y = b.coeffs[j]
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return Series(out, a.prec)
+
+
+def test_series_mul_matches_field_mul():
+    rng = random.Random(61)
+
+    def coeff(quad):
+        if rng.random() < 0.3:
+            return 0
+        r = F(rng.randint(-9, 9), rng.randint(1, 5))
+        return QuadElem(r, F(rng.randint(-9, 9), rng.randint(1, 5))) if quad else r
+
+    for prec in (1, 2, 5, 9):
+        samples = [Series([], prec), Series([0, QuadElem(3)], prec)]
+        for quad in (False, True, False, True):
+            samples.append(Series([coeff(quad) for _ in range(prec)], prec))
+        for a in samples:
+            for b in samples:
+                got = a * b
+                assert got.prec == prec
+                assert got.coeffs == field_series_mul(a, b).coeffs
+        rational = samples[2] * samples[4]
+        assert all(type(c) is F for c in rational.coeffs)
+
+
 def test_rational_function_reduction_and_poles():
     r = RationalFunction((T - 1) ** 2 * (T + 2), (T - 1) * (T + 5))
     assert r.num == (T - 1) * (T + 2)
@@ -630,6 +708,134 @@ def test_rational_function_field_ops():
     assert s == RationalFunction(T * (T + 1) + (T - 1), (T - 1) * (T + 1))
     assert (a * b) / b == a
     assert (a - a).is_zero
+
+
+class ParentRF:
+    """Oracle: RationalFunction from before gcd_cofactors.  Every result
+    goes through the normalising constructor: poly_gcd, then exact_div,
+    then the denominator made monic."""
+
+    def __init__(self, num, den=None):
+        num = Polynomial._lift(num)
+        den = Polynomial([1]) if den is None else Polynomial._lift(den)
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero:
+            den = Polynomial([1])
+        else:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = parent_exact_div(num, g), parent_exact_div(den, g)
+            inv = exactnum._inv(den.lead())
+            num, den = num * inv, den * inv
+        self.num, self.den = num, den
+
+    def __add__(self, o):
+        g = poly_gcd(self.den, o.den)
+        if g.degree > 0:
+            da, db = parent_exact_div(self.den, g), parent_exact_div(o.den, g)
+            return ParentRF(self.num * db + o.num * da, self.den * db)
+        return ParentRF(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    def __neg__(self):
+        return ParentRF(-self.num, self.den)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        g1 = poly_gcd(self.num, o.den)
+        g2 = poly_gcd(o.num, self.den)
+        n1 = parent_exact_div(self.num, g1) if g1.degree > 0 else self.num
+        d2 = parent_exact_div(o.den, g1) if g1.degree > 0 else o.den
+        n2 = parent_exact_div(o.num, g2) if g2.degree > 0 else o.num
+        d1 = parent_exact_div(self.den, g2) if g2.degree > 0 else self.den
+        return ParentRF(n1 * n2, d1 * d2)
+
+    def inverse(self):
+        return ParentRF(self.den, self.num)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        return ParentRF(self.num ** n, self.den ** n)
+
+    def conj(self):
+        return ParentRF(conj(self.num), conj(self.den))
+
+
+def assert_same_rf(got, want):
+    assert_identical(got.num, want.num)
+    assert_identical(got.den, want.den)
+
+
+def rf_samples(seed):
+    """(num, den) pairs over Q, Q(sqrt 3) and mixed: zero, constants and
+    fractions sharing the factors t - 1, t + 1/2 and t - sqrt3, so that
+    constructors, sums and products meet nontrivial gcds."""
+    rng = random.Random(seed)
+    shared = [T - 1, T + F(1, 2), T - SQRT3]
+    out = [(Polynomial(), T + 1), (Polynomial([F(-3, 4)]), 1),
+           (Polynomial([QuadElem(2, -1)]), 1), (2 * T, QuadElem(3)),
+           (T - 1, T ** 2 - 1), (T - SQRT3, F(1, 2) * (T + SQRT3)),
+           (T + 2, T - SQRT3)]
+    for quad_num, quad_den in product((False, True), repeat=2):
+        for _ in range(2):
+            num = random_poly(rng, rng.randint(0, 2), quad_num)
+            den = random_poly(rng, rng.randint(0, 2), quad_den)
+            out.append((num * rng.choice(shared), den * rng.choice(shared)))
+    return out
+
+
+def test_rational_function_matches_the_normalising_constructor():
+    samples = [(RationalFunction(*nd), ParentRF(*nd))
+               for nd in rf_samples(67)]
+    scalars = [3, F(-1, 2), SQRT3, QuadElem(5)]
+    for r, pr in samples:
+        assert_same_rf(r, pr)
+        assert_same_rf(-r, -pr)
+        assert_same_rf(conj(r), pr.conj())
+        for n in (0, 1, 3):
+            assert_same_rf(r ** n, pr ** n)
+        if not r.is_zero:
+            assert_same_rf(r.inverse(), pr.inverse())
+            assert_same_rf(r ** -2, pr ** -2)
+        for c in scalars:
+            assert_same_rf(r + c, pr + ParentRF(c))
+            assert_same_rf(c * r, ParentRF(c) * pr)
+        for s, ps in samples:
+            assert_same_rf(r + s, pr + ps)
+            assert_same_rf(r - s, pr - ps)
+            assert_same_rf(r * s, pr * ps)
+            if not s.is_zero:
+                assert_same_rf(r / s, pr / ps)
+
+
+def test_reduced_results_take_no_gcd(monkeypatch):
+    r = RationalFunction((T - 1) * (T + 2), (T ** 2 + SQRT3) * (T + 5))
+    a = RationalFunction(T ** 2 + 1, (T - 3) * T)
+    b = RationalFunction((T - 3) * (T + 4), T ** 3 + 2)
+    real, calls = exactnum._modular_gcd, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactnum, "_modular_gcd", counted)
+    results = [-r, r.inverse(), r ** 3, conj(r)]
+    assert calls == []
+    ab = a * b
+    # one gcd per cross-cancellation, none for the reduced product
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert results == [RationalFunction(-r.num, r.den),
+                       RationalFunction(r.den, r.num),
+                       RationalFunction(r.num ** 3, r.den ** 3),
+                       RationalFunction(conj(r.num), conj(r.den))]
+    assert ab == RationalFunction((T ** 2 + 1) * (T + 4), T * (T ** 3 + 2))
 
 
 def test_conjugation_lifts_through_tower():

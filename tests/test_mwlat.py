@@ -174,6 +174,25 @@ def test_section_component_does_no_hidden_work(pts, monkeypatch):
     assert calls == {"contains": 0, "init": 0}
 
 
+def test_node_is_lifted_once_per_place(pts, monkeypatch):
+    """The node depends only on the model and the place: the heights of
+    P, Q and P+Q lift it at most once at each I_n place (-2, 0, 2, inf),
+    not once per section."""
+    mwlat._model_series.cache_clear()
+    mwlat._place_node.cache_clear()
+    real, lifted = mwlat._node_series, []
+
+    def counted(a2, a4, a6):
+        lifted.append(a2.prec)
+        return real(a2, a4, a6)
+
+    monkeypatch.setattr(mwlat, "_node_series", counted)
+    heights = [height_pairing(pt)
+               for pt in (pts["P"], pts["Q"], pts["P"] + pts["Q"])]
+    assert heights == [Fraction(3, 2), Fraction(1, 2), Fraction(2)]
+    assert 0 < len(lifted) <= 4
+
+
 def test_section_off_the_model_is_refused(pts, monkeypatch):
     # one wrong term in the expansion of v breaks v^2 = g(u) to precision
     real = mwlat.local_series
