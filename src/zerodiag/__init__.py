@@ -13,9 +13,9 @@ from .exactnum import (
     QuadElem,
     RationalFunction,
     SQRT3,
+    field_sqrt,
     poly_gcd,
     poly_sqrt,
-    quad_sqrt,
     rat_sqrt,
     rational_roots,
     squarefree_part,
@@ -27,9 +27,9 @@ __all__ = [
     "QuadElem",
     "RationalFunction",
     "SQRT3",
+    "field_sqrt",
     "poly_gcd",
     "poly_sqrt",
-    "quad_sqrt",
     "rat_sqrt",
     "rational_roots",
     "squarefree_part",

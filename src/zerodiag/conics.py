@@ -30,7 +30,6 @@ from functools import lru_cache
 
 from .exactnum import (
     QuadElem,
-    _entry,
     field_sqrt,
     nullspace,
     reduced_nullspace,
@@ -61,10 +60,9 @@ def double_points():
 
 
 def _is_double_point(p):
-    if any(isinstance(x, QuadElem) and not x.is_rational for x in p):
+    if any(isinstance(x, QuadElem) for x in p):
         return False
-    pt = tuple(_entry(x) for x in p)
-    return normalize_projective(pt) in double_points()
+    return normalize_projective(p) in double_points()
 
 
 class Conic:

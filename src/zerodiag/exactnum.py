@@ -6,7 +6,11 @@ are built on, and the certificate record every verified claim returns.
 Everything here is exact.  Floats are rejected on input and never produced.
 Rationals are stdlib ``fractions.Fraction``; the quadratic field Q(sqrt 3)
 gets its own small class because Galois conjugation (sqrt 3 -> -sqrt 3) has
-to be a first-class operation.  Polynomials are dense with coefficients
+to be a first-class operation.  Each element of Q(sqrt 3) has one
+representation: a Fraction when its sqrt 3 part is zero, and a QuadElem
+only when that part is nonzero.  ``QuadElem(r, 0)`` returns the Fraction r,
+so every result whose sqrt 3 part cancels is a Fraction, and the field of
+a value is read off its type.  Polynomials are dense with coefficients
 listed lowest degree first.
 
 Polynomial products, exact quotients, images modulo a prime and content
@@ -53,14 +57,24 @@ def rat_sqrt(x: Fraction):
     return None
 
 
+_RATIONAL = (int, Fraction)
+
+
 class QuadElem:
-    """Element r + s*sqrt(3) of Q(sqrt 3), with exact Fraction components."""
+    """Element r + s*sqrt(3) of Q(sqrt 3) with s != 0, with exact Fraction
+    components.  QuadElem(r, 0) is the Fraction r itself (see the module
+    docstring), and a rational operand is read as r + 0*sqrt(3)."""
 
     __slots__ = ("r", "s")
 
-    def __init__(self, r=0, s=0):
-        object.__setattr__(self, "r", rat(r))
-        object.__setattr__(self, "s", rat(s))
+    def __new__(cls, r=0, s=0):
+        r, s = rat(r), rat(s)
+        if not s:
+            return r
+        self = object.__new__(cls)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("QuadElem is immutable")
@@ -74,20 +88,9 @@ class QuadElem:
     def norm(self) -> Fraction:
         return self.r * self.r - 3 * self.s * self.s
 
-    @property
-    def is_rational(self) -> bool:
-        return self.s == 0
-
-    def rational_part(self) -> Fraction:
-        if self.s != 0:
-            raise ValueError("not a rational element: %s" % self)
-        return self.r
-
     def is_positive(self) -> bool:
         """Sign under the real embedding sqrt(3) > 0, computed exactly."""
         r, s = self.r, self.s
-        if s == 0:
-            return r > 0
         if r == 0:
             return s > 0
         if r > 0 and s > 0:
@@ -99,68 +102,62 @@ class QuadElem:
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, QuadElem):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadElem(x, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.r + o.r, self.s + o.s)
+    def __add__(self, o):
+        if isinstance(o, QuadElem):
+            return QuadElem(self.r + o.r, self.s + o.s)
+        if isinstance(o, _RATIONAL):
+            return QuadElem(self.r + o, self.s)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
         return QuadElem(-self.r, -self.s)
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.r - o.r, self.s - o.s)
+    def __sub__(self, o):
+        if isinstance(o, QuadElem):
+            return QuadElem(self.r - o.r, self.s - o.s)
+        if isinstance(o, _RATIONAL):
+            return QuadElem(self.r - o, self.s)
+        return NotImplemented
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def __rsub__(self, o):
+        if isinstance(o, _RATIONAL):
+            return QuadElem(o - self.r, -self.s)
+        return NotImplemented
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.r * o.r + 3 * self.s * o.s,
-                        self.r * o.s + self.s * o.r)
+    def __mul__(self, o):
+        if isinstance(o, QuadElem):
+            return QuadElem(self.r * o.r + 3 * self.s * o.s,
+                            self.r * o.s + self.s * o.r)
+        if isinstance(o, _RATIONAL):
+            return QuadElem(self.r * o, self.s * o)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadElem":
+        # the norm r^2 - 3 s^2 is nonzero because s != 0 and sqrt 3 is
+        # irrational
         n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero element of Q(sqrt 3)")
         return QuadElem(self.r / n, -self.s / n)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+    def __truediv__(self, o):
+        if isinstance(o, QuadElem):
+            return self * o.inverse()
+        if isinstance(o, _RATIONAL):
+            return QuadElem(self.r / o, self.s / o)
+        return NotImplemented
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    def __rtruediv__(self, o):
+        if isinstance(o, _RATIONAL):
+            return self.inverse() * o
+        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out, base = QuadElem(1), self
+        out, base = Fraction(1), self
         while n:
             if n & 1:
                 out = out * base
@@ -168,49 +165,41 @@ class QuadElem:
             n >>= 1
         return out
 
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.r == o.r and self.s == o.s
+    def __eq__(self, o):
+        if isinstance(o, QuadElem):
+            return self.r == o.r and self.s == o.s
+        if isinstance(o, _RATIONAL):
+            return False  # s != 0
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.r, self.s)) if self.s else hash(self.r)
-
-    def __bool__(self):
-        return bool(self.r or self.s)
+        return hash((self.r, self.s))
 
     def __repr__(self):
         return "QuadElem(%r, %r)" % (str(self.r), str(self.s))
 
     def __str__(self):
-        if self.s == 0:
-            return str(self.r)
         return "(%s)+(%s)√3" % (self.r, self.s)
 
 
 SQRT3 = QuadElem(0, 1)
 
 
-def quad_sqrt(x):
-    """Exact square root inside Q(sqrt 3), or None.
+def field_sqrt(x):
+    """Exact square root in Q(sqrt 3) of a rational or a QuadElem, or None.
 
-    Solves (p + q sqrt3)^2 = r + s sqrt3 via p^2 + 3 q^2 = r, 2 p q = s.
+    A rational x has the root sqrt(x), or sqrt(x/3)*sqrt(3), when either
+    is rational.  Otherwise (p + q sqrt3)^2 = r + s sqrt3 is solved via
+    p^2 + 3 q^2 = r, 2 p q = s.
     """
-    x = QuadElem._lift(x)
-    if x is None:
-        raise TypeError("not a field element")
-    r, s = x.r, x.s
-    if s == 0:
-        root = rat_sqrt(r)
+    if not isinstance(x, QuadElem):
+        x = rat(x)
+        root = rat_sqrt(x)
         if root is not None:
-            return QuadElem(root, 0)
-        if r < 0:
-            return None
-        alt = rat_sqrt(r / 3)  # sqrt(r) = sqrt(r/3)*sqrt(3)
-        if alt is not None:
-            return QuadElem(0, alt)
-        return None
+            return root
+        alt = rat_sqrt(x / 3)
+        return None if alt is None else QuadElem(0, alt)
+    r, s = x.r, x.s
     d = rat_sqrt(r * r - 3 * s * s)
     if d is None:
         return None
@@ -224,25 +213,7 @@ def quad_sqrt(x):
     return None
 
 
-def field_sqrt(x):
-    """Exact square root of a field element, lifting Q into Q(sqrt 3) when
-    that is where the root lives; None if it lies in neither."""
-    if isinstance(x, QuadElem):
-        return quad_sqrt(x)
-    root = rat_sqrt(x)
-    if root is not None:
-        return root
-    return quad_sqrt(QuadElem(x, 0))
-
-
 # -- linear algebra over Q and Q(sqrt 3) ---------------------------------------
-
-
-def _entry(x):
-    """Canonical field element: rational QuadElems become Fractions."""
-    if isinstance(x, QuadElem):
-        return x.rational_part() if x.is_rational else x
-    return rat(x)
 
 
 def _inv(x):
@@ -251,7 +222,8 @@ def _inv(x):
 
 def rref(rows):
     """Reduced row echelon form over Q(sqrt 3); returns (rows, pivot cols)."""
-    m = [[_entry(x) for x in row] for row in rows]
+    m = [[x if isinstance(x, QuadElem) else rat(x) for x in row]
+         for row in rows]
     nr = len(m)
     nc = len(m[0]) if m else 0
     pivots = []
@@ -262,11 +234,11 @@ def rref(rows):
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = _inv(m[r][col])
-        m[r] = [_entry(v * inv) for v in m[r]]
+        m[r] = [v * inv for v in m[r]]
         for i in range(nr):
             if i != r and m[i][col]:
                 f = m[i][col]
-                m[i] = [_entry(a - f * b) for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
         r += 1
         if r == nr:
@@ -289,7 +261,7 @@ def reduced_nullspace(reduced, pivots, nc):
         vec = [Fraction(0)] * nc
         vec[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            vec[p] = _entry(-reduced[r][f])
+            vec[p] = -reduced[r][f]
         basis.append(tuple(vec))
     return basis
 
@@ -311,12 +283,6 @@ def conj(x):
     raise TypeError("cannot conjugate %r" % type(x))
 
 
-def field_zero_one(sample):
-    if isinstance(sample, QuadElem):
-        return QuadElem(0), QuadElem(1)
-    return Fraction(0), Fraction(1)
-
-
 # -- the integer form of a coefficient list ------------------------------------
 
 
@@ -333,13 +299,10 @@ def _integer_parts(coeffs):
             [s.numerator * (d // s.denominator) for _, s in parts], d)
 
 
-def _from_integer_parts(x, y, d, quad: bool) -> "Polynomial":
-    """The polynomial with coefficients (x[i] + y[i]*sqrt3) / d, over
-    Q(sqrt 3) when quad and otherwise over Q (y must then be zero)."""
-    if quad:
-        return Polynomial([QuadElem(Fraction(u, d), Fraction(v, d))
-                           for u, v in zip(x, y)])
-    return Polynomial([Fraction(u, d) for u in x])
+def _from_integer_parts(x, y, d) -> "Polynomial":
+    """The polynomial with coefficients (x[i] + y[i]*sqrt3) / d."""
+    return Polynomial([QuadElem(Fraction(u, d), Fraction(v, d)) if v
+                       else Fraction(u, d) for u, v in zip(x, y)])
 
 
 def _convolve(a, b) -> list:
@@ -356,23 +319,18 @@ def _convolve(a, b) -> list:
 class Polynomial:
     """Dense univariate polynomial, coefficients lowest degree first.
 
-    Coefficients live in Q or Q(sqrt 3); a mixed list is lifted to the
-    larger field.  The zero polynomial has an empty coefficient list and
-    degree -1.
+    Coefficients are kept as given, each a Fraction or an irrational
+    QuadElem.  The zero polynomial has an empty coefficient list and degree
+    -1.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        lifted = []
-        quad = any(isinstance(c, QuadElem) for c in coeffs)
-        for c in coeffs:
-            if isinstance(c, float):
-                raise TypeError("floats are not exact")
-            lifted.append(QuadElem._lift(c) if quad else rat(c))
-        while lifted and not lifted[-1]:
-            lifted.pop()
-        object.__setattr__(self, "coeffs", tuple(lifted))
+        cs = [c if isinstance(c, QuadElem) else rat(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -403,6 +361,7 @@ class Polynomial:
         return Fraction(0)
 
     def is_quadratic_field(self) -> bool:
+        """True when some coefficient is irrational."""
         return any(isinstance(c, QuadElem) for c in self.coeffs)
 
     # -- arithmetic --------------------------------------------------------
@@ -450,8 +409,7 @@ class Polynomial:
         yy = _convolve(ay, by)
         x = [u + 3 * v for u, v in zip(_convolve(ax, bx), yy)]
         y = [u + v for u, v in zip(_convolve(ax, by), _convolve(ay, bx))]
-        return _from_integer_parts(
-            x, y, ad * bd, self.is_quadratic_field() or o.is_quadratic_field())
+        return _from_integer_parts(x, y, ad * bd)
 
     __rmul__ = __mul__
 
@@ -490,10 +448,7 @@ class Polynomial:
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
-        if acc is None:
-            zero, _ = field_zero_one(x)
-            return zero
-        return acc
+        return Fraction(0) if acc is None else acc
 
     def reverse(self, k=None) -> "Polynomial":
         """t^k f(1/t) for k >= deg f (default k = deg f)."""
@@ -783,18 +738,16 @@ def _quotient(f: Polynomial, g: Polynomial):
     if any(rx[:dg]) or any(ry[:dg]):
         return None
     # s*f = (qx + qy*sqrt3) * d*g
-    quad = f.is_quadratic_field() or g.is_quadratic_field()
-    return _from_integer_parts([d * v for v in qx], [d * v for v in qy], s,
-                               quad)
+    return _from_integer_parts([d * v for v in qx], [d * v for v in qy], s)
 
 
-def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
+def _modular_gcd(a: Polynomial, b: Polynomial):
     """(g, a/g, b/g) for non-constant a, b: the monic g from images modulo
     _gcd_prime(0), _gcd_prime(1), ... until one settles it (see
     gcd_cofactors), a/g and b/g from its division check, or a, b if g = 1."""
-    one = QuadElem(1) if quad else Fraction(1)
     deg = modulus = residues = cand = None
     pa, pb = _integer_parts(a.coeffs), _integer_parts(b.coeffs)
+    quad = any(pa[1]) or any(pb[1])
     for p in map(_gcd_prime, count()):
         w = pow(3, (p + 1) // 4, p)
         images = []
@@ -806,7 +759,7 @@ def _modular_gcd(a: Polynomial, b: Polynomial, quad: bool):
                 break  # both leading coefficients vanish: no degree bound
             g = _gcd_mod(ia, ib, p)
             if len(g) == 1:
-                return Polynomial([one]), a, b
+                return Polynomial([1]), a, b
             images.append(g)
         if len(images) < 1 + quad or len(images[0]) != len(images[-1]):
             continue  # inconclusive, or the two embeddings disagree
@@ -873,27 +826,14 @@ def gcd_cofactors(a: Polynomial, b: Polynomial):
     denominator in the coefficients of the monic g, rational reconstruction
     returns g itself at each further prime, two in a row agree and the
     division check passes.
-
-    g and a nontrivial cofactor are over Q(sqrt 3) when both arguments are
-    non-constant and either lies there, with two exceptions that keep one
-    argument's field: when g is b made monic and deg b <= deg a, g and b/g
-    (the constant lc(b)) are over b's field, and likewise for a when
-    deg a < deg b.  A nonzero constant gives the 1 of its field.
     """
     if b.degree == 0 or a.degree == 0:
-        c = b.coeffs[0] if b.degree == 0 else a.coeffs[0]
-        return Polynomial([field_zero_one(c)[1]]), a, b
+        return Polynomial([1]), a, b
     if a.is_zero:
         return b.monic(), a, Polynomial(b.coeffs[-1:])
     if b.is_zero:
         return a.monic(), Polynomial(a.coeffs[-1:]), b
-    g, qa, qb = _modular_gcd(
-        a, b, a.is_quadratic_field() or b.is_quadratic_field())
-    if g.degree == b.degree <= a.degree:
-        return b.monic(), qa, Polynomial([b.lead()])
-    if g.degree == a.degree < b.degree:
-        return a.monic(), Polynomial([a.lead()]), qb
-    return g, qa, qb
+    return _modular_gcd(a, b)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -937,7 +877,7 @@ def poly_sqrt(f: Polynomial):
     if f.degree % 2 == 1:
         return None
     lead = f.lead()
-    root = quad_sqrt(lead) if isinstance(lead, QuadElem) else rat_sqrt(lead)
+    root = field_sqrt(lead)
     if root is None:
         return None
     half = f.degree // 2
@@ -977,16 +917,13 @@ def _divisors(n: int):
 def rational_roots(f: Polynomial):
     """All rational roots of f, by the rational root theorem.
 
-    Coefficients must be rational (a Q(sqrt 3) polynomial is accepted only
-    when every coefficient is rational).  Returns a set of Fractions.
+    Coefficients must be rational.  Returns a set of Fractions.
     """
     if f.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
-    coeffs = []
-    for c in f.coeffs:
-        if isinstance(c, QuadElem):
-            c = c.rational_part()
-        coeffs.append(rat(c))
+    if f.is_quadratic_field():
+        raise ValueError("not a polynomial over Q: %s" % f)
+    coeffs = list(f.coeffs)
     roots = set()
     low = 0
     while not coeffs[low]:
@@ -1034,7 +971,7 @@ class RationalFunction:
     def _set_monic(self, num, den):
         if num.is_zero:
             den = Polynomial([1])
-        else:
+        elif den.lead() != 1:
             inv = _inv(den.lead())
             num, den = num * inv, den * inv
         object.__setattr__(self, "num", num)

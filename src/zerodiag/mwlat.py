@@ -32,7 +32,6 @@ from .exactnum import (
     Certificate,
     PoleError,
     Polynomial,
-    QuadElem,
     RationalFunction,
     Series,
     field_sqrt,
@@ -196,8 +195,6 @@ def _component_on_I0star(expansion, fiber) -> ComponentRef:
     roots = _far_roots(a2, a4, a6, ubar)
     if label not in roots:
         raise ArithmeticError("section does not meet a simple component")
-    if isinstance(label, QuadElem):
-        label = label.rational_part()
     return ComponentRef(fiber.place, fiber.symbol, "far", label)
 
 

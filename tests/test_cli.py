@@ -42,7 +42,7 @@ VERIFY_ALL_CLAIMS = (
     + ORBIT_CLAIMS)
 IMPORTED = ["the torsion order divides 4",
             "quarter-integrality of the height pairing"]
-# sha256 of the text stdout of each command: the output contract, which a
+# sha256 of the stdout of each command: the output contract, which a
 # change to the exact arithmetic underneath must keep byte for byte
 GOLDEN_STDOUT = {
     "verify-all":
@@ -65,6 +65,14 @@ GOLDEN_STDOUT = {
         "0d11067c98ce1031eeba9e3263cfa13b2c30d71f0ff4a3c5f2d877aa8212dd63",
     "mult --n -3 --section Q --emit-param":
         "549761ff44766e31f38caf139a040224c037ebfab8f662050bb9b467c70db57d",
+    "--format json verify-all":
+        "c6c314245cc0e65ae5c062e772a52862cd13afdec82e0d76389ad86f9dac2140",
+    "ns catalogue":
+        "f53bbe1d200f0b83129a92f6750c914af02b91f7574da6723e83079f703c8cdf",
+    "height --sections P,Q,T1":
+        "3d335285adfceb755fa1b9784ca0f010e6de83c004013a294c895f6c68c1f08d",
+    "mult --n 6 --section Q --emit-param":
+        "d6ada5f67b0fc36eaa82cc67e2887d284f5e854af9401021b4a912881bd35c2e",
 }
 
 

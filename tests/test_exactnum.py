@@ -20,7 +20,6 @@ from zerodiag.exactnum import (
     nullspace,
     poly_gcd,
     poly_sqrt,
-    quad_sqrt,
     rat_sqrt,
     rational_roots,
     rref,
@@ -66,7 +65,9 @@ def test_quadelem_positivity_matches_real_embedding():
         approx = r + s * 3 ** 0.5
         if abs(approx) < 1e-6 or not x:
             continue
-        assert x.is_positive() == (approx > 0)
+        # s = 0 gives the Fraction r, which compares with 0 itself
+        positive = x > 0 if isinstance(x, F) else x.is_positive()
+        assert positive == (approx > 0)
     # a genuinely close case: 26 - 15*sqrt(3) = 0.019...
     assert QuadElem(26, -15).is_positive()
     assert not QuadElem(-26, 15).is_positive()
@@ -84,11 +85,11 @@ def test_quad_sqrt_roundtrip():
     for _ in range(40):
         x = QuadElem(F(rng.randint(-6, 6), rng.randint(1, 4)), rng.randint(-6, 6))
         sq = x * x
-        root = quad_sqrt(sq)
+        root = field_sqrt(sq)
         assert root is not None
         assert root * root == sq
-    assert quad_sqrt(QuadElem(0, 1)) is None  # sqrt(sqrt(3)) leaves the field
-    assert quad_sqrt(QuadElem(2, 0)) is None
+    assert field_sqrt(QuadElem(0, 1)) is None  # sqrt(sqrt(3)) leaves the field
+    assert field_sqrt(QuadElem(2, 0)) is None
 
 
 def test_field_sqrt():
@@ -115,7 +116,7 @@ def test_rref_nullspace_rank_over_quadratic_field():
     assert matrix_rank(rows) == 2
     for i, p in enumerate(pivots):
         assert [row[p] for row in reduced] == [int(i == r) for r in range(2)]
-    # rational QuadElems come back as Fractions
+    # rational values come back as Fractions
     assert type(reduced[0][3]) is F and reduced[0][3] == 2
     assert all(type(x) is F for x in reduced[1])
     basis = nullspace(rows)
@@ -154,8 +155,7 @@ def field_mul(f, g):
     if f.is_zero or g.is_zero:
         return Polynomial()
     a, b = f.coeffs, g.coeffs
-    za, _ = exactnum.field_zero_one(a[0] if a else 0)
-    out = [za] * (len(a) + len(b) - 1)
+    out = [F(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
@@ -248,8 +248,9 @@ def assert_identical(got, want):
 
 
 def kernel_samples(seed):
-    """Zero, constants and seeded random polynomials over Q, over Q(sqrt 3)
-    and over Q(sqrt 3) with rational values, with non-monic leads."""
+    """Zero, constants and seeded random polynomials over Q and over
+    Q(sqrt 3), with non-monic leads; those built from QuadElems with zero
+    sqrt 3 parts have rational values, so they are polynomials over Q."""
     rng = random.Random(seed)
     out = [Polynomial(), Polynomial([F(-3, 4)]), Polynomial([QuadElem(2, -1)]),
            Polynomial([QuadElem(F(5, 6))]), T, 7 * T - F(2, 9)]
@@ -360,8 +361,8 @@ def euclid_gcd(a, b):
 
 
 def assert_same_gcd(a, b):
-    """poly_gcd equals Euclid's answer, down to the field of every
-    coefficient (a rational gcd of a Q(sqrt 3) pair stays in Q(sqrt 3))."""
+    """poly_gcd equals Euclid's answer, down to the type of every
+    coefficient."""
     got, want = poly_gcd(a, b), euclid_gcd(a, b)
     assert got == want
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
@@ -543,7 +544,9 @@ def test_divides_is_exact_division():
             h = random_poly(rng, rng.randint(0, 8), not quad)
             q = exactnum._quotient(g * h, g)
             assert q == h
-            assert [type(c) for c in q.coeffs] == [QuadElem] * len(h.coeffs)
+            # a QuadElem exactly where the value is irrational
+            assert all(isinstance(c, QuadElem) == (c != conj(c))
+                       for c in q.coeffs)
             off = g * h + random_poly(rng, rng.randint(0, g.degree - 1), quad)
             want = h if field_divmod(off, g)[1].is_zero else None
             assert exactnum._quotient(off, g) == want
@@ -632,6 +635,8 @@ def test_poly_sqrt():
     assert poly_sqrt(f * (T + 1) ** 3) is None
     p = Polynomial([QuadElem(1, 1), QuadElem(0, 2), 1])
     assert poly_sqrt(p * p) is not None
+    # a rational lead whose root is irrational
+    assert poly_sqrt(3 * (T + 1) ** 2) in (SQRT3 * (T + 1), -SQRT3 * (T + 1))
 
 
 def test_rational_roots_against_divisor_oracle():
@@ -836,6 +841,78 @@ def test_reduced_results_take_no_gcd(monkeypatch):
                        RationalFunction(r.num ** 3, r.den ** 3),
                        RationalFunction(conj(r.num), conj(r.den))]
     assert ab == RationalFunction((T ** 2 + 1) * (T + 4), T * (T ** 3 + 2))
+
+
+def test_monic_denominator_takes_no_product(monkeypatch):
+    pairs = [((T - 1) * (T + 2), (T - 1) * (T + 5)),
+             (SQRT3 * T + 1, T ** 2 + 3),
+             (T ** 2 - 3, T - SQRT3),
+             (F(2, 3) * T, T ** 3 + SQRT3 * T)]
+    real, calls = Polynomial.__mul__, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    built = [RationalFunction(num, den) for num, den in pairs]
+    assert calls == []
+    monkeypatch.undo()
+    assert [(r.num, r.den) for r in built] == [
+        (T + 2, T + 5), (SQRT3 * T + 1, T ** 2 + 3), (T + SQRT3, 1),
+        (F(2, 3), T ** 2 + SQRT3)]
+
+
+def scalars(value):
+    """Every field element inside a scalar, Polynomial, Series,
+    RationalFunction or a list or tuple of them."""
+    if isinstance(value, (list, tuple)):
+        return [c for v in value for c in scalars(v)]
+    if isinstance(value, (Polynomial, Series)):
+        return list(value.coeffs)
+    if isinstance(value, RationalFunction):
+        return list(value.num.coeffs) + list(value.den.coeffs)
+    return [value]
+
+
+def test_one_representation_per_number():
+    assert type(QuadElem(5)) is F and QuadElem(5) == 5
+    assert type(QuadElem(F(1, 2), 0)) is F
+    rng = random.Random(71)
+    for _ in range(20):
+        x = QuadElem(F(rng.randint(-9, 9), rng.randint(1, 5)),
+                     F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)))
+        y = QuadElem(rng.randint(-9, 9), rng.randint(1, 9))
+        c = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        lin, lin_bar = T - x, T - conj(x)
+        quadratic = lin * lin_bar
+        # arithmetic in which every sqrt 3 part cancels
+        rational_valued = [
+            x * conj(x), x - x, x + conj(x), x + (c - x), (x + c) - x,
+            c - (c + x - x), x / x, (2 * x) / x, (x * c) / x, x * x / (x * x),
+            x ** 0, SQRT3 ** 2, (x * conj(x)) ** 3, x ** 2 / x ** 2,
+            (SQRT3 * x) * (conj(x) / SQRT3), 1 / x * x, c / x * (x / c),
+            rref([(x, x * c), (conj(x), conj(x) * c)])[0],
+            rref([(SQRT3, SQRT3 * c), (x, x * c)])[0],
+            quadratic, quadratic * (T + c), (SQRT3 * T) * (SQRT3 * T),
+            exactnum._quotient(quadratic * (T - y), T - y),
+            gcd_cofactors(quadratic * (T - 1), quadratic * (T + c)),
+            RationalFunction(quadratic, lin) - RationalFunction(lin_bar),
+            (Series([x, 1], 3) * Series([conj(x), -1], 3)
+             + Series([0, x - conj(x)], 3)),
+        ]
+        assert all(type(v) is F for v in scalars(rational_valued))
+        # results mixing rational and irrational values
+        mixed = [
+            nullspace([(x, SQRT3 * x, 1)]),
+            rref([(SQRT3, 3, x), (1, SQRT3, conj(x) + x - conj(x))])[0],
+            exactnum._quotient(quadratic * lin, lin),
+            gcd_cofactors(quadratic * (T - 1), quadratic * (T + y)),
+            gcd_cofactors(lin * (T - y), lin_bar * (T - y)),
+            Series([x, 1, y], 4) * Series([conj(x), -1, 2], 4),
+        ]
+        for v in scalars(mixed):
+            assert type(v) is F or (type(v) is QuadElem and v.s != 0), v
 
 
 def test_conjugation_lifts_through_tower():

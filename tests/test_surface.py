@@ -5,7 +5,7 @@ import pytest
 
 from zerodiag import surface
 from zerodiag.curve import named_sections
-from zerodiag.exactnum import Polynomial, rational_roots
+from zerodiag.exactnum import SQRT3, Polynomial, rational_roots
 from zerodiag.surface import (
     SEARCH_MAX,
     Parametrization,
@@ -249,6 +249,14 @@ def test_low_degree_parametrization():
     assert par.triple(F(3)) == (125, 99, 57)
     assert par.evaluate_projective(F(3)) == (190, -55, -135, 125, 99, 57)
     assert par.evaluate_projective(F(0)) == (-7, -2, 9, 7, 3, 3)
+
+
+def test_normalized_reads_values_not_types():
+    # sqrt3 * (sqrt3 / 3) is the rational 1, so the scaled tuple is par
+    par = low_degree_parametrization()
+    scaled = Parametrization(*(p * (SQRT3 * (SQRT3 / 3))
+                               for p in par.components()))
+    assert scaled.normalized().components() == par.normalized().components()
 
 
 def test_parametrization_verify_rejects_bad():
