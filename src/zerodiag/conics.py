@@ -25,7 +25,6 @@ All coefficients live in Q or Q(sqrt 3).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (
@@ -155,17 +154,6 @@ def _cubic_divisible(basis):
     return 3 not in pivots
 
 
-@lru_cache(maxsize=None)
-def _group_matrix(g):
-    cols = []
-    for j in range(_NVARS):
-        e = [0] * _NVARS
-        e[j] = 1
-        cols.append(g_apply(g, tuple(e)))
-    return tuple(tuple(Fraction(cols[j][i]) for j in range(_NVARS))
-                 for i in range(_NVARS))
-
-
 def conic_orbit(conic: Conic):
     """Orbit of a conic under the order-144 symmetry group.
 
@@ -174,11 +162,9 @@ def conic_orbit(conic: Conic):
     """
     planes = set()
     for g in group_elements():
-        mat = _group_matrix(g)
-        # form' = form o g^{-1}; the inverse of a signed permutation is
-        # its transpose
-        rows = [tuple(sum(row[i] * mat[j][i] for i in range(_NVARS))
-                      for j in range(_NVARS)) for row in conic.rows]
+        # form' = form o g^{-1}; a signed permutation is orthogonal, so
+        # g^{-1} moves a form as g moves a point
+        rows = [g_apply(g, row) for row in conic.rows]
         planes.add(tuple(rref(rows)[0]))
     return sorted((Conic(p) for p in planes), key=_sort_key)
 

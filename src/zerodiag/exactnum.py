@@ -1,7 +1,8 @@
 """Exact arithmetic substrate: rationals, Q(sqrt 3), dense polynomials,
 truncated power series, rational functions, the one row reduction over Q
-and Q(sqrt 3) that ranks, nullspaces and inverses elsewhere in the package
-are built on, and the certificate record every verified claim returns.
+and Q(sqrt 3) that conic planes, ranks and nullspaces are built on, and
+the certificate record every verified claim returns.  Integer matrices are
+inverted elsewhere, in lattice, without fractions.
 
 Everything here is exact.  Floats are rejected on input and never produced.
 Rationals are stdlib ``fractions.Fraction``; the quadratic field Q(sqrt 3)

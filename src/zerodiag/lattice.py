@@ -1,10 +1,12 @@
 """Exact integer lattice utilities.
 
 Gram matrices are lists of lists of ints (or Fractions where noted).
-Provided here: determinants, Smith normal form, discriminant groups of even
+Provided here: determinants and inverses, both from one fraction-free
+(Bareiss) Gauss-Jordan elimination, _bareiss, which keeps an inverse in
+integer form (det, adjugate); Smith normal form, discriminant groups of even
 lattices with their torsion quadratic form, enumeration of reduced positive
 definite even binary forms of given determinant, and the facts read off one
-fraction-free (Bareiss) symmetric elimination, _ldl: signatures, positive
+fraction-free symmetric elimination, _ldl: signatures, positive
 definiteness, and short vector enumeration by integer Fincke-Pohst, whose
 exact integer budget recognises a vector of norm exactly the bound without
 recomputing its norm.
@@ -13,19 +15,16 @@ recomputing its norm.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import product
+from math import isqrt, lcm, prod
 from operator import mul
-
-from .exactnum import rref
 
 
 def det(mat) -> Fraction:
     """Exact determinant: each row is scaled to integers by the lcm of its
-    denominators, Bareiss runs on the result, and the scales are divided
+    denominators, _bareiss runs on the result, and the scales are divided
     out again."""
     n = len(mat)
-    if n == 0:
-        return Fraction(1)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
     rows, scale = [], 1
@@ -34,35 +33,52 @@ def det(mat) -> Fraction:
         m = lcm(*(x.denominator for x in row))
         rows.append([int(x * m) for x in row])
         scale *= m
-    return Fraction(_bareiss(rows), scale)
-
-
-def _bareiss(mat) -> int:
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return Fraction(_bareiss(rows)[0], scale)
 
 
 def mat_inverse(mat):
-    """Exact inverse as Fractions: the right half of rref([A | I])."""
+    """Exact inverse in integer form: (d, adj) with mat^-1 = adj / d, d the
+    determinant and adj the adjugate.  Raises ValueError on a non-square
+    matrix or a non-integral entry, ZeroDivisionError on a singular one."""
     n = len(mat)
-    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                         for i, row in enumerate(mat)])
-    if pivots != list(range(n)):
+    if any(len(row) != n for row in mat):
+        raise ValueError("inverse of a non-square matrix")
+    d, adj = _bareiss([[_as_int(x) for x in row]
+                       + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(mat)])
+    if d == 0:
         raise ZeroDivisionError("singular matrix")
-    return [list(row[n:]) for row in rows]
+    return d, adj
+
+
+def _bareiss(aug):
+    """(det A, adj(A) B), or (0, None) for a singular A, by fraction-free
+    Gauss-Jordan on the integer rows [A | B], A their first n columns.
+
+    Step k swaps in a row with a nonzero entry in column k if row k has
+    none, and replaces every other row r by (p r - r[k] row_k) // prev, p
+    the pivot and prev the one before; each division is exact by
+    Sylvester's identity (Bareiss 1968).  The left block, of which step k
+    reads only the columns from k on, ends as D I with D = det(PA) for the
+    swaps P, so the right block ends as D A^-1 B.
+    """
+    m = [list(row) for row in aug]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        p, mk = m[k][k], m[k]
+        for mi in m[:k] + m[k + 1:]:
+            f = mi[k]
+            mi[k + 1:] = [(p * x - f * y) // prev
+                          for x, y in zip(mi[k + 1:], mk[k + 1:])]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def mat_vec(mat, vec):
@@ -171,7 +187,7 @@ def smith_normal_form(mat):
 class DiscriminantGroup:
     """L*/L of an even nondegenerate lattice, with its Q/2Z quadratic form."""
 
-    __slots__ = ("orders", "generators", "q_values", "gram")
+    __slots__ = ("orders", "generators", "pairings", "q_values", "gram")
 
     def __init__(self, gram):
         n = len(gram)
@@ -182,47 +198,46 @@ class DiscriminantGroup:
         d, uinv = smith_normal_form(gram)
         if len(d) != n:
             raise ValueError("degenerate lattice")
-        ginv = mat_inverse(gram)
-        orders, gens, qvals = [], [], []
-        for i in range(n):
-            if d[i] == 1:
-                continue
-            x = [uinv[r][i] for r in range(n)]  # class of e_i pulled back
-            w = mat_vec(ginv, x)                # generator in L* = G^-1 Z^n
-            q = vec_dot(x, mat_vec(ginv, x))    # w^T G w
-            orders.append(d[i])
-            gens.append(w)
-            qvals.append(_mod_2z(q))
-        object.__setattr__(self, "orders", tuple(orders))
-        object.__setattr__(self, "generators", tuple(tuple(g) for g in gens))
-        object.__setattr__(self, "q_values", tuple(qvals))
+        den, adj = mat_inverse(gram)
+        # x: the class of e_i pulled back; adj x / den: its generator in
+        # L* = G^-1 Z^n, and x . adj y / den = w_x^T G w_y
+        xs = [[uinv[r][i] for r in range(n)] for i in range(n) if d[i] != 1]
+        ys = [mat_vec(adj, x) for x in xs]
+        gens = tuple(tuple(Fraction(v, den) for v in y) for y in ys)
+        pairings = tuple(tuple(Fraction(vec_dot(x, y), den) for y in ys)
+                         for x in xs)
+        qvals = tuple(_mod_2z(row[k]) for k, row in enumerate(pairings))
+        object.__setattr__(self, "orders", tuple(e for e in d if e != 1))
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "pairings", pairings)
+        object.__setattr__(self, "q_values", qvals)
         object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
 
     def __setattr__(self, *a):
         raise AttributeError("DiscriminantGroup is immutable")
 
     def order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
+        return prod(self.orders)
 
     def all_q_values(self):
-        """The full multiset {q(x) : x in L*/L} as values in [0, 2)."""
-        from itertools import product
-
-        vals = []
-        for combo in product(*(range(d) for d in self.orders)):
-            x = [Fraction(0)] * len(self.gram)
-            for c, g in zip(combo, self.generators):
-                x = [xi + c * gi for xi, gi in zip(x, g)]
-            vals.append(_mod_2z(gram_pairing(self.gram, x, x)))
-        return sorted(vals)
+        """The full multiset {q(x) : x in L*/L} as values in [0, 2), each
+        q(sum c_i w_i) read off the pairing matrix of the generators."""
+        b = self.pairings
+        return sorted(_mod_2z(sum(ci * cj * bij for ci, row in zip(c, b)
+                                  for cj, bij in zip(c, row)))
+                      for c in product(*(range(e) for e in self.orders)))
 
 
 def _mod_2z(q: Fraction) -> Fraction:
     q = Fraction(q)
     return q - 2 * (q / 2).__floor__()
+
+
+def _as_int(x) -> int:
+    f = Fraction(x)
+    if f.denominator != 1:
+        raise ValueError("entry %s is not an integer" % (f,))
+    return f.numerator
 
 
 def _ldl(gram):
@@ -245,10 +260,7 @@ def _ldl(gram):
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            f = Fraction(gram[i][j])
-            if f.denominator != 1:
-                raise ValueError("gram entry %s is not an integer" % (f,))
-            a[i][j] = a[j][i] = f.numerator
+            a[i][j] = a[j][i] = _as_int(gram[i][j])
     live, order, rows, prev = list(range(n)), [], [], 1
     while live:
         p = next((i for i in live if a[i][i]), None)

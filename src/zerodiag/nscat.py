@@ -31,7 +31,6 @@ from .lattice import (
     DiscriminantGroup,
     _ldl,
     det,
-    gram_pairing,
     is_positive_definite,
     kummer_condition,
     mat_inverse,
@@ -94,7 +93,8 @@ def _degree_pairings():
 
 @lru_cache(maxsize=1)
 def _gram_inverse():
-    return mat_inverse([list(r) for r in ns_lattice()])
+    """(d, adj) with G^-1 = adj / d, d = det G = -48."""
+    return mat_inverse(ns_lattice())
 
 
 @lru_cache(maxsize=1)
@@ -167,13 +167,15 @@ def exceptional_class(point) -> tuple:
 
 
 def _solve_class(vec):
-    m = mat_vec(_gram_inverse(), [Fraction(x) for x in vec])
+    """The class c with G c = vec, by one exact division of adj vec by d."""
+    d, adj = _gram_inverse()
     out = []
-    for x in m:
-        if x.denominator != 1:
+    for row in adj:
+        q, r = divmod(vec_dot(row, vec), d)
+        if r:
             raise ArithmeticError(
                 "intersection vector %r is not integral in the basis" % (vec,))
-        out.append(int(x))
+        out.append(q)
     return tuple(out)
 
 
@@ -243,9 +245,8 @@ def _degree_kernel_basis():
         v[j - 1] = 1
         v[16] = -(w[j - 1] // 2)
         cols.append(tuple(v))
-    for c in cols:
-        if sum(wi * ci for wi, ci in zip(w, c)) != 0:
-            raise AssertionError("kernel basis vector has nonzero degree")
+    if any(degree(c) for c in cols):
+        raise AssertionError("kernel basis vector has nonzero degree")
     return tuple(cols)
 
 
@@ -253,29 +254,26 @@ def _degree_kernel_basis():
 def _kernel_form():
     """The negative of the Gram matrix on the degree kernel; positive
     definite by the index theorem."""
-    G = ns_lattice()
     cols = _degree_kernel_basis()
-    gv = [mat_vec([list(r) for r in G], list(c)) for c in cols]
-    A = [[-vec_dot(list(cols[i]), gv[j]) for j in range(len(cols))]
-         for i in range(len(cols))]
+    A = tuple(tuple(-pairing(u, v) for v in cols) for u in cols)
     if not is_positive_definite(A):
         raise RuntimeError("degree kernel is not negative definite")
-    return tuple(tuple(int(x) for x in row) for row in A)
+    return A
 
 
 def _kernel_equation(d: int, g: int):
     """(center, radius) of the genus equation: the degree-d class
     (d/2) e17 + sum_k z_k col_k has genus g iff Q(z + center) = radius,
     Q the kernel form and col_k the kernel basis."""
-    G = [list(r) for r in ns_lattice()]
-    A = [list(r) for r in _kernel_form()]
     m0 = [0] * RANK
     m0[16] = d // 2
-    gm0 = mat_vec(G, m0)
-    b = [vec_dot(list(c), gm0) for c in _degree_kernel_basis()]
-    beta = vec_dot(m0, gm0) - (2 * g - 2)
-    c0 = mat_vec(mat_inverse(A), b)
-    return [-x for x in c0], beta + vec_dot(c0, mat_vec(A, c0))
+    b = [pairing(c, m0) for c in _degree_kernel_basis()]
+    beta = pairing(m0, m0) - (2 * g - 2)
+    # c0 = A^-1 b = adj b / den for the kernel form A, and Q(c0) = b . c0
+    den, adj = mat_inverse(_kernel_form())
+    adj_b = mat_vec(adj, b)
+    return ([Fraction(-x, den) for x in adj_b],
+            beta + Fraction(vec_dot(b, adj_b), den))
 
 
 def enumerate_classes(d: int, g: int):
@@ -529,10 +527,10 @@ def decomposition_certificate() -> Certificate:
                   else sorted(set(offenders))))
 
     # index of the direct sum: discriminants already match, so it is one
-    stack = [list(v) for _, vs in groups for v in vs]
-    sub = [[gram_pairing(G, u, v) for v in stack] for u in stack]
+    stack = [v for _, vs in groups for v in vs]
+    sub = [[pairing(u, v) for v in stack] for u in stack]
     subdisc = det(sub)
-    index_sq = Fraction(subdisc, det(G))
+    index_sq = Fraction(subdisc, disc)
     ok = ok and index_sq == 1
     facts.append(("sublattice.disc", subdisc))
     facts.append(("sublattice.index", 1 if index_sq == 1 else index_sq))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import isqrt
@@ -5,6 +6,7 @@ from math import isqrt
 import pytest
 
 from zerodiag import nscat
+from zerodiag.exactnum import rref
 from zerodiag.lattice import (
     DiscriminantGroup,
     _ldl,
@@ -72,13 +74,78 @@ def test_mat_inverse_roundtrip():
         m = random_int_matrix(rng, 4)
         if det(m) != 0:
             break
-    inv = mat_inverse(m)
+    d, adj = mat_inverse(m)
     for i in range(4):
-        e = mat_vec(inv, mat_vec(m, [int(k == i) for k in range(4)]))
-        assert e == [F(int(k == i)) for k in range(4)]
+        e = mat_vec(adj, mat_vec(m, [int(k == i) for k in range(4)]))
+        assert e == [d * int(k == i) for k in range(4)]
     for singular in ([[1, 2], [2, 4]], [[0, 1], [0, 1]], [[1, 0], [0, 0]]):
         with pytest.raises(ZeroDivisionError):
             mat_inverse(singular)
+
+
+# -- the former Fraction inverse, kept as the oracle --------------------------
+
+
+def rref_inverse(mat):
+    # the right half of rref([A | I]) over Q
+    n = len(mat)
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [list(row[n:]) for row in rows]
+
+
+def _inverse_cases():
+    rng = random.Random(21)
+    for n in (1, 2, 3, 4, 6, 8):
+        for _ in range(8):
+            m = random_int_matrix(rng, n)
+            yield m
+            yield [[m[min(i, j)][max(i, j)] for j in range(n)]
+                   for i in range(n)]
+            lead = [list(row) for row in m]
+            lead[0][0] = 0
+            yield lead
+    # a pivot that vanishes midway, and row swaps of either parity
+    yield [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    for perm in itertools.permutations(range(4)):
+        yield [[(-1) ** i * int(j == perm[i]) for j in range(4)]
+               for i in range(4)]
+    yield E8
+    yield [list(row) for row in nscat.ns_lattice()]
+
+
+def test_mat_inverse_matches_rref_oracle():
+    swapped = singular = 0
+    for m in _inverse_cases():
+        n = len(m)
+        if det(m) == 0:
+            singular += 1
+            for inverse in (mat_inverse, rref_inverse):
+                with pytest.raises(ZeroDivisionError):
+                    inverse(m)
+            continue
+        swapped += m[0][0] == 0
+        d, adj = mat_inverse(m)
+        assert d == det(m)
+        assert all(type(x) is int for row in adj for x in row)
+        assert [[F(x, d) for x in row] for row in adj] == rref_inverse(m)
+        assert [[sum(adj[i][k] * m[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)] == \
+            [[d * int(i == j) for j in range(n)] for i in range(n)]
+    assert swapped > 20 and singular > 3
+
+
+def test_mat_inverse_rejects_non_integral_entries():
+    with pytest.raises(ValueError):
+        mat_inverse([[F(1, 2), 0], [0, 1]])
+    with pytest.raises(ValueError):
+        mat_inverse([[1, 2]])
+    # an integral Fraction entry is an integer
+    assert mat_inverse([[F(4, 2), 0], [0, 1]]) == (2, [[1, 0], [0, 2]])
+    # det scales rows first, so it keeps accepting rationals
+    assert det([[F(1, 2), 0], [0, 1]]) == F(1, 2)
 
 
 def test_smith_normal_form_divisibility_and_det():
@@ -125,6 +192,37 @@ def test_discriminant_group_negative_definite_rank_one():
     assert dg.orders == (24,)
     # q(generator) = -1/24 mod 2Z, canonical representative in [0, 2)
     assert dg.q_values == (F(47, 24),)
+
+
+def fraction_all_q_values(dg):
+    # the former loop: each element summed as a Fraction vector of L*
+    vals = []
+    for combo in itertools.product(*(range(d) for d in dg.orders)):
+        x = [F(0)] * len(dg.gram)
+        for c, g in zip(combo, dg.generators):
+            x = [xi + c * gi for xi, gi in zip(x, g)]
+        q = gram_pairing(dg.gram, x, x)
+        vals.append(q - 2 * (q / 2).__floor__())
+    return sorted(vals)
+
+
+@pytest.mark.parametrize("gram", [
+    "ns", [[2, 0], [0, 24]], [[4, 0], [0, 12]], [[6, 0], [0, 8]],
+    [[8, 4], [4, 8]], [[-24]],
+])
+def test_all_q_values_match_fraction_vector_oracle(gram):
+    if gram == "ns":
+        gram = [list(row) for row in nscat.ns_lattice()]
+    dg = DiscriminantGroup(gram)
+    gens = [list(w) for w in dg.generators]
+    assert dg.pairings == tuple(tuple(gram_pairing(gram, u, v) for v in gens)
+                                for u in gens)
+    # each generator lies in L* = G^-1 Z^n
+    for w in gens:
+        assert all(x.denominator == 1 for x in mat_vec(gram, w))
+    vals = dg.all_q_values()
+    assert vals == fraction_all_q_values(dg)
+    assert len(vals) == dg.order() == abs(det(gram))
 
 
 def char_poly(mat):

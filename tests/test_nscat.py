@@ -29,8 +29,9 @@ from zerodiag.exactnum import (
     nullspace,
     rref,
 )
-from zerodiag.lattice import det, signature
+from zerodiag.lattice import det, mat_vec, signature
 from zerodiag.mwlat import local_contribution, section_component
+from zerodiag.surface import g_apply, group_elements
 
 GRAM = nscat.ns_lattice()
 
@@ -270,6 +271,52 @@ def test_conic_orbit_verifies_each_conic_once(monkeypatch):
         calls.clear()
         assert len(conics.conic_orbit(cs[seed])) == size
         assert len(calls) == size
+
+
+def group_matrix(g):
+    # the former conics._group_matrix: column j is g applied to e_j
+    cols = [g_apply(g, tuple(int(i == j) for i in range(6))) for j in range(6)]
+    return tuple(tuple(Fraction(cols[j][i]) for j in range(6))
+                 for i in range(6))
+
+
+def test_conic_orbit_form_map_matches_group_matrix_oracle():
+    cs = conics.basis_conics()
+    for k in (1, 14, 15, 16):
+        assert any(isinstance(x, QuadElem) for row in cs[k].rows for x in row)
+    rows = [row for c in cs.values() for row in c.rows]
+    elements = group_elements()
+    assert len(elements) == 144
+    for g in elements:
+        mat = group_matrix(g)
+        for row in rows:
+            # the former product row . mat^T, the form moved by g^{-1}
+            old = tuple(sum(row[i] * mat[j][i] for i in range(6))
+                        for j in range(6))
+            assert g_apply(g, row) == old
+
+
+def test_solve_class_inverts_the_gram_on_the_catalogue():
+    classes = nscat.enumerate_classes(2, 0)
+    assert len(classes) == 441
+    for c in classes:
+        assert nscat._solve_class(mat_vec(GRAM, c)) == c
+
+
+def test_solve_class_raises_outside_the_gram_image():
+    # the Fraction solve of G x = e_i by rref is the oracle
+    outside = 0
+    for i in range(1, nscat.RANK + 1):
+        e = unit(i)
+        rows, _ = rref([list(GRAM[r]) + [e[r]] for r in range(nscat.RANK)])
+        x = [row[-1] for row in rows]
+        if all(v.denominator == 1 for v in x):
+            assert nscat._solve_class(e) == tuple(int(v) for v in x)
+            continue
+        outside += 1
+        with pytest.raises(ArithmeticError):
+            nscat._solve_class(e)
+    assert outside > 0
 
 
 def test_exceptional_classes():
