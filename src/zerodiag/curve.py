@@ -23,12 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .exactnum import (
     PoleError,
     Polynomial,
-    QuadElem,
     RationalFunction,
     SQRT3,
     Series,

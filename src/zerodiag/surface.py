@@ -112,60 +112,37 @@ def integral_eigenvalues(a: int, b: int, c: int):
 
 
 # the largest limit search accepts: search(2000) finds 125 triples in about
-# two minutes of CPU on one worker, and the time grows faster than limit^2
+# a minute and a half of CPU on one worker; its window scan does O(limit^3)
+# remainders, so the time grows about eightfold per doubling of the limit
 SEARCH_MAX = 2000
-
-
-def _smallest_prime_factors(n):
-    spf = list(range(n + 1))
-    for q in range(2, isqrt(n) + 1):
-        if spf[q] == q:
-            for k in range(q * q, n + 1, q):
-                if spf[k] == k:
-                    spf[k] = q
-    return spf
 
 
 def _search_range(x_values, limit):
     """The triples of search(limit) whose largest eigenvalue is in
     x_values, unsorted."""
-    spf = _smallest_prime_factors(2 * limit)
     p_max = 3 * limit * limit  # a^2 + b^2 + c^2 < 3 limit^2
     bc_max = limit * limit
+    bb_cc_max = limit * limit + (limit - 1) ** 2  # b < c <= limit
     found = []
     for x in x_values:
-        # spectrum (x, -m, -(x - m)); p rises as m falls
+        # spectrum (x, -m, -(x - m)); p rises and abc falls as m falls
+        hi = x // 2 + 1
         for m in range(x // 2, 0, -1):
             p = x * x - x * m + m * m
             if p >= p_max:
                 break
             # one of x, m, x - m is even, so abc is an integer
             abc = x * m * (x - m) // 2
-            exps = {}
-            for n in (x, m, x - m):
-                while n > 1:
-                    q = spf[n]
-                    exps[q] = exps.get(q, 0) + 1
-                    n //= q
-            exps[2] -= 1
-            # the divisors a of abc with a^3 < abc, a being the smallest
-            divisors = [1]
-            for q, e in exps.items():
-                grown = []
-                for d in divisors:
-                    for _ in range(e):
-                        d *= q
-                        if d * d * d >= abc:
-                            break
-                        grown.append(d)
-                divisors += grown
-            for a in divisors:
-                if a * bc_max < abc:
+            while (hi - 1) ** 3 >= abc:
+                hi -= 1  # the least hi with hi^3 >= abc
+            rest = p - bb_cc_max  # a^2 >= rest
+            lo = max(m + 1, -(-abc // bc_max),
+                     isqrt(rest - 1) + 1 if rest > 0 else 0)
+            for a in range(lo, hi):
+                if abc % a:
                     continue
                 bc = abc // a
                 s = p - a * a  # b^2 + c^2
-                if s <= 2 * bc:
-                    continue
                 uu, vv = s + 2 * bc, s - 2 * bc  # (c + b)^2, (c - b)^2
                 u, v = isqrt(uu), isqrt(vv)
                 # u^2 - v^2 = 4bc, so u and v have the same parity
@@ -192,14 +169,24 @@ def search(limit: int, workers: int = 1):
     The search runs from the eigenvalue side.  Such a spectrum is
     (x, -m, -(x - m)) with 1 <= m <= x/2, and it fixes
     p = a^2 + b^2 + c^2 = x^2 - xm + m^2 and abc = xm(x - m)/2; p < 3
-    limit^2 bounds x by 2 limit.  For each pair (x, m) the candidates for
-    the smallest entry a are the divisors of abc with
-    abc/limit^2 <= a < abc^(1/3), read off a smallest-prime-factor table
-    applied to x, m and x - m.  Then bc = abc/a, and b and c follow from
-    the two squares (c + b)^2 = p - a^2 + 2bc and (c - b)^2 =
-    p - a^2 - 2bc.  That is O(limit^2) pairs times their divisors,
-    against the O(limit^3) triples of a direct scan.  Each triple found
-    is checked once by integral_eigenvalues.
+    limit^2 bounds x by 2 limit.  The characteristic polynomial
+    f(l) = l^3 - pl - 2abc = (l - x)(l + m)(l + x - m) has
+    f(-a) = a(c - b)^2 > 0 as b != c, and the same with b or c in place
+    of a.  So every entry lies strictly between m and x - m, and
+
+        (c - b)^2 = (x + a)(a - m)(x - m - a)/a,
+        (c + b)^2 = (x - a)(a + m)(x - m + a)/a.
+
+    For each pair (x, m) the smallest entry a is therefore a divisor of
+    abc in the window max(m + 1, abc/limit^2, sqrt(p - limit^2 -
+    (limit - 1)^2)) <= a with a^3 < abc: bc <= limit^2 and
+    b^2 + c^2 <= limit^2 + (limit - 1)^2 because b < c <= limit.  The
+    window is scanned by remainders; the cube bound is a pointer that
+    only moves down as m falls, so everything stays in integers.  Then
+    bc = abc/a, and b and c follow from the two squares
+    (c + b)^2 = p - a^2 + 2bc and (c - b)^2 = p - a^2 - 2bc, the second
+    positive inside the window.  Each triple found is checked once by
+    integral_eigenvalues.
 
     Raises ValueError when limit is negative or above SEARCH_MAX.
     """

@@ -73,6 +73,8 @@ GOLDEN_STDOUT = {
         "3d335285adfceb755fa1b9784ca0f010e6de83c004013a294c895f6c68c1f08d",
     "mult --n 6 --section Q --emit-param":
         "d6ada5f67b0fc36eaa82cc67e2887d284f5e854af9401021b4a912881bd35c2e",
+    "search --max 250":
+        "1f2614383fe2c822e20295c24fa16fc3cfa2f5ae33c3c9ec88e007d5c5a452f6",
 }
 
 

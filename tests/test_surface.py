@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -104,7 +105,7 @@ def test_search_small_limit_brute_force():
     assert search(limit) == expected
 
 
-def _search_range(a_values, limit):
+def _bisection_range(a_values, limit):
     # oracle: the former search, one cubic bisection per triple a < b < c
     found = []
     for a in a_values:
@@ -116,13 +117,100 @@ def _search_range(a_values, limit):
     return found
 
 
-def test_search_matches_cubic_bisection_oracle():
-    top = 130
-    oracle = _search_range(range(1, top - 1), top)
-    for limit in range(top + 1):
-        expected = sorted((t for t in oracle if t[0][2] <= limit),
-                          key=lambda item: (item[0][2], item[0][0], item[0][1]))
+BISECTION_TOP = 130
+
+
+@pytest.fixture(scope="module")
+def bisection_oracle():
+    return _bisection_range(range(1, BISECTION_TOP - 1), BISECTION_TOP)
+
+
+def _by_c_a_b(found):
+    return sorted(found, key=lambda item: (item[0][2], item[0][0], item[0][1]))
+
+
+def test_search_matches_cubic_bisection_oracle(bisection_oracle):
+    for limit in range(BISECTION_TOP + 1):
+        expected = _by_c_a_b(t for t in bisection_oracle if t[0][2] <= limit)
         assert search(limit) == expected, limit
+
+
+def _smallest_prime_factors(n):
+    spf = list(range(n + 1))
+    for q in range(2, isqrt(n) + 1):
+        if spf[q] == q:
+            for k in range(q * q, n + 1, q):
+                if spf[k] == k:
+                    spf[k] = q
+    return spf
+
+
+def _search_range(x_values, limit):
+    """The triples of search(limit) whose largest eigenvalue is in
+    x_values, unsorted."""
+    spf = _smallest_prime_factors(2 * limit)
+    p_max = 3 * limit * limit  # a^2 + b^2 + c^2 < 3 limit^2
+    bc_max = limit * limit
+    found = []
+    for x in x_values:
+        # spectrum (x, -m, -(x - m)); p rises as m falls
+        for m in range(x // 2, 0, -1):
+            p = x * x - x * m + m * m
+            if p >= p_max:
+                break
+            # one of x, m, x - m is even, so abc is an integer
+            abc = x * m * (x - m) // 2
+            exps = {}
+            for n in (x, m, x - m):
+                while n > 1:
+                    q = spf[n]
+                    exps[q] = exps.get(q, 0) + 1
+                    n //= q
+            exps[2] -= 1
+            # the divisors a of abc with a^3 < abc, a being the smallest
+            divisors = [1]
+            for q, e in exps.items():
+                grown = []
+                for d in divisors:
+                    for _ in range(e):
+                        d *= q
+                        if d * d * d >= abc:
+                            break
+                        grown.append(d)
+                divisors += grown
+            for a in divisors:
+                if a * bc_max < abc:
+                    continue
+                bc = abc // a
+                s = p - a * a  # b^2 + c^2
+                if s <= 2 * bc:
+                    continue
+                uu, vv = s + 2 * bc, s - 2 * bc  # (c + b)^2, (c - b)^2
+                u, v = isqrt(uu), isqrt(vv)
+                # u^2 - v^2 = 4bc, so u and v have the same parity
+                if u * u != uu or v * v != vv:
+                    continue
+                b, c = (u - v) // 2, (u + v) // 2
+                if a < b and c <= limit:
+                    ev = (x, -m, -(x - m))
+                    if integral_eigenvalues(a, b, c) != ev:
+                        raise ArithmeticError(
+                            "triple %r does not have spectrum %r"
+                            % ((a, b, c), ev))
+                    found.append(((a, b, c), ev))
+    return found
+
+
+def test_search_matches_divisor_oracle():
+    # oracle: the former search, the divisors of abc per spectrum (x, m);
+    # its limit only drops triples with c > limit, so one run serves all
+    # smaller limits
+    oracle = _search_range(range(2, 2 * BISECTION_TOP + 1), BISECTION_TOP)
+    for limit in range(BISECTION_TOP + 1):
+        expected = _by_c_a_b(t for t in oracle if t[0][2] <= limit)
+        assert search(limit) == expected, limit
+    assert search(BISECTION_TOP, workers=2) == expected
+    assert search(250) == _by_c_a_b(_search_range(range(2, 501), 250))
 
 
 SEARCH_250 = [
@@ -134,6 +222,18 @@ SEARCH_250 = [
     ((23, 77, 247), (266, -13, -253)),
     ((114, 198, 250), (380, -110, -270)),
 ]
+
+
+def test_entries_interlace_the_spectrum(bisection_oracle):
+    # f(-a) = a(c - b)^2 > 0 and f(a) = -a(c + b)^2 for
+    # f(l) = (l - x)(l + m)(l + x - m): every entry lies in (m, x - m)
+    triples = bisection_oracle + SEARCH_250
+    assert len(triples) > len(SEARCH_250)
+    for (a, b, c), (x, neg_m, _) in triples:
+        m = -neg_m
+        assert m < a < b < c < x - m
+        assert (c - b) ** 2 * a == (x + a) * (a - m) * (x - m - a)
+        assert (c + b) ** 2 * a == (x - a) * (a + m) * (x - m + a)
 
 
 def test_search_to_250_checks_each_triple_once(monkeypatch):
