@@ -18,7 +18,6 @@ from .exactnum import (
     poly_sqrt,
     rat_sqrt,
     rational_roots,
-    squarefree_part,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "poly_sqrt",
     "rat_sqrt",
     "rational_roots",
-    "squarefree_part",
 ]
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ rendered exactly (integers, fractions, polynomials), never as floats,
 and row order is fixed, so output is byte-identical across runs.
 Check-style tables carry claim/computed/expected/status columns; the
 exit status is 0 when everything passed, 1 when a check failed and 2
-for usage errors.  The worker count for the triple search is taken from
+for usage errors.  The worker count for `search` is taken from
 --workers, falling back to the ZERODIAG_WORKERS environment variable,
 and capped at the CPU count.
 """
@@ -231,7 +231,7 @@ def cmd_checks(args) -> Report:
 
 
 def cmd_verify_all(args) -> Report:
-    return claims_report(None, args.workers)
+    return claims_report(None)
 
 
 # -- the claims registry -----------------------------------------------------
@@ -256,8 +256,7 @@ class _Run:
     each certificate among them, is built at most once; `built` keeps them
     in the order they were built."""
 
-    def __init__(self, workers):
-        self.workers = workers
+    def __init__(self):
         self.built = {}
 
     def get(self, fn):
@@ -297,7 +296,7 @@ CLAIMS = (
     ("eig.param_at_3", None,
      lambda r: r.get(surface.low_degree_parametrization)
      .evaluate_projective(3), (190, -55, -135, 125, 99, 57)),
-    ("search.114", None, lambda r: surface.search(114, workers=r.workers),
+    ("search.114", None, lambda r: surface.search(114),
      [((26, 51, 114), (136, -19, -117))]),
     ("locus.trivial_integers", None, lambda r: surface.integer_trivial_locus(
         r.get(surface.low_degree_parametrization)), [-2, -1, 0, 1, 2, 4, 10]),
@@ -390,11 +389,11 @@ CLAIMS = (
 )
 
 
-def claims_report(command, workers=1) -> Report:
+def claims_report(command) -> Report:
     """Check rows of the claims `command` prints, or of every claim when it
     is None, then one row per imported fact of the certificates they used,
     in the order the certificates were built."""
-    run = _Run(workers)
+    run = _Run()
     rows = []
     for claim, cmd, compute, expected in CLAIMS:
         if command is None or cmd == command:
@@ -503,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_checks)
 
     p = sub.add_parser("verify-all", help="run every check")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_verify_all)
 
     return parser

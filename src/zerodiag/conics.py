@@ -4,21 +4,27 @@ Every degree-2 curve on the surface is a smooth conic spanning a plane
 inside the hyperplane x+y+z = 0, and is cut out on that plane by the
 quadric q2 = xy+yz+zx+a^2+b^2+c^2 (the restriction of q2 to the plane of
 any of the conics handled here is nonzero, so it is the conic's own
-equation).  Each conic keeps a basis of its plane, and every query runs
-in those three plane coordinates.  Intersection numbers of strict
+equation).  Each conic keeps a basis of its plane and the double points
+of the surface it passes through (its nodes), and every query runs in
+those three plane coordinates.  Intersection numbers of strict
 transforms on the resolved surface reduce to linear algebra:
 
   * two distinct conics meet X along the intersection of their planes,
-    a line or a point, where the scheme is cut out by q2; the other
-    conic's equations, restricted to one conic's plane basis, are a 3x3
-    system whose solutions are that intersection;
+    a line or a point, where the scheme is cut out by q2.  The other
+    conic's equations, restricted to one conic's plane basis, form a 3x3
+    matrix R of rank at most 2 (x+y+z is among them and vanishes on the
+    plane).  A nonzero cross product of two rows of R is the meet point;
+    if every one is zero but R is not, R has rank 1 and the planes share
+    a line, on which the smooth conic q2 cuts a scheme of length 2;
   * blowing up an ordinary double point lowers a local intersection by
     one, so the corrected number is (total length) - (number of shared
-    double points);
+    double points).  A double point lies on both conics exactly when it
+    is a node of both, so the shared ones are the common nodes;
   * a conic meets the exceptional curve over a double point once iff it
     passes through the point;
   * the fiber class F satisfies F = H - [C0] for the fixed conic C0 cut
-    out by x = a = 0, so F.C = 2 - C.C0 for any other conic.
+    out by x = a = 0, so F.C = 2 - C.C0 for any conic, C0 itself
+    included.
 
 All coefficients live in Q or Q(sqrt 3).
 """
@@ -27,13 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import (
-    QuadElem,
-    field_sqrt,
-    nullspace,
-    reduced_nullspace,
-    rref,
-)
+from .exactnum import SQRT3, reduced_nullspace, rref
 from .surface import g_apply, group_elements, normalize_projective, singular_points
 
 _NVARS = 6  # coordinates (x, y, z, a, b, c)
@@ -56,12 +56,6 @@ _SUM_XYZ = (1, 1, 1, 0, 0, 0)
 def double_points():
     """The twelve ordinary double points, projectively normalized."""
     return tuple(normalize_projective(p) for p in singular_points())
-
-
-def _is_double_point(p):
-    if any(isinstance(x, QuadElem) for x in p):
-        return False
-    return normalize_projective(p) in double_points()
 
 
 class Conic:
@@ -178,49 +172,32 @@ def _combine(coeffs, vectors):
                  for k in range(_NVARS))
 
 
-def _line_zero_points(w0, w1):
-    """Points of the line span(w0, w1) where q2 vanishes, each listed
-    once, provided they are rational over Q(sqrt 3); an empty list means
-    a conjugate pair in a larger field (never a double point)."""
-    # 2 q2(s w0 + u w1) = a s^2 + b s u + c u^2
-    a, b, c = _polar(w0, w0), 2 * _polar(w0, w1), _polar(w1, w1)
-    if not a and not b and not c:
-        raise ArithmeticError("quadric vanishes on a line of the plane")
-    if not a:
-        if not b:
-            return [w0]  # c u^2
-        return [w0, _combine((-c, b), (w0, w1))]  # u (b s + c u)
-    disc = b * b - 4 * a * c
-    if not disc:
-        return [_combine((-b, 2 * a), (w0, w1))]
-    root = field_sqrt(disc)
-    if root is None:
-        return []
-    return [_combine((-b + root, 2 * a), (w0, w1)),
-            _combine((-b - root, 2 * a), (w0, w1))]
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
 def conic_intersection(c1: Conic, c2: Conic) -> int:
     """Intersection number of strict transforms on the resolved surface.
 
-    The planes meet where c2's equations vanish on c1's plane: the
-    nullspace of their 3x3 restriction to c1's basis, mapped back
-    through that basis, is empty, a point or a line.
+    The planes meet where c2's equations vanish on c1's plane, the kernel
+    of their 3x3 restriction R to c1's basis.  R has rank at most 2, so a
+    nonzero cross product of two of its rows spans that kernel, and the
+    meet is the point it gives through the basis; otherwise the meet is
+    a line.  The shared double points are the common nodes.
     """
     if c1 == c2:
         return -2  # smooth rational curve on a K3 surface
     restricted = [[_dot(row, w) for w in c1.basis] for row in c2.rows]
-    meet = [_combine(s, c1.basis) for s in nullspace(restricted)]
-    if len(meet) == 3:
+    shared = len(set(c1.nodes) & set(c2.nodes))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        s = _cross(restricted[i], restricted[j])
+        if any(s):
+            if shared:
+                return 0  # the common node is the meet point
+            return 1 if q2(_combine(s, c1.basis)) == 0 else 0
+    if not any(any(row) for row in restricted):
         raise ArithmeticError("distinct conics cannot share a plane here")
-    if not meet:
-        return 0
-    if len(meet) == 1:
-        q = meet[0]
-        if q2(q) != 0:
-            return 0
-        return 1 - (1 if _is_double_point(q) else 0)
-    shared = sum(1 for p in _line_zero_points(*meet) if _is_double_point(p))
     return 2 - shared
 
 
@@ -232,19 +209,17 @@ def conic_point_intersection(conic: Conic, point) -> int:
 
 # -- the named basis --------------------------------------------------------------
 
-SQ3 = QuadElem(0, 1)
-
 # linear forms as coefficient rows on (x, y, z, a, b, c)
 _BASIS_CONIC_FORMS = {
-    1: [(1, 0, 0, 2, 0, 0), (0, -SQ3, SQ3, 0, 2, 2)],
+    1: [(1, 0, 0, 2, 0, 0), (0, -SQRT3, SQRT3, 0, 2, 2)],
     3: [(0, 0, 0, 1, 1, 0), (0, -1, 0, 0, 0, 1)],
     5: [(1, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, -1)],
     7: [(0, 0, 0, 1, 0, 1), (0, 0, -1, 0, 1, 0)],
     10: [(1, 0, 0, -1, 0, 0), (0, 0, 0, 0, 1, 1)],
     12: [(0, 0, 0, 1, -1, 0), (0, 1, 0, 0, 0, 1)],
-    14: [(1, 0, 0, -2, 0, 0), (0, -SQ3, SQ3, 0, 2, -2)],
-    15: [(0, 0, 1, 0, -2, 0), (SQ3, -SQ3, 0, -2, 0, 2)],
-    16: [(1, 0, 0, -2, 0, 0), (0, SQ3, -SQ3, 0, 2, -2)],
+    14: [(1, 0, 0, -2, 0, 0), (0, -SQRT3, SQRT3, 0, 2, -2)],
+    15: [(0, 0, 1, 0, -2, 0), (SQRT3, -SQRT3, 0, -2, 0, 2)],
+    16: [(1, 0, 0, -2, 0, 0), (0, SQRT3, -SQRT3, 0, 2, -2)],
     17: [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)],
     18: [(0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0)],
     19: [(0, 0, 0, 1, 0, -1), (0, 1, 0, 0, 1, 0)],
@@ -283,10 +258,7 @@ def base_conic():
 
 
 def _fiber_intersection_with_conic(conic: Conic) -> int:
-    c0 = base_conic()
-    if conic == c0:
-        return 4  # F.C0 = H.C0 - C0^2 = 2 + 2
-    return 2 - conic_intersection(conic, c0)
+    return 2 - conic_intersection(conic, base_conic())
 
 
 def intersection_vector(obj):

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: rationals, Q(sqrt 3), dense polynomials,
 truncated power series, rational functions, the one row reduction over Q
-and Q(sqrt 3) that conic planes, ranks and nullspaces are built on, and
+and Q(sqrt 3) that conic planes and ranks are built on, and
 the certificate record every verified claim returns.  Integer matrices are
 inverted elsewhere, in lattice, without fractions.
 
@@ -247,15 +247,9 @@ def rref(rows):
     return [tuple(row) for row in m[:r]], pivots
 
 
-def nullspace(rows):
-    """Basis of the solution space of the linear forms."""
-    reduced, pivots = rref(rows)
-    return reduced_nullspace(reduced, pivots, len(rows[0]))
-
-
 def reduced_nullspace(reduced, pivots, nc):
-    """nullspace of forms in nc variables that rref has already reduced
-    to (reduced, pivots)."""
+    """Basis of the solution space of forms in nc variables that rref has
+    already reduced to (reduced, pivots)."""
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for f in free:
@@ -840,35 +834,6 @@ def gcd_cofactors(a: Polynomial, b: Polynomial):
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over Q or Q(sqrt 3): the first item of gcd_cofactors."""
     return gcd_cofactors(a, b)[0]
-
-
-def squarefree_decomposition(f: Polynomial):
-    """Yun's algorithm: return [(g1, 1), (g2, 2), ...] with f = lc * prod gi^i."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    f = f.monic()
-    out = []
-    _, b, c = gcd_cofactors(f, f.derivative())
-    i = 1
-    while b.degree > 0:
-        g, b, c = gcd_cofactors(b, c - b.derivative())
-        if g.degree > 0:
-            out.append((g, i))
-        i += 1
-    return out
-
-
-def squarefree_part(f: Polynomial) -> Polynomial:
-    """Monic product of the irreducible factors of f of odd multiplicity.
-
-    That is the square class of f in F(t)^* / squares up to a constant:
-    f / squarefree_part(f) is a perfect square times a constant.
-    """
-    out = Polynomial([1])
-    for g, mult in squarefree_decomposition(f):
-        if mult % 2 == 1:
-            out = out * g
-    return out
 
 
 def poly_sqrt(f: Polynomial):

@@ -37,8 +37,8 @@ from .exactnum import (
     field_sqrt,
     newton_steps,
     poly_gcd,
+    poly_sqrt,
     rational_roots,
-    squarefree_part,
 )
 from .curve import (
     CurvePoint,
@@ -330,11 +330,15 @@ def torsion_points():
 
 def is_square_in_function_field(rf: RationalFunction) -> bool:
     """Squareness of u in the function field over the algebraic closure of
-    the constants: both squarefree parts must be constant."""
+    the constants: the monic numerator and the denominator must be squares.
+    A monic polynomial that is a square over the algebraic closure has its
+    monic root over its own coefficient field already (the root's
+    coefficients follow from the top one down by field operations), so
+    poly_sqrt decides it."""
     if rf.is_zero:
         return True
-    return (squarefree_part(rf.num).degree == 0
-            and squarefree_part(rf.den).degree == 0)
+    return (poly_sqrt(rf.num.monic()) is not None
+            and poly_sqrt(rf.den) is not None)
 
 
 def torsion_certificate() -> Certificate:

@@ -121,7 +121,6 @@ def _search_range(x_values, limit):
     """The triples of search(limit) whose largest eigenvalue is in
     x_values, unsorted."""
     p_max = 3 * limit * limit  # a^2 + b^2 + c^2 < 3 limit^2
-    bc_max = limit * limit
     bb_cc_max = limit * limit + (limit - 1) ** 2  # b < c <= limit
     found = []
     for x in x_values:
@@ -136,8 +135,7 @@ def _search_range(x_values, limit):
             while (hi - 1) ** 3 >= abc:
                 hi -= 1  # the least hi with hi^3 >= abc
             rest = p - bb_cc_max  # a^2 >= rest
-            lo = max(m + 1, -(-abc // bc_max),
-                     isqrt(rest - 1) + 1 if rest > 0 else 0)
+            lo = max(m + 1, isqrt(rest - 1) + 1 if rest > 0 else 0)
             for a in range(lo, hi):
                 if abc % a:
                     continue
@@ -178,9 +176,11 @@ def search(limit: int, workers: int = 1):
         (c + b)^2 = (x - a)(a + m)(x - m + a)/a.
 
     For each pair (x, m) the smallest entry a is therefore a divisor of
-    abc in the window max(m + 1, abc/limit^2, sqrt(p - limit^2 -
-    (limit - 1)^2)) <= a with a^3 < abc: bc <= limit^2 and
-    b^2 + c^2 <= limit^2 + (limit - 1)^2 because b < c <= limit.  The
+    abc in the window max(m + 1, sqrt(p - limit^2 - (limit - 1)^2)) <= a
+    with a^3 < abc, because b^2 + c^2 <= limit^2 + (limit - 1)^2 when
+    b < c <= limit.  (A bound a >= abc/limit^2 would add nothing: a
+    smaller a makes bc > limit^2, so c > limit, which the final c <= limit
+    test rejects.)  The
     window is scanned by remainders; the cube bound is a pointer that
     only moves down as m falls, so everything stays in integers.  Then
     bc = abc/a, and b and c follow from the two squares

@@ -314,7 +314,7 @@ def test_torsion_heights_are_read_from_the_certificate(monkeypatch):
         return real(pt, fib)
 
     monkeypatch.setattr(cli.mwlat, "section_component", counted)
-    run = cli._Run(1)
+    run = cli._Run()
     run.cert("tor")
     # T1, T2 and T1 + T2, once per bad fiber
     assert len(calls) == len(set(calls)) == 3 * 6
@@ -344,6 +344,10 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as e:
         cli.main(["--format", "xml", "fibers"])
     assert e.value.code == 2
+    # verify-all runs on one process and takes no worker count
+    with pytest.raises(SystemExit) as e:
+        cli.main(["verify-all", "--workers", "0"])
+    assert e.value.code == 2
     capsys.readouterr()
 
     for argv in (["ns", "count-classes", "--degree", "3", "--genus", "0"],
@@ -364,8 +368,7 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
                  ["search", "--max", "30", "--workers", "0"],
                  ["search", "--max", "30", "--workers", "-3"],
                  ["search", "--max", "2001"],
-                 ["search", "--max", "-1"],
-                 ["verify-all", "--workers", "0"]):
+                 ["search", "--max", "-1"]):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv

@@ -17,17 +17,21 @@ from zerodiag.exactnum import (
     field_sqrt,
     gcd_cofactors,
     matrix_rank,
-    nullspace,
     poly_gcd,
     poly_sqrt,
     rat_sqrt,
     rational_roots,
+    reduced_nullspace,
     rref,
-    squarefree_decomposition,
-    squarefree_part,
 )
 
 T = Polynomial.gen()
+
+
+def nullspace(rows):
+    """Basis of the solution space of the linear forms."""
+    reduced, pivots = rref(rows)
+    return reduced_nullspace(reduced, pivots, len(rows[0]))
 
 
 def test_floats_rejected():
@@ -606,6 +610,32 @@ def test_gcd_cofactors_are_the_exact_quotients():
     assert nontrivial >= 60
 
 
+def squarefree_decomposition(f):
+    # Yun's algorithm, formerly in exactnum, kept as the oracle of the
+    # squareness test: [(g1, 1), (g2, 2), ...] with f = lc * prod gi^i
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    f = f.monic()
+    out = []
+    _, b, c = gcd_cofactors(f, f.derivative())
+    i = 1
+    while b.degree > 0:
+        g, b, c = gcd_cofactors(b, c - b.derivative())
+        if g.degree > 0:
+            out.append((g, i))
+        i += 1
+    return out
+
+
+def squarefree_part(f):
+    # monic product of the irreducible factors of odd multiplicity
+    out = Polynomial([1])
+    for g, mult in squarefree_decomposition(f):
+        if mult % 2 == 1:
+            out = out * g
+    return out
+
+
 def test_squarefree_part_of_cubic():
     # f = t^3 - 3t + 2 = (t-1)^2 (t+2); odd-multiplicity product is t + 2
     f = T ** 3 - 3 * T + 2
@@ -626,6 +656,35 @@ def test_squarefree_decomposition_reconstructs():
     for g, m in squarefree_decomposition(f):
         rebuilt = rebuilt * g ** m
     assert rebuilt == f.monic()
+
+
+def test_squareness_by_poly_sqrt_against_yun_oracle():
+    # u of mP + nQ + T for |m|, |n| <= 3 and the four torsion sections:
+    # poly_sqrt of the monic numerator and of the denominator against
+    # constant squarefree parts
+    from zerodiag.curve import named_sections, param_to_point
+    from zerodiag.mwlat import is_square_in_function_field, torsion_points
+
+    secs = named_sections()
+    p, q = (param_to_point(secs[k]) for k in ("P", "Q"))
+    multiples = {k: (k * p, k * q) for k in range(-3, 4)}
+    squares = cases = 0
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            base = multiples[m][0] + multiples[n][1]
+            for t in torsion_points().values():
+                pt = base + t
+                if pt.is_infinity:
+                    continue
+                u = pt.u
+                expected = u.is_zero or (
+                    squarefree_part(u.num).degree == 0
+                    and squarefree_part(u.den).degree == 0)
+                assert is_square_in_function_field(u) == expected, (m, n)
+                squares += expected
+                cases += 1
+    # O itself is skipped; u = 0 at one 2-torsion section
+    assert (cases, squares) == (195, 9)
 
 
 def test_poly_sqrt():

@@ -26,12 +26,12 @@ from zerodiag.exactnum import (
     QuadElem,
     field_sqrt,
     matrix_rank,
-    nullspace,
+    reduced_nullspace,
     rref,
 )
 from zerodiag.lattice import det, mat_vec, signature
 from zerodiag.mwlat import local_contribution, section_component
-from zerodiag.surface import g_apply, group_elements
+from zerodiag.surface import g_apply, group_elements, normalize_projective
 
 GRAM = nscat.ns_lattice()
 
@@ -102,6 +102,17 @@ def test_conic_engine_values():
     assert conics.conic_point_intersection(cs[17], conics.basis_points()[2]) == 0
 
 
+def nullspace(rows):
+    reduced, pivots = rref(rows)
+    return reduced_nullspace(reduced, pivots, len(rows[0]))
+
+
+def former_is_double_point(p):
+    if any(isinstance(x, QuadElem) for x in p):
+        return False
+    return normalize_projective(p) in conics.double_points()
+
+
 def former_line_zero_points(w0, w1):
     # q2 on span(w0, w1) is a s^2 + b s u + c u^2
     a, c = conics.q2(w0), conics.q2(w1)
@@ -139,9 +150,9 @@ def stacked_conic_intersection(c1, c2):
         q = nullspace(stacked)[0]
         if conics.q2(q) != 0:
             return 0
-        return 1 - (1 if conics._is_double_point(q) else 0)
+        return 1 - (1 if former_is_double_point(q) else 0)
     points = former_line_zero_points(*nullspace(stacked))
-    return 2 - sum(1 for p in points if conics._is_double_point(p))
+    return 2 - sum(1 for p in points if former_is_double_point(p))
 
 
 def contains_form_by_rref(conic, form):
@@ -150,18 +161,22 @@ def contains_form_by_rref(conic, form):
 
 
 def test_conic_engine_against_stacked_rref_oracle():
-    # every pair the Gram matrix and the classes are built from: each of
-    # the 63 conics against the 12 basis conics and the base conic
-    fixed = list(conics.basis_conics().values()) + [conics.base_conic()]
+    # every pair of the 63 conics, in both orders; the 12 basis conics
+    # and the base conic are among them, so this covers every pair the
+    # Gram matrix and the classes are built from
     everything = [c for orb in nscat.strict_transform_conics().values()
                   for c in orb]
-    values = set()
-    for c in everything:
-        for f in fixed:
-            got = conics.conic_intersection(c, f)
-            assert got == stacked_conic_intersection(c, f), (c, f)
-            values.add(got)
-    assert values == {-2, 0, 1, 2}
+    fixed = list(conics.basis_conics().values()) + [conics.base_conic()]
+    assert set(fixed) <= set(everything)
+    counts = {}
+    for i, c in enumerate(everything):
+        for d in everything[i:]:
+            got = conics.conic_intersection(c, d)
+            assert got == stacked_conic_intersection(c, d), (c, d)
+            assert conics.conic_intersection(d, c) == got, (c, d)
+            counts[got] = counts.get(got, 0) + 1
+    assert len(everything) == 63
+    assert counts == {-2: 63, 0: 1107, 1: 738, 2: 108}
     forms = [nscat._fiber_form(fib.place)
              for fib in tate_classify(family_model())]
     assert len(forms) == 6
