@@ -26,15 +26,38 @@ transforms on the resolved surface reduce to linear algebra:
     out by x = a = 0, so F.C = 2 - C.C0 for any conic, C0 itself
     included.
 
-All coefficients live in Q or Q(sqrt 3).
+All of this runs on integers.  A plane is given over Q(sqrt 3), and each
+conic takes the integer form of its plane once: its three equations and
+its three basis vectors, each a pair of integer lists (x, y) with entries
+x + y*sqrt3 (exactnum._integer_parts), every vector scaled by its own
+integer d > 0.  An element of Z[sqrt 3] is a pair (re, im), with
+(a, b)(c, d) = (ac + 3bd, ad + bc), and is zero iff both parts are.  No
+test here sees the scales: a form vanishing, a cross product or the
+polar determinant being zero and q2 vanishing at a point are unchanged
+by positive factors, and the divisibility of restricted forms by a
+change of plane coordinates.  Points and forms with coefficients in Q or
+Q(sqrt 3) are taken to their integer form first.  The reduced equations
+over Q(sqrt 3), the conic's rows, are kept only as the plane's identity:
+equality, hashing and the order of an orbit.
+
+The orbit of a conic under the 144 symmetries is read off the stabilizer
+of its plane, the g whose moved equations vanish on its basis: g and g*h
+move the plane alike for h in it, so one conic is built per coset g*Stab.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
-from .exactnum import SQRT3, reduced_nullspace, rref
-from .surface import g_apply, group_elements, normalize_projective, singular_points
+from .exactnum import SQRT3, _integer_parts, reduced_nullspace, rref
+from .surface import (
+    g_apply,
+    g_compose,
+    group_elements,
+    normalize_projective,
+    singular_points,
+)
 
 _NVARS = 6  # coordinates (x, y, z, a, b, c)
 
@@ -61,43 +84,42 @@ def double_points():
 class Conic:
     """A plane conic on the surface, identified by its canonical plane.
 
-    rows are the reduced equations of the plane (x+y+z = 0 among them),
-    basis is a basis of the plane itself, and nodes are the double points
-    of the surface that lie on the conic.
+    rows are the reduced equations of the plane over Q(sqrt 3) (x+y+z = 0
+    among them), its identity; equations are the same three forms and
+    basis a basis of the plane itself, both in integer form; nodes are
+    the double points of the surface that lie on the conic.
     """
 
-    __slots__ = ("rows", "basis", "nodes")
+    __slots__ = ("rows", "equations", "basis", "nodes")
 
     def __init__(self, forms):
         rows, pivots = rref(list(forms) + [_SUM_XYZ])
         if len(rows) != 3:
             raise ValueError("plane of a conic must have codimension 3")
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "basis",
-                           tuple(reduced_nullspace(rows, pivots, _NVARS)))
-        # q2 cuts a smooth conic iff its polar form is nondegenerate here
-        (a, b, c), (d, e, f), (g, h, k) = (
-            [_polar(u, v) for v in self.basis] for u in self.basis)
-        det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
-        if det == 0:
+        object.__setattr__(self, "equations",
+                           tuple(_integer_form(row) for row in rows))
+        object.__setattr__(self, "basis", tuple(
+            _integer_form(w) for w in reduced_nullspace(rows, pivots, _NVARS)))
+        if not any(_polar_det(self.basis)):
             raise ValueError("quadric is degenerate on the plane; not a "
                              "smooth conic")
         if not _cubic_divisible(self.basis):
             raise ValueError("conic does not lie on the surface")
         object.__setattr__(self, "nodes", tuple(
-            p for p in double_points() if self.contains(p)))
+            p for p in double_points() if _on_conic(self, (p, _ZEROS))))
 
     def __setattr__(self, *a):
         raise AttributeError("Conic is immutable")
 
     def contains(self, p) -> bool:
-        return (all(_dot(row, p) == 0 for row in self.rows)
-                and q2(p) == 0)
+        """Whether a point, coordinates in Q or Q(sqrt 3), is on the conic."""
+        return _on_conic(self, _integer_form(p))
 
     def contains_form(self, form) -> bool:
         """Whether a linear form vanishes on the whole conic, i.e. on the
         three basis vectors of its plane."""
-        return all(_dot(form, w) == 0 for w in self.basis)
+        return _vanishes(_integer_form(form), self.basis)
 
     def __eq__(self, other):
         if not isinstance(other, Conic):
@@ -111,16 +133,93 @@ class Conic:
         return "Conic(%s)" % (self.rows,)
 
 
-def _dot(row, p):
-    return sum(r * x for r, x in zip(row, p) if r and x)
+# -- Z[sqrt 3] in integer form ----------------------------------------------------
 
 
-def _polar(u, v):
-    """The polar form q2(u + v) - q2(u) - q2(v) of the quadric."""
-    x, y, z, a, b, c = u
-    X, Y, Z, A, B, C = v
-    return (x * (Y + Z) + y * (X + Z) + z * (X + Y)
+def _integer_form(vector):
+    """A vector over Q(sqrt 3) as integer tuples (x, y), entries
+    x + y*sqrt3, scaled by a positive integer."""
+    x, y, _ = _integer_parts(vector)
+    return tuple(x), tuple(y)
+
+
+_ZEROS = (0,) * _NVARS  # the sqrt 3 part of an integer point
+
+
+def _on_conic(conic, p):
+    """Whether a point in integer form lies on the conic."""
+    return _vanishes(p, conic.equations) and not any(_q2(p))
+
+
+def _mul(u, v):
+    return u[0] * v[0] + 3 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _minor(u, v, w, z):
+    """The determinant uz - vw of [[u, v], [w, z]] over Z[sqrt 3]."""
+    (a, A), (b, B), (c, C), (d, D) = u, v, w, z
+    return a * d + 3 * A * D - b * c - 3 * B * C, a * D + A * d - b * C - B * c
+
+
+def _dot(form, p):
+    """A linear form at a point, both in integer form."""
+    (fx, fy), (px, py) = form, p
+    return (sum(map(mul, fx, px)) + 3 * sum(map(mul, fy, py)),
+            sum(map(mul, fx, py)) + sum(map(mul, fy, px)))
+
+
+def _vanishes(u, vs):
+    """Whether the dot product of u with each of vs is zero: a point on
+    forms, or a form on points, all in integer form."""
+    return all(not any(_dot(v, u)) for v in vs)
+
+
+def _combine(coeffs, vectors):
+    """The vector sum of coeffs[k] * vectors[k], all in integer form."""
+    x, y = [0] * _NVARS, [0] * _NVARS
+    for (s, t), (wx, wy) in zip(coeffs, vectors):
+        x = [a + s * u + 3 * t * v for a, u, v in zip(x, wx, wy)]
+        y = [b + s * v + t * u for b, u, v in zip(y, wx, wy)]
+    return x, y
+
+
+def _cross(u, v):
+    """Cross product of two 3-vectors over Z[sqrt 3]."""
+    return (_minor(u[1], u[2], v[1], v[2]), _minor(u[2], u[0], v[2], v[0]),
+            _minor(u[0], u[1], v[0], v[1]))
+
+
+def _q2(p):
+    """q2 at a point in integer form."""
+    (x, y, z, a, b, c), (X, Y, Z, A, B, C) = p
+    return (x * y + y * z + z * x + a * a + b * b + c * c
+            + 3 * (X * Y + Y * Z + Z * X + A * A + B * B + C * C),
+            x * Y + X * y + y * Z + Y * z + z * X + Z * x
             + 2 * (a * A + b * B + c * C))
+
+
+def _q3(p):
+    """q3 at a point in integer form."""
+    (x, y, z, a, b, c), (X, Y, Z, A, B, C) = p
+    xyz = _mul(_mul((x, X), (y, Y)), (z, Z))
+    abc = _mul(_mul((a, A), (b, B)), (c, C))
+    return xyz[0] - 2 * abc[0], xyz[1] - 2 * abc[1]
+
+
+def _polar_form(p):
+    """The linear form v -> q2(p + v) - q2(p) - q2(v), in integer form."""
+    return tuple((y + z, x + z, x + y, 2 * a, 2 * b, 2 * c)
+                 for x, y, z, a, b, c in p)
+
+
+def _polar_det(basis):
+    """Determinant of the polar form of q2 on a plane basis in integer
+    form; q2 cuts a smooth conic iff it is nonzero."""
+    gram = [[_dot(_polar_form(u), v) for v in basis] for u in basis]
+    (a, A), (b, B), (c, C) = gram[0]
+    (d, D), (e, E), (f, F) = _cross(gram[1], gram[2])
+    return (a * d + 3 * A * D + b * e + 3 * B * E + c * f + 3 * C * F,
+            a * D + A * d + b * E + B * e + c * F + C * f)
 
 
 # the principal lattice of degree three: s0 + s1 + s2 = 3, s >= 0
@@ -130,51 +229,62 @@ _CUBIC_NODES = tuple((s0, s1, 3 - s0 - s1)
 
 def _cubic_divisible(basis):
     """Whether the cubic q3 restricted to the plane is a multiple of the
-    restricted quadric, i.e. whether the conic lies on the surface.
+    restricted quadric, i.e. whether the conic lies on the surface; basis
+    is in integer form.
 
     Both restrictions are forms in the three plane coordinates.  The
     multiplier, if any, is a linear form; solving for it on the ten
     _CUBIC_NODES is conclusive because they are unisolvent for ternary
     cubic forms: the four of them on the line s0 = 0 force a vanishing
     cubic to be divisible by s0, the quotient vanishes on the three with
-    s0 = 1, and so on down.
+    s0 = 1, and so on down.  It exists iff the column of q3 values is
+    not a pivot column of the 10x4 system, which a division-free
+    elimination over Z[sqrt 3] decides: each step replaces every other
+    row r by lead*r - r0*top, with top the first row whose leading entry
+    lead is nonzero and r0 the leading entry of r, and drops top and the
+    leading column.
     """
     rows = []
-    for s0, s1, s2 in _CUBIC_NODES:
-        p = tuple(s0 * u + s1 * v + s2 * w for u, v, w in zip(*basis))
-        q = q2(p)
-        rows.append((q * s0, q * s1, q * s2, q3(p)))
-    reduced, pivots = rref(rows)
-    return 3 not in pivots
+    for s in _CUBIC_NODES:
+        p = _combine([(k, 0) for k in s], basis)
+        q = _q2(p)
+        rows.append([(q[0] * k, q[1] * k) for k in s] + [_q3(p)])
+    for _ in range(3):  # the columns of the multiplier
+        k = next((i for i, row in enumerate(rows) if any(row[0])), None)
+        if k is not None:
+            top = rows.pop(k)
+            rows = [[_minor(top[0], t, row[0], r)
+                     for t, r in zip(top, row)] for row in rows]
+        rows = [row[1:] for row in rows]
+    return not any(any(row[0]) for row in rows)
 
 
 def conic_orbit(conic: Conic):
     """Orbit of a conic under the order-144 symmetry group.
 
-    Image planes are canonicalised by rref and deduplicated first, so
-    each distinct conic is built, and verified, once.
+    The stabilizer of the plane is the set of g whose moved equations
+    vanish on the conic's basis; g and g*h, h in the stabilizer, move
+    the plane alike, so one conic is built, and verified, per coset.
     """
-    planes = set()
-    for g in group_elements():
-        # form' = form o g^{-1}; a signed permutation is orthogonal, so
-        # g^{-1} moves a form as g moves a point
-        rows = [g_apply(g, row) for row in conic.rows]
-        planes.add(tuple(rref(rows)[0]))
-    return sorted((Conic(p) for p in planes), key=_sort_key)
+    # form' = form o g^{-1}; a signed permutation is orthogonal, so
+    # g^{-1} moves a form as g moves a point
+    group = group_elements()
+    stabilizer = [g for g in group if all(
+        _vanishes((g_apply(g, x), g_apply(g, y)), conic.basis)
+        for x, y in conic.equations)]
+    covered, orbit = set(), []
+    for g in group:
+        if g not in covered:
+            covered.update(g_compose(g, h) for h in stabilizer)
+            orbit.append(Conic([g_apply(g, row) for row in conic.rows]))
+    if len(orbit) * len(stabilizer) != len(group):
+        raise ArithmeticError("the stabilizer of %r is not a subgroup"
+                              % (conic,))
+    return sorted(orbit, key=_sort_key)
 
 
 def _sort_key(conic):
     return tuple(tuple(str(x) for x in row) for row in conic.rows)
-
-
-def _combine(coeffs, vectors):
-    return tuple(sum(s * w[k] for s, w in zip(coeffs, vectors) if s and w[k])
-                 for k in range(_NVARS))
-
-
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
 
 
 def conic_intersection(c1: Conic, c2: Conic) -> int:
@@ -188,15 +298,15 @@ def conic_intersection(c1: Conic, c2: Conic) -> int:
     """
     if c1 == c2:
         return -2  # smooth rational curve on a K3 surface
-    restricted = [[_dot(row, w) for w in c1.basis] for row in c2.rows]
+    restricted = [[_dot(row, w) for w in c1.basis] for row in c2.equations]
     shared = len(set(c1.nodes) & set(c2.nodes))
     for i, j in ((0, 1), (0, 2), (1, 2)):
         s = _cross(restricted[i], restricted[j])
-        if any(s):
+        if any(map(any, s)):
             if shared:
                 return 0  # the common node is the meet point
-            return 1 if q2(_combine(s, c1.basis)) == 0 else 0
-    if not any(any(row) for row in restricted):
+            return 0 if any(_q2(_combine(s, c1.basis))) else 1
+    if not any(any(map(any, row)) for row in restricted):
         raise ArithmeticError("distinct conics cannot share a plane here")
     return 2 - shared
 

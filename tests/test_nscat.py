@@ -10,11 +10,16 @@ algebra.
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+import zerodiag
 from zerodiag import conics, exactnum, nscat
 from zerodiag.curve import (
     family_model,
@@ -160,6 +165,81 @@ def contains_form_by_rref(conic, form):
     return len(rref(list(conic.rows) + [form])[0]) == 3
 
 
+# -- the former engine over Q(sqrt 3), kept as the oracle of the integer one
+
+def field_dot(row, p):
+    return sum(r * x for r, x in zip(row, p) if r and x)
+
+
+def field_contains(rows, p):
+    return all(field_dot(row, p) == 0 for row in rows) and conics.q2(p) == 0
+
+
+def field_plane(conic):
+    # the rows, the basis over Q(sqrt 3) and the nodes of a conic's plane
+    basis = nullspace(list(conic.rows))
+    nodes = {p for p in conics.double_points()
+             if field_contains(conic.rows, p)}
+    return conic.rows, basis, nodes
+
+
+def field_cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def field_conic_intersection(plane1, plane2):
+    if plane1[0] == plane2[0]:
+        return -2
+    (_, basis, nodes1), (rows, _, nodes2) = plane1, plane2
+    restricted = [[field_dot(row, w) for w in basis] for row in rows]
+    shared = len(nodes1 & nodes2)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        s = field_cross(restricted[i], restricted[j])
+        if any(s):
+            if shared:
+                return 0
+            meet = tuple(sum(c * w[k] for c, w in zip(s, basis))
+                         for k in range(6))
+            return 1 if conics.q2(meet) == 0 else 0
+    assert any(any(row) for row in restricted)
+    return 2 - shared
+
+
+def field_polar_det(basis):
+    def polar(u, v):
+        x, y, z, a, b, c = u
+        X, Y, Z, A, B, C = v
+        return (x * (Y + Z) + y * (X + Z) + z * (X + Y)
+                + 2 * (a * A + b * B + c * C))
+
+    (a, b, c), (d, e, f), (g, h, k) = (
+        [polar(u, v) for v in basis] for u in basis)
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+
+
+def field_cubic_divisible(basis):
+    rows = []
+    for s0, s1, s2 in conics._CUBIC_NODES:
+        p = tuple(s0 * u + s1 * v + s2 * w for u, v, w in zip(*basis))
+        q = conics.q2(p)
+        rows.append((q * s0, q * s1, q * s2, conics.q3(p)))
+    return 3 not in rref(rows)[1]
+
+
+def integer_basis(basis):
+    # the integer form of a basis over Q(sqrt 3), and the product of the
+    # scales of its vectors
+    parts = [exactnum._integer_parts(w) for w in basis]
+    return (tuple((tuple(x), tuple(y)) for x, y, _ in parts),
+            prod(d for _, _, d in parts))
+
+
+def all_conics():
+    return [c for orb in nscat.strict_transform_conics().values()
+            for c in orb]
+
+
 def test_conic_engine_against_stacked_rref_oracle():
     # every pair of the 63 conics, in both orders; the 12 basis conics
     # and the base conic are among them, so this covers every pair the
@@ -189,6 +269,99 @@ def test_conic_engine_against_stacked_rref_oracle():
     # the base conic lies in every fiber hyperplane, and ten fiber
     # components are conics
     assert inside == 6 + 10
+
+
+def test_integer_engine_against_field_engine():
+    everything = all_conics()
+    planes = {c: field_plane(c) for c in everything}
+    for c in everything:
+        assert set(c.nodes) == planes[c][2]
+        for d in everything:
+            assert (conics.conic_intersection(c, d)
+                    == field_conic_intersection(planes[c], planes[d])), (c, d)
+    forms = [nscat._fiber_form(fib.place)
+             for fib in tate_classify(family_model())]
+    points = [par.evaluate(t) for par in named_sections().values()
+              for t in (Fraction(5), Fraction(-7, 3))]
+    assert any(isinstance(x, QuadElem) for p in points for x in p)
+    for c in everything:
+        rows, basis, _ = planes[c]
+        for form in forms:
+            assert (c.contains_form(form)
+                    == all(field_dot(form, w) == 0 for w in basis))
+        for p in points:
+            assert c.contains(p) == field_contains(rows, p), (c, p)
+
+
+def test_integer_form_arithmetic_matches_the_field():
+    # q2, q3, linear forms and cross products on Z[sqrt 3] pairs against
+    # the same expressions over Q(sqrt 3)
+    rng = random.Random(5)
+
+    def element():
+        return rng.randint(-9, 9), rng.randint(-9, 9)
+
+    def field(z):
+        return QuadElem(*z)
+
+    for _ in range(200):
+        u, v = [element() for _ in range(6)], [element() for _ in range(6)]
+        p, f = tuple(zip(*u)), tuple(zip(*v))
+        fu, fv = [field(z) for z in u], [field(z) for z in v]
+        assert field(conics._q2(p)) == conics.q2(fu)
+        assert field(conics._q3(p)) == conics.q3(fu)
+        assert field(conics._dot(f, p)) == field_dot(fv, fu)
+        assert ([field(z) for z in conics._cross(u[:3], v[:3])]
+                == list(field_cross(fu[:3], fv[:3])))
+
+
+def test_integer_engine_makes_no_field_multiplication(monkeypatch):
+    everything = all_conics()
+    calls = []
+
+    def counted(real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
+
+    for cls in (QuadElem, Fraction):
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    # the counter sees products in either field
+    assert 2 * QuadElem(0, 1) == QuadElem(0, 2)
+    assert {type(args[0]) for args in calls} == {QuadElem, Fraction}
+    calls.clear()
+    for c in everything:
+        for d in everything:
+            conics.conic_intersection(c, d)
+        assert conics._cubic_divisible(c.basis)
+    assert calls == []
+
+
+def test_verify_all_row_reduces_once_per_conic():
+    # in a fresh interpreter, so that no cache holds a conic already
+    script = "\n".join([
+        "import contextlib, io",
+        "from zerodiag import cli, conics, exactnum",
+        "real, calls = exactnum.rref, []",
+        "def counted(rows):",
+        "    calls.append(rows)",
+        "    return real(rows)",
+        "exactnum.rref = conics.rref = counted",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['verify-all'])",
+        "print(code, len(calls))"])
+    src = os.path.dirname(os.path.dirname(zerodiag.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, calls = map(int, proc.stdout.split())
+    assert code == 0
+    # 76 planes, one per conic built, and 12 Jacobian ranks
+    assert calls == 76 + 12
 
 
 def test_bad_planes_rejected():
@@ -224,9 +397,10 @@ def test_cubic_nodes_are_unisolvent():
 
 
 def test_cubic_divisible_against_grid_oracle():
-    planes = [c.basis
-              for orb in nscat.strict_transform_conics().values()
-              for c in orb]
+    everything = all_conics()
+    planes = [nullspace(list(c.rows)) for c in everything]
+    assert [integer_basis(b)[0] for b in planes] == [
+        c.basis for c in everything]
     assert len(planes) == 63
     rng = random.Random(17)
 
@@ -239,9 +413,16 @@ def test_cubic_divisible_against_grid_oracle():
         basis = nullspace(forms + [(1, 1, 1, 0, 0, 0)])
         if len(basis) == 3:
             planes.append(basis)
-    got = [conics._cubic_divisible(b) for b in planes]
+    got = [conics._cubic_divisible(integer_basis(b)[0]) for b in planes]
     assert got == [cubic_divisible_on_grid(b) for b in planes]
+    assert got == [field_cubic_divisible(b) for b in planes]
     assert got[:63] == [True] * 63
+    # the polar determinant of the integer form is the field one times
+    # the square of the scales
+    for b in planes:
+        basis, scale = integer_basis(b)
+        det = QuadElem(*conics._polar_det(basis))
+        assert det == field_polar_det(b) * scale * scale
 
 
 def test_conic_orbits():
@@ -255,8 +436,8 @@ def test_conic_orbits():
 
 
 def test_conic_reduces_its_plane_once(monkeypatch):
-    # one reduction of the 6-column plane equations; the other is the
-    # 10x4 node system of _cubic_divisible
+    # one reduction of the 6-column plane equations; the on-surface test
+    # runs on the integer form
     real = exactnum.rref
     widths = []
 
@@ -267,7 +448,7 @@ def test_conic_reduces_its_plane_once(monkeypatch):
     monkeypatch.setattr(conics, "rref", counted)
     monkeypatch.setattr(exactnum, "rref", counted)
     conic = conics.Conic([(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
-    assert widths == [6, 4]
+    assert widths == [6]
     assert conic == conics.base_conic()
     assert len(conic.basis) == 3
 
@@ -286,6 +467,26 @@ def test_conic_orbit_verifies_each_conic_once(monkeypatch):
         calls.clear()
         assert len(conics.conic_orbit(cs[seed])) == size
         assert len(calls) == size
+
+
+def rref_orbit(conic):
+    # the former orbit, kept as the oracle: every image plane canonicalised
+    # by rref; also the order of the plane's stabilizer
+    images = [tuple(rref([g_apply(g, row) for row in conic.rows])[0])
+              for g in group_elements()]
+    orbit = sorted((conics.Conic(p) for p in set(images)),
+                   key=conics._sort_key)
+    return orbit, images.count(conic.rows)
+
+
+def test_conic_orbit_matches_rref_oracle():
+    cs = conics.basis_conics()
+    for seed, size, stabilizer in ((17, 9, 16), (16, 36, 4), (10, 18, 8)):
+        orbit = conics.conic_orbit(cs[seed])
+        # Conic equality compares the canonical rows, so this is the same
+        # orbit in the same order
+        assert (orbit, stabilizer) == rref_orbit(cs[seed])
+        assert len(orbit) * stabilizer == 144 and len(orbit) == size
 
 
 def group_matrix(g):
