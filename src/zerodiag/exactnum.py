@@ -559,15 +559,6 @@ class Series:
     def __truediv__(self, other):
         return self * other.inverse()
 
-    def sqrt(self, root0) -> "Series":
-        """Square root with prescribed constant term root0."""
-        s = Series.constant(root0, self.prec)
-        for _ in range(newton_steps(self.prec)):
-            s = (s + self / s) * Fraction(1, 2)
-        if not (s * s - self).is_zero():
-            raise ArithmeticError("series square root did not converge")
-        return s
-
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
@@ -577,12 +568,6 @@ class Series:
             if c:
                 return i
         return self.prec
-
-    def shift_down(self, k: int) -> "Series":
-        """Divide by the k-th power of the variable."""
-        if any(self.coeffs[i] for i in range(k)):
-            raise ValueError("not divisible")
-        return Series(self.coeffs[k:] + [Fraction(0)] * k, self.prec)
 
     def at_zero(self):
         return self.coeffs[0]

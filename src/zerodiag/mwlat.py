@@ -10,13 +10,16 @@ intersection data:
 u-coordinate; (S.T) is reduced to ((S-T).O) through translation by a
 section, which extends to an automorphism of the relatively minimal
 elliptic surface.  The correction terms contr_v need to know which fiber
-component a section hits.  That is decided from truncated power series of
-a2, a4, a6, u and v in the local coordinate of each bad place
-(curve.local_series), checked against the Weierstrass equation to the
-working precision; no local model is built.  At a multiplicative place the
-node of the Weierstrass cubic is first lifted to a series root of g'
-(plain evaluation at the place is not enough, because a section can agree
-with the node to higher order).
+component a section hits.  That is decided from the first terms of
+truncated power series of a2, a4, a6, u and v in the local coordinate of
+each bad place (curve.local_series), checked against the Weierstrass
+equation to the working precision; no local model is built.  At a
+multiplicative place the node of the Weierstrass cubic is lifted to a
+series root of g' (plain evaluation at the place is not enough, because a
+section can agree with the node to higher order), and the component is read
+from the order a of u - node and the slope v[a] / (u - node)[a], a square
+root of the constant term of a2 + 3 node.  On an I0* fiber it is the
+linear term of u minus the triple root.
 
 Also here: the torsion sections, the two-descent style saturation
 argument for the full Mordell-Weil lattice, and the certificates of
@@ -38,7 +41,6 @@ from .exactnum import (
     newton_steps,
     poly_gcd,
     poly_sqrt,
-    rational_roots,
 )
 from .curve import (
     CurvePoint,
@@ -144,7 +146,8 @@ def section_component(pt: CurvePoint, fiber) -> ComponentRef:
         return _identity(fiber)
     if fiber.kind == "I":
         return _component_on_In(
-            _local_expansion(pt, fiber.place, fiber.n + 3), fiber, pt.model)
+            _local_expansion(pt, fiber.place, fiber.n // 2 + 1), fiber,
+            pt.model)
     if fiber.kind == "I*" and fiber.n == 0:
         return _component_on_I0star(_local_expansion(pt, fiber.place, 4), fiber)
     if fiber.kind in ("II", "II*"):
@@ -155,65 +158,58 @@ def section_component(pt: CurvePoint, fiber) -> ComponentRef:
 
 
 def _component_on_In(expansion, fiber, model) -> ComponentRef:
+    """Component of an I_n fiber met by a section, from the order a of
+    du = u - u0 (u0 the node series) and the slope s = v[a] / du[a]:
+    a = 0 is the identity component, 2a >= n the middle one n/2, and
+    otherwise s = +root0 gives n - a and s = -root0 gives a, root0 the
+    square root of A(0) that field_sqrt takes, A = a2 + 3 u0.
+
+    Why: with g the cubic, v^2 = g(u0) + (A + du) du^2, and
+    ord g(u0) = ord disc = n, since disc = -16 g(u0) (4 A^3 + 27 g(u0))
+    with A a unit at a multiplicative place.  So
+    (v - beta du)(v + beta du) = g(u0) for the series beta^2 = A + du
+    with beta(0) = root0.  If 2a < n, v has order a and slope s = +-root0;
+    one factor has order a and the other n - a, and the first factor
+    drops to order n - a exactly when s = +root0.  Its order is the
+    component index.  For odd n, 2a >= n cannot happen: v^2 would have
+    the odd order n.  The precision n // 2 + 1 reaches every coefficient
+    read."""
     a2, _, _, u_s, v_s = expansion
     if u_s is None:
         return _identity(fiber)  # section meets the fiber at infinity
     n = fiber.n
-    prec = u_s.prec
-    u0 = _place_node(model, fiber.place, prec)
+    u0 = _place_node(model, fiber.place, u_s.prec)
     du = u_s - u0
-    if du.ord() == 0:
+    a = du.ord()
+    if a == 0:
         return _identity(fiber)  # misses the node
-    if n <= 2:
-        return ComponentRef(fiber.place, fiber.symbol, "cycle", 1)
-    big_a2 = a2 + Series.constant(3, prec) * u0  # after translating by u0
-    rad = big_a2 + du
-    c0 = rad.at_zero()
-    root0 = field_sqrt(c0)
-    if root0 is None:
-        raise NotImplementedError(
-            "node slope generates an unsupported field extension")
-    beta = rad.sqrt(root0)
-    x = v_s / beta - du
-    k = x.ord()
-    if not 1 <= k <= n - 1:
-        k = 0
-    if k == 0:
-        return _identity(fiber)
+    if 2 * a >= n:
+        return ComponentRef(fiber.place, fiber.symbol, "cycle", n // 2)
+    root0 = field_sqrt(a2.at_zero() + 3 * u0.at_zero())
+    s = v_s.coeffs[a] / du.coeffs[a]
+    if root0 is None or s not in (root0, -root0):
+        raise ArithmeticError("section slope at the node is not +-root0")
+    k = n - a if s == root0 else a
     return ComponentRef(fiber.place, fiber.symbol, "cycle", k)
 
 
 def _component_on_I0star(expansion, fiber) -> ComponentRef:
-    a2, a4, a6, u_s, _ = expansion
+    """Component of an I0* fiber met by a section: the identity one if u
+    misses the triple root ubar of the reduced cubic, else the far one
+    labelled by lambda = du[1], du = u - ubar.
+
+    The label is a root of the rescaled cubic c: in the local coordinate
+    e, g(ubar + du) = e^3 c(lambda) + O(e^4), and _local_expansion has
+    checked v^2 = g(u) to order 3.  That makes ord v >= 2, so the e^3
+    term c(lambda) vanishes; otherwise v^2 would have the odd order 3."""
+    a2, _, _, u_s, _ = expansion
     if u_s is None:
         return _identity(fiber)
     ubar = -a2.at_zero() / 3  # triple root of the reduced cubic
     du = u_s - Series.constant(ubar, u_s.prec)
     if du.ord() == 0:
         return _identity(fiber)
-    label = du.coeffs[1]
-    roots = _far_roots(a2, a4, a6, ubar)
-    if label not in roots:
-        raise ArithmeticError("section does not meet a simple component")
-    return ComponentRef(fiber.place, fiber.symbol, "far", label)
-
-
-def _far_roots(a2: Series, a4: Series, a6: Series, ubar):
-    """Labels of the three non-identity simple components of an I0* fiber:
-    roots of the rescaled cubic."""
-    ub = Series.constant(ubar, a2.prec)
-    big2 = a2 + 3 * ub
-    big4 = a4 + 2 * ub * a2 + 3 * ub * ub
-    big6 = ((ub + a2) * ub + a4) * ub + a6
-    c2 = big2.shift_down(1).at_zero()
-    c4 = big4.shift_down(2).at_zero()
-    c6 = big6.shift_down(3).at_zero()
-    cubic = Polynomial([c6, c4, c2, 1])
-    roots = sorted(rational_roots(cubic))
-    if len(roots) != 3:
-        raise NotImplementedError(
-            "I0* component labels are not all rational")
-    return set(roots)
+    return ComponentRef(fiber.place, fiber.symbol, "far", du.coeffs[1])
 
 
 def local_contribution(fiber, ref_s: ComponentRef, ref_t: ComponentRef = None) -> Fraction:

@@ -63,9 +63,9 @@ def integral_eigenvalues(a: int, b: int, c: int):
     characteristic polynomial is f(l) = l^3 - p l - q.  For q > 0 the
     spectrum is x > 0 > y >= z (the product is positive and the sum is
     zero), so x is the largest root.  Since y + z = -x, p = x^2 - yz with
-    0 < yz <= x^2/4, hence p < x^2 <= 4p/3.  That range lies inside the
-    searched 2p/3 <= l^2 <= 2p, where f' = 3l^2 - p > 0, so f is
-    increasing there and a binary search finds x if it is an integer.
+    0 < yz <= x^2/4, hence p < x^2 <= 4p/3: an integral x lies in
+    isqrt(p) < x <= isqrt(4p/3).  There f' = 3l^2 - p > 0, so f is
+    increasing and a binary search finds x if it is an integer.
     An all-integral spectrum needs x integral; given x, the discriminant
     of the remaining quadratic l^2 + x l + (x^2 - p) decides whether y
     and z are integers too.  q < 0 is the mirror image and q = 0 is
@@ -87,23 +87,18 @@ def integral_eigenvalues(a: int, b: int, c: int):
         s = isqrt(p)
         return (s, 0, -s) if s * s == p else None
 
-    lo, hi = isqrt(2 * p // 3), isqrt(2 * p) + 1
-    if p < 20:
-        r = next((v for v in range(hi + 1) if f(v) == 0), None)
-    else:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if f(mid) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        r = lo if f(lo) == 0 else None
-    if r is None:
+    lo, hi = isqrt(p) + 1, isqrt(4 * p // 3)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    r = lo
+    if f(r):
         return None
-    # remaining factor lambda^2 + r lambda + (r^2 - p)
+    # remaining factor lambda^2 + r lambda + (r^2 - p); r^2 <= 4p/3
     disc = 4 * p - 3 * r * r
-    if disc < 0:
-        return None
     s = isqrt(disc)
     if s * s != disc or (s - r) % 2:
         return None
@@ -203,16 +198,11 @@ def search(limit: int, workers: int = 1):
         chunks = [x_values[i::workers] for i in range(workers)]
         found = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_search_chunk, [(ch, limit) for ch in chunks]):
+            for part in pool.map(_search_range, chunks, [limit] * len(chunks)):
                 found.extend(part)
     else:
         found = _search_range(x_values, limit)
     return sorted(found, key=lambda item: (item[0][2], item[0][0], item[0][1]))
-
-
-def _search_chunk(args):
-    x_values, limit = args
-    return _search_range(x_values, limit)
 
 
 # -- the surface ------------------------------------------------------------

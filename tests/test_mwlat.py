@@ -1,5 +1,6 @@
 """Heights, local contributions, torsion, and the saturation argument."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,9 @@ from zerodiag.exactnum import (
     RationalFunction,
     Series,
     _series_of_rf,
+    field_sqrt,
+    newton_steps,
+    rational_roots,
 )
 from zerodiag import mwlat
 from zerodiag.curve import (
@@ -73,12 +77,30 @@ def test_series_inverse_roundtrip():
         Series([0, 1], 3).inverse()
 
 
+def _series_sqrt(s, root0):
+    # oracle helper: the former Series.sqrt, the square root of s with
+    # constant term root0 by Newton's iteration
+    r = Series.constant(root0, s.prec)
+    for _ in range(newton_steps(s.prec)):
+        r = (r + s / r) * Fraction(1, 2)
+    if not (r * r - s).is_zero():
+        raise ArithmeticError("series square root did not converge")
+    return r
+
+
+def _shift_down(s, k):
+    # oracle helper: the former Series.shift_down, division by e^k
+    if any(s.coeffs[i] for i in range(k)):
+        raise ValueError("not divisible")
+    return Series(s.coeffs[k:] + [Fraction(0)] * k, s.prec)
+
+
 def test_series_sqrt():
     a = Series([9, 6, 1], 6)  # (3 + t)^2
-    r = a.sqrt(Fraction(3))
+    r = _series_sqrt(a, Fraction(3))
     assert r.coeffs[:2] == [3, 1]
     assert (r * r - a).is_zero()
-    neg = a.sqrt(Fraction(-3))
+    neg = _series_sqrt(a, Fraction(-3))
     assert neg.coeffs[0] == -3
     assert (neg * neg - a).is_zero()
 
@@ -86,15 +108,15 @@ def test_series_sqrt():
 def test_series_sqrt_quadratic_field():
     # constant term 48 has root 4*sqrt(3)
     a = Series([QuadElem(48), QuadElem(24), QuadElem(3)], 5)
-    r = a.sqrt(QuadElem(0, 4))
+    r = _series_sqrt(a, QuadElem(0, 4))
     assert (r * r - a).is_zero()
 
 
 def test_series_shift_down():
     a = Series([0, 0, 7, 1], 4)
-    assert a.shift_down(2).coeffs == [7, 1, 0, 0]
+    assert _shift_down(a, 2).coeffs == [7, 1, 0, 0]
     with pytest.raises(ValueError):
-        a.shift_down(3)
+        _shift_down(a, 3)
 
 
 def test_series_expansion_matches_taylor():
@@ -148,6 +170,87 @@ def test_component_table(pts):
         for pt, (kind, index) in zip((pts["P"], pts["Q"], pts["T1"], pts["T2"]), want):
             ref = section_component(pt, fib)
             assert (ref.kind, ref.index) == (kind, index), (fib.place, pt)
+
+
+def _oracle_component(pt, fib):
+    # oracle: the former section_component.  On I_n it divides v by the
+    # series square root beta of A + du at precision n + 3 and reads the
+    # component from ord(v/beta - du); on I0* it checks the label against
+    # the rational roots of the rescaled cubic.
+    place, ref = fib.place, mwlat._identity(fib)
+    if pt.is_infinity:
+        return ref
+    if fib.kind == "I":
+        a2, _, _, u_s, v_s = mwlat._local_expansion(pt, place, fib.n + 3)
+        if u_s is None:
+            return ref
+        prec = u_s.prec
+        u0 = mwlat._place_node(pt.model, place, prec)
+        du = u_s - u0
+        if du.ord() == 0:
+            return ref
+        if fib.n <= 2:
+            return ComponentRef(place, fib.symbol, "cycle", 1)
+        rad = a2 + Series.constant(3, prec) * u0 + du
+        beta = _series_sqrt(rad, field_sqrt(rad.at_zero()))
+        k = (v_s / beta - du).ord()
+        if not 1 <= k <= fib.n - 1:
+            return ref
+        return ComponentRef(place, fib.symbol, "cycle", k)
+    a2, a4, a6, u_s, _ = mwlat._local_expansion(pt, place, 4)
+    if u_s is None:
+        return ref
+    ubar = -a2.at_zero() / 3
+    ub = Series.constant(ubar, 4)
+    du = u_s - ub
+    if du.ord() == 0:
+        return ref
+    big2 = a2 + 3 * ub
+    big4 = a4 + 2 * ub * a2 + 3 * ub * ub
+    big6 = ((ub + a2) * ub + a4) * ub + a6
+    cubic = Polynomial([_shift_down(big6, 3).at_zero(),
+                        _shift_down(big4, 2).at_zero(),
+                        _shift_down(big2, 1).at_zero(), 1])
+    roots = rational_roots(cubic)
+    assert len(roots) == 3 and du.coeffs[1] in roots
+    return ComponentRef(place, fib.symbol, "far", du.coeffs[1])
+
+
+def test_section_component_matches_the_oracle(pts):
+    """Order and slope against the former square-root and rescaled-cubic
+    reading, on every mP + nQ + T with |m|, |n| <= 1 at every bad fiber:
+    216 pairs that reach every component the table below names and the
+    third far component at each I0* place."""
+    fibers = tate_classify(family_model())
+    assert [f.symbol for f in fibers] == ["I4", "I0*", "I2", "I0*", "I4", "I2"]
+    seen = set()
+    for m in (-1, 0, 1):
+        for n in (-1, 0, 1):
+            base = m * pts["P"] + n * pts["Q"]
+            for t in torsion_points().values():
+                sec = base + t
+                for fib in fibers:
+                    ref = section_component(sec, fib)
+                    want = _oracle_component(sec, fib)
+                    assert (ref.kind, ref.index) == (want.kind, want.index)
+                    seen.add((str(fib.place), ref.kind, ref.index))
+    # I4: identity and cycles 1-3; I2: identity and cycle 1; I0*:
+    # identity and three far labels
+    per_place = Counter(place for place, _, _ in seen)
+    assert per_place == {"-2": 4, "-1": 4, "0": 2, "1": 4, "2": 4, "inf": 2}
+
+
+def test_wrong_slope_at_the_node_is_refused(pts):
+    # Q meets cycle 3 at t = -2; doubling v breaks v[a] / du[a] = +-root0.
+    # Called directly, past the on-model check of _local_expansion.
+    fib = next(f for f in tate_classify(family_model())
+               if f.place == Fraction(-2))
+    q = pts["Q"]
+    a2, a4, a6, u_s, v_s = mwlat._local_expansion(q, fib.place, fib.n // 2 + 1)
+    ref = mwlat._component_on_In((a2, a4, a6, u_s, v_s), fib, q.model)
+    assert (ref.kind, ref.index) == ("cycle", 3)
+    with pytest.raises(ArithmeticError):
+        mwlat._component_on_In((a2, a4, a6, u_s, 2 * v_s), fib, q.model)
 
 
 def test_section_component_does_no_hidden_work(pts, monkeypatch):

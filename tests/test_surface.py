@@ -80,6 +80,58 @@ def test_integral_eigenvalues_against_oracle():
         assert integral_eigenvalues(a, b, c) == eigenvalues_by_root_finding(a, b, c)
 
 
+def _integral_eigenvalues_scan(a, b, c):
+    # oracle: the former integral_eigenvalues, a linear scan for p < 20 and
+    # a bisection over 2p/3 <= l^2 <= 2p otherwise
+    p, q = char_poly_coeffs(a, b, c)
+
+    def f(v):
+        return v * v * v - p * v - q
+
+    if q < 0:
+        neg = _integral_eigenvalues_scan(-a, b, c)
+        if neg is None:
+            return None
+        return tuple(sorted((-v for v in neg), reverse=True))
+    if q == 0:
+        s = isqrt(p)
+        return (s, 0, -s) if s * s == p else None
+    lo, hi = isqrt(2 * p // 3), isqrt(2 * p) + 1
+    if p < 20:
+        r = next((v for v in range(hi + 1) if f(v) == 0), None)
+    else:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        r = lo if f(lo) == 0 else None
+    if r is None:
+        return None
+    disc = 4 * p - 3 * r * r
+    if disc < 0:
+        return None
+    s = isqrt(disc)
+    if s * s != disc or (s - r) % 2:
+        return None
+    return (r, (-r + s) // 2, (-r - s) // 2)
+
+
+def test_integral_eigenvalues_match_the_scan_on_a_cube():
+    # one bisection from isqrt(p) + 1 for every p, against the former
+    # scan-or-bisection, on every triple of [-15, 15]^3
+    span = range(-15, 16)
+    hits = 0
+    for a in span:
+        for b in span:
+            for c in span:
+                ev = integral_eigenvalues(a, b, c)
+                assert ev == _integral_eigenvalues_scan(a, b, c), (a, b, c)
+                hits += ev is not None
+    assert hits == 499
+
+
 def test_integral_eigenvalues_sum_and_products():
     ev = integral_eigenvalues(26, 51, 114)
     x, y, z = ev
