@@ -28,7 +28,7 @@ from .curve import (
     point_to_param,
     tate_classify,
 )
-from .exactnum import Certificate, Polynomial, RationalFunction
+from .exactnum import Certificate, Polynomial, RationalFunction, matrix_rank
 from .lattice import (
     FORMS_MAX_DET,
     kummer_condition,
@@ -384,7 +384,7 @@ CLAIMS = (
     ("orbit.sizes", "orbits",
      lambda r: tuple(sorted(len(o) for o in r.get(_orbits))), (12,)),
     ("orbit.jacobian_rank", "orbits", lambda r: tuple(sorted(
-        {surface.matrix_rank(surface.jacobian(p))
+        {matrix_rank(surface.jacobian(p))
          for p in r.get(surface.singular_points)})), (2,)),
 )
 

@@ -67,11 +67,6 @@ def q2(p):
     return x * y + y * z + z * x + a * a + b * b + c * c
 
 
-def q3(p):
-    x, y, z, a, b, c = p
-    return x * y * z - 2 * a * b * c
-
-
 _SUM_XYZ = (1, 1, 1, 0, 0, 0)
 
 

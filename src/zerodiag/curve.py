@@ -241,12 +241,6 @@ def family_model() -> WeierstrassModel:
     return WeierstrassModel(-(e2 + e3), e2 * e3, 0)
 
 
-def family_two_torsion_u():
-    """u-coordinates of the three finite 2-torsion points of the family."""
-    t = Polynomial.gen()
-    return Polynomial(), 8 * t * (t * t - 1), (t * t - 1) * (t + 2) ** 2
-
-
 # -- Kodaira fiber classification ---------------------------------------------
 
 
@@ -315,13 +309,13 @@ def local_series(f: RationalFunction, place, w: int, k: int, prec: int) -> Serie
     if place != INFINITE_PLACE:
         return _series_of_rf(f, place, prec)
     if f.is_zero:
-        return Series([], prec)
+        return Series(Polynomial(), prec)
     shift = w * k - f.degree()
     if shift < 0:
         raise PoleError("expansion at a pole")
     num, den = f.num, f.den
-    return (Series.from_polynomial(num.reverse(num.degree + shift), prec)
-            / Series.from_polynomial(den.reverse(), prec))
+    return (Series(num.reverse(num.degree + shift), prec)
+            / Series(den.reverse(), prec))
 
 
 def fiber_at(model: WeierstrassModel, place) -> LocalFiber:

@@ -14,20 +14,22 @@ so every result whose sqrt 3 part cancels is a Fraction, and the field of
 a value is read off its type.  Polynomials are dense with coefficients
 listed lowest degree first.
 
-Polynomial products, exact quotients, images modulo a prime and content
-normalization do not run in field arithmetic: they work on the integer form
-of a coefficient list, integer lists x, y and an integer d > 0 with
-coefficients (x + y*sqrt3) / d.  ``_integer_parts`` is the one place that
-clears denominators and ``_from_integer_parts`` the one way back.  Nothing
-divides with remainder over the field: ``_quotient`` divides exactly, gcds
-come from images modulo primes, and ``_taylor`` expands at a rational place.
+A Polynomial stores only its integer form: int tuples x, y and the least
+integer d > 0 with coefficients (x + y*sqrt3) / d.  Its products, sums,
+quotients, images modulo a prime and Taylor shifts, and the truncated
+products and Newton inverses of a Series, all read that form; field
+scalars are built only where a caller asks for a coefficient or a value.
+``_integer_parts`` clears the denominators of a scalar list once, when a
+Polynomial is built from one.  Nothing divides with remainder over the
+field: ``_quotient`` divides exactly, gcds come from images modulo primes,
+and ``_taylor`` expands at a rational place in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, zip_longest
 from math import gcd as _int_gcd
 from math import isqrt
 from math import lcm as _lcm
@@ -88,18 +90,6 @@ class QuadElem:
 
     def norm(self) -> Fraction:
         return self.r * self.r - 3 * self.s * self.s
-
-    def is_positive(self) -> bool:
-        """Sign under the real embedding sqrt(3) > 0, computed exactly."""
-        r, s = self.r, self.s
-        if r == 0:
-            return s > 0
-        if r > 0 and s > 0:
-            return True
-        if r < 0 and s < 0:
-            return False
-        # signs differ: compare r^2 with 3 s^2
-        return (r * r > 3 * s * s) if r > 0 else (r * r < 3 * s * s)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -272,7 +262,7 @@ def conj(x):
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, Polynomial):
-        return Polynomial([conj(c) for c in x.coeffs])
+        return Polynomial._of(x.x, [-v for v in x.y], x.d)
     if isinstance(x, RationalFunction):
         return RationalFunction._coprime(conj(x.num), conj(x.den))
     raise TypeError("cannot conjugate %r" % type(x))
@@ -294,10 +284,9 @@ def _integer_parts(coeffs):
             [s.numerator * (d // s.denominator) for _, s in parts], d)
 
 
-def _from_integer_parts(x, y, d) -> "Polynomial":
-    """The polynomial with coefficients (x[i] + y[i]*sqrt3) / d."""
-    return Polynomial([QuadElem(Fraction(u, d), Fraction(v, d)) if v
-                       else Fraction(u, d) for u, v in zip(x, y)])
+def _scalar(u: int, v: int, d: int):
+    """The field element (u + v*sqrt3) / d."""
+    return QuadElem(Fraction(u, d), Fraction(v, d)) if v else Fraction(u, d)
 
 
 def _convolve(a, b) -> list:
@@ -312,20 +301,43 @@ def _convolve(a, b) -> list:
 
 
 class Polynomial:
-    """Dense univariate polynomial, coefficients lowest degree first.
+    """Dense univariate polynomial over Q or Q(sqrt 3), stored as its
+    canonical integer form: int tuples x, y and the least integer d > 0
+    with coefficients (x[i] + y[i]*sqrt3) / d, lowest degree first, no
+    trailing zero pair and gcd(d, *x, *y) = 1, so equal polynomials have
+    equal forms.  The arithmetic reads the form; coeffs, indexing, lead,
+    calls and printing build field scalars, each a Fraction or an
+    irrational QuadElem.  The zero polynomial is x = y = (), d = 1."""
 
-    Coefficients are kept as given, each a Fraction or an irrational
-    QuadElem.  The zero polynomial has an empty coefficient list and degree
-    -1.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, QuadElem) else rat(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set(*_integer_parts(
+            [c if isinstance(c, QuadElem) else rat(c) for c in coeffs]))
+
+    @classmethod
+    def _of(cls, x, y, d: int) -> "Polynomial":
+        """The polynomial with coefficients (x[i] + y[i]*sqrt3) / d, for
+        integer lists x, y of one length and an integer d != 0."""
+        out = object.__new__(cls)
+        out._set(x, y, d)
+        return out
+
+    def _set(self, x, y, d: int):
+        n = len(x)
+        while n and not (x[n - 1] or y[n - 1]):
+            n -= 1
+        x, y = x[:n], y[:n]
+        g = _int_gcd(d, *x, *y)
+        if d < 0:
+            g = -g
+        if g != 1:
+            x, y, d = [v // g for v in x], [v // g for v in y], d // g
+        # tuple() of a list, not of a generator: a tuple grown from a
+        # generator is resized, which drains one size's free list into others
+        object.__setattr__(self, "x", tuple(x))
+        object.__setattr__(self, "y", tuple(y))
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -338,26 +350,30 @@ class Polynomial:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple([_scalar(u, v, self.d) for u, v in zip(self.x, self.y)])
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.x) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.x
 
     def lead(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _scalar(self.x[-1], self.y[-1], self.d)
 
     def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.x):
+            return _scalar(self.x[i], self.y[i], self.d)
         return Fraction(0)
 
     def is_quadratic_field(self) -> bool:
         """True when some coefficient is irrational."""
-        return any(isinstance(c, QuadElem) for c in self.coeffs)
+        return any(self.y)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -373,25 +389,25 @@ class Polynomial:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Polynomial([self[i] + o[i] for i in range(n)])
+        d = _lcm(self.d, o.d)
+        m, n = d // self.d, d // o.d
+        x, y = ([u * m + v * n for u, v in zip_longest(a, b, fillvalue=0)]
+                for a, b in ((self.x, o.x), (self.y, o.y)))
+        return Polynomial._of(x, y, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._of([-v for v in self.x], [-v for v in self.y],
+                              self.d)
 
     def __sub__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -399,12 +415,11 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Polynomial()
-        ax, ay, ad = _integer_parts(self.coeffs)
-        bx, by, bd = _integer_parts(o.coeffs)
-        yy = _convolve(ay, by)
-        x = [u + 3 * v for u, v in zip(_convolve(ax, bx), yy)]
-        y = [u + v for u, v in zip(_convolve(ax, by), _convolve(ay, bx))]
-        return _from_integer_parts(x, y, ad * bd)
+        yy = _convolve(self.y, o.y)
+        x = [u + 3 * v for u, v in zip(_convolve(self.x, o.x), yy)]
+        y = [u + v for u, v in zip(_convolve(self.x, o.y),
+                                   _convolve(self.y, o.x))]
+        return Polynomial._of(x, y, self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -424,12 +439,10 @@ class Polynomial:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if len(self.coeffs) != len(o.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, o.coeffs))
+        return self.d == o.d and self.x == o.x and self.y == o.y
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        return hash((self.x, self.y, self.d))
 
     def __bool__(self):
         return not self.is_zero
@@ -437,13 +450,15 @@ class Polynomial:
     # -- calculus / transforms ----------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial._of([i * v for i, v in enumerate(self.x)][1:],
+                              [i * v for i, v in enumerate(self.y)][1:],
+                              self.d)
 
     def __call__(self, x):
-        acc = None
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return Fraction(0) if acc is None else acc
+            acc = acc * x + c
+        return acc
 
     def reverse(self, k=None) -> "Polynomial":
         """t^k f(1/t) for k >= deg f (default k = deg f)."""
@@ -453,41 +468,33 @@ class Polynomial:
             k = self.degree
         if k < self.degree:
             raise ValueError("reversal weight below degree")
-        pad = [Fraction(0)] * (k - self.degree)
-        return Polynomial(pad + list(reversed(self.coeffs)))
+        pad = (0,) * (k - self.degree)
+        return Polynomial._of(pad + self.x[::-1], pad + self.y[::-1], self.d)
 
     def monic(self) -> "Polynomial":
+        """f / lc(f): for lc(f) = (a + b*sqrt3) / d, the form of f times
+        a - b*sqrt3, over the norm a^2 - 3b^2."""
         if self.is_zero:
             return self
-        lead = self.lead()
-        inv = _inv(lead)
-        return Polynomial([c * inv for c in self.coeffs])
+        a, b, x, y = self.x[-1], self.y[-1], self.x, self.y
+        return Polynomial._of([u * a - 3 * v * b for u, v in zip(x, y)],
+                              [v * a - u * b for u, v in zip(x, y)],
+                              a * a - 3 * b * b)
 
     def valuation_at(self, root) -> int:
         """Multiplicity of (t - root) in self; 0 if not a root."""
         if self.is_zero:
             raise ValueError("valuation of the zero polynomial")
-        return next(k for k, c in enumerate(
-            _taylor(self.coeffs, root, len(self.coeffs))) if c)
+        return next(k for k, c in enumerate(_taylor(self, root, len(self.x)))
+                    if any(c))
 
     def __repr__(self):
         return "Polynomial(%s)" % (list(map(str, self.coeffs)),)
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            cs = str(c)
-            if i == 0:
-                parts.append(cs)
-            elif i == 1:
-                parts.append("%s*t" % cs)
-            else:
-                parts.append("%s*t^%d" % (cs, i))
-        return " + ".join(parts)
+        return " + ".join(
+            str(c) if i == 0 else "%s*t" % c if i == 1 else "%s*t^%d" % (c, i)
+            for i, c in enumerate(self.coeffs) if c) or "0"
 
 
 # -- truncated power series ---------------------------------------------------
@@ -500,100 +507,118 @@ def newton_steps(prec: int) -> int:
 
 
 class Series:
-    """Truncated power series with exact coefficients (Q or Q(sqrt 3))."""
+    """Truncated power series: the Polynomial of its first prec terms.
+    Sums and products are the polynomial ones, truncated to prec."""
 
-    __slots__ = ("coeffs", "prec")
+    __slots__ = ("poly", "prec")
 
-    def __init__(self, coeffs, prec):
-        cs = [c if isinstance(c, QuadElem) else rat(c)
-              for c in list(coeffs)[:prec]]
-        cs += [Fraction(0)] * (prec - len(cs))
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, poly: Polynomial, prec: int):
+        if poly.degree >= prec:
+            poly = Polynomial._of(poly.x[:prec], poly.y[:prec], poly.d)
+        object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, *a):
         raise AttributeError("Series is immutable")
 
     @classmethod
-    def from_polynomial(cls, poly: Polynomial, prec: int) -> "Series":
-        return cls(list(poly.coeffs), prec)
-
-    @classmethod
     def constant(cls, c, prec: int) -> "Series":
-        return cls([c], prec)
+        return cls(Polynomial([c]), prec)
+
+    @property
+    def coeffs(self) -> list:
+        return [self.poly[i] for i in range(self.prec)]
+
+    def __getitem__(self, i):
+        return self.poly[i]
 
     def __add__(self, other):
         assert self.prec == other.prec
-        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], self.prec)
+        return Series(self.poly + other.poly, self.prec)
 
     def __sub__(self, other):
         assert self.prec == other.prec
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], self.prec)
+        return Series(self.poly - other.poly, self.prec)
 
     def __neg__(self):
-        return Series([-a for a in self.coeffs], self.prec)
+        return Series(-self.poly, self.prec)
 
     def __mul__(self, other):
         if isinstance(other, Series):
             assert self.prec == other.prec
-            product = Polynomial(self.coeffs) * Polynomial(other.coeffs)
-            return Series(product.coeffs, self.prec)
-        return Series([a * other for a in self.coeffs], self.prec)
+            other = other.poly
+        return Series(self.poly * other, self.prec)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Series":
-        c0 = self.coeffs[0]
-        if not c0:
+        """1/f by Newton's iteration g <- g (2 - f g) from g = 1/f(0): if
+        f g = 1 - h with h = O(e^k), then f g (2 - f g) = 1 - h^2, so a
+        step from k known terms gives 2k, and it runs at precision 2k."""
+        if self.ord():
             raise ZeroDivisionError("series with zero constant term")
-        inv0 = _inv(c0)
-        out = [inv0]
-        for k in range(1, self.prec):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-inv0 * acc)
-        return Series(out, self.prec)
+        # 1 / ((a + b*sqrt3) / d) = d (a - b*sqrt3) / (a^2 - 3b^2)
+        a, b, d = self.poly.x[0], self.poly.y[0], self.poly.d
+        g = Polynomial._of([d * a], [-d * b], a * a - 3 * b * b)
+        two, k = Polynomial._of([2], [0], 1), 1
+        while k < self.prec:
+            k = min(2 * k, self.prec)
+            f, g = Series(self.poly, k), Series(g, k)
+            g = (g * (Series(two, k) - f * g)).poly
+        return Series(g, self.prec)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return self.poly.is_zero
 
     def ord(self) -> int:
         """Order of vanishing; equals prec when zero to working precision."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.prec
-
-    def at_zero(self):
-        return self.coeffs[0]
+        poly = self.poly
+        return next((i for i, c in enumerate(zip(poly.x, poly.y)) if any(c)),
+                    self.prec)
 
     def __repr__(self):
         return "Series(%s + O(e^%d))" % (self.coeffs, self.prec)
 
 
-def _taylor(coeffs, r, n: int):
-    """The first n coefficients of f(t + r), lowest degree first, for f
-    with the given coefficients and r rational.  Step k divides by t - r
-    synthetically and yields the remainder, so a caller may stop early."""
-    c = list(coeffs)
-    for k in range(min(n, len(c))):
-        for i in range(len(c) - 2, k - 1, -1):
-            c[i] = c[i] + r * c[i + 1]
-        yield c[k]
+def _taylor(f: Polynomial, r, n: int):
+    """The first n coefficients of f(t + r), lowest degree first, for r =
+    a/q rational, as integer pairs (u, v) over the common denominator
+    d*q^deg f: the coefficient is (u + v*sqrt3) / (d*q^deg f).
+
+    With F(T) = sum x_i q^(deg - i) T^i, F(q t + a) = sum x_i q^deg (t +
+    a/q)^i, so f(t + r) = F(q t + a) / (d q^deg); likewise for y.  F has
+    integer coefficients, so the Taylor coefficients F_k(a) of F at a are
+    integers, and F(q t + a) = sum F_k(a) q^k t^k.  Step k divides F by
+    T - a synthetically and yields q^k times the remainder F_k(a), so a
+    caller may stop early, and nothing leaves the integers."""
+    a, q, deg = r.numerator, r.denominator, f.degree
+    rows = [[v * q ** (deg - i) for i, v in enumerate(part)]
+            for part in (f.x, f.y)]
+    for k in range(min(n, deg + 1)):
+        for c in rows:
+            for i in range(deg - 1, k - 1, -1):
+                c[i] += a * c[i + 1]
+        yield rows[0][k] * q ** k, rows[1][k] * q ** k
+
+
+def _shifted(f: Polynomial, r, prec: int) -> Series:
+    """f(t + r) to precision prec, from the integer pairs of _taylor."""
+    pairs = list(_taylor(f, r, prec))
+    return Series(Polynomial._of([u for u, _ in pairs], [v for _, v in pairs],
+                                 f.d * r.denominator ** max(f.degree, 0)),
+                  prec)
 
 
 def _series_of_rf(rf: RationalFunction, r, prec: int) -> Series:
     """Expansion of a rational function at t = r.  Raises PoleError at a
     pole."""
-    den = Series(_taylor(rf.den.coeffs, r, prec), prec)
-    if not den.at_zero():
+    den = _shifted(rf.den, r, prec)
+    if den.ord():
         raise PoleError("expansion at a pole")
-    return Series(_taylor(rf.num.coeffs, r, prec), prec) / den
+    return _shifted(rf.num, r, prec) / den
 
 
 # -- polynomial algorithms ----------------------------------------------------
@@ -642,14 +667,13 @@ def _gcd_prime(i: int) -> int:
     return p
 
 
-def _image(parts, w: int, p: int):
-    """The image in GF(p)[t] of f = (x + y*sqrt3) / d, given as its integer
-    parts (x, y, d), under sqrt3 -> w, trimmed; None when p divides d."""
-    x, y, d = parts
-    if d % p == 0:
+def _image(f: Polynomial, w: int, p: int):
+    """The image in GF(p)[t] of f under sqrt3 -> w, trimmed; None when p
+    divides d."""
+    if f.d % p == 0:
         return None
-    inv = pow(d, -1, p)
-    out = [(u + v * w) * inv % p for u, v in zip(x, y)]
+    inv = pow(f.d, -1, p)
+    out = [(u + v * w) * inv % p for u, v in zip(f.x, f.y)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -694,8 +718,8 @@ def _quotient(f: Polynomial, g: Polynomial):
     integer d: at each step the remainder, and with it the quotient so far,
     is scaled by the least integer that makes the next quotient term
     integral; s tracks the total scale of f."""
-    gx, gy, d = _integer_parts(g.coeffs)
-    rx, ry, s = _integer_parts(f.coeffs)
+    gx, gy, d = g.x, g.y, g.d
+    rx, ry, s = list(f.x), list(f.y), f.d
     dg = len(gx) - 1
     n = max(len(rx) - dg, 0)
     qx, qy = [0] * n, [0] * n
@@ -718,7 +742,7 @@ def _quotient(f: Polynomial, g: Polynomial):
     if any(rx[:dg]) or any(ry[:dg]):
         return None
     # s*f = (qx + qy*sqrt3) * d*g
-    return _from_integer_parts([d * v for v in qx], [d * v for v in qy], s)
+    return Polynomial._of([d * v for v in qx], [d * v for v in qy], s)
 
 
 def _modular_gcd(a: Polynomial, b: Polynomial):
@@ -726,13 +750,12 @@ def _modular_gcd(a: Polynomial, b: Polynomial):
     _gcd_prime(0), _gcd_prime(1), ... until one settles it (see
     gcd_cofactors), a/g and b/g from its division check, or a, b if g = 1."""
     deg = modulus = residues = cand = None
-    pa, pb = _integer_parts(a.coeffs), _integer_parts(b.coeffs)
-    quad = any(pa[1]) or any(pb[1])
+    quad = a.is_quadratic_field() or b.is_quadratic_field()
     for p in map(_gcd_prime, count()):
         w = pow(3, (p + 1) // 4, p)
         images = []
         for e in ((w, p - w) if quad else (0,)):
-            ia, ib = _image(pa, e, p), _image(pb, e, p)
+            ia, ib = _image(a, e, p), _image(b, e, p)
             if ia is None or ib is None:
                 break  # p divides a denominator
             if len(ia) <= a.degree and len(ib) <= b.degree:
@@ -810,9 +833,9 @@ def gcd_cofactors(a: Polynomial, b: Polynomial):
     if b.degree == 0 or a.degree == 0:
         return Polynomial([1]), a, b
     if a.is_zero:
-        return b.monic(), a, Polynomial(b.coeffs[-1:])
+        return b.monic(), a, Polynomial._of(b.x[-1:], b.y[-1:], b.d)
     if b.is_zero:
-        return a.monic(), Polynomial(a.coeffs[-1:]), b
+        return a.monic(), Polynomial._of(a.x[-1:], a.y[-1:], a.d), b
     return _modular_gcd(a, b)
 
 
@@ -839,13 +862,9 @@ def poly_sqrt(f: Polynomial):
     inv = _inv(two_lead)
     for k in range(half - 1, -1, -1):
         # coefficient of t^(half + k) in f must match 2*g[half]*g[k] + known
-        known = Fraction(0)
-        for i in range(k + 1, half):
-            j = half + k - i
-            if k + 1 <= j <= half:
-                known = known + g[i] * g[j]
-        target = f[half + k] - known
-        g[k] = target * inv
+        known = sum((g[i] * g[half + k - i] for i in range(k + 1, half)),
+                    Fraction(0))
+        g[k] = (f[half + k] - known) * inv
     cand = Polynomial(g)
     return cand if cand * cand == f else None
 
@@ -874,17 +893,16 @@ def rational_roots(f: Polynomial):
         raise ValueError("every rational is a root of the zero polynomial")
     if f.is_quadratic_field():
         raise ValueError("not a polynomial over Q: %s" % f)
-    coeffs = list(f.coeffs)
+    ints = list(f.x)
     roots = set()
     low = 0
-    while not coeffs[low]:
+    while not ints[low]:
         low += 1
     if low > 0:
         roots.add(Fraction(0))
-        coeffs = coeffs[low:]
-    if len(coeffs) == 1:
+        ints = ints[low:]
+    if len(ints) == 1:
         return roots
-    ints, _, _ = _integer_parts(coeffs)
     g = _int_gcd(*ints)
     ints = [v // g for v in ints]
     a0, an = ints[0], ints[-1]
@@ -923,8 +941,7 @@ class RationalFunction:
         if num.is_zero:
             den = Polynomial([1])
         elif den.lead() != 1:
-            inv = _inv(den.lead())
-            num, den = num * inv, den * inv
+            num, den = num * _inv(den.lead()), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -978,15 +995,11 @@ class RationalFunction:
 
     def __sub__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -1006,15 +1019,11 @@ class RationalFunction:
 
     def __truediv__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -1054,11 +1063,6 @@ class RationalFunction:
             return nv
         return -self.den.valuation_at(root)
 
-    def ord_at_infinity(self) -> int:
-        if self.is_zero:
-            raise ValueError("valuation of zero")
-        return -self.degree()
-
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)
 
@@ -1066,13 +1070,6 @@ class RationalFunction:
         if self.den == Polynomial([1]):
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
-
-
-def format_scalar(x) -> str:
-    """Serialization used by the CLI: "p/q" or "(p/q)+(r/s)sqrt3 glyph"."""
-    if isinstance(x, QuadElem):
-        return str(x)
-    return str(rat(x))
 
 
 # -- certificates --------------------------------------------------------------

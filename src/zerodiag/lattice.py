@@ -89,10 +89,6 @@ def vec_dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def gram_pairing(gram, u, v):
-    return vec_dot(u, mat_vec(gram, v))
-
-
 def smith_normal_form(mat):
     """Return (d, uinv) where d are the nonzero diagonal entries of the
     Smith form D = U A V (each dividing the next) and uinv is U^{-1}.

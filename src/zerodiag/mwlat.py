@@ -97,7 +97,7 @@ def _node_series(a2: Series, a4: Series, a6: Series) -> Series:
     point of the cubic near the double root of its reduction."""
     prec = a2.prec
     # double root of the reduced cubic
-    g0 = Polynomial([a6.at_zero(), a4.at_zero(), a2.at_zero(), 1])
+    g0 = Polynomial([a6[0], a4[0], a2[0], 1])
     dbl = poly_gcd(g0, g0.derivative())
     if dbl.degree != 1:
         raise ArithmeticError("fiber is not a node")
@@ -185,8 +185,8 @@ def _component_on_In(expansion, fiber, model) -> ComponentRef:
         return _identity(fiber)  # misses the node
     if 2 * a >= n:
         return ComponentRef(fiber.place, fiber.symbol, "cycle", n // 2)
-    root0 = field_sqrt(a2.at_zero() + 3 * u0.at_zero())
-    s = v_s.coeffs[a] / du.coeffs[a]
+    root0 = field_sqrt(a2[0] + 3 * u0[0])
+    s = v_s[a] / du[a]
     if root0 is None or s not in (root0, -root0):
         raise ArithmeticError("section slope at the node is not +-root0")
     k = n - a if s == root0 else a
@@ -205,11 +205,11 @@ def _component_on_I0star(expansion, fiber) -> ComponentRef:
     a2, _, _, u_s, _ = expansion
     if u_s is None:
         return _identity(fiber)
-    ubar = -a2.at_zero() / 3  # triple root of the reduced cubic
+    ubar = -a2[0] / 3  # triple root of the reduced cubic
     du = u_s - Series.constant(ubar, u_s.prec)
     if du.ord() == 0:
         return _identity(fiber)
-    return ComponentRef(fiber.place, fiber.symbol, "far", du.coeffs[1])
+    return ComponentRef(fiber.place, fiber.symbol, "far", du[1])
 
 
 def local_contribution(fiber, ref_s: ComponentRef, ref_t: ComponentRef = None) -> Fraction:

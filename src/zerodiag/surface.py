@@ -27,7 +27,6 @@ from .exactnum import (
     _integer_parts,
     _inv,
     conj,
-    matrix_rank,
     poly_gcd,
     rat,
     rational_roots,
@@ -37,15 +36,6 @@ from .exactnum import (
 def char_poly_coeffs(a: int, b: int, c: int):
     """(p, q) with det(lambda I - M) = lambda^3 - p lambda - q."""
     return a * a + b * b + c * c, 2 * a * b * c
-
-
-def char_poly(a: int, b: int, c: int) -> Polynomial:
-    p, q = char_poly_coeffs(a, b, c)
-    return Polynomial([-q, -p, 0, 1])
-
-
-def matrix_of_triple(a, b, c):
-    return [[0, c, b], [c, 0, a], [b, a, 0]]
 
 
 def is_trivial(a, b, c) -> bool:
@@ -217,10 +207,6 @@ def equation_values(pt):
     return f1, f2, f3
 
 
-def on_surface(pt) -> bool:
-    return all(not v for v in equation_values(pt))
-
-
 def jacobian(pt):
     x, y, z, a, b, c = pt
     return [
@@ -228,12 +214,6 @@ def jacobian(pt):
         [y + z, x + z, x + y, 2 * a, 2 * b, 2 * c],
         [y * z, x * z, x * y, -2 * b * c, -2 * a * c, -2 * a * b],
     ]
-
-
-def is_singular_point(pt) -> bool:
-    if not on_surface(pt):
-        raise ValueError("point is not on the surface")
-    return matrix_rank(jacobian(pt)) <= 2
 
 
 def singular_points():
@@ -372,9 +352,6 @@ class Parametrization:
 
     def conjugate(self) -> "Parametrization":
         return Parametrization(*(conj(p) for p in self.components()))
-
-    def apply(self, g) -> "Parametrization":
-        return Parametrization(*g_apply(g, self.components()))
 
     def normalized(self) -> "Parametrization":
         """Scale so all coefficients are integral of content one (when the

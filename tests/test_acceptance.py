@@ -22,7 +22,7 @@ from zerodiag.curve import (
     shioda_tate_rank,
     tate_classify,
 )
-from zerodiag.exactnum import Polynomial, RationalFunction
+from zerodiag.exactnum import Polynomial, RationalFunction, matrix_rank
 from zerodiag.lattice import (
     det,
     reduced_binary_even_forms,
@@ -229,7 +229,7 @@ def test_c13_symmetry_action():
         group = surface.group_elements()
         points = surface.singular_points()
         orbits = surface.partition_orbits(points)
-        ranks = {surface.matrix_rank(surface.jacobian(p)) for p in points}
+        ranks = {matrix_rank(surface.jacobian(p)) for p in points}
     assert len(group) == 144
     assert len(points) == 12
     assert [len(o) for o in orbits] == [12]

@@ -19,7 +19,6 @@ from zerodiag.curve import (
     bad_places,
     euler_number,
     family_model,
-    family_two_torsion_u,
     fiber_at,
     local_series,
     named_sections,
@@ -33,6 +32,11 @@ from zerodiag.curve import (
 from zerodiag.surface import Parametrization, low_degree_parametrization
 
 T = Polynomial.gen()
+
+
+def family_two_torsion_u():
+    """u-coordinates of the three finite 2-torsion points of the family."""
+    return Polynomial(), 8 * T * (T * T - 1), (T * T - 1) * (T + 2) ** 2
 
 
 @pytest.fixture(scope="module")

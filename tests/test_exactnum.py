@@ -59,24 +59,6 @@ def test_quadelem_norm_is_multiplicative():
     assert (a * b).norm() == a.norm() * b.norm()
 
 
-def test_quadelem_positivity_matches_real_embedding():
-    # sqrt(3) = 1.732...; check exact sign logic against float sign on cases
-    # where the float is nowhere near zero.
-    rng = random.Random(21)
-    for _ in range(200):
-        r, s = rng.randint(-30, 30), rng.randint(-30, 30)
-        x = QuadElem(r, s)
-        approx = r + s * 3 ** 0.5
-        if abs(approx) < 1e-6 or not x:
-            continue
-        # s = 0 gives the Fraction r, which compares with 0 itself
-        positive = x > 0 if isinstance(x, F) else x.is_positive()
-        assert positive == (approx > 0)
-    # a genuinely close case: 26 - 15*sqrt(3) = 0.019...
-    assert QuadElem(26, -15).is_positive()
-    assert not QuadElem(-26, 15).is_positive()
-
-
 def test_rat_sqrt():
     assert rat_sqrt(F(49, 64)) == F(7, 8)
     assert rat_sqrt(F(2)) is None
@@ -246,9 +228,28 @@ def field_normalized_int(f):
     return Polynomial(scaled)
 
 
+def assert_canonical(f):
+    """The stored form: int tuples x, y of one length and the least d > 0,
+    no trailing zero pair and gcd(d, *x, *y) = 1; its coefficients are
+    Fractions and irrational QuadElems."""
+    assert type(f.x) is tuple and type(f.y) is tuple and type(f.d) is int
+    assert len(f.x) == len(f.y)
+    assert all(type(v) is int for v in f.x + f.y)
+    if f.is_zero:
+        assert f.d == 1
+    else:
+        assert f.d > 0 and (f.x[-1] or f.y[-1])
+        assert gcd(f.d, *f.x, *f.y) == 1
+    assert all(type(c) is F or (type(c) is QuadElem and c.s != 0)
+               for c in f.coeffs)
+
+
 def assert_identical(got, want):
     assert got == want
+    assert (got.x, got.y, got.d) == (want.x, want.y, want.d)
+    assert hash(got) == hash(want)
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert_canonical(got)
 
 
 def kernel_samples(seed):
@@ -266,11 +267,42 @@ def kernel_samples(seed):
     return out
 
 
+def from_integer_parts(x, y, d):
+    """Oracle: the former exactnum._from_integer_parts, the polynomial with
+    coefficients (x[i] + y[i]*sqrt3) / d built from field scalars."""
+    return Polynomial([QuadElem(F(u, d), F(v, d)) if v else F(u, d)
+                       for u, v in zip(x, y)])
+
+
+def parts_mul(f, g):
+    """Oracle: Polynomial.__mul__ from before the stored integer form,
+    which cleared the denominators of both operands at every product."""
+    if f.is_zero or g.is_zero:
+        return Polynomial()
+    ax, ay, ad = exactnum._integer_parts(f.coeffs)
+    bx, by, bd = exactnum._integer_parts(g.coeffs)
+    yy = exactnum._convolve(ay, by)
+    x = [u + 3 * v for u, v in zip(exactnum._convolve(ax, bx), yy)]
+    y = [u + v for u, v in zip(exactnum._convolve(ax, by),
+                               exactnum._convolve(ay, bx))]
+    return from_integer_parts(x, y, ad * bd)
+
+
+def field_add(f, g):
+    """Oracle: Polynomial.__add__ in field arithmetic, coefficient by
+    coefficient."""
+    return Polynomial([f[i] + g[i] for i in range(max(f.degree, g.degree) + 1)])
+
+
 def test_integer_mul_matches_field_mul():
     samples = kernel_samples(41)
     for f in samples:
+        assert_canonical(f)
         for g in samples:
             assert_identical(f * g, field_mul(f, g))
+            assert_identical(f * g, parts_mul(f, g))
+            assert_identical(f + g, field_add(f, g))
+            assert_identical(f - g, field_add(f, field_mul(g, Polynomial([-1]))))
     assert_identical(samples[7] * 3, field_mul(samples[7], Polynomial([3])))
     assert_identical(SQRT3 * samples[6], field_mul(Polynomial([SQRT3]),
                                                    samples[6]))
@@ -293,6 +325,48 @@ def test_quotient_matches_field_division():
                     field_exact_div(f + 1, g)
 
 
+def test_operations_keep_the_canonical_form():
+    for f in kernel_samples(47):
+        results = [-f, f.derivative(), f.reverse(f.degree + 2), conj(f),
+                   f.monic(), f ** 2, Polynomial(f.coeffs)]
+        for g in results:
+            assert_canonical(g)
+        assert_identical(Polynomial(f.coeffs), f)
+        assert_identical(conj(conj(f)), f)
+        assert_identical(-f, field_mul(f, Polynomial([-1])))
+        assert_identical(f.derivative(), Polynomial(
+            [i * c for i, c in enumerate(f.coeffs)][1:]))
+        assert_identical(f.reverse(f.degree + 2), Polynomial(
+            [0, 0] + list(reversed(f.coeffs))) if f else f)
+        if f:
+            assert_identical(f.monic(), field_mul(
+                f, Polynomial([exactnum._inv(f.lead())])))
+            assert f.monic().lead() == 1
+
+
+def test_equal_polynomials_have_one_form():
+    a, b = Polynomial([F(1, 2), 1]) * 2, Polynomial([1, 2])
+    assert (a.x, a.y, a.d) == (b.x, b.y, b.d) == ((1, 2), (0, 0), 1)
+    assert hash(a) == hash(b)
+    half = Polynomial([F(1, 2), 1])
+    assert (half.x, half.y, half.d) == ((1, 2), (0, 0), 2)
+    routes = [half, (T + F(1, 2)) - T + T, Polynomial._of([2, 4], [0, 0], 4),
+              Polynomial._of([-3, -6, 0], [0, 0, 0], -6), (2 * T + 1) * F(1, 2),
+              exactnum._quotient(half * (T - SQRT3), T - SQRT3),
+              RationalFunction(half * (T + 1), T + 1).num]
+    for g in routes:
+        assert_identical(g, half)
+    # content in Z[sqrt 3]: (1 + sqrt3)^2 = 2(2 + sqrt3), over 2
+    s = Polynomial([QuadElem(1, 1)]) * Polynomial([QuadElem(F(1, 2), F(1, 2))])
+    assert (s.x, s.y, s.d) == ((2,), (1,), 1)
+    r = (SQRT3 * T) * (SQRT3 * T)
+    assert (r.x, r.y, r.d) == ((0, 0, 3), (0, 0, 0), 1)
+    zero = Polynomial._of([0, 0], [0, 0], 5)
+    diff = T - T
+    assert (zero.x, zero.y, zero.d) == (diff.x, diff.y, diff.d) == ((), (), 1)
+    assert_identical(zero, Polynomial())
+
+
 def test_rat_returns_a_fraction_itself():
     x = F(22, 7)
     assert exactnum.rat(x) is x
@@ -301,9 +375,33 @@ def test_rat_returns_a_fraction_itself():
         exactnum.rat(0.5)
 
 
+def field_taylor(coeffs, r, n):
+    """Oracle: _taylor in field arithmetic, from before the integer shift:
+    step k divides by t - r synthetically over the field."""
+    c = list(coeffs)
+    for k in range(min(n, len(c))):
+        for i in range(len(c) - 2, k - 1, -1):
+            c[i] = c[i] + r * c[i + 1]
+        yield c[k]
+
+
+def taylor_scalars(f, r, n):
+    """The integer pairs of _taylor over their denominator d*q^deg f, as
+    field scalars."""
+    den = f.d * F(r).denominator ** max(f.degree, 0)
+    pairs = list(exactnum._taylor(f, r, n))
+    assert all(type(u) is int and type(v) is int for u, v in pairs)
+    return [QuadElem(F(u, den), F(v, den)) for u, v in pairs]
+
+
 def test_polynomial_shift_and_reverse():
     f = (T - 2) ** 3 * (T + 1)
-    assert list(exactnum._taylor(f.coeffs, 2, 9)) == [0, 0, 0, 3, 1]
+    assert list(exactnum._taylor(f, 2, 9)) == [(0, 0)] * 3 + [(3, 0), (1, 0)]
+    assert taylor_scalars(f, 2, 9) == list(field_taylor(f.coeffs, 2, 9))
+    # at r = 1/2 the pairs are over d*q^deg = 4: f(t + 1/2) = 4t^2
+    g = (2 * T - 1) ** 2
+    assert list(exactnum._taylor(g, F(1, 2), 3)) == [(0, 0), (0, 0), (16, 0)]
+    assert taylor_scalars(g, F(1, 2), 3) == [0, 0, 4]
     assert f.valuation_at(2) == 3
     rev = f.reverse(6)
     # t^6 f(1/t) vanishes to order 6 - deg f = 2 at 0
@@ -320,26 +418,46 @@ def test_taylor_and_valuation_match_shift_and_divmod():
                 f = (T - r) ** m * h
                 shifted = horner_shift(f, r).coeffs
                 for n in (1, f.degree, f.degree + 1, f.degree + 4):
-                    got = list(exactnum._taylor(f.coeffs, r, n))
-                    assert got == list(shifted[:n])
-                    assert [type(c) for c in got] == [type(c) for c in shifted[:n]]
+                    got = taylor_scalars(f, r, n)
+                    want = list(field_taylor(f.coeffs, r, n))
+                    assert got == want == list(shifted[:n])
+                    assert [type(c) for c in got] == [type(c) for c in want]
                 assert f.valuation_at(r) == divmod_valuation(f, r)
                 assert f.valuation_at(r) == m + (h(r) == 0)
                 den = random_poly(rng, rng.randint(0, 3), not quad)
                 if den(r) == 0:
                     continue
                 rf = RationalFunction(f, den)
-                for prec in (2, f.degree + 3):
-                    num_s, den_s = (exactnum.Series.from_polynomial(
-                        horner_shift(p, r), prec) for p in (rf.num, rf.den))
+                for prec in (1, 2, f.degree + 3):
+                    num_s, den_s = (Series(horner_shift(p, r), prec)
+                                    for p in (rf.num, rf.den))
                     got = exactnum._series_of_rf(rf, r, prec)
                     assert got.coeffs == (num_s / den_s).coeffs
+                    field = field_series_mul(
+                        Series(Polynomial(field_taylor(rf.num.coeffs, r, prec)),
+                               prec),
+                        field_series_inverse(Series(Polynomial(
+                            field_taylor(rf.den.coeffs, r, prec)), prec)))
+                    assert got.coeffs == field.coeffs
     zero = Polynomial()
-    assert list(exactnum._taylor(zero.coeffs, F(1, 2), 3)) == []
+    assert list(exactnum._taylor(zero, F(1, 2), 3)) == []
     with pytest.raises(ValueError):
         zero.valuation_at(F(1, 2))
     with pytest.raises(ValueError):
         divmod_valuation(zero, F(1, 2))
+
+
+def test_integer_taylor_matches_field_taylor():
+    rng = random.Random(37)
+    places = [0, 3, -2, F(1, 2), F(-7, 3), F(5, 12)]
+    samples = kernel_samples(37) + [-3 * (T - F(1, 6)) ** 4, -SQRT3 * T ** 3]
+    for f in samples:
+        for r in places + [F(rng.randint(-20, 20), rng.randint(1, 9))]:
+            for n in (0, 1, 2, f.degree + 1, f.degree + 3):
+                got = taylor_scalars(f, r, n)
+                want = list(field_taylor(f.coeffs, r, n))
+                assert got == want, (f, r, n)
+                assert [type(c) for c in got] == [type(c) for c in want]
 
 
 def test_poly_gcd_agrees_with_construction():
@@ -381,8 +499,7 @@ def image_gcd_degree(a, b, p, w=None):
     root poly_gcd uses)."""
     if w is None:
         w = pow(3, (p + 1) // 4, p)
-    ia = exactnum._image(exactnum._integer_parts(a.coeffs), w, p)
-    ib = exactnum._image(exactnum._integer_parts(b.coeffs), w, p)
+    ia, ib = exactnum._image(a, w, p), exactnum._image(b, w, p)
     return len(exactnum._gcd_mod(ia, ib, p)) - 1
 
 
@@ -470,7 +587,7 @@ def test_poly_gcd_when_p_divides_a_denominator():
     g = T - F(1, P1)
     a, b = g * (T + 2), g * (T ** 2 - 3)
     # inconclusive at the first prime
-    assert exactnum._image(exactnum._integer_parts(a.coeffs), 0, P1) is None
+    assert exactnum._image(a, 0, P1) is None
     assert assert_same_gcd(a, b) == g
     # a coprime pair, certified at the second prime only
     assert assert_same_gcd(T ** 2 + F(1, P1), T ** 3 + 2).degree == 0
@@ -528,9 +645,8 @@ def test_poly_gcd_settles_beyond_the_first_32_primes(monkeypatch):
     monkeypatch.setattr(exactnum, "_gcd_prime", counted)
     g = T ** 2 + F(1, big)
     a, b = g * (T - 1), g * (T + 5)
-    parts = exactnum._integer_parts(a.coeffs)
-    assert all(exactnum._image(parts, 0, p) is None for p in first[:32])
-    assert exactnum._image(parts, 0, first[32]) is not None
+    assert all(exactnum._image(a, 0, p) is None for p in first[:32])
+    assert exactnum._image(a, 0, first[32]) is not None
     assert assert_same_gcd(a, b) == g
     # 1/big needs a modulus above 2*big^2: about 64 more primes
     assert max(drawn) > 32 + 64
@@ -728,7 +844,46 @@ def field_series_mul(a, b):
             y = b.coeffs[j]
             if y:
                 out[i + j] = out[i + j] + x * y
-    return Series(out, a.prec)
+    return Series(Polynomial(out), a.prec)
+
+
+def field_series_inverse(s):
+    """Oracle: Series.inverse by the field recurrence, from before Newton's
+    iteration: out[k] = -(sum of s[i] out[k - i], i = 1..k) / s[0]."""
+    c = s.coeffs
+    inv0 = exactnum._inv(c[0])
+    out = [inv0]
+    for k in range(1, s.prec):
+        acc = F(0)
+        for i in range(1, k + 1):
+            if c[i]:
+                acc = acc + c[i] * out[k - i]
+        out.append(-inv0 * acc)
+    return Series(Polynomial(out), s.prec)
+
+
+def test_series_inverse_matches_field_recurrence():
+    rng = random.Random(73)
+    for prec in (1, 2, 3, 5, 8, 13):
+        samples = [Series(Polynomial([F(-3, 4)]), prec),
+                   Series(Polynomial([QuadElem(2, -1), 0, 5]), prec),
+                   Series(-3 * T ** 2 + F(1, 6), prec),
+                   Series(7 * T - F(2, 9), prec)]
+        for quad in (False, True, False, True):
+            samples.append(Series(random_poly(rng, prec + 2, quad).reverse(),
+                                  prec))
+        for a in samples:
+            got, want = a.inverse(), field_series_inverse(a)
+            assert got.prec == prec
+            assert got.coeffs == want.coeffs
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+            assert_canonical(got.poly)
+            assert got.poly.degree < prec
+            assert (a * got).coeffs == [1] + [0] * (prec - 1)
+        with pytest.raises(ZeroDivisionError):
+            Series(T, prec).inverse()
+        with pytest.raises(ZeroDivisionError):
+            Series(Polynomial(), prec).inverse()
 
 
 def test_series_mul_matches_field_mul():
@@ -741,14 +896,22 @@ def test_series_mul_matches_field_mul():
         return QuadElem(r, F(rng.randint(-9, 9), rng.randint(1, 5))) if quad else r
 
     for prec in (1, 2, 5, 9):
-        samples = [Series([], prec), Series([0, QuadElem(3)], prec)]
+        samples = [Series(Polynomial(), prec),
+                   Series(Polynomial([0, QuadElem(3)]), prec)]
         for quad in (False, True, False, True):
-            samples.append(Series([coeff(quad) for _ in range(prec)], prec))
+            samples.append(Series(Polynomial(
+                [coeff(quad) for _ in range(prec)]), prec))
         for a in samples:
             for b in samples:
                 got = a * b
                 assert got.prec == prec
                 assert got.coeffs == field_series_mul(a, b).coeffs
+                assert (a + b).coeffs == [u + v for u, v in
+                                          zip(a.coeffs, b.coeffs)]
+                assert (a - b).coeffs == [u - v for u, v in
+                                          zip(a.coeffs, b.coeffs)]
+                assert_canonical(got.poly)
+                assert got.poly.degree < prec
         rational = samples[2] * samples[4]
         assert all(type(c) is F for c in rational.coeffs)
 
@@ -762,7 +925,7 @@ def test_rational_function_reduction_and_poles():
         r(F(-5))
     assert r.ord_at(F(1)) == 1
     assert r.ord_at(F(-5)) == -1
-    assert r.ord_at_infinity() == -1
+    assert r.degree() == 1  # a pole of order 1 at infinity
 
 
 def test_rational_function_field_ops():
@@ -957,8 +1120,8 @@ def test_one_representation_per_number():
             exactnum._quotient(quadratic * (T - y), T - y),
             gcd_cofactors(quadratic * (T - 1), quadratic * (T + c)),
             RationalFunction(quadratic, lin) - RationalFunction(lin_bar),
-            (Series([x, 1], 3) * Series([conj(x), -1], 3)
-             + Series([0, x - conj(x)], 3)),
+            (Series(Polynomial([x, 1]), 3) * Series(Polynomial([conj(x), -1]), 3)
+             + Series(Polynomial([0, x - conj(x)]), 3)),
         ]
         assert all(type(v) is F for v in scalars(rational_valued))
         # results mixing rational and irrational values
@@ -968,7 +1131,8 @@ def test_one_representation_per_number():
             exactnum._quotient(quadratic * lin, lin),
             gcd_cofactors(quadratic * (T - 1), quadratic * (T + y)),
             gcd_cofactors(lin * (T - y), lin_bar * (T - y)),
-            Series([x, 1, y], 4) * Series([conj(x), -1, 2], 4),
+            (Series(Polynomial([x, 1, y]), 4)
+             * Series(Polynomial([conj(x), -1, 2]), 4)),
         ]
         for v in scalars(mixed):
             assert type(v) is F or (type(v) is QuadElem and v.s != 0), v
@@ -980,11 +1144,3 @@ def test_conjugation_lifts_through_tower():
     assert conj(conj(p)) == p
     assert conj(r).num == conj(p)
     assert conj(F(5, 3)) == F(5, 3)
-
-
-def test_scalar_formatting():
-    from zerodiag.exactnum import format_scalar
-
-    assert format_scalar(F(3, 4)) == "3/4"
-    assert format_scalar(QuadElem(F(1, 2), F(-3, 4))) == "(1/2)+(-3/4)√3"
-    assert format_scalar(QuadElem(7, 0)) == "7"

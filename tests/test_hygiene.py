@@ -1,17 +1,24 @@
 """Source hygiene of src/zerodiag, read with the stdlib ast module: no
-import goes unused and no private top-level name is left without a caller."""
+import goes unused, no private top-level name is left without a caller, and
+every public function and method is called from src/, demos/ or bench/."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "zerodiag"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zerodiag"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(SRC.glob("*.py"))}
+# Public names kept for a planned caller: the triviality test for the
+# matrices read off sections, and the effectiveness test for the degree-4
+# catalogue.
+NO_CALLER_YET = {"is_trivial", "rr_effective"}
 
 
 def _references(node):
-    """Names a piece of source reads: plain names, attribute names and the
-    names a `from` import takes from another module."""
+    """Names a piece of source reads: plain names, attribute names, the
+    names a `from` import takes from another module, and strings that are
+    identifiers, which registries look up with getattr."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             yield sub.id
@@ -19,6 +26,9 @@ def _references(node):
             yield sub.attr
         elif isinstance(sub, ast.ImportFrom):
             yield from (alias.name for alias in sub.names)
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier()):
+            yield sub.value
 
 
 def _defined(stmt):
@@ -68,3 +78,30 @@ def test_every_private_top_level_name_has_a_caller():
     orphans = sorted("%s.%s" % (mod, d) for d, mod in private.items()
                      if d not in referenced)
     assert orphans == []
+
+
+def _public(tree):
+    """(qualified name, name) of each public top-level function and each
+    public method of a top-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt.name
+        elif isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")):
+                    yield "%s.%s" % (stmt.name, sub.name), sub.name
+
+
+def test_every_public_name_has_a_caller():
+    referenced = set()
+    for folder in ("src", "demos", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            referenced.update(_references(ast.parse(path.read_text(), str(path))))
+    uncalled = sorted("%s.%s" % (mod, qual)
+                      for mod, tree in MODULES.items()
+                      for qual, name in _public(tree)
+                      if name not in referenced and name not in NO_CALLER_YET)
+    assert uncalled == []
+    assert NO_CALLER_YET <= {name for tree in MODULES.values()
+                             for _, name in _public(tree)}

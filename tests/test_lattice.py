@@ -11,7 +11,6 @@ from zerodiag.lattice import (
     DiscriminantGroup,
     _ldl,
     det,
-    gram_pairing,
     is_positive_definite,
     kummer_condition,
     mat_inverse,
@@ -33,6 +32,10 @@ E8 = [
     [0, 0, 0, 0, 0, -1, 2, 0],
     [0, 0, 0, 0, -1, 0, 0, 2],
 ]
+
+
+def gram_pairing(gram, u, v):
+    return sum(a * b for a, b in zip(u, mat_vec(gram, v)))
 
 
 def random_int_matrix(rng, n, lo=-6, hi=6):
