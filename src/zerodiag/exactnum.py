@@ -381,7 +381,9 @@ class Polynomial:
     def _lift(x):
         if isinstance(x, Polynomial):
             return x
-        if isinstance(x, (int, Fraction, QuadElem)):
+        if isinstance(x, (int, Fraction)):
+            return Polynomial._of((x.numerator,), (0,), x.denominator)
+        if isinstance(x, QuadElem):
             return Polynomial([x])
         return None
 
@@ -426,7 +428,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial([1])
+        out = Polynomial._lift(1)
         base = self
         while n:
             if n & 1:
@@ -523,7 +525,7 @@ class Series:
 
     @classmethod
     def constant(cls, c, prec: int) -> "Series":
-        return cls(Polynomial([c]), prec)
+        return cls(Polynomial._lift(c), prec)
 
     @property
     def coeffs(self) -> list:
@@ -762,7 +764,7 @@ def _modular_gcd(a: Polynomial, b: Polynomial):
                 break  # both leading coefficients vanish: no degree bound
             g = _gcd_mod(ia, ib, p)
             if len(g) == 1:
-                return Polynomial([1]), a, b
+                return Polynomial._lift(1), a, b
             images.append(g)
         if len(images) < 1 + quad or len(images[0]) != len(images[-1]):
             continue  # inconclusive, or the two embeddings disagree
@@ -831,7 +833,7 @@ def gcd_cofactors(a: Polynomial, b: Polynomial):
     division check passes.
     """
     if b.degree == 0 or a.degree == 0:
-        return Polynomial([1]), a, b
+        return Polynomial._lift(1), a, b
     if a.is_zero:
         return b.monic(), a, Polynomial._of(b.x[-1:], b.y[-1:], b.d)
     if b.is_zero:
@@ -930,7 +932,7 @@ class RationalFunction:
 
     def __init__(self, num, den=None):
         num = Polynomial._lift(num)
-        den = Polynomial([1]) if den is None else Polynomial._lift(den)
+        den = Polynomial._lift(1) if den is None else Polynomial._lift(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if not num.is_zero:
@@ -939,7 +941,7 @@ class RationalFunction:
 
     def _set_monic(self, num, den):
         if num.is_zero:
-            den = Polynomial([1])
+            den = Polynomial._lift(1)
         elif den.lead() != 1:
             num, den = num * _inv(den.lead()), den.monic()
         object.__setattr__(self, "num", num)
@@ -962,7 +964,7 @@ class RationalFunction:
             return x
         if isinstance(x, (int, Fraction, QuadElem, Polynomial)):
             return RationalFunction._coprime(Polynomial._lift(x),
-                                             Polynomial([1]))
+                                             Polynomial._lift(1))
         return None
 
     @property
@@ -1067,7 +1069,7 @@ class RationalFunction:
         return "RationalFunction(%r, %r)" % (self.num, self.den)
 
     def __str__(self):
-        if self.den == Polynomial([1]):
+        if self.den == Polynomial._lift(1):
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 

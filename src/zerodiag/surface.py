@@ -97,43 +97,84 @@ def integral_eigenvalues(a: int, b: int, c: int):
 
 
 # the largest limit search accepts: search(2000) finds 125 triples in about
-# a minute and a half of CPU on one worker; its window scan does O(limit^3)
-# remainders, so the time grows about eightfold per doubling of the limit
+# 3 s of CPU on one worker (2-core host, Python 3.11.7); the kernel looks at
+# O(limit^2) pairs (x, a), so the time grows about fourfold per doubling of
+# the limit
 SEARCH_MAX = 2000
+
+
+def _square_parts(n):
+    """Lists core and root over 0 <= k < n with k = core[k] * root[k]^2 and
+    core[k] squarefree (core[0] = 0)."""
+    core, root = list(range(n)), [1] * n
+    q = 2
+    while q * q < n:
+        qq = q * q
+        for k in range(qq, n, qq):
+            while core[k] % qq == 0:
+                core[k] //= qq
+                root[k] *= q
+        q += 1
+    return core, root
+
+
+def _entry_range(x, limit):
+    """The entries a < b of a triple of search(limit) with largest
+    eigenvalue x can take: 4a^2 >= 3x^2 - 4(limit^2 + (limit - 1)^2) and
+    b <= min(x - 2, limit - 1)."""
+    rest = 3 * x * x - 4 * (limit * limit + (limit - 1) ** 2)
+    lo = isqrt((rest + 3) // 4 - 1) + 1 if rest > 0 else 1
+    return range(lo, min(x - 2, limit - 1) + 1)
 
 
 def _search_range(x_values, limit):
     """The triples of search(limit) whose largest eigenvalue is in
     x_values, unsorted."""
-    p_max = 3 * limit * limit  # a^2 + b^2 + c^2 < 3 limit^2
-    bb_cc_max = limit * limit + (limit - 1) ** 2  # b < c <= limit
+    core, root = _square_parts(3 * limit)  # x + a < 3 limit
     found = []
     for x in x_values:
-        # spectrum (x, -m, -(x - m)); p rises and abc falls as m falls
-        hi = x // 2 + 1
-        for m in range(x // 2, 0, -1):
-            p = x * x - x * m + m * m
-            if p >= p_max:
-                break
-            # one of x, m, x - m is even, so abc is an integer
-            abc = x * m * (x - m) // 2
-            while (hi - 1) ** 3 >= abc:
-                hi -= 1  # the least hi with hi^3 >= abc
-            rest = p - bb_cc_max  # a^2 >= rest
-            lo = max(m + 1, isqrt(rest - 1) + 1 if rest > 0 else 0)
-            for a in range(lo, hi):
-                if abc % a:
-                    continue
-                bc = abc // a
-                s = p - a * a  # b^2 + c^2
-                uu, vv = s + 2 * bc, s - 2 * bc  # (c + b)^2, (c - b)^2
-                u, v = isqrt(uu), isqrt(vv)
-                # u^2 - v^2 = 4bc, so u and v have the same parity
-                if u * u != uu or v * v != vv:
-                    continue
-                b, c = (u - v) // 2, (u + v) // 2
-                if a < b and c <= limit:
-                    ev = (x, -m, -(x - m))
+        entries = _entry_range(x, limit)
+        if len(entries) < 2:
+            continue
+        lo, hi = entries.start, entries.stop - 1
+        # core and root of x - a and x + a for a = lo, ..., hi
+        cu = core[x - hi:x - lo + 1]
+        cu.reverse()
+        cv = core[x + lo:x + hi + 1]
+        gs = list(map(gcd, cu, cv))
+        # x^2 - a^2 = k0 * k1^2 with k0 squarefree
+        buckets = {}
+        for a, k0 in zip(entries, [u * v // (g * g)
+                                   for u, v, g in zip(cu, cv, gs)]):
+            if k0 in buckets:
+                buckets[k0].append(a)
+            else:
+                buckets[k0] = [a]
+        x_limit = x * limit
+        for k0, bucket in buckets.items():
+            n = len(bucket)
+            if n < 2:
+                continue
+            k1 = [gs[a - lo] * root[x - a] * root[x + a] for a in bucket]
+            for i in range(n - 1):
+                a = bucket[i]
+                ka = k0 * k1[i]
+                for j in range(i + 1, n):
+                    b = bucket[j]
+                    cx = ka * k1[j] - a * b  # c * x
+                    if cx > x_limit:
+                        continue
+                    if cx <= x * b:
+                        break  # c falls and b rises along the bucket
+                    if cx % x:
+                        continue
+                    c = cx // x
+                    # the other eigenvalues (-x +/- r)/2, r^2 = 4p - 3x^2
+                    disc = 4 * (a * a + b * b + c * c) - 3 * x * x
+                    r = isqrt(disc)
+                    if r * r != disc:
+                        continue
+                    ev = (x, (r - x) // 2, -(r + x) // 2)
                     if integral_eigenvalues(a, b, c) != ev:
                         raise ArithmeticError(
                             "triple %r does not have spectrum %r"
@@ -149,29 +190,36 @@ def search(limit: int, workers: int = 1):
     Triples with a repeated or zero entry are trivial and excluded; up to
     the symmetry group every remaining triple is of this strict form.
 
-    The search runs from the eigenvalue side.  Such a spectrum is
-    (x, -m, -(x - m)) with 1 <= m <= x/2, and it fixes
-    p = a^2 + b^2 + c^2 = x^2 - xm + m^2 and abc = xm(x - m)/2; p < 3
-    limit^2 bounds x by 2 limit.  The characteristic polynomial
-    f(l) = l^3 - pl - 2abc = (l - x)(l + m)(l + x - m) has
-    f(-a) = a(c - b)^2 > 0 as b != c, and the same with b or c in place
-    of a.  So every entry lies strictly between m and x - m, and
+    The search runs over the largest eigenvalue x and the entries.  With
+    p = a^2 + b^2 + c^2 the characteristic polynomial is
+    f(l) = l^3 - pl - 2abc.  Its product of roots 2abc is positive, so the
+    spectrum is x > 0 > y >= z, and f(c) = -c(a^2 + b^2) - 2abc < 0 gives
+    x > c (interlacing).  f(x) = 0 is the quadratic
 
-        (c - b)^2 = (x + a)(a - m)(x - m - a)/a,
-        (c + b)^2 = (x - a)(a + m)(x - m + a)/a.
+        x c^2 + 2ab c - x(x^2 - a^2 - b^2) = 0
 
-    For each pair (x, m) the smallest entry a is therefore a divisor of
-    abc in the window max(m + 1, sqrt(p - limit^2 - (limit - 1)^2)) <= a
-    with a^3 < abc, because b^2 + c^2 <= limit^2 + (limit - 1)^2 when
-    b < c <= limit.  (A bound a >= abc/limit^2 would add nothing: a
-    smaller a makes bc > limit^2, so c > limit, which the final c <= limit
-    test rejects.)  The
-    window is scanned by remainders; the cube bound is a pointer that
-    only moves down as m falls, so everything stays in integers.  Then
-    bc = abc/a, and b and c follow from the two squares
-    (c + b)^2 = p - a^2 + 2bc and (c - b)^2 = p - a^2 - 2bc, the second
-    positive inside the window.  Each triple found is checked once by
-    integral_eigenvalues.
+    in c, with discriminant 4(x^2 - a^2)(x^2 - b^2).  So that product is a
+    square s^2 and c = (s - ab)/x.  Both factors are positive, and their
+    product is a square exactly when they have the same squarefree part
+    k0: x^2 - a^2 = k0 k1(a)^2, x^2 - b^2 = k0 k1(b)^2 and
+    s = k0 k1(a) k1(b).  The squarefree part comes from tables up to
+    3 limit (x + a < 3 limit): with u = x - a, v = x + a and
+    g = gcd(core(u), core(v)), k0 = core(u) core(v) / g^2 and
+    k1 = g root(u) root(v).
+
+    The entries range over an interval per x.  b < c < x and b < c <= limit
+    give b <= min(x - 2, limit - 1).  y + z = -x and 0 < yz <= x^2/4 give
+    p = x^2 - yz >= 3x^2/4, and b^2 + c^2 <= limit^2 + (limit - 1)^2, so
+    4a^2 >= 3x^2 - 4(limit^2 + (limit - 1)^2).  p < 3 limit^2 also gives
+    x < 2 limit, past which the interval is empty.  For each x the
+    entries are bucketed by k0, and each pair a < b in a bucket gives c;
+    it is kept when x divides exactly and b < c <= limit.  Along a bucket
+    k1(b) falls as b rises, so c falls, and the scan for b stops at the
+    first c <= b.  The other eigenvalues are the roots (-x +/- r)/2 of
+    l^2 + xl + x^2 - p, with r^2 = 4p - 3x^2; they are integers exactly
+    when r is (r^2 = x^2 mod 4 gives r = x mod 2).  That test runs
+    inline, so each triple found is checked once by integral_eigenvalues.
+    The work is O(limit^2) pairs (x, a).
 
     Raises ValueError when limit is negative or above SEARCH_MAX.
     """
@@ -184,7 +232,9 @@ def search(limit: int, workers: int = 1):
     if workers and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # the work per x grows with x, so deal the x values round-robin
+        # the entries per x, and the work, rise up to x = limit, stay near
+        # the peak to about 1.6 limit and fall after, so deal the x values
+        # round-robin
         chunks = [x_values[i::workers] for i in range(workers)]
         found = []
         with ProcessPoolExecutor(max_workers=workers) as pool:

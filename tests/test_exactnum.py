@@ -1138,6 +1138,16 @@ def test_one_representation_per_number():
             assert type(v) is F or (type(v) is QuadElem and v.s != 0), v
 
 
+def test_scalar_lift_is_the_constant_polynomial():
+    samples = [0, 1, -1, 7, -12, 10 ** 30, F(0), F(3, 4), F(-5, 6), F(8, 2),
+               QuadElem(0, 1), QuadElem(F(-1, 2), 3), QuadElem(2, 0), -SQRT3]
+    for c in samples:
+        lifted, ref = Polynomial._lift(c), Polynomial([c])
+        assert lifted == ref, c
+        assert (lifted.x, lifted.y, lifted.d) == (ref.x, ref.y, ref.d), c
+    assert Polynomial._lift(0).is_zero and Polynomial._lift(F(0)).is_zero
+
+
 def test_conjugation_lifts_through_tower():
     p = Polynomial([QuadElem(1, 2), QuadElem(0, -1), 3])
     r = RationalFunction(p, T + 1)

@@ -272,6 +272,83 @@ def _search_range(x_values, limit):
     return found
 
 
+def _window_range(x_values, limit):
+    """The triples of search(limit) whose largest eigenvalue is in
+    x_values, unsorted."""
+    p_max = 3 * limit * limit  # a^2 + b^2 + c^2 < 3 limit^2
+    bb_cc_max = limit * limit + (limit - 1) ** 2  # b < c <= limit
+    found = []
+    for x in x_values:
+        # spectrum (x, -m, -(x - m)); p rises and abc falls as m falls
+        hi = x // 2 + 1
+        for m in range(x // 2, 0, -1):
+            p = x * x - x * m + m * m
+            if p >= p_max:
+                break
+            # one of x, m, x - m is even, so abc is an integer
+            abc = x * m * (x - m) // 2
+            while (hi - 1) ** 3 >= abc:
+                hi -= 1  # the least hi with hi^3 >= abc
+            rest = p - bb_cc_max  # a^2 >= rest
+            lo = max(m + 1, isqrt(rest - 1) + 1 if rest > 0 else 0)
+            for a in range(lo, hi):
+                if abc % a:
+                    continue
+                bc = abc // a
+                s = p - a * a  # b^2 + c^2
+                uu, vv = s + 2 * bc, s - 2 * bc  # (c + b)^2, (c - b)^2
+                u, v = isqrt(uu), isqrt(vv)
+                # u^2 - v^2 = 4bc, so u and v have the same parity
+                if u * u != uu or v * v != vv:
+                    continue
+                b, c = (u - v) // 2, (u + v) // 2
+                if a < b and c <= limit:
+                    ev = (x, -m, -(x - m))
+                    if integral_eigenvalues(a, b, c) != ev:
+                        raise ArithmeticError(
+                            "triple %r does not have spectrum %r"
+                            % ((a, b, c), ev))
+                    found.append(((a, b, c), ev))
+    return found
+
+
+def test_search_matches_window_scan_oracle():
+    # oracle: the former search, a scan by remainders of abc over a window
+    # of the smallest entry per spectrum (x, -m, -(x - m))
+    for limit in list(range(BISECTION_TOP + 1)) + [250, 500]:
+        expected = _by_c_a_b(_window_range(range(2, 2 * limit + 1), limit))
+        assert search(limit) == expected, limit
+
+
+def test_entry_range_is_exact():
+    # every a < b < c <= limit and x > c with 3x^2 <= 4(a^2 + b^2 + c^2),
+    # integral spectrum or not, has a and b in _entry_range(x, limit), and
+    # both ends of the range are reached; the sets of such points only
+    # grow with the limit, so the least a and greatest b per x are kept
+    # while the limit rises
+    top = 40
+    least_a, greatest_b = {}, {}
+    reached = 0
+    for limit in range(top + 1):
+        c = limit
+        for b in range(1, c):
+            for a in range(1, b):
+                x_max = isqrt(4 * (a * a + b * b + c * c) // 3)
+                for x in range(c + 1, x_max + 1):
+                    least_a[x] = min(least_a.get(x, a), a)
+                    greatest_b[x] = max(greatest_b.get(x, b), b)
+        for x in range(2 * limit + 2):
+            entries = surface._entry_range(x, limit)
+            if x in least_a:
+                assert (least_a[x], greatest_b[x]) == (
+                    entries[0], entries[-1]), (limit, x)
+                reached += 1
+            else:
+                # no point: x <= 3, or x past the largest x
+                assert len(entries) < 2, (limit, x)
+    assert reached > 1000
+
+
 def test_search_matches_divisor_oracle():
     # oracle: the former search, the divisors of abc per spectrum (x, m);
     # its limit only drops triples with c > limit, so one run serves all
@@ -355,6 +432,13 @@ def test_search_to_125():
 
 def test_search_workers_agree():
     assert search(45, workers=2) == search(45)
+
+
+def test_search_to_2000():
+    # the count the window scan gave at the largest limit it ran to
+    hits = search(2000)
+    assert len(hits) == 125
+    assert hits[-1] == ((912, 1584, 2000), (3040, -880, -2160))
 
 
 def test_surface_membership():
