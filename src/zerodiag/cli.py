@@ -5,9 +5,7 @@ rendered exactly (integers, fractions, polynomials), never as floats,
 and row order is fixed, so output is byte-identical across runs.
 Check-style tables carry claim/computed/expected/status columns; the
 exit status is 0 when everything passed, 1 when a check failed and 2
-for usage errors.  The worker count for `search` is taken from
---workers, falling back to the ZERODIAG_WORKERS environment variable,
-and capped at the CPU count.
+for usage errors.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -95,7 +92,7 @@ def _emit(report: Report, fmt: str, out) -> None:
 
 def cmd_search(args) -> Report:
     try:
-        found = surface.search(args.max, workers=args.workers)
+        found = surface.search(args.max)
     except ValueError as e:
         raise UsageError(str(e))
     rows = [(a, b, c, e1, e2, e3) for (a, b, c), (e1, e2, e3) in found]
@@ -105,6 +102,9 @@ def cmd_search(args) -> Report:
 def cmd_param(args) -> Report:
     par = surface.low_degree_parametrization()
     if args.at is not None:
+        if "e" in args.at.lower():
+            # Fraction would expand an exponent like 1e100000000 in full
+            raise UsageError("--at takes no exponent, got %r" % args.at)
         try:
             t0 = Fraction(args.at)
         except (ValueError, ZeroDivisionError):
@@ -416,26 +416,6 @@ class UsageError(Exception):
     pass
 
 
-def _worker_count(args_value):
-    """The worker count from --workers or ZERODIAG_WORKERS (default 1),
-    validated and capped at the CPU count."""
-    if args_value is not None:
-        value, source = args_value, "--workers"
-    else:
-        env = os.environ.get("ZERODIAG_WORKERS")
-        if env is None:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError("ZERODIAG_WORKERS must be an integer, got %r"
-                             % env)
-        source = "ZERODIAG_WORKERS"
-    if value < 1:
-        raise UsageError("%s must be positive, got %d" % (source, value))
-    return min(value, os.cpu_count() or 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zerodiag",
@@ -449,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True,
                    help="upper bound for the largest entry, at most %d"
                         % surface.SEARCH_MAX)
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: ZERODIAG_WORKERS or 1)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("param", help="the degree four parametrization")
@@ -511,8 +489,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "workers"):
-            args.workers = _worker_count(args.workers)
         report = args.func(args)
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -97,9 +97,8 @@ def integral_eigenvalues(a: int, b: int, c: int):
 
 
 # the largest limit search accepts: search(2000) finds 125 triples in about
-# 3 s of CPU on one worker (2-core host, Python 3.11.7); the kernel looks at
-# O(limit^2) pairs (x, a), so the time grows about fourfold per doubling of
-# the limit
+# 3 s of CPU (2-core host, Python 3.11.7); the kernel looks at O(limit^2)
+# pairs (x, a), so the time grows about fourfold per doubling of the limit
 SEARCH_MAX = 2000
 
 
@@ -127,12 +126,62 @@ def _entry_range(x, limit):
     return range(lo, min(x - 2, limit - 1) + 1)
 
 
-def _search_range(x_values, limit):
-    """The triples of search(limit) whose largest eigenvalue is in
-    x_values, unsorted."""
+def search(limit: int, workers: int = 1):
+    """All nontrivial triples 0 < a < b < c <= limit whose matrix has an
+    all-integral spectrum, with the spectra.  Sorted by (c, a, b).
+
+    Triples with a repeated or zero entry are trivial and excluded; up to
+    the symmetry group every remaining triple is of this strict form.
+
+    The search runs over the largest eigenvalue x and the entries.  With
+    p = a^2 + b^2 + c^2 the characteristic polynomial is
+    f(l) = l^3 - pl - 2abc.  Its product of roots 2abc is positive, so the
+    spectrum is x > 0 > y >= z, and f(c) = -c(a^2 + b^2) - 2abc < 0 gives
+    x > c (interlacing).  f(x) = 0 is the quadratic
+
+        x c^2 + 2ab c - x(x^2 - a^2 - b^2) = 0
+
+    in c, with discriminant 4(x^2 - a^2)(x^2 - b^2).  So that product is a
+    square s^2 and c = (s - ab)/x.  Both factors are positive, and their
+    product is a square exactly when they have the same squarefree part
+    k0: x^2 - a^2 = k0 k1(a)^2, x^2 - b^2 = k0 k1(b)^2 and
+    s = k0 k1(a) k1(b).  The squarefree part comes from tables up to
+    3 limit (x + a < 3 limit): with u = x - a, v = x + a and
+    g = gcd(core(u), core(v)), k0 = core(u) core(v) / g^2 and
+    k1 = g root(u) root(v).
+
+    The entries range over an interval per x.  b < c < x and b < c <= limit
+    give b <= min(x - 2, limit - 1).  y + z = -x and 0 < yz <= x^2/4 give
+    p = x^2 - yz >= 3x^2/4, and b^2 + c^2 <= limit^2 + (limit - 1)^2, so
+    4a^2 >= 3x^2 - 4(limit^2 + (limit - 1)^2).  p < 3 limit^2 also gives
+    x < 2 limit, past which the interval is empty.  For each x the
+    entries are bucketed by k0, and each pair a < b in a bucket gives c;
+    it is kept when x divides exactly and b < c <= limit.  Along a bucket
+    k1(b) falls as b rises, so c falls, and the scan for b stops at the
+    first c <= b.  The other eigenvalues are the roots (-x +/- r)/2 of
+    l^2 + xl + x^2 - p, with r^2 = 4p - 3x^2; they are integers exactly
+    when r is (r^2 = x^2 mod 4 gives r = x mod 2).  That test runs
+    inline, so each triple found is checked once by integral_eigenvalues.
+    The work is O(limit^2) pairs (x, a), all in the calling process.
+
+    workers must be 1.  The keyword is kept only because bench/child.py
+    calls search(limit, workers=1), and will be removed when the benchmark
+    child stops passing it.
+
+    Raises ValueError when limit is negative or above SEARCH_MAX, or when
+    workers is not 1.
+    """
+    if not 0 <= limit <= SEARCH_MAX:
+        raise ValueError("search limit must be between 0 and %d, got %d"
+                         % (SEARCH_MAX, limit))
+    if workers != 1:
+        raise ValueError("search runs in one process; workers must be 1, "
+                         "got %r" % (workers,))
+    if limit < 3:
+        return []
     core, root = _square_parts(3 * limit)  # x + a < 3 limit
     found = []
-    for x in x_values:
+    for x in range(2, 2 * limit + 1):
         entries = _entry_range(x, limit)
         if len(entries) < 2:
             continue
@@ -180,68 +229,6 @@ def _search_range(x_values, limit):
                             "triple %r does not have spectrum %r"
                             % ((a, b, c), ev))
                     found.append(((a, b, c), ev))
-    return found
-
-
-def search(limit: int, workers: int = 1):
-    """All nontrivial triples 0 < a < b < c <= limit whose matrix has an
-    all-integral spectrum, with the spectra.  Sorted by (c, a, b).
-
-    Triples with a repeated or zero entry are trivial and excluded; up to
-    the symmetry group every remaining triple is of this strict form.
-
-    The search runs over the largest eigenvalue x and the entries.  With
-    p = a^2 + b^2 + c^2 the characteristic polynomial is
-    f(l) = l^3 - pl - 2abc.  Its product of roots 2abc is positive, so the
-    spectrum is x > 0 > y >= z, and f(c) = -c(a^2 + b^2) - 2abc < 0 gives
-    x > c (interlacing).  f(x) = 0 is the quadratic
-
-        x c^2 + 2ab c - x(x^2 - a^2 - b^2) = 0
-
-    in c, with discriminant 4(x^2 - a^2)(x^2 - b^2).  So that product is a
-    square s^2 and c = (s - ab)/x.  Both factors are positive, and their
-    product is a square exactly when they have the same squarefree part
-    k0: x^2 - a^2 = k0 k1(a)^2, x^2 - b^2 = k0 k1(b)^2 and
-    s = k0 k1(a) k1(b).  The squarefree part comes from tables up to
-    3 limit (x + a < 3 limit): with u = x - a, v = x + a and
-    g = gcd(core(u), core(v)), k0 = core(u) core(v) / g^2 and
-    k1 = g root(u) root(v).
-
-    The entries range over an interval per x.  b < c < x and b < c <= limit
-    give b <= min(x - 2, limit - 1).  y + z = -x and 0 < yz <= x^2/4 give
-    p = x^2 - yz >= 3x^2/4, and b^2 + c^2 <= limit^2 + (limit - 1)^2, so
-    4a^2 >= 3x^2 - 4(limit^2 + (limit - 1)^2).  p < 3 limit^2 also gives
-    x < 2 limit, past which the interval is empty.  For each x the
-    entries are bucketed by k0, and each pair a < b in a bucket gives c;
-    it is kept when x divides exactly and b < c <= limit.  Along a bucket
-    k1(b) falls as b rises, so c falls, and the scan for b stops at the
-    first c <= b.  The other eigenvalues are the roots (-x +/- r)/2 of
-    l^2 + xl + x^2 - p, with r^2 = 4p - 3x^2; they are integers exactly
-    when r is (r^2 = x^2 mod 4 gives r = x mod 2).  That test runs
-    inline, so each triple found is checked once by integral_eigenvalues.
-    The work is O(limit^2) pairs (x, a).
-
-    Raises ValueError when limit is negative or above SEARCH_MAX.
-    """
-    if not 0 <= limit <= SEARCH_MAX:
-        raise ValueError("search limit must be between 0 and %d, got %d"
-                         % (SEARCH_MAX, limit))
-    if limit < 3:
-        return []
-    x_values = list(range(2, 2 * limit + 1))
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the entries per x, and the work, rise up to x = limit, stay near
-        # the peak to about 1.6 limit and fall after, so deal the x values
-        # round-robin
-        chunks = [x_values[i::workers] for i in range(workers)]
-        found = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_search_range, chunks, [limit] * len(chunks)):
-                found.extend(part)
-    else:
-        found = _search_range(x_values, limit)
     return sorted(found, key=lambda item: (item[0][2], item[0][0], item[0][1]))
 
 

@@ -344,10 +344,14 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as e:
         cli.main(["--format", "xml", "fibers"])
     assert e.value.code == 2
-    # verify-all runs on one process and takes no worker count
-    with pytest.raises(SystemExit) as e:
-        cli.main(["verify-all", "--workers", "0"])
-    assert e.value.code == 2
+    # search and verify-all run in one process and take no worker count
+    for argv in (["verify-all", "--workers", "0"],
+                 ["search", "--max", "30", "--workers", "0"],
+                 ["search", "--max", "30", "--workers", "-3"],
+                 ["search", "--max", "30", "--workers", "2"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2, argv
     capsys.readouterr()
 
     for argv in (["ns", "count-classes", "--degree", "3", "--genus", "0"],
@@ -362,11 +366,10 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
                  ["mult", "--n", "9", "--emit-param"],
                  ["param", "--at", "abc"],
                  ["param", "--at", "1/0"],
+                 ["param", "--at", "1e100000000"],
                  ["lattice-forms", "--det", "0"],
                  ["lattice-forms", "--det", "-5"],
                  ["lattice-forms", "--det", "100000001"],
-                 ["search", "--max", "30", "--workers", "0"],
-                 ["search", "--max", "30", "--workers", "-3"],
                  ["search", "--max", "2001"],
                  ["search", "--max", "-1"]):
         assert cli.main(argv) == 2, argv
@@ -374,31 +377,12 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
         assert captured.err.startswith("error: "), argv
         assert captured.out == "", argv
 
+    # the environment does not reach search
+    assert cli.main(["search", "--max", "30"]) == 0
+    plain = capsys.readouterr().out
     monkeypatch.setenv("ZERODIAG_WORKERS", "zero")
-    assert cli.main(["search", "--max", "30"]) == 2
-    monkeypatch.setenv("ZERODIAG_WORKERS", "0")
-    assert cli.main(["search", "--max", "30"]) == 2
-    capsys.readouterr()
-
-
-def test_worker_count_is_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("ZERODIAG_WORKERS", raising=False)
-    assert cli._worker_count(None) == 1
-    assert cli._worker_count(3) == 3
-    assert cli._worker_count(64) == 4
-    monkeypatch.setenv("ZERODIAG_WORKERS", "64")
-    assert cli._worker_count(None) == 4
-    assert cli._worker_count(2) == 2
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._worker_count(8) == 1
-
-
-def test_worker_env_is_honoured(capsys, monkeypatch):
-    monkeypatch.setenv("ZERODIAG_WORKERS", "2")
-    code, payload = run_json(capsys, ["search", "--max", "114"])
-    assert code == 0
-    assert payload["rows"] == [["26", "51", "114", "136", "-19", "-117"]]
+    assert cli.main(["search", "--max", "30"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_module_entry_point():

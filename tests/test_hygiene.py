@@ -1,6 +1,7 @@
 """Source hygiene of src/zerodiag, read with the stdlib ast module: no
-import goes unused, no private top-level name is left without a caller, and
-every public function and method is called from src/, demos/ or bench/."""
+import goes unused, no private top-level name is left without a caller,
+every public function and method is called from src/, demos/ or bench/,
+and no module starts threads or processes or reads the environment."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,8 @@ MODULES = {path.stem: ast.parse(path.read_text(), str(path))
 # matrices read off sections, and the effectiveness test for the degree-4
 # catalogue.
 NO_CALLER_YET = {"is_trivial", "rr_effective"}
+# concurrency modules, and the two ways os reads the environment
+UNWANTED = {"concurrent", "multiprocessing", "threading", "environ", "getenv"}
 
 
 def _references(node):
@@ -105,3 +108,22 @@ def test_every_public_name_has_a_caller():
     assert uncalled == []
     assert NO_CALLER_YET <= {name for tree in MODULES.values()
                              for _, name in _public(tree)}
+
+
+def test_one_process_and_no_environment():
+    """Results depend on the arguments alone: nothing in src/ imports a
+    concurrency module or reads an environment variable."""
+    found = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                read = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                read = {(node.module or "").split(".")[0]}
+                read |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                read = {node.attr}
+            else:
+                continue
+            found += ["%s: %s" % (name, r) for r in sorted(read & UNWANTED)]
+    assert found == []

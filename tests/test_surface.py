@@ -357,7 +357,6 @@ def test_search_matches_divisor_oracle():
     for limit in range(BISECTION_TOP + 1):
         expected = _by_c_a_b(t for t in oracle if t[0][2] <= limit)
         assert search(limit) == expected, limit
-    assert search(BISECTION_TOP, workers=2) == expected
     assert search(250) == _by_c_a_b(_search_range(range(2, 501), 250))
 
 
@@ -395,9 +394,6 @@ def test_search_to_250_checks_each_triple_once(monkeypatch):
     monkeypatch.setattr(surface, "integral_eigenvalues", counted)
     assert search(250) == SEARCH_250
     assert sorted(calls) == sorted(t for t, _ in SEARCH_250)
-    monkeypatch.undo()
-    assert search(250, workers=2) == SEARCH_250
-    assert search(250, workers=3) == SEARCH_250
 
 
 def test_search_rejects_a_wrong_spectrum(monkeypatch):
@@ -430,8 +426,12 @@ def test_search_to_125():
     ]
 
 
-def test_search_workers_agree():
-    assert search(45, workers=2) == search(45)
+def test_search_runs_on_one_worker_only():
+    with pytest.raises(ValueError):
+        search(45, workers=2)
+    assert search(45, workers=1) == search(45)
+    # the call the benchmark child makes
+    assert search(250, workers=1) == SEARCH_250
 
 
 def test_search_to_2000():
