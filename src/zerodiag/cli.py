@@ -34,9 +34,9 @@ from .lattice import (
 
 CHECK_COLUMNS = ("claim", "computed", "expected", "status")
 
-# largest |n| that mult accepts, each run under about 50 s on a 2-core
-# host: n*P by the group law takes 40-46 s at n = +-15 (and 85 s at +-17),
-# and with point_to_param(n*P) about 20 s at n = -8 (51 s at n = -9)
+# largest |n| that mult accepts; one run each on a 2-core host, Python
+# 3.11: mult --n +-16 takes 1.4-1.8 s, and mult --emit-param 3.8 s at
+# n = -8 and 2.1 s at n = 8
 MULT_MAX = 16
 MULT_PARAM_MAX = 8
 

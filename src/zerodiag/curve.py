@@ -33,7 +33,6 @@ from .exactnum import (
     _series_of_rf,
     conj,
     gcd_cofactors,
-    poly_sqrt,
     rational_roots,
 )
 from .surface import Parametrization
@@ -48,21 +47,6 @@ def _rf(x) -> RationalFunction:
     if out is None:
         raise TypeError("expected a function-field element, got %r" % (x,))
     return out
-
-
-def ratfunc_sqrt(rf: RationalFunction):
-    """A square root of rf in the function field, or None.
-
-    num/den = (num*den)/den^2, so rf is a square iff num*den is a square
-    polynomial.
-    """
-    rf = _rf(rf)
-    if rf.is_zero:
-        return RationalFunction(0)
-    root = poly_sqrt(rf.num * rf.den)
-    if root is None:
-        return None
-    return RationalFunction(root, rf.den)
 
 
 class WeierstrassModel:
@@ -464,11 +448,28 @@ def _clear_denominators(comps):
 def point_to_param(pt: CurvePoint) -> Parametrization:
     """Section parametrization of a Weierstrass point of the family model.
 
-    Inverts param_to_point.  Raises ValueError when the inversion
-    denominator u - 4(t-1)(t+1)^2 vanishes identically (two sections of
-    the family are genuinely outside this chart) and ArithmeticError if
-    the branch discriminant is not a function-field square, which cannot
-    happen for actual sections.
+    Inverts param_to_point with rational functions only.  Raises
+    ValueError when the inversion denominator u - 4(t-1)(t+1)^2 vanishes
+    identically (two sections of the family are genuinely outside this
+    chart).
+
+    With a = 1, x = t, w = t - nu and c = w - nu b, the surface equations
+    are two quadratics in b:
+
+        f2 = (1 + nu^2) b^2 - 2 nu w b + w^2 + 1 + t y + y z + z t,
+        f3 = 2 nu b^2 - 2 w b + t y z,
+
+    and 2 nu f2 - (1 + nu^2) f3 = 2 w (1 - nu^2) b + 2 nu (w^2 + 1 + t y
+    + y z + z t) - (1 + nu^2) t y z is linear in b, so b is read off it.
+    Its divisor vanishes only for nu in {t, 1, -1}, where ArithmeticError
+    is raised; no section reaches them.  Those nu fix the slope
+    lam = (t^2 - 4) nu + 3t of the line through the base point
+    (u0, v0) = (4(t-1)(t+1)^2, -4t(t^2-1)^2) to t^3 - t, t^2 + 3t - 4 or
+    -t^2 + 3t + 4, and that line meets the curve again where a quadratic
+    in u has a discriminant that is not a square over the algebraic
+    closure of Q(t) (for nu = t it is t^12 - 2t^10 - 47t^8 + 224t^6
+    - 304t^4 + 128t^2), so no point of the curve over Q-bar(t) other
+    than the base point lies on it.
     """
     if pt.model != family_model():
         raise ValueError("point is not on the family model")
@@ -488,27 +489,14 @@ def point_to_param(pt: CurvePoint) -> Parametrization:
         raise ValueError("chart degeneracy: the component denominator vanishes")
     y = -(T + mu / den2) / 2
     z = -T - y
-    if nu.is_zero:
-        bs = [-y * (T + y) / 2]
-    else:
-        disc = 4 * (T - nu) ** 2 + 8 * nu * T * y * (T + y)
-        root = ratfunc_sqrt(disc)
-        if root is None:
-            raise ArithmeticError("branch discriminant is not a square; "
-                                  "the input is not a section")
-        bs = [(2 * (T - nu) + root) / (4 * nu),
-              (2 * (T - nu) - root) / (4 * nu)]
-    chosen = None
-    for b in bs:
-        cc = T - nu * (1 + b)
-        f2 = T * y + y * z + z * T + 1 + b * b + cc * cc
-        if f2.is_zero:
-            chosen = (b, cc)
-            break
-    if chosen is None:
-        raise ArithmeticError("no branch satisfies the surface equations")
-    b, cc = chosen
-    comps = _clear_denominators([T * 1, y, z, RationalFunction(1), b, cc])
+    w = T - nu
+    divisor = 2 * w * (1 - nu * nu)
+    if divisor.is_zero:
+        raise ArithmeticError("nu is t, 1 or -1; no section has this slope")
+    b = ((1 + nu * nu) * T * y * z
+         - 2 * nu * (w * w + 1 + T * y + y * z + z * T)) / divisor
+    comps = _clear_denominators(
+        [T * 1, y, z, RationalFunction(1), b, w - nu * b])
     par = Parametrization(*comps).normalized()
     if not par.verify():
         raise ArithmeticError("inverted parametrization fails verification")

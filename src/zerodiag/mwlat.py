@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .exactnum import (
     Certificate,
@@ -51,6 +52,7 @@ from .curve import (
     tate_classify,
     twist_weight,
 )
+from .lattice import signature
 
 CHI = 2  # holomorphic Euler characteristic of the surface
 
@@ -313,15 +315,17 @@ def height_gram(points) -> list:
 # -- torsion and saturation -------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def torsion_points():
-    """The four torsion sections: O, the two marked 2-torsion sections and
-    their sum.  That this is the whole torsion subgroup uses the imported
-    fact that the torsion order divides 4."""
+    """The four torsion sections, read-only: O, the two marked 2-torsion
+    sections and their sum.  That this is the whole torsion subgroup uses
+    the imported fact that the torsion order divides 4."""
     model = family_model()
     secs = named_sections()
     t1 = param_to_point(secs["T1"])
     t2 = param_to_point(secs["T2"])
-    return {"O": model.infinity(), "T1": t1, "T2": t2, "T1+T2": t1 + t2}
+    return MappingProxyType(
+        {"O": model.infinity(), "T1": t1, "T2": t2, "T1+T2": t1 + t2})
 
 
 def is_square_in_function_field(rf: RationalFunction) -> bool:
@@ -341,19 +345,24 @@ def torsion_certificate() -> Certificate:
     """The torsion subgroup is (Z/2)^2, generated by the marked 2-torsion
     sections."""
     tors = torsion_points()
-    facts = [("torsion.order", 4),
-             ("torsion.structure", "(Z/2)^2")]
-    ok = True
+    order = len(set(tors.values()))
+    facts = [("torsion.order", order)]
+    killed_by_2 = all((2 * p).is_infinity for p in tors.values())
+    closed = all((a + b) in tors.values()
+                 for a in tors.values() for b in tors.values())
+    # a finite set closed under addition is a subgroup, and a group of
+    # order 2^k in which 2p = O for all p is (Z/2)^k
+    if killed_by_2 and closed and order & (order - 1) == 0:
+        structure = "(Z/2)^%d" % (order.bit_length() - 1)
+    else:
+        structure = "not an elementary abelian 2-group"
+    facts.append(("torsion.structure", structure))
+    ok = structure == "(Z/2)^2"
     for name, p in tors.items():
-        doubled = 2 * p
-        ok = ok and doubled.is_infinity
         if not p.is_infinity:
             height = height_pairing(p)
             facts.append(("height." + name, height))
             ok = ok and height == 0
-    closed = all((a + b) in tors.values()
-                 for a in tors.values() for b in tors.values())
-    ok = ok and closed
     facts.append(("torsion.closed", closed))
     return Certificate(
         "torsion", facts,
@@ -398,9 +407,11 @@ def saturation_certificate() -> Certificate:
     blocked = tuple(sorted(name for name, t in tors.items()
                            if not is_square_in_function_field((base + t).u)))
     facts.append(("halving.sum_blocked_for", blocked))
-    ok = ok and parity_ok and len(blocked) == len(tors)
-    facts.append(("lattice.index", 1))
-    facts.append(("lattice.rank", 2))
+    # the index is 1 once every way to halve is ruled out; None: undecided
+    halving_ok = parity_ok and len(blocked) == len(tors)
+    ok = ok and halving_ok
+    facts.append(("lattice.index", 1 if disc == 12 and halving_ok else None))
+    facts.append(("lattice.rank", len(gram) - signature(gram)[2]))
     return Certificate(
         "saturation", facts,
         imported=["the torsion order divides 4",

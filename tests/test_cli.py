@@ -334,7 +334,22 @@ def test_square_sum_fails_descent_and_verify_all(capsys, monkeypatch):
         assert rows["descent.halving_blocked"][1:] == [
             "()", "(O, T1, T1+T2, T2)", "fail"], argv
         assert rows["certificate.saturation"][3] == "fail", argv
-        assert payload["failed"] == 2, argv
+        # without the halving checks the index is left undecided
+        assert rows["descent.index"][1:] == ["None", "1", "fail"], argv
+        assert payload["failed"] == 3, argv
+
+
+def test_wrong_torsion_set_fails_torsion_order(capsys, monkeypatch):
+    real = cli.mwlat.torsion_points()
+    wrong = {**real, "T1+T2": real["T1"]}
+    monkeypatch.setattr(cli.mwlat, "torsion_points", lambda: wrong)
+    code, payload = run_json(capsys, ["descent"])
+    assert code == 1
+    rows = {row[0]: row for row in payload["rows"]}
+    assert rows["torsion.order"][1:] == ["3", "4", "fail"]
+    assert rows["torsion.structure"][1:] == [
+        "not an elementary abelian 2-group", "(Z/2)^2", "fail"]
+    assert rows["certificate.torsion"][3] == "fail"
 
 
 def test_bad_usage_exits_2(capsys, monkeypatch):

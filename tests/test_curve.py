@@ -10,12 +10,14 @@ from zerodiag.exactnum import (
     RationalFunction,
     SQRT3,
     _series_of_rf,
+    poly_sqrt,
 )
 from zerodiag.curve import (
     CurvePoint,
     INFINITE_PLACE,
     LocalFiber,
     WeierstrassModel,
+    _clear_denominators,
     bad_places,
     euler_number,
     family_model,
@@ -24,7 +26,6 @@ from zerodiag.curve import (
     named_sections,
     param_to_point,
     point_to_param,
-    ratfunc_sqrt,
     shioda_tate_rank,
     tate_classify,
     twist_weight,
@@ -516,6 +517,118 @@ def test_point_to_param_sum_with_torsion(points):
     par = point_to_param(pt)
     assert par.verify()
     assert param_to_point(par) == pt
+
+
+# -- oracle: point_to_param by a square root and a branch choice --------------
+
+
+def ratfunc_sqrt(rf):
+    """A square root of rf in the function field, or None.
+
+    num/den = (num*den)/den^2, so rf is a square iff num*den is a square
+    polynomial.
+    """
+    if rf.is_zero:
+        return RationalFunction(0)
+    root = poly_sqrt(rf.num * rf.den)
+    if root is None:
+        return None
+    return RationalFunction(root, rf.den)
+
+
+def branch_point_to_param(pt):
+    """The inversion of param_to_point that solves f3 for b by a square
+    root and keeps the branch on which f2 vanishes."""
+    if pt.model != family_model():
+        raise ValueError("point is not on the family model")
+    t = Polynomial.gen()
+    T = RationalFunction(t)
+    if pt.is_infinity:
+        return named_sections()["O"]
+    den = pt.u - 4 * (T - 1) * (T + 1) ** 2
+    if den.is_zero:
+        raise ValueError("inversion denominator identically zero; "
+                         "this section is outside the chart")
+    lam = (pt.v + 4 * T * (T * T - 1) ** 2) / den
+    nu = (lam - 3 * T) / (T * T - 4)
+    mu = 2 * pt.u - lam * lam - T * (T * T - 1) * (T + 8)
+    den2 = (T * T - 4) * (T * (nu * nu + 1) - 2 * nu)
+    if den2.is_zero:
+        raise ValueError("chart degeneracy: the component denominator vanishes")
+    y = -(T + mu / den2) / 2
+    z = -T - y
+    if nu.is_zero:
+        bs = [-y * (T + y) / 2]
+    else:
+        disc = 4 * (T - nu) ** 2 + 8 * nu * T * y * (T + y)
+        root = ratfunc_sqrt(disc)
+        if root is None:
+            raise ArithmeticError("branch discriminant is not a square; "
+                                  "the input is not a section")
+        bs = [(2 * (T - nu) + root) / (4 * nu),
+              (2 * (T - nu) - root) / (4 * nu)]
+    chosen = None
+    for b in bs:
+        cc = T - nu * (1 + b)
+        f2 = T * y + y * z + z * T + 1 + b * b + cc * cc
+        if f2.is_zero:
+            chosen = (b, cc)
+            break
+    if chosen is None:
+        raise ArithmeticError("no branch satisfies the surface equations")
+    b, cc = chosen
+    comps = _clear_denominators([T * 1, y, z, RationalFunction(1), b, cc])
+    par = Parametrization(*comps).normalized()
+    if not par.verify():
+        raise ArithmeticError("inverted parametrization fails verification")
+    if param_to_point(par) != pt:
+        raise ArithmeticError("round trip failed")
+    return par
+
+
+def _inversion(fn, pt):
+    try:
+        return fn(pt).components()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def test_point_to_param_matches_branch_oracle(points):
+    P, Q = points["P"], points["Q"]
+    torsion = (points["O"], points["T1"], points["T2"],
+               points["T1"] + points["T2"])
+    cases = [P, Q, points["T1"], points["T2"], -Q, 2 * Q, -2 * Q]
+    cases += [n * P for n in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    cases += [base + tor for base in (P, Q) for tor in torsion]
+    for pt in cases:
+        assert _inversion(point_to_param, pt) == _inversion(
+            branch_point_to_param, pt), pt
+
+
+def residual_discriminant(model, nu):
+    """Discriminant of the quadratic in u whose roots are the two further
+    meets of the curve with the line of slope lam = (t^2 - 4) nu + 3t
+    through the base point (u0, v0) of the inversion chart."""
+    Tf = RationalFunction(T)
+    u0 = 4 * (Tf - 1) * (Tf + 1) ** 2
+    v0 = -4 * Tf * (Tf * Tf - 1) ** 2
+    assert model.contains(u0, v0)
+    lam = (Tf * Tf - 4) * nu + 3 * Tf
+    total = lam * lam - model.a2 - u0
+    product = (v0 - lam * u0) ** 2 / u0
+    return total * total - 4 * product
+
+
+def test_linear_solve_divisor_never_vanishes(model):
+    # the divisor 2(t - nu)(1 - nu^2) of point_to_param vanishes only for
+    # nu in {t, 1, -1}; no point of the curve over Q-bar(t) has that nu
+    # because the residual quadratic's discriminant is not a square
+    for nu in (T, 1, -1):
+        disc = residual_discriminant(model, RationalFunction(nu))
+        assert poly_sqrt((disc.num * disc.den).monic()) is None, nu
+    assert residual_discriminant(model, RationalFunction(T)) == (
+        T ** 12 - 2 * T ** 10 - 47 * T ** 8 + 224 * T ** 6
+        - 304 * T ** 4 + 128 * T ** 2)
 
 
 def test_degenerate_chart_sections(model):

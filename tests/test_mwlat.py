@@ -421,6 +421,9 @@ def test_height_negation_antisymmetry(pts):
 
 def test_torsion_points(model):
     tors = torsion_points()
+    assert torsion_points() is tors  # built once
+    with pytest.raises(TypeError):
+        tors["P"] = model.infinity()
     assert len(tors) == 4
     for name, p in tors.items():
         assert (2 * p).is_infinity
@@ -434,6 +437,7 @@ def test_torsion_certificate():
     cert = torsion_certificate()
     assert cert.ok
     assert cert.fact("torsion.order") == 4
+    assert cert.fact("torsion.structure") == "(Z/2)^2"
     assert cert.imported  # relies on the imported torsion bound
 
 
