@@ -750,7 +750,9 @@ def _quotient(f: Polynomial, g: Polynomial):
 def _modular_gcd(a: Polynomial, b: Polynomial):
     """(g, a/g, b/g) for non-constant a, b: the monic g from images modulo
     _gcd_prime(0), _gcd_prime(1), ... until one settles it (see
-    gcd_cofactors), a/g and b/g from its division check, or a, b if g = 1."""
+    gcd_cofactors), a/g and b/g from its division check, or a, b if g = 1;
+    a dividing argument is settled by one division at the first conclusive
+    prime."""
     deg = modulus = residues = cand = None
     quad = a.is_quadratic_field() or b.is_quadratic_field()
     for p in map(_gcd_prime, count()):
@@ -768,13 +770,22 @@ def _modular_gcd(a: Polynomial, b: Polynomial):
             images.append(g)
         if len(images) < 1 + quad or len(images[0]) != len(images[-1]):
             continue  # inconclusive, or the two embeddings disagree
+        d = len(images[0]) - 1
+        if deg is None and d in (b.degree, a.degree):
+            # the image suggests that f divides the other argument: one
+            # exact division proves it (see gcd_cofactors)
+            f, other = (b, a) if d == b.degree else (a, b)
+            g = f.monic()
+            q = _quotient(other, g)
+            if q is not None:
+                lead = Polynomial._of(f.x[-1:], f.y[-1:], f.d)
+                return (g, q, lead) if f is b else (g, lead, q)
         if quad:
             half, half_w = pow(2, -1, p), pow(2 * w, -1, p)
             image = [v for x, y in zip(*images)
                      for v in ((x + y) * half % p, (x - y) * half_w % p)]
         else:
             image = images[0]
-        d = len(images[0]) - 1
         if deg is not None and d > deg:
             continue  # an unlucky prime
         if deg is None or d < deg:
@@ -818,6 +829,14 @@ def gcd_cofactors(a: Polynomial, b: Polynomial):
     candidate's degree is at least deg g, so once it divides both a and b
     exactly it is g.  A prime whose images have a larger degree is dropped,
     and so is one whose two embeddings disagree.
+
+    A dividing argument is settled at the first conclusive prime.  When the
+    image gcd there has the degree of an argument f (b first, then a), f
+    made monic is tried as a divisor of the other argument, and one exact
+    division is the certificate: f.monic() divides both, and every common
+    divisor divides f, so it is g, with cofactors the quotient and lc(f).
+    The image only decides when the division is worth trying; when it is
+    not exact, the search goes on as above.
 
     Some prime settles every pair.  Only finitely many primes divide a
     denominator or both leading coefficients, and only finitely many are

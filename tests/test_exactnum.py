@@ -656,6 +656,56 @@ def test_poly_gcd_settles_beyond_the_first_32_primes(monkeypatch):
     assert drawn == list(range(33))
 
 
+def count_draws(monkeypatch):
+    """The list of indices _gcd_prime is called with from now on."""
+    prime, drawn = exactnum._gcd_prime, []
+
+    def counted(i):
+        drawn.append(i)
+        return prime(i)
+
+    monkeypatch.setattr(exactnum, "_gcd_prime", counted)
+    return drawn
+
+
+def test_dividing_pairs_are_settled_at_the_first_prime(monkeypatch):
+    rng = random.Random(2718)
+    drawn = count_draws(monkeypatch)
+    pairs = []
+    for quad_g, quad_h in product((False, True), repeat=2):
+        for _ in range(3):
+            g = random_poly(rng, rng.randint(1, 6), quad_g)
+            h = random_poly(rng, rng.randint(1, 5), quad_h)
+            c = F(-7, 5) if quad_h else QuadElem(F(2, 3), -1)
+            pairs += [(g * h, g), (g, g * h), (c * g, g), (g, c * g),
+                      (g, g), (g, Polynomial(g.coeffs))]
+    for a, b in pairs:
+        del drawn[:]
+        g, qa, qb = gcd_cofactors(a, b)
+        assert drawn == [0]
+        want = euclid_gcd(a, b)
+        assert_identical(g, want)
+        assert g * qa == a and g * qb == b
+        for q, f in ((qa, a), (qb, b)):
+            quotient, remainder = field_divmod(f, want)
+            assert remainder.is_zero
+            assert_identical(q, quotient)
+
+
+def test_a_divisor_suggested_by_the_first_prime_is_checked(monkeypatch):
+    # mod P1, a = T(T + 1) and b = T + 1 divides it, but not over Q: the
+    # failed division sends the pair on, and the second prime proves it
+    # coprime
+    drawn = count_draws(monkeypatch)
+    a, b = T * (T + 1) + P1, T + 1
+    assert image_gcd_degree(a, b, P1) == 1
+    for x, y in ((a, b), (b, a)):
+        del drawn[:]
+        g, qx, qy = gcd_cofactors(x, y)
+        assert g == 1 and qx is x and qy is y
+        assert drawn == [0, 1]
+
+
 def test_divides_is_exact_division():
     rng = random.Random(3)
     for quad in (False, True):
