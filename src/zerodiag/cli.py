@@ -269,12 +269,25 @@ class _Run:
         return self.get(getattr(module, attr))
 
 
-def _fact(cert, key):
-    return lambda run: run.cert(cert).fact(key)
+def _fact(cert, key, part=None):
+    """compute(run) of a claim read from a certificate: the fact `key`, or
+    the entry `part` of that fact.  Its tag `source` = (cert, key, part)
+    lets the certificate's own row judge the claim too."""
+    def compute(run):
+        value = run.cert(cert).fact(key)
+        return value if part is None else value[part]
+    compute.source = (cert, key, part)
+    return compute
 
 
-def _ok(cert):
-    return lambda run: run.cert(cert).ok
+def _certified(cert):
+    """compute(run) of a certificate row: True when the certificate's own
+    checks hold and so does every claim read from it, printed or not."""
+    def compute(run):
+        return run.cert(cert).ok and all(
+            fn(run) == expected for _, _, fn, expected in CLAIMS
+            if getattr(fn, "source", (None,))[0] == cert)
+    return compute
 
 
 def _point(name):
@@ -289,7 +302,9 @@ _T = Polynomial.gen()
 
 # Every claim once, in the order verify-all prints them: (claim id, the
 # check command that also prints it or None, compute(run), expected).  The
-# claims of `ns verify` carry the tag "ns".
+# claims of `ns verify` carry the tag "ns".  A claim read from a certificate
+# computes through _fact, and the certificate's row, made by _certified,
+# fails when any of them fails.
 CLAIMS = (
     ("eig.125_99_57", None,
      lambda r: surface.integral_eigenvalues(125, 99, 57), (190, -55, -135)),
@@ -333,9 +348,9 @@ CLAIMS = (
     ("rank.components", "descent",
      _fact("rank", "fibers.component_excess"), 16),
     ("rank.picard", "descent", _fact("rank", "picard.number"), 20),
-    ("certificate.saturation", "descent", _ok("sat"), True),
-    ("certificate.torsion", "descent", _ok("tor"), True),
-    ("certificate.rank-formula", "descent", _ok("rank"), True),
+    ("certificate.saturation", "descent", _certified("sat"), True),
+    ("certificate.torsion", "descent", _certified("tor"), True),
+    ("certificate.rank-formula", "descent", _certified("rank"), True),
     ("ns.disc", "ns", _fact("dec", "lattice.disc"), -48),
     ("ns.signature", "ns", _fact("dec", "lattice.signature"), (1, 19, 0)),
     ("ns.neg2", "ns", _fact("dec", "block.neg2"), -2),
@@ -344,10 +359,8 @@ CLAIMS = (
      ((0, 1), (1, 0))),
     ("ns.orthogonal", "ns", _fact("dec", "blocks.orthogonal"), "yes"),
     ("ns.index", "ns", _fact("dec", "sublattice.index"), 1),
-    ("ns.e8_1.roots", "ns",
-     lambda r: r.cert("dec").fact("block.e8_1")["roots"], 240),
-    ("ns.e8_2.roots", "ns",
-     lambda r: r.cert("dec").fact("block.e8_2")["roots"], 240),
+    ("ns.e8_1.roots", "ns", _fact("dec", "block.e8_1", "roots"), 240),
+    ("ns.e8_2.roots", "ns", _fact("dec", "block.e8_2", "roots"), 240),
     ("ns.hyperplane.square", "ns",
      _fact("hyp", "hyperplane.self_intersection"), 6),
     ("ns.hyperplane.degree", "ns", _fact("hyp", "hyperplane.degree"), 6),
@@ -356,26 +369,23 @@ CLAIMS = (
      True),
     ("ns.fibers.components", "ns", _fact("fib", "fiber.total_components"),
      22),
-    ("ns.fibers.closed", "ns", lambda r: all(
-        v["sums_to_fiber_class"] and v["dual_graph"]
-        for k, v in r.cert("fib").facts
-        if k.startswith("fiber.") and isinstance(v, dict)), True),
-    ("certificate.lattice.decomposition", "ns", _ok("dec"), True),
-    ("certificate.lattice.hyperplane", "ns", _ok("hyp"), True),
-    ("certificate.degree.identity", "ns", _ok("ident"), True),
-    ("certificate.fiber.decompositions", "ns", _ok("fib"), True),
-    ("forms.count", None, lambda r: len(reduced_binary_even_forms(48)), 4),
+    ("ns.fibers.closed", "ns", _fact("fib", "fiber.all_closed"), True),
+    ("certificate.lattice.decomposition", "ns", _certified("dec"), True),
+    ("certificate.lattice.hyperplane", "ns", _certified("hyp"), True),
+    ("certificate.degree.identity", "ns", _certified("ident"), True),
+    ("certificate.fiber.decompositions", "ns", _certified("fib"), True),
+    ("forms.count", None, _fact("tra", "candidates.count"), 4),
     ("forms.opposite", None, _fact("tra", "match.opposite_disc_form"),
      [((2, 0), (0, 24))]),
     ("forms.attains_1_24", None, _fact("tra", "match.attains_1_24"),
      [((2, 0), (0, 24))]),
     ("forms.kummer", None, _fact("tra", "kummer.condition"), False),
-    ("certificate.lattice.transcendental", None, _ok("tra"), True),
+    ("certificate.lattice.transcendental", None, _certified("tra"), True),
     ("count.441", None, _fact("count", "count.total"), 441),
     ("count.families", None, _fact("count", "count.families"),
      {0: 9, 2: 144, 4: 288}),
     ("count.strict", None, _fact("count", "count.strict_transforms"), 63),
-    ("certificate.count.441", None, _ok("count"), True),
+    ("certificate.count.441", None, _certified("count"), True),
     ("orbit.group_order", "orbits", lambda r: len(surface.group_elements()),
      144),
     ("orbit.double_points", "orbits",

@@ -1097,8 +1097,8 @@ class RationalFunction:
 
 
 class Certificate:
-    """A verified claim bundle: ordered (key, value) facts, a list of
-    imported facts the verification relies on, and an overall flag."""
+    """Ordered (key, value) facts, the imported facts they rely on, and ok:
+    the checks that no claim of cli.CLAIMS prints."""
 
     __slots__ = ("name", "facts", "imported", "ok")
 

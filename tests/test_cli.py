@@ -6,6 +6,8 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -350,6 +352,47 @@ def test_wrong_torsion_set_fails_torsion_order(capsys, monkeypatch):
     assert rows["torsion.structure"][1:] == [
         "not an elementary abelian 2-group", "(Z/2)^2", "fail"]
     assert rows["certificate.torsion"][3] == "fail"
+
+
+def test_an_unprinted_claim_fails_its_certificate_row(capsys, monkeypatch):
+    # descent does not print height.T1, but the torsion row judges it
+    bad = Certificate("torsion",
+                      [("torsion.order", 4),
+                       ("torsion.structure", "(Z/2)^2"),
+                       ("height.T1", Fraction(1, 2)), ("height.T2", 0),
+                       ("height.T1+T2", 0)],
+                      imported=["the torsion order divides 4"], ok=True)
+    monkeypatch.setattr(cli.mwlat, "torsion_certificate", lambda: bad)
+    code, payload = run_json(capsys, ["descent"])
+    assert code == 1
+    assert payload["failed"] == 1
+    failing = [row[0] for row in payload["rows"] if row[3] == "fail"]
+    assert failing == ["certificate.torsion"]
+
+
+@lru_cache(maxsize=None)
+def _real_certificate(cert):
+    module, attr = cli._CERTS[cert]
+    return getattr(module, attr)()
+
+
+@pytest.mark.parametrize("claim", [c for c in cli.CLAIMS
+                                   if hasattr(c[2], "source")],
+                         ids=lambda c: c[0])
+def test_a_wrong_fact_fails_its_claim_and_its_certificate(
+        claim, capsys, monkeypatch):
+    claim_id, _, compute, _ = claim
+    cert, key, part = compute.source
+    real = _real_certificate(cert)
+    facts = [(k, v if k != key else "wrong" if part is None
+              else {**v, part: "wrong"}) for k, v in real.facts]
+    bad = Certificate(real.name, facts, real.imported, real.ok)
+    monkeypatch.setattr(*cli._CERTS[cert], lambda: bad)
+    code, payload = run_json(capsys, ["verify-all"])
+    assert code == 1
+    failing = [row[0] for row in payload["rows"] if row[3] == "fail"]
+    assert sorted(failing) == sorted([claim_id, "certificate." + real.name])
+    assert payload["failed"] == 2
 
 
 def test_bad_usage_exits_2(capsys, monkeypatch):

@@ -127,3 +127,16 @@ def test_one_process_and_no_environment():
                 continue
             found += ["%s: %s" % (name, r) for r in sorted(read & UNWANTED)]
     assert found == []
+
+
+def test_claims_read_certificates_through_the_tagged_reader():
+    """In cli only the tagged reader _fact and the certificate row helper
+    _certified call .cert(...): a claim that read a certificate itself
+    would escape that certificate's row."""
+    callers = set()
+    for stmt in MODULES["cli"].body:
+        if any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "cert" for node in ast.walk(stmt)):
+            callers |= _defined(stmt)
+    assert callers == {"_fact", "_certified"}
