@@ -34,9 +34,9 @@ from .lattice import (
 
 CHECK_COLUMNS = ("claim", "computed", "expected", "status")
 
-# largest |n| that mult accepts; two runs each on a 2-core host, Python
-# 3.11: mult --n +-16 takes 0.9-1.3 s, and mult --emit-param 1.8-1.9 s at
-# n = -8 and 1.0-1.2 s at n = 8
+# largest |n| that mult accepts; four runs each on a 2-core host, Python
+# 3.11: mult --n +-16 takes 0.9-1.5 s, and mult --emit-param 1.7-2.2 s at
+# n = -8 and 0.9-1.3 s at n = 8
 MULT_MAX = 16
 MULT_PARAM_MAX = 8
 

@@ -17,8 +17,10 @@ listed lowest degree first.
 A Polynomial stores only its integer form: int tuples x, y and the least
 integer d > 0 with coefficients (x + y*sqrt3) / d.  Its products, sums,
 quotients, images modulo a prime and Taylor shifts, and the truncated
-products and Newton inverses of a Series, all read that form; field
-scalars are built only where a caller asks for a coefficient or a value.
+products and quotients of a Series, all read that form; field scalars are
+built only where a caller asks for a coefficient or a value.  A product
+skips the convolutions of a zero sqrt 3 part, so a product of two rational
+polynomials runs one.
 ``_integer_parts`` clears the denominators of a scalar list once, when a
 Polynomial is built from one.  Nothing divides with remainder over the
 field: ``_quotient`` divides exactly, gcds come from images modulo primes,
@@ -417,10 +419,18 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Polynomial()
-        yy = _convolve(self.y, o.y)
-        x = [u + 3 * v for u, v in zip(_convolve(self.x, o.x), yy)]
-        y = [u + v for u, v in zip(_convolve(self.x, o.y),
-                                   _convolve(self.y, o.x))]
+        # a zero sqrt 3 part takes no convolution: (x1 + y1*sqrt3)(x2 +
+        # y2*sqrt3) = x1 x2 + 3 y1 y2 + (x1 y2 + y1 x2)*sqrt3
+        x = _convolve(self.x, o.x)
+        if not any(o.y):
+            y = (_convolve(self.y, o.x) if any(self.y)
+                 else [0] * len(x))
+        elif not any(self.y):
+            y = _convolve(self.x, o.y)
+        else:
+            x = [u + 3 * v for u, v in zip(x, _convolve(self.y, o.y))]
+            y = [u + v for u, v in zip(_convolve(self.x, o.y),
+                                       _convolve(self.y, o.x))]
         return Polynomial._of(x, y, self.d * o.d)
 
     __rmul__ = __mul__
@@ -510,7 +520,8 @@ def newton_steps(prec: int) -> int:
 
 class Series:
     """Truncated power series: the Polynomial of its first prec terms.
-    Sums and products are the polynomial ones, truncated to prec."""
+    Sums and products are the polynomial ones, truncated to prec; a
+    quotient is one integer recurrence on the two integer forms."""
 
     __slots__ = ("poly", "prec")
 
@@ -553,24 +564,40 @@ class Series:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Series":
-        """1/f by Newton's iteration g <- g (2 - f g) from g = 1/f(0): if
-        f g = 1 - h with h = O(e^k), then f g (2 - f g) = 1 - h^2, so a
-        step from k known terms gives 2k, and it runs at precision 2k."""
-        if self.ord():
-            raise ZeroDivisionError("series with zero constant term")
-        # 1 / ((a + b*sqrt3) / d) = d (a - b*sqrt3) / (a^2 - 3b^2)
-        a, b, d = self.poly.x[0], self.poly.y[0], self.poly.d
-        g = Polynomial._of([d * a], [-d * b], a * a - 3 * b * b)
-        two, k = Polynomial._of([2], [0], 1), 1
-        while k < self.prec:
-            k = min(2 * k, self.prec)
-            f, g = Series(self.poly, k), Series(g, k)
-            g = (g * (Series(two, k) - f * g)).poly
-        return Series(g, self.prec)
-
     def __truediv__(self, other):
-        return self * other.inverse()
+        """self / other for other with a nonzero constant term, by one
+        fraction-free recurrence in Z[sqrt 3].
+
+        On the integer forms s_k / f.d of self and o_k / o.d of other, the
+        coefficients w_k of s / o satisfy o_0 w_k = s_k - sum_{i=1..k} o_i
+        w_(k-i).  With c = conj(o_0) and the integer N = o_0 c, the scaled
+        W_k = N^(k+1) w_k = c (N^k s_k - sum_{i=1..k} o_i W_(k-i) N^(i-1))
+        are integral, and the quotient has the coefficients W_k N^(prec-1-k)
+        o.d / (N^prec f.d)."""
+        assert self.prec == other.prec
+        if other.ord():
+            raise ZeroDivisionError("series with zero constant term")
+        prec, f, o = self.prec, self.poly, other.poly
+        pad = (0,) * prec
+        sx, sy, ox, oy = (v + pad for v in (f.x, f.y, o.x, o.y))
+        a, b = ox[0], oy[0]
+        n = a * a - 3 * b * b
+        powers = [n ** k for k in range(prec + 1)]
+        wx, wy = [], []
+        for k in range(prec):
+            u, v = sx[k] * powers[k], sy[k] * powers[k]
+            for i in range(1, k + 1):
+                p, q = ox[i], oy[i]
+                if p or q:
+                    r, t, m = wx[k - i], wy[k - i], powers[i - 1]
+                    u -= (p * r + 3 * q * t) * m
+                    v -= (p * t + q * r) * m
+            wx.append(a * u - 3 * b * v)
+            wy.append(a * v - b * u)
+        scale = [powers[prec - 1 - k] * o.d for k in range(prec)]
+        return Series(Polynomial._of([w * m for w, m in zip(wx, scale)],
+                                     [w * m for w, m in zip(wy, scale)],
+                                     powers[prec] * f.d), prec)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero
@@ -753,7 +780,7 @@ def _modular_gcd(a: Polynomial, b: Polynomial):
     gcd_cofactors), a/g and b/g from its division check, or a, b if g = 1;
     a dividing argument is settled by one division at the first conclusive
     prime."""
-    deg = modulus = residues = cand = None
+    deg = modulus = residues = failed = None
     quad = a.is_quadratic_field() or b.is_quadratic_field()
     for p in map(_gcd_prime, count()):
         w = pow(3, (p + 1) // 4, p)
@@ -789,7 +816,7 @@ def _modular_gcd(a: Polynomial, b: Polynomial):
         if deg is not None and d > deg:
             continue  # an unlucky prime
         if deg is None or d < deg:
-            deg, modulus, residues, cand = d, p, image, None
+            deg, modulus, residues = d, p, image
         else:
             inv = pow(modulus, -1, p)
             residues = [x + modulus * ((y - x) * inv % p)
@@ -797,15 +824,16 @@ def _modular_gcd(a: Polynomial, b: Polynomial):
             modulus *= p
         fracs = [_rational_reconstruction(x, modulus) for x in residues]
         if None in fracs:
-            cand = None
             continue
         if quad:
             fracs = [QuadElem(r, s) for r, s in zip(fracs[::2], fracs[1::2])]
-        prev, cand = cand, Polynomial(fracs)
-        if prev is not None and cand == prev:
-            qa, qb = _quotient(a, cand), _quotient(b, cand)
-            if qa is not None and qb is not None:
+        cand = Polynomial(fracs)
+        if cand != failed:
+            qa = _quotient(a, cand)
+            qb = None if qa is None else _quotient(b, cand)
+            if qb is not None:
                 return cand, qa, qb
+            failed = cand
 
 
 def gcd_cofactors(a: Polynomial, b: Polynomial):
@@ -825,10 +853,12 @@ def gcd_cofactors(a: Polynomial, b: Polynomial):
     A unit gcd mod P therefore proves gcd = 1.  Otherwise the monic images
     of least degree (both embeddings sqrt3 -> +w, -w over Q(sqrt 3), to
     separate r and s in r + s*sqrt3) are combined by the Chinese remainder
-    theorem and each coefficient is rationally reconstructed.  The
-    candidate's degree is at least deg g, so once it divides both a and b
-    exactly it is g.  A prime whose images have a larger degree is dropped,
-    and so is one whose two embeddings disagree.
+    theorem and each coefficient is rationally reconstructed.  Each
+    candidate is tried by exact division as soon as it is reconstructed,
+    and one that fails is not tried again.  The candidate's degree is at
+    least deg g, so once it divides both a and b exactly it is g.  A prime
+    whose images have a larger degree is dropped, and so is one whose two
+    embeddings disagree.
 
     A dividing argument is settled at the first conclusive prime.  When the
     image gcd there has the degree of an argument f (b first, then a), f
@@ -848,8 +878,7 @@ def gcd_cofactors(a: Polynomial, b: Polynomial):
     the image of the monic g, so the CRT modulus grows without bound, and
     once it exceeds twice the square of the largest numerator or
     denominator in the coefficients of the monic g, rational reconstruction
-    returns g itself at each further prime, two in a row agree and the
-    division check passes.
+    returns g itself, and the division check passes.
     """
     if b.degree == 0 or a.degree == 0:
         return Polynomial._lift(1), a, b

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from . import conics
 from .curve import family_model, tate_classify
@@ -523,13 +524,17 @@ def decomposition_certificate() -> Certificate:
     facts.append(("blocks.orthogonal", "yes" if not offenders
                   else sorted(set(offenders))))
 
-    # the squared index of the direct sum is the quotient of discriminants
+    # the squared index of the direct sum is the quotient of discriminants;
+    # the index is None unless that is a positive integer square (zero
+    # when the blocks are dependent, as with a broken witness)
     stack = [v for _, vs in groups for v in vs]
     sub = [[pairing(u, v) for v in stack] for u in stack]
     subdisc = det(sub)
     index_sq = Fraction(subdisc, disc)
+    root = isqrt(max(index_sq.numerator, 0))
+    index = root if root and root * root == index_sq else None
     facts.append(("sublattice.disc", subdisc))
-    facts.append(("sublattice.index", 1 if index_sq == 1 else index_sq))
+    facts.append(("sublattice.index", index))
     return Certificate("lattice.decomposition", facts, ok=ok)
 
 

@@ -288,6 +288,18 @@ def parts_mul(f, g):
     return from_integer_parts(x, y, ad * bd)
 
 
+def four_convolution_mul(f, g):
+    """Oracle: Polynomial.__mul__ on the stored integer form, from before
+    it skipped the convolutions of zero sqrt 3 parts."""
+    if f.is_zero or g.is_zero:
+        return Polynomial()
+    yy = exactnum._convolve(f.y, g.y)
+    x = [u + 3 * v for u, v in zip(exactnum._convolve(f.x, g.x), yy)]
+    y = [u + v for u, v in zip(exactnum._convolve(f.x, g.y),
+                               exactnum._convolve(f.y, g.x))]
+    return Polynomial._of(x, y, f.d * g.d)
+
+
 def field_add(f, g):
     """Oracle: Polynomial.__add__ in field arithmetic, coefficient by
     coefficient."""
@@ -301,6 +313,7 @@ def test_integer_mul_matches_field_mul():
         for g in samples:
             assert_identical(f * g, field_mul(f, g))
             assert_identical(f * g, parts_mul(f, g))
+            assert_identical(f * g, four_convolution_mul(f, g))
             assert_identical(f + g, field_add(f, g))
             assert_identical(f - g, field_add(f, field_mul(g, Polynomial([-1]))))
     assert_identical(samples[7] * 3, field_mul(samples[7], Polynomial([3])))
@@ -648,8 +661,13 @@ def test_poly_gcd_settles_beyond_the_first_32_primes(monkeypatch):
     assert all(exactnum._image(a, 0, p) is None for p in first[:32])
     assert exactnum._image(a, 0, first[32]) is not None
     assert assert_same_gcd(a, b) == g
-    # 1/big needs a modulus above 2*big^2: about 64 more primes
-    assert max(drawn) > 32 + 64
+    # 1/big is reconstructed, and the candidate tried, at the first prime k
+    # where the modulus m = prod(first[32..k]) has isqrt(m // 2) >= big
+    k, modulus = 32, first[32]
+    while isqrt(modulus // 2) < big:
+        k += 1
+        modulus *= prime(k)
+    assert max(drawn) == k == 96
     # a coprime pair is certified at the 33rd prime itself
     del drawn[:]
     assert assert_same_gcd(T ** 2 + F(1, big), T ** 3 + 2) == 1
@@ -704,6 +722,41 @@ def test_a_divisor_suggested_by_the_first_prime_is_checked(monkeypatch):
         g, qx, qy = gcd_cofactors(x, y)
         assert g == 1 and qx is x and qy is y
         assert drawn == [0, 1]
+
+
+def test_proper_gcds_are_settled_at_the_first_prime(monkeypatch):
+    # degree strictly between 0 and both degrees, with small coefficients:
+    # the first reconstruction is g, and its two divisions prove it
+    drawn = count_draws(monkeypatch)
+    p = Polynomial([QuadElem(0, -1), 1])  # t - sqrt3
+    pairs = [((T - 1) ** 2 * (T + 3) * (2 * T + 5),
+              (T - 1) * (T + 3) ** 2 * (3 * T - 7)),
+             (p * (T + 2) * (T - SQRT3 / 2), p * (T - 5) ** 2)]
+    for a, b in pairs:
+        del drawn[:]
+        g = assert_same_gcd(a, b)
+        assert 0 < g.degree < min(a.degree, b.degree)
+        assert drawn == [0]
+
+
+def test_a_wrong_reconstruction_is_tried_once(monkeypatch):
+    # c = 1 mod P1, P2 and P3, so the first three primes all reconstruct
+    # t + 1 (or t + sqrt3) in place of g: it fails its division once and
+    # is not tried again, and more primes give g itself
+    c = 1 + P1 * P2 * exactnum._gcd_prime(2)
+    assert exactnum._rational_reconstruction(c, P1 * P2) == 1
+    quotient, tried = exactnum._quotient, []
+
+    def recorded(f, g):
+        tried.append(g)
+        return quotient(f, g)
+
+    monkeypatch.setattr(exactnum, "_quotient", recorded)
+    for g, wrong in ((T + c, T + 1), (T + c * SQRT3, T + SQRT3)):
+        del tried[:]
+        assert assert_same_gcd(g * (T - 1), g * (T + 5)) == g
+        assert tried.count(wrong) == 1
+        assert tried[0] == wrong and tried[-2:] == [g, g]
 
 
 def test_divides_is_exact_division():
@@ -912,6 +965,51 @@ def field_series_inverse(s):
     return Series(Polynomial(out), s.prec)
 
 
+def newton_inverse(s):
+    """Oracle: Series.inverse, from before the fraction-free quotient: 1/f
+    by Newton's iteration g <- g (2 - f g) from g = 1/f(0), at precision
+    2k for a step from k known terms."""
+    if s.ord():
+        raise ZeroDivisionError("series with zero constant term")
+    a, b, d = s.poly.x[0], s.poly.y[0], s.poly.d
+    g = Polynomial._of([d * a], [-d * b], a * a - 3 * b * b)
+    two, k = Polynomial([2]), 1
+    while k < s.prec:
+        k = min(2 * k, s.prec)
+        f, g = Series(s.poly, k), Series(g, k)
+        g = (g * (Series(two, k) - f * g)).poly
+    return Series(g, s.prec)
+
+
+def test_series_quotient_matches_newton_inverse():
+    rng = random.Random(97)
+    norms = set()
+    for prec in range(1, 10):
+        one = Series.constant(1, prec)
+        dens = [one, Series(Polynomial([F(-3, 4), 2]), prec),
+                Series(Polynomial([QuadElem(2, -1), 0, 5]), prec),  # N = 1
+                Series(Polynomial([QuadElem(1, 1), F(1, 3)]), prec)]  # N = -2
+        nums = [Series(Polynomial(), prec), one, dens[2]]
+        for quad in (False, True):
+            dens.append(Series(random_poly(rng, prec + 2, quad).reverse(),
+                               prec))
+            nums.append(Series(random_poly(rng, prec + 1, quad), prec))
+        for b in dens:
+            a0, b0 = b.poly.x[0], b.poly.y[0]
+            norms.add((a0 * a0 - 3 * b0 * b0) > 0)
+            inverse = newton_inverse(b)
+            for a in nums + dens:
+                got = a / b
+                assert got.prec == prec
+                assert_identical(got.poly, (a * inverse).poly)
+                assert got.poly.degree < prec
+            with pytest.raises(ZeroDivisionError):
+                b / Series(T, prec)
+            with pytest.raises(ZeroDivisionError):
+                b / Series(Polynomial(), prec)
+    assert norms == {False, True}
+
+
 def test_series_inverse_matches_field_recurrence():
     rng = random.Random(73)
     for prec in (1, 2, 3, 5, 8, 13):
@@ -923,7 +1021,7 @@ def test_series_inverse_matches_field_recurrence():
             samples.append(Series(random_poly(rng, prec + 2, quad).reverse(),
                                   prec))
         for a in samples:
-            got, want = a.inverse(), field_series_inverse(a)
+            got, want = Series.constant(1, prec) / a, field_series_inverse(a)
             assert got.prec == prec
             assert got.coeffs == want.coeffs
             assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
@@ -931,9 +1029,9 @@ def test_series_inverse_matches_field_recurrence():
             assert got.poly.degree < prec
             assert (a * got).coeffs == [1] + [0] * (prec - 1)
         with pytest.raises(ZeroDivisionError):
-            Series(T, prec).inverse()
+            Series.constant(1, prec) / Series(T, prec)
         with pytest.raises(ZeroDivisionError):
-            Series(Polynomial(), prec).inverse()
+            Series.constant(1, prec) / Series(Polynomial(), prec)
 
 
 def test_series_mul_matches_field_mul():

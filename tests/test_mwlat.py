@@ -1,5 +1,6 @@
 """Heights, local contributions, torsion, and the saturation argument."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from zerodiag.curve import (
     fiber_at,
     named_sections,
     param_to_point,
+    point_to_param,
     tate_classify,
 )
 from zerodiag.mwlat import (
@@ -70,11 +72,11 @@ def test_series_arithmetic():
 
 def test_series_inverse_roundtrip():
     a = Series(Polynomial([2, -1, 5, Fraction(1, 3)]), 6)
-    prod = a * a.inverse()
+    prod = a * (Series.constant(1, 6) / a)
     assert prod.coeffs[0] == 1
     assert all(c == 0 for c in prod.coeffs[1:])
     with pytest.raises(ZeroDivisionError):
-        Series(Polynomial([0, 1]), 3).inverse()
+        Series.constant(1, 3) / Series(Polynomial([0, 1]), 3)
 
 
 def _series_sqrt(s, root0):
@@ -414,6 +416,38 @@ def test_height_negation_antisymmetry(pts):
     assert height_pairing(q.conjugate()) == height_pairing(q)  # conj(Q) = -Q
     assert height_pairing(pts["P"], -q) == -height_pairing(pts["P"], q)
     assert height_pairing(q, -q) == -Fraction(1, 2)
+
+
+# sha256 of the outputs below for the 56 sections, recorded before the
+# shortcuts in Polynomial.__mul__, Series.__truediv__ and _modular_gcd
+SECTIONS_SHA256 = (
+    "9beac9702eda2abb874f13d899a3331f031674b305ece2464bf880120f218bc6")
+
+
+def test_sections_of_height_at_most_seven_halves_are_unchanged(pts):
+    """The 56 sections mP + nQ + T with 0 < 3m^2 + n^2 <= 7 and T torsion:
+    the height, the pairings with P and Q, and the integer forms of the
+    point_to_param components, or the out-of-chart ValueError."""
+    torsion = {"O": pts["O"], "T1": pts["T1"], "T2": pts["T2"],
+               "T1+T2": pts["T1"] + pts["T2"]}
+    lines = []
+    for m in (-1, 0, 1):
+        for n in range(-2, 3):
+            if not 0 < 3 * m * m + n * n <= 7:
+                continue
+            for name, t in torsion.items():
+                s = m * pts["P"] + n * pts["Q"] + t
+                row = [m, n, name] + [str(height_pairing(s, other))
+                                      for other in (s, pts["P"], pts["Q"])]
+                try:
+                    row += [(c.x, c.y, c.d)
+                            for c in point_to_param(s).components()]
+                except ValueError as e:
+                    row.append(str(e))
+                lines.append(repr(row))
+    assert len(lines) == 56
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SECTIONS_SHA256
 
 
 # -- torsion and descent ------------------------------------------------------------

@@ -84,10 +84,14 @@ def test_wrong_witness_fails_decomposition(monkeypatch, capsys):
     cert = nscat.decomposition_certificate()
     assert cert.fact("block.neg2") == -2
     assert cert.fact("blocks.orthogonal") != "yes"
-    status = {row[0]: row[3] for row in cli.claims_report("ns").rows}
+    # the blocks are dependent, so the direct sum has no index
+    assert cert.fact("sublattice.disc") == 0
+    assert cert.fact("sublattice.index") is None
+    rows = {row[0]: row for row in cli.claims_report("ns").rows}
+    assert rows["ns.index"][1:] == ("None", "1", "fail")
     for claim in ("ns.orthogonal", "ns.index",
                   "certificate.lattice.decomposition"):
-        assert status[claim] == "fail", claim
+        assert rows[claim][3] == "fail", claim
     assert cli.main(["verify-all"]) == 1
     capsys.readouterr()
 
