@@ -62,11 +62,6 @@ from .surface import (
 _NVARS = 6  # coordinates (x, y, z, a, b, c)
 
 
-def q2(p):
-    x, y, z, a, b, c = p
-    return x * y + y * z + z * x + a * a + b * b + c * c
-
-
 _SUM_XYZ = (1, 1, 1, 0, 0, 0)
 
 

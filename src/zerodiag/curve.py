@@ -86,10 +86,6 @@ class WeierstrassModel:
         c4, _ = self.c_invariants()
         return c4 ** 3 / self.discriminant()
 
-    def rhs(self, u):
-        u = _rf(u)
-        return ((u + self.a2) * u + self.a4) * u + self.a6
-
     def contains(self, u, v) -> bool:
         """Whether v^2 = u^3 + a2 u^2 + a4 u + a6, by cross-multiplication.
 

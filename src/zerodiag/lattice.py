@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import mul
 
 
@@ -211,9 +211,6 @@ class DiscriminantGroup:
 
     def __setattr__(self, *a):
         raise AttributeError("DiscriminantGroup is immutable")
-
-    def order(self) -> int:
-        return prod(self.orders)
 
     def all_q_values(self):
         """The full multiset {q(x) : x in L*/L} as values in [0, 2), each

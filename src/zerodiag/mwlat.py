@@ -19,7 +19,9 @@ series root of g' (plain evaluation at the place is not enough, because a
 section can agree with the node to higher order), and the component is read
 from the order a of u - node and the slope v[a] / (u - node)[a], a square
 root of the constant term of a2 + 3 node.  On an I0* fiber it is the
-linear term of u minus the triple root.
+linear term of u minus the triple root.  section_component keeps each
+answer per (section, fiber) in one bounded cache, so height_pairing and
+height_gram hold no memo of their own.
 
 Also here: the torsion sections, the two-descent style saturation
 argument for the full Mordell-Weil lattice, and the certificates of
@@ -142,8 +144,10 @@ def _identity(fiber):
     return ComponentRef(fiber.place, fiber.symbol, "identity", None)
 
 
+@lru_cache(maxsize=64)
 def section_component(pt: CurvePoint, fiber) -> ComponentRef:
-    """Component of the fiber hit by a section."""
+    """Component of the fiber hit by a section; the one memo of components,
+    bounded to hold the 5 x 6 of the largest Gram the command line prints."""
     if pt.is_infinity:
         return _identity(fiber)
     if fiber.kind == "I":
@@ -267,47 +271,34 @@ def mutual_intersection(s: CurvePoint, t: CurvePoint) -> Fraction:
 
 def height_pairing(s: CurvePoint, t: CurvePoint = None) -> Fraction:
     """Canonical height pairing of sections of the family fibration."""
-    return _height_pairing(s, t, section_component)
-
-
-def _height_pairing(s, t, component) -> Fraction:
-    """height_pairing, reading the fiber component a section meets as
-    component(section, fiber)."""
     fibers = tate_classify(family_model())
     if t is None or t == s:
         if s.is_infinity:
             return Fraction(0)
         total = Fraction(2 * CHI) + 2 * intersection_with_zero(s)
         for fib in fibers:
-            total -= local_contribution(fib, component(s, fib))
+            total -= local_contribution(fib, section_component(s, fib))
         return total
     if s.is_infinity or t.is_infinity:
         return Fraction(0)
     total = (Fraction(CHI) + intersection_with_zero(s)
              + intersection_with_zero(t) - mutual_intersection(s, t))
     for fib in fibers:
-        total -= local_contribution(fib, component(s, fib),
-                                    component(t, fib))
+        total -= local_contribution(fib, section_component(s, fib),
+                                    section_component(t, fib))
     return total
 
 
 def height_gram(points) -> list:
-    """Gram matrix of the height pairing; each section's component at each
-    bad fiber is computed once, for the diagonal and the mixed terms."""
+    """Gram matrix of the height pairing, from height_pairing on the upper
+    triangle; section_component's cache serves each section's component
+    at each bad fiber to the diagonal and the mixed terms alike."""
     pts = list(points)
-    seen = {}
-
-    def component(pt, fib):
-        key = (pt, fib.place)
-        if key not in seen:
-            seen[key] = section_component(pt, fib)
-        return seen[key]
-
     n = len(pts)
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            val = _height_pairing(pts[i], None if i == j else pts[j], component)
+            val = height_pairing(pts[i], None if i == j else pts[j])
             out[i][j] = out[j][i] = val
     return out
 
@@ -383,7 +374,8 @@ def saturation_certificate() -> Certificate:
     q = param_to_point(secs["Q"])
     tors = torsion_points()
     gram = height_gram([p, q])
-    scaled = [[int(4 * gram[i][j]) for j in range(2)] for i in range(2)]
+    # exact: a height outside (1/4) Z must show, not truncate to an integer
+    scaled = [[4 * gram[i][j] for j in range(2)] for i in range(2)]
     disc = scaled[0][0] * scaled[1][1] - scaled[0][1] * scaled[1][0]
     facts = [
         ("height.PP", gram[0][0]),
@@ -395,7 +387,7 @@ def saturation_certificate() -> Certificate:
     # index divides 2: 12 / n^2 integral forces n in {1, 2}
     # halving P alone: height would be 3/8, not quarter-integral
     # halving Q alone: height would be 1/8, not quarter-integral
-    parity_ok = (4 * gram[0][0]) % 2 == 0 and (4 * gram[1][1]) % 2 == 0
+    parity_ok = scaled[0][0] % 2 == 0 and scaled[1][1] % 2 == 0
     # those two heights are 6/4 and 2/4; a half-point would have height
     # h/4 with 4h = <P,P> resp. <Q,Q>, i.e. 3/8 or 1/8, outside (1/4) Z
     base = p + q

@@ -354,6 +354,21 @@ def test_wrong_torsion_set_fails_torsion_order(capsys, monkeypatch):
     assert rows["certificate.torsion"][3] == "fail"
 
 
+def test_a_height_outside_quarter_integers_is_not_truncated(
+        capsys, monkeypatch):
+    # h(P) = 13/8 scales to 13/2, which must neither print as nor pass for 6
+    monkeypatch.setattr(cli.mwlat, "height_gram", lambda points: [
+        [Fraction(13, 8), Fraction(0)], [Fraction(0), Fraction(1, 2)]])
+    code, payload = run_json(capsys, ["descent"])
+    assert code == 1
+    rows = {row[0]: row for row in payload["rows"]}
+    assert rows["descent.scaled_gram"][1:] == [
+        "((13/2, 0), (0, 2))", "((6, 0), (0, 2))", "fail"]
+    assert rows["descent.scaled_disc"][1:] == ["13", "12", "fail"]
+    assert rows["descent.index"][1:] == ["None", "1", "fail"]
+    assert rows["certificate.saturation"][3] == "fail"
+
+
 def test_an_unprinted_claim_fails_its_certificate_row(capsys, monkeypatch):
     # descent does not print height.T1, but the torsion row judges it
     bad = Certificate("torsion",

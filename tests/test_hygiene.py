@@ -1,7 +1,8 @@
 """Source hygiene of src/zerodiag, read with the stdlib ast module: no
 import goes unused, no private top-level name is left without a caller,
-every public function and method is called from src/, demos/ or bench/,
-and no module starts threads or processes or reads the environment."""
+every public function and method is called from src/, demos/ or bench/
+(a function's own local of the same name is no caller), and no module
+starts threads or processes or reads the environment."""
 
 import ast
 from pathlib import Path
@@ -18,20 +19,71 @@ NO_CALLER_YET = {"is_trivial", "rr_effective"}
 UNWANTED = {"concurrent", "multiprocessing", "threading", "environ", "getenv"}
 
 
-def _references(node):
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _binds(function):
+    """Names a function binds in its own scope: its parameters and each
+    name its body assigns, defines, imports or catches (comprehension
+    targets included), less those declared global or nonlocal.  Nested
+    functions are left to themselves."""
+    a = function.args
+    bound = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+             + [p for p in (a.vararg, a.kwarg) if p]}
+    declared = set()
+    todo = list(_body(function))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(al.asname or al.name).split(".")[0] for al in node.names}
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared |= set(node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def _body(function):
+    """The statements, or a lambda's expression, that run in a function's
+    own scope; its decorators, defaults and annotations run outside it."""
+    return function.body if isinstance(function.body, list) else [function.body]
+
+
+def _references(node, bound=frozenset()):
     """Names a piece of source reads: plain names, attribute names, the
     names a `from` import takes from another module, and strings that are
-    identifiers, which registries look up with getattr."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.ImportFrom):
-            yield from (alias.name for alias in sub.names)
-        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-              and sub.value.isidentifier()):
-            yield sub.value
+    identifiers, which registries look up with getattr.  A plain name read
+    where a function binds that name itself (it or an enclosing function:
+    a parameter, say, or an assignment) is a local and is not counted."""
+    if isinstance(node, ast.Name):
+        if not isinstance(node.ctx, ast.Store) and node.id not in bound:
+            yield node.id
+        return
+    if isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (alias.name for alias in node.names)
+    elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+          and node.value.isidentifier()):
+        yield node.value
+    outer = list(ast.iter_child_nodes(node))
+    if isinstance(node, _FUNCTIONS):
+        body = _body(node)
+        local = bound | _binds(node)
+        for child in body:
+            yield from _references(child, local)
+        outer = [c for c in outer if all(c is not b for b in body)]
+    for child in outer:
+        yield from _references(child, bound)
 
 
 def _defined(stmt):
@@ -96,18 +148,49 @@ def _public(tree):
                     yield "%s.%s" % (stmt.name, sub.name), sub.name
 
 
-def test_every_public_name_has_a_caller():
+def _uncalled(modules, readers):
+    """Public names of the modules that no tree in readers reads."""
     referenced = set()
-    for folder in ("src", "demos", "bench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            referenced.update(_references(ast.parse(path.read_text(), str(path))))
-    uncalled = sorted("%s.%s" % (mod, qual)
-                      for mod, tree in MODULES.items()
-                      for qual, name in _public(tree)
-                      if name not in referenced and name not in NO_CALLER_YET)
-    assert uncalled == []
+    for tree in readers:
+        referenced.update(_references(tree))
+    return sorted("%s.%s" % (mod, qual)
+                  for mod, tree in modules.items()
+                  for qual, name in _public(tree)
+                  if name not in referenced and name not in NO_CALLER_YET)
+
+
+def test_every_public_name_has_a_caller():
+    readers = [ast.parse(path.read_text(), str(path))
+               for folder in ("src", "demos", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert _uncalled(MODULES, readers) == []
     assert NO_CALLER_YET <= {name for tree in MODULES.values()
                              for _, name in _public(tree)}
+
+
+def test_a_same_named_local_is_not_a_caller():
+    """A public name read only where a function binds the same name itself
+    (as a parameter, an assignment or a loop target, there or in an
+    enclosing function) has no caller; a name read in a default still
+    counts, since a default is evaluated outside the function."""
+    tree = ast.parse(
+        "def rhs(u):\n"
+        "    return u\n"
+        "def order(xs):\n"
+        "    return len(xs)\n"
+        "def label(x):\n"
+        "    return x\n"
+        "def kept(x):\n"
+        "    return x\n"
+        "def lifted(x):\n"
+        "    return x\n"
+        "def user(rhs, k=lifted):\n"
+        "    def inner():\n"
+        "        return rhs + order\n"
+        "    order = 1\n"
+        "    return [label for label in kept(inner())]\n")
+    assert _uncalled({"m": tree}, [tree]) == [
+        "m.label", "m.order", "m.rhs", "m.user"]
 
 
 def test_one_process_and_no_environment():

@@ -273,6 +273,7 @@ def test_section_component_does_no_hidden_work(pts, monkeypatch):
 
     monkeypatch.setattr(WeierstrassModel, "contains", contains)
     monkeypatch.setattr(WeierstrassModel, "__init__", init)
+    section_component.cache_clear()
     refs = [section_component(pts[name], fib)
             for fib in fibers for name in ("P", "Q", "T1", "T2")]
     assert len(refs) == 24
@@ -283,6 +284,7 @@ def test_node_is_lifted_once_per_place(pts, monkeypatch):
     """The node depends only on the model and the place: the heights of
     P, Q and P+Q lift it at most once at each I_n place (-2, 0, 2, inf),
     not once per section."""
+    section_component.cache_clear()
     mwlat._model_series.cache_clear()
     mwlat._place_node.cache_clear()
     real, lifted = mwlat._node_series, []
@@ -311,6 +313,7 @@ def test_section_off_the_model_is_refused(pts, monkeypatch):
            if section_component(pts[name], fib).kind != "identity"]
     assert len(met) == 17
     monkeypatch.setattr(mwlat, "local_series", wrong_v)
+    section_component.cache_clear()
     for fib, name in met:
         with pytest.raises(ArithmeticError):
             section_component(pts[name], fib)
@@ -370,21 +373,39 @@ def test_height_gram(pts):
     assert gram == [[Fraction(3, 2), 0], [0, Fraction(1, 2)]]
 
 
+def _count_expansions(monkeypatch):
+    # (section, place) of each _local_expansion, on a cleared component cache
+    real, calls = mwlat._local_expansion, []
+
+    def counted(pt, place, prec):
+        calls.append((pt, place))
+        return real(pt, place, prec)
+
+    monkeypatch.setattr(mwlat, "_local_expansion", counted)
+    section_component.cache_clear()
+    return calls
+
+
 def test_height_gram_computes_each_component_once(pts, monkeypatch):
     sections = [pts["P"], pts["Q"], pts["T1"], pts["P"] + pts["Q"], pts["O"]]
     want = [[height_pairing(s) if i == j else height_pairing(s, t)
              for j, t in enumerate(sections)] for i, s in enumerate(sections)]
-    real = mwlat.section_component
-    calls = []
-
-    def counted(pt, fib):
-        calls.append((pt, fib.place))
-        return real(pt, fib)
-
-    monkeypatch.setattr(mwlat, "section_component", counted)
+    calls = _count_expansions(monkeypatch)
     assert height_gram(sections) == want
     # once per (section, bad fiber); O's pairings are 0 without a component
-    assert len(calls) == len(set(calls)) == 4 * len(tate_classify(family_model()))
+    n = 4 * len(tate_classify(family_model()))
+    assert len(calls) == len(set(calls)) == n
+    assert section_component.cache_info().misses == n
+
+
+def test_a_height_then_a_pairing_expand_each_component_once(pts, monkeypatch):
+    s = pts["P"] + pts["Q"]
+    calls = _count_expansions(monkeypatch)
+    assert height_pairing(s) == 2
+    assert height_pairing(s, pts["P"]) == Fraction(3, 2)
+    # s and P at each of the six bad fibers, s's components not redone
+    assert len(calls) == len(set(calls)) == 12
+    assert isinstance(section_component.cache_info().maxsize, int)
 
 
 def test_height_of_multiples(pts):

@@ -36,7 +36,12 @@ from zerodiag.exactnum import (
 )
 from zerodiag.lattice import det, mat_vec, signature
 from zerodiag.mwlat import local_contribution, section_component
-from zerodiag.surface import g_apply, group_elements, normalize_projective
+from zerodiag.surface import (
+    equation_values,
+    g_apply,
+    group_elements,
+    normalize_projective,
+)
 
 GRAM = nscat.ns_lattice()
 
@@ -46,6 +51,10 @@ SECTION_BASIS = {"O": 3, "P": 19, "Q": 15, "T1": 12, "T2": 7}
 # as data/ns_gram.json, the oracle for the matrix the engine derives
 FORMER_GRAM_SHA256 = (
     "2e25939ab142ac86cfc8809fff2d577c95ab98451248756cdc83a23c454438b5")
+
+
+def q2(p):
+    return equation_values(p)[1]
 
 
 def q3(p):
@@ -132,8 +141,8 @@ def former_is_double_point(p):
 
 def former_line_zero_points(w0, w1):
     # q2 on span(w0, w1) is a s^2 + b s u + c u^2
-    a, c = conics.q2(w0), conics.q2(w1)
-    b = conics.q2(tuple(u + v for u, v in zip(w0, w1))) - a - c
+    a, c = q2(w0), q2(w1)
+    b = q2(tuple(u + v for u, v in zip(w0, w1))) - a - c
 
     def comb(s, u):
         return tuple(s * x + u * y for x, y in zip(w0, w1))
@@ -165,7 +174,7 @@ def stacked_conic_intersection(c1, c2):
         return 0
     if rank == 5:
         q = nullspace(stacked)[0]
-        if conics.q2(q) != 0:
+        if q2(q) != 0:
             return 0
         return 1 - (1 if former_is_double_point(q) else 0)
     points = former_line_zero_points(*nullspace(stacked))
@@ -184,7 +193,7 @@ def field_dot(row, p):
 
 
 def field_contains(rows, p):
-    return all(field_dot(row, p) == 0 for row in rows) and conics.q2(p) == 0
+    return all(field_dot(row, p) == 0 for row in rows) and q2(p) == 0
 
 
 def field_plane(conic):
@@ -213,7 +222,7 @@ def field_conic_intersection(plane1, plane2):
                 return 0
             meet = tuple(sum(c * w[k] for c, w in zip(s, basis))
                          for k in range(6))
-            return 1 if conics.q2(meet) == 0 else 0
+            return 1 if q2(meet) == 0 else 0
     assert any(any(row) for row in restricted)
     return 2 - shared
 
@@ -234,7 +243,7 @@ def field_cubic_divisible(basis):
     rows = []
     for s0, s1, s2 in conics._CUBIC_NODES:
         p = tuple(s0 * u + s1 * v + s2 * w for u, v, w in zip(*basis))
-        q = conics.q2(p)
+        q = q2(p)
         rows.append((q * s0, q * s1, q * s2, q3(p)))
     return 3 not in rref(rows)[1]
 
@@ -320,7 +329,7 @@ def test_integer_form_arithmetic_matches_the_field():
         u, v = [element() for _ in range(6)], [element() for _ in range(6)]
         p, f = tuple(zip(*u)), tuple(zip(*v))
         fu, fv = [field(z) for z in u], [field(z) for z in v]
-        assert field(conics._q2(p)) == conics.q2(fu)
+        assert field(conics._q2(p)) == q2(fu)
         assert field(conics._q3(p)) == q3(fu)
         assert field(conics._dot(f, p)) == field_dot(fv, fu)
         assert ([field(z) for z in conics._cross(u[:3], v[:3])]
@@ -393,7 +402,7 @@ def cubic_divisible_on_grid(basis):
         if any(s):
             p = tuple(s[0] * u + s[1] * v + s[2] * w
                       for u, v, w in zip(*basis))
-            q = conics.q2(p)
+            q = q2(p)
             rows.append((q * s[0], q * s[1], q * s[2], q3(p)))
     return 3 not in rref(rows)[1]
 
