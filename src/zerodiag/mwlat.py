@@ -1,27 +1,26 @@
 """Heights and the Mordell-Weil lattice of the family fibration.
 
 The canonical height pairing of sections is computed exactly from
-intersection data:
+intersection data by Shioda's formula
 
-    <S,S> = 4 + 2 (S.O) - sum_v contr_v(S)
-    <S,T> = 2 + (S.O) + (T.O) - (S.T) - sum_v contr_v(S,T)
+    <S,T> = chi + (S.O) + (T.O) - (S.T) - sum_v contr_v(S,T)
 
 (the surface has chi = 2).  (S.O) needs only pole degrees of the
-u-coordinate; (S.T) is reduced to ((S-T).O) through translation by a
-section, which extends to an automorphism of the relatively minimal
-elliptic surface.  The correction terms contr_v need to know which fiber
-component a section hits.  That is decided from the first terms of
-truncated power series of a2, a4, a6, u and v in the local coordinate of
-each bad place (curve.local_series), checked against the Weierstrass
-equation to the working precision; no local model is built.  At a
-multiplicative place the node of the Weierstrass cubic is lifted to a
+u-coordinate.  (S.S) = -chi, and for T != S, (S.T) is reduced to ((S-T).O)
+through translation by a section, which extends to an automorphism of the
+relatively minimal elliptic surface.  The correction terms contr_v need to
+know which fiber component a section hits.  That is decided from the first
+terms of truncated power series of a2, a4, a6, u and v in the local
+coordinate of each bad place (curve.local_series), checked against the
+Weierstrass equation to the working precision; no local model is built.  At
+a multiplicative place the node of the Weierstrass cubic is lifted to a
 series root of g' (plain evaluation at the place is not enough, because a
 section can agree with the node to higher order), and the component is read
 from the order a of u - node and the slope v[a] / (u - node)[a], a square
-root of the constant term of a2 + 3 node.  On an I0* fiber it is the
-linear term of u minus the triple root.  section_component keeps each
-answer per (section, fiber) in one bounded cache, so height_pairing and
-height_gram hold no memo of their own.
+root of the constant term of a2 + 3 node.  On an I0* fiber it is the linear
+term of u minus the triple root.  section_component keeps each answer per
+(section, fiber) in one bounded cache, so height_pairing and height_gram
+hold no memo of their own.
 
 Also here: the torsion sections, the two-descent style saturation
 argument for the full Mordell-Weil lattice, and the certificates of
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from types import MappingProxyType
 
 from .exactnum import (
@@ -47,10 +47,12 @@ from .exactnum import (
 )
 from .curve import (
     CurvePoint,
+    euler_number,
     family_model,
     local_series,
     named_sections,
     param_to_point,
+    shioda_tate_rank,
     tate_classify,
     twist_weight,
 )
@@ -218,13 +220,9 @@ def _component_on_I0star(expansion, fiber) -> ComponentRef:
     return ComponentRef(fiber.place, fiber.symbol, "far", du[1])
 
 
-def local_contribution(fiber, ref_s: ComponentRef, ref_t: ComponentRef = None) -> Fraction:
-    """Correction term of one bad fiber to the height pairing.
-
-    With one argument the diagonal term contr_v(S); with two, the mixed
-    term contr_v(S, T)."""
-    if ref_t is None:
-        ref_t = ref_s
+def local_contribution(fiber, ref_s: ComponentRef, ref_t: ComponentRef) -> Fraction:
+    """Correction term contr_v(S, T) of one bad fiber to the height
+    pairing; the diagonal term contr_v(S) is contr_v(S, S)."""
     if ref_s.kind == "identity" or ref_t.kind == "identity":
         return Fraction(0)
     if fiber.kind == "I":
@@ -270,22 +268,20 @@ def mutual_intersection(s: CurvePoint, t: CurvePoint) -> Fraction:
 
 
 def height_pairing(s: CurvePoint, t: CurvePoint = None) -> Fraction:
-    """Canonical height pairing of sections of the family fibration."""
-    fibers = tate_classify(family_model())
-    if t is None or t == s:
-        if s.is_infinity:
-            return Fraction(0)
-        total = Fraction(2 * CHI) + 2 * intersection_with_zero(s)
-        for fib in fibers:
-            total -= local_contribution(fib, section_component(s, fib))
-        return total
+    """Canonical height pairing of sections of the family fibration; the
+    height of s when t is None or s."""
+    diagonal = t is None or t == s
+    if diagonal:
+        t = s
     if s.is_infinity or t.is_infinity:
         return Fraction(0)
     total = (Fraction(CHI) + intersection_with_zero(s)
-             + intersection_with_zero(t) - mutual_intersection(s, t))
-    for fib in fibers:
-        total -= local_contribution(fib, section_component(s, fib),
-                                    section_component(t, fib))
+             + intersection_with_zero(t)
+             - (-CHI if diagonal else mutual_intersection(s, t)))
+    for fib in tate_classify(family_model()):
+        ref_s = section_component(s, fib)
+        total -= local_contribution(
+            fib, ref_s, ref_s if diagonal else section_component(t, fib))
     return total
 
 
@@ -362,12 +358,13 @@ def saturation_certificate() -> Certificate:
     """Saturation of the rank-two sublattice spanned by the two marked
     infinite-order sections.
 
-    The index n of the span inside the full Mordell-Weil lattice divides
-    2 (discriminant of the integral rescaled Gram is 12 and 12/n^2 must
-    stay integral).  Parity of the quarter-integral heights rules out
-    halving either generator separately, and halving the sum is ruled out
-    because u(P + Q + T) is a nonsquare in the function field for every
-    torsion T.
+    The index n of the span inside the full Mordell-Weil lattice has n^2
+    dividing disc, the discriminant of the integral rescaled Gram (4 times
+    the quarter-integral heights).  An even n would make some
+    (aP + bQ + T) / 2 a section.  Halving P or Q alone is ruled out by
+    h / 4 lying outside (1/4) Z, and halving P + Q because u(P + Q + T) is
+    a nonsquare in the function field for every torsion T.  So n is odd,
+    and n = 1 when no odd square above 1 divides disc.
     """
     secs = named_sections()
     p = param_to_point(secs["P"])
@@ -384,19 +381,20 @@ def saturation_certificate() -> Certificate:
         ("lattice.scaled_gram", tuple(map(tuple, scaled))),
         ("lattice.scaled_disc", disc),
     ]
-    # index divides 2: 12 / n^2 integral forces n in {1, 2}
-    # halving P alone: height would be 3/8, not quarter-integral
-    # halving Q alone: height would be 1/8, not quarter-integral
-    parity_ok = scaled[0][0] % 2 == 0 and scaled[1][1] % 2 == 0
-    # those two heights are 6/4 and 2/4; a half-point would have height
-    # h/4 with 4h = <P,P> resp. <Q,Q>, i.e. 3/8 or 1/8, outside (1/4) Z
+    # halving P or Q alone: a half-point has height h / 4, in (1/4) Z
+    # when the scaled entry 4 h is divisible by 4; an entry outside Z
+    # already contradicts quarter-integrality
+    parity_ok = all(x.denominator == 1 and x % 4
+                    for x in (scaled[0][0], scaled[1][1]))
     base = p + q
     blocked = tuple(sorted(name for name, t in tors.items()
                            if not is_square_in_function_field((base + t).u)))
     facts.append(("halving.sum_blocked_for", blocked))
-    # the index is 1 once every way to halve is ruled out; None: undecided
+    # the index n is odd once every way to halve is ruled out, and n^2
+    # divides disc; None: undecided
     halving_ok = parity_ok and len(blocked) == len(tors)
-    facts.append(("lattice.index", 1 if disc == 12 and halving_ok else None))
+    facts.append(("lattice.index",
+                  1 if halving_ok and _no_odd_square_factor(disc) else None))
     facts.append(("lattice.rank", len(gram) - signature(gram)[2]))
     return Certificate(
         "saturation", facts,
@@ -405,11 +403,17 @@ def saturation_certificate() -> Certificate:
         ok=halving_ok)
 
 
+def _no_odd_square_factor(disc) -> bool:
+    """disc is a positive integer that no odd square above 1 divides."""
+    if disc <= 0 or disc.denominator != 1:
+        return False
+    odd = int(disc) // (int(disc) & -int(disc))
+    return all(odd % (k * k) for k in range(3, isqrt(odd) + 1, 2))
+
+
 def rank_formula_certificate() -> Certificate:
     """The Euler number, and the Picard number from the fiber table and
     Mordell-Weil rank 2 by the Shioda-Tate formula."""
-    from .curve import euler_number, shioda_tate_rank
-
     model = family_model()
     return Certificate("rank-formula", [
         ("fibers.component_excess",

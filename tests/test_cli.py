@@ -77,6 +77,18 @@ GOLDEN_STDOUT = {
         "d6ada5f67b0fc36eaa82cc67e2887d284f5e854af9401021b4a912881bd35c2e",
     "search --max 250":
         "1f2614383fe2c822e20295c24fa16fc3cfa2f5ae33c3c9ec88e007d5c5a452f6",
+    "orbits":
+        "afaa9ed581111407deb82b3e62497223e230c3d91c323812bdddf6ec416d7d8d",
+    "lattice-forms":
+        "e03d6fd1de5c33dccfa17c2cc5ac908bb6c6a19aabfa205348824a6ee71be7ae",
+    "param":
+        "f6f3f36bb3633c6e86a6bea165589c70e5a325725f772d9348b1181532514b5f",
+    "param --at 3":
+        "4bba948b3292be65bfab689368df873404d89d33e509257323a9f6fefe005867",
+    "ns count-classes --degree 2 --genus 0":
+        "7f9e7fd014d73846daef49c4efbb693a6d3c26d9f844145e59b2621416f86473",
+    "--format csv fibers":
+        "718a3fee95714f7874cc62e650b7b87d7759797cc25b5476afc51568f100914d",
 }
 
 
@@ -408,6 +420,101 @@ def test_a_wrong_fact_fails_its_claim_and_its_certificate(
     failing = [row[0] for row in payload["rows"] if row[3] == "fail"]
     assert sorted(failing) == sorted([claim_id, "certificate." + real.name])
     assert payload["failed"] == 2
+
+
+# rows each certificate fails when its builder raises: the claims read from
+# it, plus its own certificate row
+RAISING_ROWS = {"sat": 9, "tor": 5, "rank": 4, "dec": 10, "hyp": 3,
+                "ident": 3, "fib": 3, "tra": 5, "count": 4}
+
+
+@pytest.mark.parametrize("cert", sorted(cli._CERTS))
+def test_a_certificate_that_raises_fails_its_rows(cert, capsys, monkeypatch):
+    def broken():
+        raise ArithmeticError("injected")
+
+    row_id = "certificate." + _real_certificate(cert).name
+    monkeypatch.setattr(*cli._CERTS[cert], broken)
+    code, payload = run_json(capsys, ["verify-all"])
+    assert code == 1
+    assert [row[0] for row in payload["rows"]
+            if row[3] != "assumed"] == VERIFY_ALL_CLAIMS
+    failing = [row for row in payload["rows"] if row[3] == "fail"]
+    tagged = {claim for claim, _, fn, _ in cli.CLAIMS
+              if getattr(fn, "source", (None,))[0] == cert}
+    assert {row[0] for row in failing} == tagged | {row_id}
+    assert all(row[1] == "ArithmeticError: injected" for row in failing)
+    assert payload["failed"] == len(failing) == RAISING_ROWS[cert]
+
+
+def test_a_class_missing_from_the_enumeration_fails_the_count(
+        capsys, monkeypatch):
+    real = cli.nscat.enumerate_classes
+
+    def short(d, g):
+        classes = real(d, g)
+        return classes[1:] if (d, g) == (2, 0) else classes
+
+    monkeypatch.setattr(cli.nscat, "enumerate_classes", short)
+    code, payload = run_json(capsys, ["verify-all"])
+    assert code == 1
+    failing = [row[0] for row in payload["rows"] if row[3] == "fail"]
+    assert failing == ["certificate.count.441"]
+    code, payload = run_json(capsys, ["ns", "catalogue"])
+    assert code == 1
+    assert payload["failed"] == 1
+    assert dict(payload["rows"])["matches lattice enumeration"] == "no"
+
+
+@pytest.fixture
+def fresh_nscat_caches():
+    """Empties the memos of nscat before and after a test that patches
+    what they are built from."""
+    def clear():
+        for value in vars(cli.nscat).values():
+            if (hasattr(value, "cache_clear")
+                    and value.__module__ == cli.nscat.__name__):
+                value.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_a_wrong_pairing_fails_rows_not_the_run(
+        capsys, monkeypatch, fresh_nscat_caches):
+    # e17.e18 raised by 1 in both orders
+    gram = [list(row) for row in cli.nscat.ns_lattice()]
+    gram[16][17] += 1
+    gram[17][16] += 1
+    monkeypatch.setattr(cli.nscat, "ns_lattice",
+                        lambda: tuple(map(tuple, gram)))
+    code, payload = run_json(capsys, ["verify-all"])
+    assert code == 1
+    assert [row[0] for row in payload["rows"]
+            if row[3] != "assumed"] == VERIFY_ALL_CLAIMS
+    rows = {row[0]: row for row in payload["rows"]}
+    assert rows["ns.disc"][1:] == ["-107", "-48", "fail"]
+    failing = [row[0] for row in payload["rows"] if row[3] == "fail"]
+    assert payload["failed"] == len(failing) > 1
+    # the Mordell-Weil side reads no Neron-Severi class
+    assert set(failing).isdisjoint(DESCENT_CLAIMS + ORBIT_CLAIMS)
+
+
+@pytest.mark.parametrize("scaled, index", [
+    (((2, 2), (2, 26)), "1"),  # disc 48 = 16 * 3
+    (((6, 0), (0, 6)), "None"),  # disc 36: 9 | 36 leaves index 3 open
+    (((6, 0), (0, 8)), "None"),  # h(Q) = 2: Q / 2 would have height 1/2
+])
+def test_the_index_follows_from_halving_and_the_discriminant(
+        scaled, index, capsys, monkeypatch):
+    monkeypatch.setattr(cli.mwlat, "height_gram", lambda points: [
+        [Fraction(x, 4) for x in row] for row in scaled])
+    _, payload = run_json(capsys, ["descent"])
+    rows = {row[0]: row for row in payload["rows"]}
+    (a, b), (_, c) = scaled
+    assert rows["descent.scaled_disc"][1] == str(a * c - b * b)
+    assert rows["descent.index"][1] == index
 
 
 def test_bad_usage_exits_2(capsys, monkeypatch):

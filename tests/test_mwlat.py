@@ -331,17 +331,16 @@ def test_contribution_values():
     mid = ComponentRef(2, "I4", "cycle", 2)
     side = ComponentRef(2, "I4", "cycle", 1)
     idy = ComponentRef(2, "I4", "identity", None)
-    assert local_contribution(i4, mid) == 1
-    assert local_contribution(i4, side) == Fraction(3, 4)
+    assert local_contribution(i4, mid, mid) == 1
+    assert local_contribution(i4, side, side) == Fraction(3, 4)
     assert local_contribution(i4, side, mid) == Fraction(1, 2)
     assert local_contribution(i4, side, ComponentRef(2, "I4", "cycle", 3)) == Fraction(1, 4)
     assert local_contribution(i4, idy, mid) == 0
     star = fibers[Fraction(1)]
     a = ComponentRef(1, "I0*", "far", 0)
     b = ComponentRef(1, "I0*", "far", 18)
-    assert local_contribution(star, a) == 1
-    assert local_contribution(star, a, b) == Fraction(1, 2)
     assert local_contribution(star, a, a) == 1
+    assert local_contribution(star, a, b) == Fraction(1, 2)
 
 
 def test_unsupported_fiber_type_is_loud():

@@ -792,10 +792,7 @@ def test_contributions_match_height_machinery():
         refs = {name: section_component(points[name], fib) for name in names}
         for s in names:
             for t in names:
-                if s == t:
-                    expected = local_contribution(fib, refs[s])
-                else:
-                    expected = local_contribution(fib, refs[s], refs[t])
+                expected = local_contribution(fib, refs[s], refs[t])
                 got = _geometric_contribution(
                     fib, comps, met[s], met[t], met["O"])
                 assert got == expected, (key, s, t, got, expected)
