@@ -256,15 +256,22 @@ _CERTS = {
 class _Run:
     """One evaluation of the claims.  `built` keeps every value fetched
     through `get`, each certificate among them, in the order they were
-    built, so each is built once.  A build that raises is not kept: each
-    claim that needs it tries it again and fails with it."""
+    built, so each is built once.  `failed` keeps the exception of each
+    build that raised, so each claim that needs it fails with that
+    exception, and nothing is built again."""
 
     def __init__(self):
-        self.built = {}
+        self.built, self.failed = {}, {}
 
     def get(self, fn):
+        if fn in self.failed:
+            raise self.failed[fn]
         if fn not in self.built:
-            self.built[fn] = fn()
+            try:
+                self.built[fn] = fn()
+            except Exception as e:
+                self.failed[fn] = e
+                raise
         return self.built[fn]
 
     def cert(self, name):
@@ -406,10 +413,11 @@ def claims_report(command) -> Report:
     """Check rows of the claims `command` prints, or of every claim when it
     is None, then one row per imported fact of the certificates they used,
     in the order the certificates were built.  A claim whose computation
-    raises fails, with "<Type>: <message>" as its computed value and its
-    traceback on stderr."""
+    raises fails, with "<Type>: <message>" as its computed value; each
+    exception's traceback goes to stderr once, however many claims it
+    fails."""
     run = _Run()
-    rows = []
+    rows, shown = [], []
     for claim, cmd, compute, expected in CLAIMS:
         if command is None or cmd == command:
             try:
@@ -417,7 +425,9 @@ def claims_report(command) -> Report:
                 computed = _render(value)
                 status = "pass" if value == expected else "fail"
             except Exception as e:
-                traceback.print_exc()
+                if e not in shown:
+                    traceback.print_exc()
+                    shown.append(e)
                 computed, status = "%s: %s" % (type(e).__name__, e), "fail"
             rows.append((claim, computed, _render(expected), status))
     failed = sum(row[-1] == "fail" for row in rows)

@@ -12,11 +12,11 @@ classification, and the explicit maps in both directions between section
 parametrizations and Weierstrass points.
 
 Local questions are answered from the global model, with no local model
-rebuilt.  A function f of weight w (u is 2, v is 3, a_i is i) is written
-in the local coordinate of a place by local_series: t - r at a rational
-place r, and s = 1/t at infinity, where it is twisted to s^(w k) f(1/s)
-with k = twist_weight(model).  Fiber types come from the valuations of
-c4, c6 and Delta at the place, in the same coordinate.
+rebuilt.  _leading_term reads the order and the leading coefficient of a
+function f of weight w (u is 2, v is 3, a_i is i) in the local coordinate
+of a place: t - r at a rational place r, and s = 1/t at infinity, where f
+is twisted to s^(w k) f(1/s) with k = twist_weight(model).  Fiber types
+come from the orders of c4, c6 and Delta at the place.
 """
 
 from __future__ import annotations
@@ -25,12 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (
-    PoleError,
     Polynomial,
     RationalFunction,
     SQRT3,
-    Series,
-    _series_of_rf,
     conj,
     gcd_cofactors,
     rational_roots,
@@ -261,14 +258,17 @@ def _fiber_shape(kind, n):
     return m, m1, kind
 
 
-def _valuation(f: RationalFunction, place, w: int, k: int) -> int:
-    """Valuation at a place of f of weight w, twisted by k at infinity as
-    local_series does."""
+def _leading_term(f: RationalFunction, place, w: int, k: int):
+    """(order, leading coefficient) at a place of f of weight w (u is 2, v
+    is 3, a_i is i), in the local coordinate: t - r at a rational place r,
+    and s = 1/t at infinity, where f is twisted to s^(w k) f(1/s).  The
+    zero function gives (_BIG, 0)."""
     if f.is_zero:
-        return _BIG
+        return _BIG, 0
     if place == INFINITE_PLACE:
-        return w * k - f.degree()
-    return f.ord_at(place)
+        return w * k - f.degree(), f.num.lead()  # the denominator is monic
+    (a, x), (b, y) = f.num.lead_at(place), f.den.lead_at(place)
+    return a - b, x / y
 
 
 def twist_weight(model: WeierstrassModel) -> int:
@@ -279,23 +279,6 @@ def twist_weight(model: WeierstrassModel) -> int:
         if not a.is_zero:
             k = max(k, -(-a.degree() // i))
     return k
-
-
-def local_series(f: RationalFunction, place, w: int, k: int, prec: int) -> Series:
-    """Expansion of f, of weight w (u is 2, v is 3, a_i is i), in the local
-    coordinate of a place: t - r at a rational place r, and s = 1/t at
-    infinity, where f is twisted to s^(w k) f(1/s).  Raises PoleError at a
-    pole."""
-    if place != INFINITE_PLACE:
-        return _series_of_rf(f, place, prec)
-    if f.is_zero:
-        return Series(Polynomial(), prec)
-    shift = w * k - f.degree()
-    if shift < 0:
-        raise PoleError("expansion at a pole")
-    num, den = f.num, f.den
-    return (Series(num.reverse(num.degree + shift), prec)
-            / Series(den.reverse(), prec))
 
 
 def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
@@ -310,7 +293,7 @@ def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
         place = Fraction(place)
     k = twist_weight(model)
     c4, c6 = model.c_invariants()
-    alpha, beta, delta = (_valuation(f, place, w, k) for f, w in
+    alpha, beta, delta = (_leading_term(f, place, w, k)[0] for f, w in
                           ((c4, 4), (c6, 6), (model.discriminant(), 12)))
     while alpha >= 4 and beta >= 6 and delta >= 12:
         alpha, beta, delta = (v if v == _BIG else v - d for v, d in

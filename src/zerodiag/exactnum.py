@@ -1,8 +1,8 @@
 """Exact arithmetic substrate: rationals, Q(sqrt 3), dense polynomials,
-truncated power series, rational functions, the one row reduction over Q
-and Q(sqrt 3) that conic planes and ranks are built on, and
-the certificate record every verified claim returns.  Integer matrices are
-inverted elsewhere, in lattice, without fractions.
+rational functions, the one row reduction over Q and Q(sqrt 3) that conic
+planes and ranks are built on, and the certificate record every verified
+claim returns.  Integer matrices are inverted elsewhere, in lattice,
+without fractions.
 
 Everything here is exact.  Floats are rejected on input and never produced.
 Rationals are stdlib ``fractions.Fraction``; the quadratic field Q(sqrt 3)
@@ -16,11 +16,10 @@ listed lowest degree first.
 
 A Polynomial stores only its integer form: int tuples x, y and the least
 integer d > 0 with coefficients (x + y*sqrt3) / d.  Its products, sums,
-quotients, images modulo a prime and Taylor shifts, and the truncated
-products and quotients of a Series, all read that form; field scalars are
-built only where a caller asks for a coefficient or a value.  A product
-skips the convolutions of a zero sqrt 3 part, so a product of two rational
-polynomials runs one.
+quotients, images modulo a prime and Taylor shifts all read that form;
+field scalars are built only where a caller asks for a coefficient, a
+value or the leading term at a place.  A product skips the convolutions of
+a zero sqrt 3 part, so a product of two rational polynomials runs one.
 ``_integer_parts`` clears the denominators of a scalar list once, when a
 Polynomial is built from one.  Nothing divides with remainder over the
 field: ``_quotient`` divides exactly, gcds come from images modulo primes,
@@ -461,11 +460,6 @@ class Polynomial:
 
     # -- calculus / transforms ----------------------------------------------
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial._of([i * v for i, v in enumerate(self.x)][1:],
-                              [i * v for i, v in enumerate(self.y)][1:],
-                              self.d)
-
     def __call__(self, x):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -495,10 +489,17 @@ class Polynomial:
 
     def valuation_at(self, root) -> int:
         """Multiplicity of (t - root) in self; 0 if not a root."""
+        return self.lead_at(root)[0]
+
+    def lead_at(self, root):
+        """(m, c) with self = c (t - root)^m + O((t - root)^(m + 1)) and
+        c != 0, for a rational root: the first nonzero pair of _taylor."""
         if self.is_zero:
             raise ValueError("valuation of the zero polynomial")
-        return next(k for k, c in enumerate(_taylor(self, root, len(self.x)))
-                    if any(c))
+        den = self.d * root.denominator ** self.degree
+        m, (u, v) = next((k, c) for k, c in
+                         enumerate(_taylor(self, root, len(self.x))) if any(c))
+        return m, QuadElem(Fraction(u, den), Fraction(v, den))
 
     def __repr__(self):
         return "Polynomial(%s)" % (list(map(str, self.coeffs)),)
@@ -509,107 +510,7 @@ class Polynomial:
             for i, c in enumerate(self.coeffs) if c) or "0"
 
 
-# -- truncated power series ---------------------------------------------------
-
-
-def newton_steps(prec: int) -> int:
-    """Newton iterations that lift a root known to one term to prec terms:
-    each doubles the terms known, and one more is spent on top."""
-    return max(1, (prec - 1).bit_length()) + 1
-
-
-class Series:
-    """Truncated power series: the Polynomial of its first prec terms.
-    Sums and products are the polynomial ones, truncated to prec; a
-    quotient is one integer recurrence on the two integer forms."""
-
-    __slots__ = ("poly", "prec")
-
-    def __init__(self, poly: Polynomial, prec: int):
-        if poly.degree >= prec:
-            poly = Polynomial._of(poly.x[:prec], poly.y[:prec], poly.d)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Series is immutable")
-
-    @classmethod
-    def constant(cls, c, prec: int) -> "Series":
-        return cls(Polynomial._lift(c), prec)
-
-    @property
-    def coeffs(self) -> list:
-        return [self.poly[i] for i in range(self.prec)]
-
-    def __getitem__(self, i):
-        return self.poly[i]
-
-    def __add__(self, other):
-        assert self.prec == other.prec
-        return Series(self.poly + other.poly, self.prec)
-
-    def __sub__(self, other):
-        assert self.prec == other.prec
-        return Series(self.poly - other.poly, self.prec)
-
-    def __neg__(self):
-        return Series(-self.poly, self.prec)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            assert self.prec == other.prec
-            other = other.poly
-        return Series(self.poly * other, self.prec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        """self / other for other with a nonzero constant term, by one
-        fraction-free recurrence in Z[sqrt 3].
-
-        On the integer forms s_k / f.d of self and o_k / o.d of other, the
-        coefficients w_k of s / o satisfy o_0 w_k = s_k - sum_{i=1..k} o_i
-        w_(k-i).  With c = conj(o_0) and the integer N = o_0 c, the scaled
-        W_k = N^(k+1) w_k = c (N^k s_k - sum_{i=1..k} o_i W_(k-i) N^(i-1))
-        are integral, and the quotient has the coefficients W_k N^(prec-1-k)
-        o.d / (N^prec f.d)."""
-        assert self.prec == other.prec
-        if other.ord():
-            raise ZeroDivisionError("series with zero constant term")
-        prec, f, o = self.prec, self.poly, other.poly
-        pad = (0,) * prec
-        sx, sy, ox, oy = (v + pad for v in (f.x, f.y, o.x, o.y))
-        a, b = ox[0], oy[0]
-        n = a * a - 3 * b * b
-        powers = [n ** k for k in range(prec + 1)]
-        wx, wy = [], []
-        for k in range(prec):
-            u, v = sx[k] * powers[k], sy[k] * powers[k]
-            for i in range(1, k + 1):
-                p, q = ox[i], oy[i]
-                if p or q:
-                    r, t, m = wx[k - i], wy[k - i], powers[i - 1]
-                    u -= (p * r + 3 * q * t) * m
-                    v -= (p * t + q * r) * m
-            wx.append(a * u - 3 * b * v)
-            wy.append(a * v - b * u)
-        scale = [powers[prec - 1 - k] * o.d for k in range(prec)]
-        return Series(Polynomial._of([w * m for w, m in zip(wx, scale)],
-                                     [w * m for w, m in zip(wy, scale)],
-                                     powers[prec] * f.d), prec)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def ord(self) -> int:
-        """Order of vanishing; equals prec when zero to working precision."""
-        poly = self.poly
-        return next((i for i, c in enumerate(zip(poly.x, poly.y)) if any(c)),
-                    self.prec)
-
-    def __repr__(self):
-        return "Series(%s + O(e^%d))" % (self.coeffs, self.prec)
+# -- polynomial algorithms ----------------------------------------------------
 
 
 def _taylor(f: Polynomial, r, n: int):
@@ -631,26 +532,6 @@ def _taylor(f: Polynomial, r, n: int):
             for i in range(deg - 1, k - 1, -1):
                 c[i] += a * c[i + 1]
         yield rows[0][k] * q ** k, rows[1][k] * q ** k
-
-
-def _shifted(f: Polynomial, r, prec: int) -> Series:
-    """f(t + r) to precision prec, from the integer pairs of _taylor."""
-    pairs = list(_taylor(f, r, prec))
-    return Series(Polynomial._of([u for u, _ in pairs], [v for _, v in pairs],
-                                 f.d * r.denominator ** max(f.degree, 0)),
-                  prec)
-
-
-def _series_of_rf(rf: RationalFunction, r, prec: int) -> Series:
-    """Expansion of a rational function at t = r.  Raises PoleError at a
-    pole."""
-    den = _shifted(rf.den, r, prec)
-    if den.ord():
-        raise PoleError("expansion at a pole")
-    return _shifted(rf.num, r, prec) / den
-
-
-# -- polynomial algorithms ----------------------------------------------------
 
 
 # poly_gcd reduces modulo the primes p = 11 mod 12 below 2^31, largest first.
@@ -1103,15 +984,6 @@ class RationalFunction:
         if self.is_zero:
             raise ValueError("degree of zero rational function")
         return self.num.degree - self.den.degree
-
-    def ord_at(self, root) -> int:
-        """Valuation at the place t = root (positive = zero, negative = pole)."""
-        if self.is_zero:
-            raise ValueError("valuation of zero")
-        nv = self.num.valuation_at(root)
-        if nv > 0:
-            return nv
-        return -self.den.valuation_at(root)
 
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)

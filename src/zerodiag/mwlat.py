@@ -9,18 +9,13 @@ intersection data by Shioda's formula
 u-coordinate.  (S.S) = -chi, and for T != S, (S.T) is reduced to ((S-T).O)
 through translation by a section, which extends to an automorphism of the
 relatively minimal elliptic surface.  The correction terms contr_v need to
-know which fiber component a section hits.  That is decided from the first
-terms of truncated power series of a2, a4, a6, u and v in the local
-coordinate of each bad place (curve.local_series), checked against the
-Weierstrass equation to the working precision; no local model is built.  At
-a multiplicative place the node of the Weierstrass cubic is lifted to a
-series root of g' (plain evaluation at the place is not enough, because a
-section can agree with the node to higher order), and the component is read
-from the order a of u - node and the slope v[a] / (u - node)[a], a square
-root of the constant term of a2 + 3 node.  On an I0* fiber it is the linear
-term of u minus the triple root.  section_component keeps each answer per
-(section, fiber) in one bounded cache, so height_pairing and height_gram
-hold no memo of their own.
+know which fiber component a section hits.  The model's 2-torsion is
+rational, v^2 = u (u - e2)(u - e3), so that is read from the orders and
+leading coefficients of u - e_i and v at each bad place
+(curve._leading_term), with no local model and no series: which roots u
+reduces to, how closely it follows them, and on I_n the sign of the slope
+of v.  section_component keeps each answer per (section, fiber) in one
+bounded cache, so height_pairing and height_gram hold no memo of their own.
 
 Also here: the torsion sections, the two-descent style saturation
 argument for the full Mordell-Weil lattice, and the certificates of
@@ -36,20 +31,16 @@ from types import MappingProxyType
 
 from .exactnum import (
     Certificate,
-    PoleError,
-    Polynomial,
     RationalFunction,
-    Series,
     field_sqrt,
-    newton_steps,
-    poly_gcd,
     poly_sqrt,
 )
 from .curve import (
+    INFINITE_PLACE,
     CurvePoint,
+    _leading_term,
     euler_number,
     family_model,
-    local_series,
     named_sections,
     param_to_point,
     shioda_tate_rank,
@@ -64,59 +55,34 @@ CHI = 2  # holomorphic Euler characteristic of the surface
 # -- local fiber geometry -------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _model_series(model, place, prec: int):
-    """Series (a2, a4, a6) of the model in the local coordinate of a place
-    (see curve.local_series).  Like the node, they depend only on the model
-    and the place, so each place expands them once."""
+@lru_cache(maxsize=8)
+def _two_torsion(model) -> tuple:
+    """The u-coordinates of the three points of order 2, which are rational
+    when a6 = 0 and a2^2 - 4 a4 is a square: 0 and (-a2 +- sqrt)/2.  Each
+    is checked by building the point (e, 0).  Raises NotImplementedError
+    for any other model."""
+    disc = model.a2 * model.a2 - 4 * model.a4
+    root = poly_sqrt(disc.num * disc.den) if model.a6.is_zero else None
+    if root is None:
+        raise NotImplementedError(
+            "fiber components are read from rational 2-torsion only")
+    half = RationalFunction(root, 2 * disc.den)
+    roots = (RationalFunction(0), -model.a2 / 2 + half, -model.a2 / 2 - half)
+    for e in roots:
+        model.point(e, 0)
+    return roots
+
+
+@lru_cache(maxsize=16)
+def _two_torsion_at(model, place) -> tuple:
+    """The pairs (e, e(place)) of the 2-torsion roots and their values at a
+    place, in the local coordinate of curve._leading_term."""
     k = twist_weight(model)
-    return tuple(local_series(a, place, i, k, prec) for i, a in
-                 ((2, model.a2), (4, model.a4), (6, model.a6)))
-
-
-@lru_cache(maxsize=64)
-def _place_node(model, place, prec: int) -> Series:
-    """_node_series at a multiplicative place of the model."""
-    return _node_series(*_model_series(model, place, prec))
-
-
-def _local_expansion(pt: CurvePoint, place, prec: int):
-    """Series (a2, a4, a6, u, v) of the model and a section in the local
-    coordinate of a place (see curve.local_series).  u and v are None when
-    the section has a pole there, so it meets the identity component.
-    Raises ArithmeticError unless v^2 = u^3 + a2 u^2 + a4 u + a6 holds to
-    precision prec."""
-    k = twist_weight(pt.model)
-    a2, a4, a6 = _model_series(pt.model, place, prec)
-    try:
-        u = local_series(pt.u, place, 2, k, prec)
-        v = local_series(pt.v, place, 3, k, prec)
-    except PoleError:
-        return a2, a4, a6, None, None
-    if not (v * v - ((u + a2) * u + a4) * u - a6).is_zero():
-        raise ArithmeticError("section is off the model at %s" % (place,))
-    return a2, a4, a6, u, v
-
-
-def _node_series(a2: Series, a4: Series, a6: Series) -> Series:
-    """The node of a multiplicative fiber, lifted to a series: the critical
-    point of the cubic near the double root of its reduction."""
-    prec = a2.prec
-    # double root of the reduced cubic
-    g0 = Polynomial([a6[0], a4[0], a2[0], 1])
-    dbl = poly_gcd(g0, g0.derivative())
-    if dbl.degree != 1:
-        raise ArithmeticError("fiber is not a node")
-    root = -dbl[0] / dbl[1]
-    u = Series.constant(root, prec)
-    for _ in range(newton_steps(prec)):
-        gp = 3 * u * u + 2 * a2 * u + a4
-        gpp = 6 * u + 2 * a2
-        u = u - gp / gpp
-    gp = 3 * u * u + 2 * a2 * u + a4
-    if not gp.is_zero():
-        raise ArithmeticError("node lift did not converge")
-    return u
+    out = []
+    for e in _two_torsion(model):
+        order, lead = _leading_term(e, place, 2, k)
+        out.append((e, lead if order == 0 else Fraction(0)))
+    return tuple(out)
 
 
 class ComponentRef:
@@ -149,75 +115,61 @@ def _identity(fiber):
 @lru_cache(maxsize=64)
 def section_component(pt: CurvePoint, fiber) -> ComponentRef:
     """Component of the fiber hit by a section; the one memo of components,
-    bounded to hold the 5 x 6 of the largest Gram the command line prints."""
-    if pt.is_infinity:
+    bounded to hold the 5 x 6 of the largest Gram the command line prints.
+
+    Read from orders and leading coefficients at the place
+    (curve._leading_term).  The section meets the identity component
+    unless u(place) is the value there of two 2-torsion roots e_i, e_j
+    (the node of an I_n fiber) or of all three (the triple point of I0*).
+
+    On I_n, n = 2m with m the order of e_i - e_j.  Let a_i, a_j be the
+    orders of u - e_i, u - e_j, a = min(a_i, a_j), and e_l the third root.
+    a >= m is the middle component m.  Otherwise a_i = a_j = a, and
+    v^2 = (u - e_i)(u - e_j)(u - e_l) gives v the order a and the slope
+    s = lead(v) / lead(u - e_i) = +-root0, root0 the square root of
+    (e_i - e_l)(place) that field_sqrt takes; the component is n - a for
+    s = +root0 and a for s = -root0.  These are the order and the slope of
+    du = u - u0 for the node u0, the critical point of the cubic: u0 - e_i
+    has order m, and (a2 + 3 u0)(place) = (e_i - e_l)(place).  With
+    beta^2 = a2 + 3 u0 + du and beta(place) = root0, (v - beta du)(v +
+    beta du) = g(u0) has order n, and the index is the order of
+    v - beta du: n - a when s = +root0, a when s = -root0.
+
+    On I0*, the three roots meet at 0, since 0 is one of them, and differ
+    at order 1.  A section through the triple point has exactly one u - e_i
+    of order >= 2 (three orders 1 would give v^2 the odd order 3), and is
+    labelled by the linear coefficient of u, which is that of e_i."""
+    if pt.is_infinity or fiber.kind in ("II", "II*"):
+        return _identity(fiber)  # II, II*: a single simple component
+    if fiber.kind != "I" and (fiber.kind, fiber.n) != ("I*", 0):
+        raise NotImplementedError(
+            "component identification on a %s fiber is not implemented"
+            % fiber.symbol)
+    place, k = fiber.place, twist_weight(pt.model)
+    order, lead = _leading_term(pt.u, place, 2, k)
+    value = lead if order == 0 else Fraction(0)
+    at = _two_torsion_at(pt.model, place)
+    near = [e for e, e0 in at if e0 == value] if order >= 0 else []
+    if len(near) < 2:
         return _identity(fiber)
-    if fiber.kind == "I":
-        return _component_on_In(
-            _local_expansion(pt, fiber.place, fiber.n // 2 + 1), fiber,
-            pt.model)
-    if fiber.kind == "I*" and fiber.n == 0:
-        return _component_on_I0star(_local_expansion(pt, fiber.place, 4), fiber)
-    if fiber.kind in ("II", "II*"):
-        return _identity(fiber)  # single simple component
-    raise NotImplementedError(
-        "component identification on a %s fiber is not implemented"
-        % fiber.symbol)
-
-
-def _component_on_In(expansion, fiber, model) -> ComponentRef:
-    """Component of an I_n fiber met by a section, from the order a of
-    du = u - u0 (u0 the node series) and the slope s = v[a] / du[a]:
-    a = 0 is the identity component, 2a >= n the middle one n/2, and
-    otherwise s = +root0 gives n - a and s = -root0 gives a, root0 the
-    square root of A(0) that field_sqrt takes, A = a2 + 3 u0.
-
-    Why: with g the cubic, v^2 = g(u0) + (A + du) du^2, and
-    ord g(u0) = ord disc = n, since disc = -16 g(u0) (4 A^3 + 27 g(u0))
-    with A a unit at a multiplicative place.  So
-    (v - beta du)(v + beta du) = g(u0) for the series beta^2 = A + du
-    with beta(0) = root0.  If 2a < n, v has order a and slope s = +-root0;
-    one factor has order a and the other n - a, and the first factor
-    drops to order n - a exactly when s = +root0.  Its order is the
-    component index.  For odd n, 2a >= n cannot happen: v^2 would have
-    the odd order n.  The precision n // 2 + 1 reaches every coefficient
-    read."""
-    a2, _, _, u_s, v_s = expansion
-    if u_s is None:
-        return _identity(fiber)  # section meets the fiber at infinity
-    n = fiber.n
-    u0 = _place_node(model, fiber.place, u_s.prec)
-    du = u_s - u0
-    a = du.ord()
-    if a == 0:
-        return _identity(fiber)  # misses the node
+    du = [_leading_term(pt.u - e, place, 2, k) for e in near]
+    if fiber.kind == "I*":
+        if sum(a >= 2 for a, _ in du) != 1:
+            raise ArithmeticError("no root of u - e_i to order 2 at %s"
+                                  % (place,))
+        return ComponentRef(place, fiber.symbol, "far",
+                            lead if order == 1 else Fraction(0))
+    (a, lead_i), (b, _) = du
+    a, n = min(a, b), fiber.n
     if 2 * a >= n:
-        return ComponentRef(fiber.place, fiber.symbol, "cycle", n // 2)
-    root0 = field_sqrt(a2[0] + 3 * u0[0])
-    s = v_s[a] / du[a]
-    if root0 is None or s not in (root0, -root0):
+        return ComponentRef(place, fiber.symbol, "cycle", n // 2)
+    root0 = field_sqrt(value - next(e0 for _, e0 in at if e0 != value))
+    order_v, lead_v = _leading_term(pt.v, place, 3, k)
+    s = lead_v / lead_i
+    if root0 is None or order_v != a or s not in (root0, -root0):
         raise ArithmeticError("section slope at the node is not +-root0")
-    k = n - a if s == root0 else a
-    return ComponentRef(fiber.place, fiber.symbol, "cycle", k)
-
-
-def _component_on_I0star(expansion, fiber) -> ComponentRef:
-    """Component of an I0* fiber met by a section: the identity one if u
-    misses the triple root ubar of the reduced cubic, else the far one
-    labelled by lambda = du[1], du = u - ubar.
-
-    The label is a root of the rescaled cubic c: in the local coordinate
-    e, g(ubar + du) = e^3 c(lambda) + O(e^4), and _local_expansion has
-    checked v^2 = g(u) to order 3.  That makes ord v >= 2, so the e^3
-    term c(lambda) vanishes; otherwise v^2 would have the odd order 3."""
-    a2, _, _, u_s, _ = expansion
-    if u_s is None:
-        return _identity(fiber)
-    ubar = -a2[0] / 3  # triple root of the reduced cubic
-    du = u_s - Series.constant(ubar, u_s.prec)
-    if du.ord() == 0:
-        return _identity(fiber)
-    return ComponentRef(fiber.place, fiber.symbol, "far", du[1])
+    return ComponentRef(place, fiber.symbol, "cycle",
+                        n - a if s == root0 else a)
 
 
 def local_contribution(fiber, ref_s: ComponentRef, ref_t: ComponentRef) -> Fraction:
@@ -248,13 +200,11 @@ def intersection_with_zero(pt: CurvePoint) -> Fraction:
     """
     if pt.is_infinity:
         raise ValueError("(O.O) is handled by the height formulas directly")
-    k = twist_weight(pt.model)
     u = pt.u
     if u.is_zero:
         return Fraction(0)
-    finite = u.den.degree
-    at_inf = max(0, u.degree() - 2 * k)
-    return Fraction(finite + at_inf, 2)
+    at_inf = _leading_term(u, INFINITE_PLACE, 2, twist_weight(pt.model))[0]
+    return Fraction(u.den.degree + max(0, -at_inf), 2)
 
 
 def mutual_intersection(s: CurvePoint, t: CurvePoint) -> Fraction:

@@ -447,6 +447,28 @@ def test_a_certificate_that_raises_fails_its_rows(cert, capsys, monkeypatch):
     assert payload["failed"] == len(failing) == RAISING_ROWS[cert]
 
 
+def test_a_failed_build_is_kept_for_the_run(capsys, monkeypatch):
+    # the 9 descent claims read the saturation certificate: they fail with
+    # its one exception, from one build and one traceback
+    builds = []
+
+    def broken():
+        builds.append(1)
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(*cli._CERTS["sat"], broken)
+    code = cli.main(["--format", "json", "descent"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == 1
+    failing = [row for row in payload["rows"] if row[3] == "fail"]
+    assert len(failing) == RAISING_ROWS["sat"]
+    assert all(row[1] == "ArithmeticError: injected" for row in failing)
+    assert builds == [1]
+    assert captured.err.count("Traceback (most recent call last)") == 1
+    assert captured.err.count("ArithmeticError: injected") == 1
+
+
 def test_a_class_missing_from_the_enumeration_fails_the_count(
         capsys, monkeypatch):
     real = cli.nscat.enumerate_classes

@@ -12,7 +12,6 @@ from zerodiag.exactnum import (
     QuadElem,
     RationalFunction,
     SQRT3,
-    Series,
     conj,
     field_sqrt,
     gcd_cofactors,
@@ -340,15 +339,13 @@ def test_quotient_matches_field_division():
 
 def test_operations_keep_the_canonical_form():
     for f in kernel_samples(47):
-        results = [-f, f.derivative(), f.reverse(f.degree + 2), conj(f),
+        results = [-f, f.reverse(f.degree + 2), conj(f),
                    f.monic(), f ** 2, Polynomial(f.coeffs)]
         for g in results:
             assert_canonical(g)
         assert_identical(Polynomial(f.coeffs), f)
         assert_identical(conj(conj(f)), f)
         assert_identical(-f, field_mul(f, Polynomial([-1])))
-        assert_identical(f.derivative(), Polynomial(
-            [i * c for i, c in enumerate(f.coeffs)][1:]))
         assert_identical(f.reverse(f.degree + 2), Polynomial(
             [0, 0] + list(reversed(f.coeffs))) if f else f)
         if f:
@@ -437,25 +434,16 @@ def test_taylor_and_valuation_match_shift_and_divmod():
                     assert [type(c) for c in got] == [type(c) for c in want]
                 assert f.valuation_at(r) == divmod_valuation(f, r)
                 assert f.valuation_at(r) == m + (h(r) == 0)
-                den = random_poly(rng, rng.randint(0, 3), not quad)
-                if den(r) == 0:
-                    continue
-                rf = RationalFunction(f, den)
-                for prec in (1, 2, f.degree + 3):
-                    num_s, den_s = (Series(horner_shift(p, r), prec)
-                                    for p in (rf.num, rf.den))
-                    got = exactnum._series_of_rf(rf, r, prec)
-                    assert got.coeffs == (num_s / den_s).coeffs
-                    field = field_series_mul(
-                        Series(Polynomial(field_taylor(rf.num.coeffs, r, prec)),
-                               prec),
-                        field_series_inverse(Series(Polynomial(
-                            field_taylor(rf.den.coeffs, r, prec)), prec)))
-                    assert got.coeffs == field.coeffs
+                # the leading term at r: the first nonzero shifted coefficient
+                v = divmod_valuation(f, r)
+                assert f.lead_at(r) == (v, shifted[v])
+                assert type(f.lead_at(r)[1]) is type(shifted[v])
     zero = Polynomial()
     assert list(exactnum._taylor(zero, F(1, 2), 3)) == []
     with pytest.raises(ValueError):
         zero.valuation_at(F(1, 2))
+    with pytest.raises(ValueError):
+        zero.lead_at(F(1, 2))
     with pytest.raises(ValueError):
         divmod_valuation(zero, F(1, 2))
 
@@ -829,6 +817,10 @@ def test_gcd_cofactors_are_the_exact_quotients():
     assert nontrivial >= 60
 
 
+def derivative(f):
+    return Polynomial([i * c for i, c in enumerate(f.coeffs)][1:])
+
+
 def squarefree_decomposition(f):
     # Yun's algorithm, formerly in exactnum, kept as the oracle of the
     # squareness test: [(g1, 1), (g2, 2), ...] with f = lc * prod gi^i
@@ -836,10 +828,10 @@ def squarefree_decomposition(f):
         raise ValueError("zero polynomial")
     f = f.monic()
     out = []
-    _, b, c = gcd_cofactors(f, f.derivative())
+    _, b, c = gcd_cofactors(f, derivative(f))
     i = 1
     while b.degree > 0:
-        g, b, c = gcd_cofactors(b, c - b.derivative())
+        g, b, c = gcd_cofactors(b, c - derivative(b))
         if g.degree > 0:
             out.append((g, i))
         i += 1
@@ -936,134 +928,6 @@ def test_rational_roots_handles_zero_root_and_scaling():
     assert rational_roots(f) == {F(0), F(2, 3), F(-1, 2)}
 
 
-def field_series_mul(a, b):
-    """Oracle: Series.__mul__ in field arithmetic, coefficient by
-    coefficient, from before the integer-form product."""
-    out = [F(0)] * a.prec
-    for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j in range(a.prec - i):
-            y = b.coeffs[j]
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return Series(Polynomial(out), a.prec)
-
-
-def field_series_inverse(s):
-    """Oracle: Series.inverse by the field recurrence, from before Newton's
-    iteration: out[k] = -(sum of s[i] out[k - i], i = 1..k) / s[0]."""
-    c = s.coeffs
-    inv0 = exactnum._inv(c[0])
-    out = [inv0]
-    for k in range(1, s.prec):
-        acc = F(0)
-        for i in range(1, k + 1):
-            if c[i]:
-                acc = acc + c[i] * out[k - i]
-        out.append(-inv0 * acc)
-    return Series(Polynomial(out), s.prec)
-
-
-def newton_inverse(s):
-    """Oracle: Series.inverse, from before the fraction-free quotient: 1/f
-    by Newton's iteration g <- g (2 - f g) from g = 1/f(0), at precision
-    2k for a step from k known terms."""
-    if s.ord():
-        raise ZeroDivisionError("series with zero constant term")
-    a, b, d = s.poly.x[0], s.poly.y[0], s.poly.d
-    g = Polynomial._of([d * a], [-d * b], a * a - 3 * b * b)
-    two, k = Polynomial([2]), 1
-    while k < s.prec:
-        k = min(2 * k, s.prec)
-        f, g = Series(s.poly, k), Series(g, k)
-        g = (g * (Series(two, k) - f * g)).poly
-    return Series(g, s.prec)
-
-
-def test_series_quotient_matches_newton_inverse():
-    rng = random.Random(97)
-    norms = set()
-    for prec in range(1, 10):
-        one = Series.constant(1, prec)
-        dens = [one, Series(Polynomial([F(-3, 4), 2]), prec),
-                Series(Polynomial([QuadElem(2, -1), 0, 5]), prec),  # N = 1
-                Series(Polynomial([QuadElem(1, 1), F(1, 3)]), prec)]  # N = -2
-        nums = [Series(Polynomial(), prec), one, dens[2]]
-        for quad in (False, True):
-            dens.append(Series(random_poly(rng, prec + 2, quad).reverse(),
-                               prec))
-            nums.append(Series(random_poly(rng, prec + 1, quad), prec))
-        for b in dens:
-            a0, b0 = b.poly.x[0], b.poly.y[0]
-            norms.add((a0 * a0 - 3 * b0 * b0) > 0)
-            inverse = newton_inverse(b)
-            for a in nums + dens:
-                got = a / b
-                assert got.prec == prec
-                assert_identical(got.poly, (a * inverse).poly)
-                assert got.poly.degree < prec
-            with pytest.raises(ZeroDivisionError):
-                b / Series(T, prec)
-            with pytest.raises(ZeroDivisionError):
-                b / Series(Polynomial(), prec)
-    assert norms == {False, True}
-
-
-def test_series_inverse_matches_field_recurrence():
-    rng = random.Random(73)
-    for prec in (1, 2, 3, 5, 8, 13):
-        samples = [Series(Polynomial([F(-3, 4)]), prec),
-                   Series(Polynomial([QuadElem(2, -1), 0, 5]), prec),
-                   Series(-3 * T ** 2 + F(1, 6), prec),
-                   Series(7 * T - F(2, 9), prec)]
-        for quad in (False, True, False, True):
-            samples.append(Series(random_poly(rng, prec + 2, quad).reverse(),
-                                  prec))
-        for a in samples:
-            got, want = Series.constant(1, prec) / a, field_series_inverse(a)
-            assert got.prec == prec
-            assert got.coeffs == want.coeffs
-            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
-            assert_canonical(got.poly)
-            assert got.poly.degree < prec
-            assert (a * got).coeffs == [1] + [0] * (prec - 1)
-        with pytest.raises(ZeroDivisionError):
-            Series.constant(1, prec) / Series(T, prec)
-        with pytest.raises(ZeroDivisionError):
-            Series.constant(1, prec) / Series(Polynomial(), prec)
-
-
-def test_series_mul_matches_field_mul():
-    rng = random.Random(61)
-
-    def coeff(quad):
-        if rng.random() < 0.3:
-            return 0
-        r = F(rng.randint(-9, 9), rng.randint(1, 5))
-        return QuadElem(r, F(rng.randint(-9, 9), rng.randint(1, 5))) if quad else r
-
-    for prec in (1, 2, 5, 9):
-        samples = [Series(Polynomial(), prec),
-                   Series(Polynomial([0, QuadElem(3)]), prec)]
-        for quad in (False, True, False, True):
-            samples.append(Series(Polynomial(
-                [coeff(quad) for _ in range(prec)]), prec))
-        for a in samples:
-            for b in samples:
-                got = a * b
-                assert got.prec == prec
-                assert got.coeffs == field_series_mul(a, b).coeffs
-                assert (a + b).coeffs == [u + v for u, v in
-                                          zip(a.coeffs, b.coeffs)]
-                assert (a - b).coeffs == [u - v for u, v in
-                                          zip(a.coeffs, b.coeffs)]
-                assert_canonical(got.poly)
-                assert got.poly.degree < prec
-        rational = samples[2] * samples[4]
-        assert all(type(c) is F for c in rational.coeffs)
-
-
 def test_rational_function_reduction_and_poles():
     r = RationalFunction((T - 1) ** 2 * (T + 2), (T - 1) * (T + 5))
     assert r.num == (T - 1) * (T + 2)
@@ -1071,8 +935,8 @@ def test_rational_function_reduction_and_poles():
     assert r(F(3)) == F(5, 4)
     with pytest.raises(PoleError):
         r(F(-5))
-    assert r.ord_at(F(1)) == 1
-    assert r.ord_at(F(-5)) == -1
+    assert r.num.valuation_at(F(1)) == 1 and r.den.valuation_at(F(1)) == 0
+    assert r.den.valuation_at(F(-5)) == 1
     assert r.degree() == 1  # a pole of order 1 at infinity
 
 
@@ -1234,11 +1098,11 @@ def test_monic_denominator_takes_no_product(monkeypatch):
 
 
 def scalars(value):
-    """Every field element inside a scalar, Polynomial, Series,
-    RationalFunction or a list or tuple of them."""
+    """Every field element inside a scalar, Polynomial, RationalFunction or
+    a list or tuple of them."""
     if isinstance(value, (list, tuple)):
         return [c for v in value for c in scalars(v)]
-    if isinstance(value, (Polynomial, Series)):
+    if isinstance(value, Polynomial):
         return list(value.coeffs)
     if isinstance(value, RationalFunction):
         return list(value.num.coeffs) + list(value.den.coeffs)
@@ -1268,8 +1132,8 @@ def test_one_representation_per_number():
             exactnum._quotient(quadratic * (T - y), T - y),
             gcd_cofactors(quadratic * (T - 1), quadratic * (T + c)),
             RationalFunction(quadratic, lin) - RationalFunction(lin_bar),
-            (Series(Polynomial([x, 1]), 3) * Series(Polynomial([conj(x), -1]), 3)
-             + Series(Polynomial([0, x - conj(x)]), 3)),
+            (Polynomial([x, 1]) * Polynomial([conj(x), -1])
+             + Polynomial([0, x - conj(x)])),
         ]
         assert all(type(v) is F for v in scalars(rational_valued))
         # results mixing rational and irrational values
@@ -1279,8 +1143,7 @@ def test_one_representation_per_number():
             exactnum._quotient(quadratic * lin, lin),
             gcd_cofactors(quadratic * (T - 1), quadratic * (T + y)),
             gcd_cofactors(lin * (T - y), lin_bar * (T - y)),
-            (Series(Polynomial([x, 1, y]), 4)
-             * Series(Polynomial([conj(x), -1, 2]), 4)),
+            Polynomial([x, 1, y]) * Polynomial([conj(x), -1, 2]),
         ]
         for v in scalars(mixed):
             assert type(v) is F or (type(v) is QuadElem and v.s != 0), v
