@@ -102,10 +102,6 @@ class Conic:
     def __setattr__(self, *a):
         raise AttributeError("Conic is immutable")
 
-    def contains(self, p) -> bool:
-        """Whether a point, coordinates in Q or Q(sqrt 3), is on the conic."""
-        return _on_conic(self, _integer_form(p))
-
     def contains_form(self, form) -> bool:
         """Whether a linear form vanishes on the whole conic, i.e. on the
         three basis vectors of its plane."""

@@ -28,7 +28,6 @@ from .exactnum import (
     Polynomial,
     RationalFunction,
     SQRT3,
-    conj,
     gcd_cofactors,
     rational_roots,
 )
@@ -188,11 +187,6 @@ class CurvePoint:
                 return out
             base = base + base
 
-    def conjugate(self) -> "CurvePoint":
-        if self.is_infinity:
-            return self
-        return CurvePoint(self.model, conj(self.u), conj(self.v))
-
     def __eq__(self, other):
         if not isinstance(other, CurvePoint):
             return NotImplemented
@@ -222,12 +216,15 @@ def family_model() -> WeierstrassModel:
 
 
 class LocalFiber:
-    """Classification data of one fiber of an elliptic surface."""
+    """One fiber of an elliptic surface: its place, its Kodaira kind and n
+    (I_n, I_n*), the printed symbol, the numbers of components and of
+    simple components, and delta, the order of the minimal discriminant
+    there, which the Euler number sums."""
 
     __slots__ = ("place", "symbol", "kind", "n", "components", "simple",
-                 "delta", "alpha", "beta")
+                 "delta")
 
-    def __init__(self, place, kind, n, delta, alpha, beta):
+    def __init__(self, place, kind, n, delta):
         m, m1, symbol = _fiber_shape(kind, n)
         object.__setattr__(self, "place", place)
         object.__setattr__(self, "symbol", symbol)
@@ -236,8 +233,6 @@ class LocalFiber:
         object.__setattr__(self, "components", m)
         object.__setattr__(self, "simple", m1)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
 
     def __setattr__(self, *a):
         raise AttributeError("LocalFiber is immutable")
@@ -299,25 +294,25 @@ def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
         alpha, beta, delta = (v if v == _BIG else v - d for v, d in
                               ((alpha, 4), (beta, 6), (delta, 12)))
     if delta == 0:
-        return LocalFiber(place, "I", 0, delta, alpha, beta)
+        return LocalFiber(place, "I", 0, delta)
     if alpha == 0:
-        return LocalFiber(place, "I", delta, delta, alpha, beta)
+        return LocalFiber(place, "I", delta, delta)
     if delta == 2:
-        return LocalFiber(place, "II", 0, delta, alpha, beta)
+        return LocalFiber(place, "II", 0, delta)
     if delta == 3:
-        return LocalFiber(place, "III", 0, delta, alpha, beta)
+        return LocalFiber(place, "III", 0, delta)
     if delta == 4:
-        return LocalFiber(place, "IV", 0, delta, alpha, beta)
+        return LocalFiber(place, "IV", 0, delta)
     if delta == 6:
-        return LocalFiber(place, "I*", 0, delta, alpha, beta)
+        return LocalFiber(place, "I*", 0, delta)
     if alpha == 2 and beta == 3:
-        return LocalFiber(place, "I*", delta - 6, delta, alpha, beta)
+        return LocalFiber(place, "I*", delta - 6, delta)
     if delta == 8:
-        return LocalFiber(place, "IV*", 0, delta, alpha, beta)
+        return LocalFiber(place, "IV*", 0, delta)
     if delta == 9:
-        return LocalFiber(place, "III*", 0, delta, alpha, beta)
+        return LocalFiber(place, "III*", 0, delta)
     if delta == 10:
-        return LocalFiber(place, "II*", 0, delta, alpha, beta)
+        return LocalFiber(place, "II*", 0, delta)
     raise ArithmeticError("unclassifiable fiber at %s: "
                           "alpha=%s beta=%s delta=%s" % (place, alpha, beta, delta))
 
@@ -333,7 +328,7 @@ def bad_places(model: WeierstrassModel):
     roots = rational_roots(poly)
     rebuilt = Polynomial([1])
     for r in roots:
-        rebuilt = rebuilt * Polynomial([-r, 1]) ** poly.valuation_at(r)
+        rebuilt = rebuilt * Polynomial([-r, 1]) ** poly.lead_at(r)[0]
     if rebuilt.degree != poly.degree:
         raise NotImplementedError(
             "discriminant has a nonrational factor; residue field "

@@ -146,17 +146,6 @@ class QuadElem:
             return self.inverse() * o
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out, base = Fraction(1), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, o):
         if isinstance(o, QuadElem):
             return self.r == o.r and self.s == o.s
@@ -466,17 +455,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def reverse(self, k=None) -> "Polynomial":
-        """t^k f(1/t) for k >= deg f (default k = deg f)."""
-        if self.is_zero:
-            return self
-        if k is None:
-            k = self.degree
-        if k < self.degree:
-            raise ValueError("reversal weight below degree")
-        pad = (0,) * (k - self.degree)
-        return Polynomial._of(pad + self.x[::-1], pad + self.y[::-1], self.d)
-
     def monic(self) -> "Polynomial":
         """f / lc(f): for lc(f) = (a + b*sqrt3) / d, the form of f times
         a - b*sqrt3, over the norm a^2 - 3b^2."""
@@ -486,10 +464,6 @@ class Polynomial:
         return Polynomial._of([u * a - 3 * v * b for u, v in zip(x, y)],
                               [v * a - u * b for u, v in zip(x, y)],
                               a * a - 3 * b * b)
-
-    def valuation_at(self, root) -> int:
-        """Multiplicity of (t - root) in self; 0 if not a root."""
-        return self.lead_at(root)[0]
 
     def lead_at(self, root):
         """(m, c) with self = c (t - root)^m + O((t - root)^(m + 1)) and
@@ -951,10 +925,6 @@ class RationalFunction:
     def __truediv__(self, other):
         o = self._lift(other)
         return NotImplemented if o is None else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

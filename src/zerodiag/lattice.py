@@ -181,9 +181,12 @@ def smith_normal_form(mat):
 
 
 class DiscriminantGroup:
-    """L*/L of an even nondegenerate lattice, with its Q/2Z quadratic form."""
+    """L*/L of an even nondegenerate lattice, with its Q/2Z quadratic form:
+    the orders of its cyclic factors and the exact pairings w_i . w_j of
+    their generators in L*, from which all_q_values reads q on every
+    element."""
 
-    __slots__ = ("orders", "generators", "pairings", "q_values", "gram")
+    __slots__ = ("orders", "pairings")
 
     def __init__(self, gram):
         n = len(gram)
@@ -199,15 +202,10 @@ class DiscriminantGroup:
         # L* = G^-1 Z^n, and x . adj y / den = w_x^T G w_y
         xs = [[uinv[r][i] for r in range(n)] for i in range(n) if d[i] != 1]
         ys = [mat_vec(adj, x) for x in xs]
-        gens = tuple(tuple(Fraction(v, den) for v in y) for y in ys)
         pairings = tuple(tuple(Fraction(vec_dot(x, y), den) for y in ys)
                          for x in xs)
-        qvals = tuple(_mod_2z(row[k]) for k, row in enumerate(pairings))
         object.__setattr__(self, "orders", tuple(e for e in d if e != 1))
-        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "pairings", pairings)
-        object.__setattr__(self, "q_values", qvals)
-        object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
 
     def __setattr__(self, *a):
         raise AttributeError("DiscriminantGroup is immutable")

@@ -85,37 +85,13 @@ def _two_torsion_at(model, place) -> tuple:
     return tuple(out)
 
 
-class ComponentRef:
-    """Which component of a bad fiber a section hits.
-
-    kind 'identity' (index None), 'cycle' (index 1..n-1 on an I_n fiber,
-    orientation fixed per place), or 'far' (index = the root label on an
-    I0* fiber)."""
-
-    __slots__ = ("place", "symbol", "kind", "index")
-
-    def __init__(self, place, symbol, kind, index):
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ComponentRef is immutable")
-
-    def __repr__(self):
-        return "ComponentRef(%s@%s: %s %s)" % (
-            self.symbol, self.place, self.kind, self.index)
-
-
-def _identity(fiber):
-    return ComponentRef(fiber.place, fiber.symbol, "identity", None)
-
-
 @lru_cache(maxsize=64)
-def section_component(pt: CurvePoint, fiber) -> ComponentRef:
-    """Component of the fiber hit by a section; the one memo of components,
-    bounded to hold the 5 x 6 of the largest Gram the command line prints.
+def section_component(pt: CurvePoint, fiber):
+    """Component of the fiber hit by a section: None for the identity
+    component, the index 1..n-1 (an int, orientation fixed per place) on
+    an I_n fiber, and on an I0* fiber the Fraction that labels the far
+    component.  The one memo of components, bounded to hold the 5 x 6 of
+    the largest Gram the command line prints.
 
     Read from orders and leading coefficients at the place
     (curve._leading_term).  The section meets the identity component
@@ -140,7 +116,7 @@ def section_component(pt: CurvePoint, fiber) -> ComponentRef:
     of order >= 2 (three orders 1 would give v^2 the odd order 3), and is
     labelled by the linear coefficient of u, which is that of e_i."""
     if pt.is_infinity or fiber.kind in ("II", "II*"):
-        return _identity(fiber)  # II, II*: a single simple component
+        return None  # II, II*: a single simple component
     if fiber.kind != "I" and (fiber.kind, fiber.n) != ("I*", 0):
         raise NotImplementedError(
             "component identification on a %s fiber is not implemented"
@@ -151,40 +127,37 @@ def section_component(pt: CurvePoint, fiber) -> ComponentRef:
     at = _two_torsion_at(pt.model, place)
     near = [e for e, e0 in at if e0 == value] if order >= 0 else []
     if len(near) < 2:
-        return _identity(fiber)
+        return None
     du = [_leading_term(pt.u - e, place, 2, k) for e in near]
     if fiber.kind == "I*":
         if sum(a >= 2 for a, _ in du) != 1:
             raise ArithmeticError("no root of u - e_i to order 2 at %s"
                                   % (place,))
-        return ComponentRef(place, fiber.symbol, "far",
-                            lead if order == 1 else Fraction(0))
+        return lead if order == 1 else Fraction(0)
     (a, lead_i), (b, _) = du
     a, n = min(a, b), fiber.n
     if 2 * a >= n:
-        return ComponentRef(place, fiber.symbol, "cycle", n // 2)
+        return n // 2
     root0 = field_sqrt(value - next(e0 for _, e0 in at if e0 != value))
     order_v, lead_v = _leading_term(pt.v, place, 3, k)
     s = lead_v / lead_i
     if root0 is None or order_v != a or s not in (root0, -root0):
         raise ArithmeticError("section slope at the node is not +-root0")
-    return ComponentRef(place, fiber.symbol, "cycle",
-                        n - a if s == root0 else a)
+    return n - a if s == root0 else a
 
 
-def local_contribution(fiber, ref_s: ComponentRef, ref_t: ComponentRef) -> Fraction:
+def local_contribution(fiber, a, b) -> Fraction:
     """Correction term contr_v(S, T) of one bad fiber to the height
-    pairing; the diagonal term contr_v(S) is contr_v(S, S)."""
-    if ref_s.kind == "identity" or ref_t.kind == "identity":
+    pairing, from the components a and b that section_component gives S
+    and T there; the diagonal term contr_v(S) is contr_v(S, S)."""
+    if a is None or b is None:
         return Fraction(0)
     if fiber.kind == "I":
         n = fiber.n
-        i, j = sorted((ref_s.index, ref_t.index))
+        i, j = sorted((a, b))
         return Fraction(i * (n - j), n)
     if fiber.kind == "I*" and fiber.n == 0:
-        if ref_s.index == ref_t.index:
-            return Fraction(1)
-        return Fraction(1, 2)
+        return Fraction(1) if a == b else Fraction(1, 2)
     raise NotImplementedError("no contribution rule for %s" % fiber.symbol)
 
 
@@ -229,9 +202,9 @@ def height_pairing(s: CurvePoint, t: CurvePoint = None) -> Fraction:
              + intersection_with_zero(t)
              - (-CHI if diagonal else mutual_intersection(s, t)))
     for fib in tate_classify(family_model()):
-        ref_s = section_component(s, fib)
+        a = section_component(s, fib)
         total -= local_contribution(
-            fib, ref_s, ref_s if diagonal else section_component(t, fib))
+            fib, a, a if diagonal else section_component(t, fib))
     return total
 
 

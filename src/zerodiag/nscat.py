@@ -114,11 +114,6 @@ def degree(c) -> int:
     return sum(wi * ci for wi, ci in zip(w, c))
 
 
-def genus(c) -> Fraction:
-    """Arithmetic genus from adjunction: c.c = 2g - 2."""
-    return Fraction(pairing(c, c), 2) + 1
-
-
 def hyperplane_class():
     """The hyperplane section as an integral class.
 

@@ -26,7 +26,6 @@ from .exactnum import (
     Polynomial,
     _integer_parts,
     _inv,
-    conj,
     poly_gcd,
     rat,
     rational_roots,
@@ -382,13 +381,6 @@ class Parametrization:
 
     def evaluate_projective(self, t0):
         return normalize_projective(self.evaluate(t0))
-
-    def triple(self, t0):
-        """The (a, b, c) values at a parameter, not normalized."""
-        return (self.a(t0), self.b(t0), self.c(t0))
-
-    def conjugate(self) -> "Parametrization":
-        return Parametrization(*(conj(p) for p in self.components()))
 
     def normalized(self) -> "Parametrization":
         """Scale so all coefficients are integral of content one (when the

@@ -178,11 +178,9 @@ def test_discriminant_group_hyperbolic_plane():
 def test_discriminant_group_orders_and_q():
     dg = DiscriminantGroup([[2, 0], [0, 24]])
     assert dg.orders == (2, 24)
-    assert dg.q_values == (F(1, 2), F(1, 24))
-    # generator norms recompute from the stored generators
-    for w, q in zip(dg.generators, dg.q_values):
-        raw = gram_pairing(dg.gram, list(w), list(w))
-        assert (raw - q) % 2 == 0
+    # q of the generators, in [0, 2)
+    assert [row[k] % 2 for k, row in enumerate(dg.pairings)] == [
+        F(1, 2), F(1, 24)]
 
 
 def test_discriminant_group_rejects_odd_lattice():
@@ -193,18 +191,31 @@ def test_discriminant_group_rejects_odd_lattice():
 def test_discriminant_group_negative_definite_rank_one():
     dg = DiscriminantGroup([[-24]])
     assert dg.orders == (24,)
+    assert dg.pairings == ((F(-1, 24),),)
     # q(generator) = -1/24 mod 2Z, canonical representative in [0, 2)
-    assert dg.q_values == (F(47, 24),)
+    assert F(47, 24) in dg.all_q_values()
 
 
-def fraction_all_q_values(dg):
-    # the former loop: each element summed as a Fraction vector of L*
+def fraction_all_q_values(gram):
+    """Oracle: q on every element of L*/L as a Fraction vector.  In the
+    coordinates of L, L = Z^n and L* is spanned by the columns of G^-1, so
+    L*/L is their closure under addition mod 1."""
+    den, adj = mat_inverse(gram)
+    n = len(gram)
+    columns = [tuple(F(adj[i][j], den) % 1 for i in range(n))
+               for j in range(n)]
+    group = {(F(0),) * n}
+    todo = list(group)
+    while todo:
+        x = todo.pop()
+        for w in columns:
+            y = tuple((a + b) % 1 for a, b in zip(x, w))
+            if y not in group:
+                group.add(y)
+                todo.append(y)
     vals = []
-    for combo in itertools.product(*(range(d) for d in dg.orders)):
-        x = [F(0)] * len(dg.gram)
-        for c, g in zip(combo, dg.generators):
-            x = [xi + c * gi for xi, gi in zip(x, g)]
-        q = gram_pairing(dg.gram, x, x)
+    for x in group:
+        q = gram_pairing(gram, list(x), list(x))
         vals.append(q - 2 * (q / 2).__floor__())
     return sorted(vals)
 
@@ -217,14 +228,8 @@ def test_all_q_values_match_fraction_vector_oracle(gram):
     if gram == "ns":
         gram = [list(row) for row in nscat.ns_lattice()]
     dg = DiscriminantGroup(gram)
-    gens = [list(w) for w in dg.generators]
-    assert dg.pairings == tuple(tuple(gram_pairing(gram, u, v) for v in gens)
-                                for u in gens)
-    # each generator lies in L* = G^-1 Z^n
-    for w in gens:
-        assert all(x.denominator == 1 for x in mat_vec(gram, w))
     vals = dg.all_q_values()
-    assert vals == fraction_all_q_values(dg)
+    assert vals == fraction_all_q_values(gram)
     assert len(vals) == prod(dg.orders) == abs(det(gram))
 
 

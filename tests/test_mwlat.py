@@ -9,6 +9,7 @@ import pytest
 from zerodiag.exactnum import (
     Polynomial,
     RationalFunction,
+    conj,
 )
 from zerodiag import mwlat
 from zerodiag.curve import (
@@ -22,7 +23,6 @@ from zerodiag.curve import (
     tate_classify,
 )
 from zerodiag.mwlat import (
-    ComponentRef,
     height_gram,
     height_pairing,
     intersection_with_zero,
@@ -73,25 +73,34 @@ def test_mutual_intersection(pts):
 # -- fiber components -------------------------------------------------------------
 
 
+def _code(fib, component):
+    """A section_component value as the COMPONENTS table writes it, after
+    checking its type: None, an int on I_n, a Fraction on I0*."""
+    assert type(component) in (type(None),
+                                {"I": int, "I*": Fraction}[fib.kind])
+    if component is None:
+        return "o"
+    return ("c%s" if fib.kind == "I" else "f%s") % component
+
+
 def test_component_table(pts):
     """Which component each named section hits, at every bad place."""
     expected = {
-        # place: (P, Q, T1, T2) as (kind, index)
-        Fraction(-2): [("identity", None), ("cycle", 3), ("cycle", 2), ("cycle", 2)],
-        Fraction(-1): [("far", -2), ("far", -2), ("far", -2), ("far", 0)],
-        Fraction(0): [("cycle", 1), ("cycle", 1), ("identity", None), ("cycle", 1)],
-        Fraction(1): [("identity", None), ("identity", None), ("far", 18), ("far", 0)],
-        Fraction(2): [("cycle", 2), ("cycle", 1), ("cycle", 2), ("identity", None)],
-        "inf": [("identity", None), ("cycle", 1), ("identity", None), ("cycle", 1)],
+        # place: (P, Q, T1, T2), coded as in COMPONENTS below
+        Fraction(-2): ["o", "c3", "c2", "c2"],
+        Fraction(-1): ["f-2", "f-2", "f-2", "f0"],
+        Fraction(0): ["c1", "c1", "o", "c1"],
+        Fraction(1): ["o", "o", "f18", "f0"],
+        Fraction(2): ["c2", "c1", "c2", "o"],
+        "inf": ["o", "c1", "o", "c1"],
     }
     for fib in tate_classify(family_model()):
         want = expected[fib.place]
-        for pt, (kind, index) in zip((pts["P"], pts["Q"], pts["T1"], pts["T2"]), want):
-            ref = section_component(pt, fib)
-            assert (ref.kind, ref.index) == (kind, index), (fib.place, pt)
+        for pt, code in zip((pts["P"], pts["Q"], pts["T1"], pts["T2"]), want):
+            assert _code(fib, section_component(pt, fib)) == code, (fib.place, pt)
 
 
-# (kind, index) of section_component for mP + nQ + T at the bad fibers
+# section_component for mP + nQ + T at the bad fibers
 # t = -2, -1, 0, 1, 2, inf, as the former reading from truncated series
 # (the node lifted by Newton's method, the twisted expansion at infinity)
 # gave them: o the identity component, cK cycle K, fL the far component
@@ -153,12 +162,8 @@ def test_section_component_matches_the_oracle(pts):
     for (m, n, name), refs in want.items():
         sec = m * pts["P"] + n * pts["Q"] + torsion_points()[name]
         for fib, code in zip(fibers, refs):
-            ref = section_component(sec, fib)
-            got = {"identity": "o", "cycle": "c%s" % ref.index,
-                   "far": "f%s" % ref.index}[ref.kind]
+            got = _code(fib, section_component(sec, fib))
             assert got == code, (m, n, name, fib.place)
-            assert type(ref.index) is {"identity": type(None), "cycle": int,
-                                       "far": Fraction}[ref.kind]
             seen.add((str(fib.place), code))
     # I4: identity and cycles 1-3; I2: identity and cycle 1; I0*:
     # identity and three far labels
@@ -180,7 +185,7 @@ def test_wrong_slope_at_the_node_is_refused(pts):
     term is no root's leaves no u - e_i of order 2."""
     fibers = {f.place: f for f in tate_classify(family_model())}
     q = pts["Q"]
-    assert section_component(q, fibers[Fraction(-2)]).index == 3
+    assert section_component(q, fibers[Fraction(-2)]) == 3
     with pytest.raises(ArithmeticError):
         section_component(_unchecked_point(q.model, q.u, 2 * q.v),
                           fibers[Fraction(-2)])
@@ -261,24 +266,20 @@ def test_two_torsion_is_found_once_per_model(pts, monkeypatch):
 
 def test_zero_section_on_identity(pts):
     for fib in tate_classify(family_model()):
-        ref = section_component(pts["O"], fib)
-        assert ref.kind == "identity"
+        assert section_component(pts["O"], fib) is None
 
 
 def test_contribution_values():
     fibers = {f.place: f for f in tate_classify(family_model())}
     i4 = fibers[Fraction(2)]
-    mid = ComponentRef(2, "I4", "cycle", 2)
-    side = ComponentRef(2, "I4", "cycle", 1)
-    idy = ComponentRef(2, "I4", "identity", None)
+    mid, side = 2, 1
     assert local_contribution(i4, mid, mid) == 1
     assert local_contribution(i4, side, side) == Fraction(3, 4)
     assert local_contribution(i4, side, mid) == Fraction(1, 2)
-    assert local_contribution(i4, side, ComponentRef(2, "I4", "cycle", 3)) == Fraction(1, 4)
-    assert local_contribution(i4, idy, mid) == 0
+    assert local_contribution(i4, side, 3) == Fraction(1, 4)
+    assert local_contribution(i4, None, mid) == 0
     star = fibers[Fraction(1)]
-    a = ComponentRef(1, "I0*", "far", 0)
-    b = ComponentRef(1, "I0*", "far", 18)
+    a, b = Fraction(0), Fraction(18)
     assert local_contribution(star, a, a) == 1
     assert local_contribution(star, a, b) == Fraction(1, 2)
 
@@ -366,7 +367,9 @@ def test_height_invariant_under_torsion_translation(pts):
 
 def test_height_negation_antisymmetry(pts):
     q = pts["Q"]
-    assert height_pairing(q.conjugate()) == height_pairing(q)  # conj(Q) = -Q
+    conj_q = q.model.point(conj(q.u), conj(q.v))
+    assert conj_q == -q
+    assert height_pairing(conj_q) == height_pairing(q)
     assert height_pairing(pts["P"], -q) == -height_pairing(pts["P"], q)
     assert height_pairing(q, -q) == -Fraction(1, 2)
 
