@@ -228,12 +228,10 @@ def cmd_ns(args) -> Report:
 
 
 def cmd_checks(args) -> Report:
-    """descent, ns verify and orbits: the claims tagged with the command."""
-    return claims_report(args.command)
-
-
-def cmd_verify_all(args) -> Report:
-    return claims_report(None)
+    """descent, ns verify and orbits: the claims tagged with the command;
+    verify-all: every claim."""
+    return claims_report(None if args.command == "verify-all"
+                         else args.command)
 
 
 # -- the claims registry -----------------------------------------------------
@@ -510,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_checks)
 
     p = sub.add_parser("verify-all", help="run every check")
-    p.set_defaults(func=cmd_verify_all)
+    p.set_defaults(func=cmd_checks)
 
     return parser
 

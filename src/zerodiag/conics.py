@@ -21,10 +21,7 @@ transforms on the resolved surface reduce to linear algebra:
     double points).  A double point lies on both conics exactly when it
     is a node of both, so the shared ones are the common nodes;
   * a conic meets the exceptional curve over a double point once iff it
-    passes through the point;
-  * the fiber class F satisfies F = H - [C0] for the fixed conic C0 cut
-    out by x = a = 0, so F.C = 2 - C.C0 for any conic, C0 itself
-    included.
+    passes through the point, i.e. iff the point is one of its nodes.
 
 All of this runs on integers.  A plane is given over Q(sqrt 3), and each
 conic takes the integer form of its plane once: its three equations and
@@ -43,6 +40,9 @@ equality, hashing and the order of an orbit.
 The orbit of a conic under the 144 symmetries is read off the stabilizer
 of its plane, the g whose moved equations vanish on its basis: g and g*h
 move the plane alike for h in it, so one conic is built per coset g*Stab.
+
+The numbered basis of the Neron-Severi lattice, conics and double points
+among it, belongs to nscat; this module knows no basis.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .exactnum import SQRT3, _integer_parts, reduced_nullspace, rref
+from .exactnum import _integer_parts, reduced_nullspace, rref
 from .surface import (
     g_apply,
     g_compose,
@@ -295,91 +295,3 @@ def conic_intersection(c1: Conic, c2: Conic) -> int:
     if not any(any(map(any, row)) for row in restricted):
         raise ArithmeticError("distinct conics cannot share a plane here")
     return 2 - shared
-
-
-def conic_point_intersection(conic: Conic, point) -> int:
-    """Intersection of a conic with the exceptional curve over a double
-    point, given normalized: 1 iff the point is one of the conic's nodes."""
-    return 1 if point in conic.nodes else 0
-
-
-# -- the named basis --------------------------------------------------------------
-
-# linear forms as coefficient rows on (x, y, z, a, b, c)
-_BASIS_CONIC_FORMS = {
-    1: [(1, 0, 0, 2, 0, 0), (0, -SQRT3, SQRT3, 0, 2, 2)],
-    3: [(0, 0, 0, 1, 1, 0), (0, -1, 0, 0, 0, 1)],
-    5: [(1, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, -1)],
-    7: [(0, 0, 0, 1, 0, 1), (0, 0, -1, 0, 1, 0)],
-    10: [(1, 0, 0, -1, 0, 0), (0, 0, 0, 0, 1, 1)],
-    12: [(0, 0, 0, 1, -1, 0), (0, 1, 0, 0, 0, 1)],
-    14: [(1, 0, 0, -2, 0, 0), (0, -SQRT3, SQRT3, 0, 2, -2)],
-    15: [(0, 0, 1, 0, -2, 0), (SQRT3, -SQRT3, 0, -2, 0, 2)],
-    16: [(1, 0, 0, -2, 0, 0), (0, SQRT3, -SQRT3, 0, 2, -2)],
-    17: [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)],
-    18: [(0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0)],
-    19: [(0, 0, 0, 1, 0, -1), (0, 1, 0, 0, 1, 0)],
-}
-
-_BASIS_POINTS_RAW = {
-    2: (2, -1, -1, -1, 1, -1),
-    4: (-1, -1, 2, 1, -1, -1),
-    6: (-1, 2, -1, 1, -1, -1),
-    8: (-1, 2, -1, 1, 1, 1),
-    9: (-1, 2, -1, -1, 1, -1),
-    11: (-1, -1, 2, -1, -1, 1),
-    13: (2, -1, -1, 1, 1, 1),
-}
-
-
-@lru_cache(maxsize=1)
-def basis_conics():
-    return {i: Conic(forms) for i, forms in _BASIS_CONIC_FORMS.items()}
-
-
-@lru_cache(maxsize=1)
-def basis_points():
-    pts = {i: normalize_projective(p) for i, p in _BASIS_POINTS_RAW.items()}
-    for p in pts.values():
-        if p not in double_points():
-            raise AssertionError("basis point is not a double point: %r" % (p,))
-    return pts
-
-
-@lru_cache(maxsize=1)
-def base_conic():
-    """The fixed conic x = a = 0 split off from the hyperplane class by
-    the fibration; F = H - [this]."""
-    return Conic([(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
-
-
-def _fiber_intersection_with_conic(conic: Conic) -> int:
-    return 2 - conic_intersection(conic, base_conic())
-
-
-def intersection_vector(obj):
-    """Pairings of a curve with the twenty basis classes.
-
-    obj is ('conic', Conic) or ('point', normalized double point tuple).
-    """
-    kind, val = obj
-    cs = basis_conics()
-    pts = basis_points()
-    vec = []
-    for i in range(1, 21):
-        if i in cs:
-            if kind == "conic":
-                vec.append(conic_intersection(val, cs[i]))
-            else:
-                vec.append(conic_point_intersection(cs[i], val))
-        elif i in pts:
-            if kind == "conic":
-                vec.append(conic_point_intersection(val, pts[i]))
-            else:
-                vec.append(-2 if val == pts[i] else 0)
-        else:  # the fiber class
-            if kind == "conic":
-                vec.append(_fiber_intersection_with_conic(val))
-            else:
-                vec.append(0)
-    return vec

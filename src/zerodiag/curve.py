@@ -326,10 +326,7 @@ def bad_places(model: WeierstrassModel):
         raise NotImplementedError("discriminant with denominator")
     poly = dlt.as_polynomial()
     roots = rational_roots(poly)
-    rebuilt = Polynomial([1])
-    for r in roots:
-        rebuilt = rebuilt * Polynomial([-r, 1]) ** poly.lead_at(r)[0]
-    if rebuilt.degree != poly.degree:
+    if sum(poly.lead_at(r)[0] for r in roots) != poly.degree:
         raise NotImplementedError(
             "discriminant has a nonrational factor; residue field "
             "extensions are not implemented")

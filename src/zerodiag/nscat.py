@@ -1,9 +1,11 @@
 """The Neron-Severi lattice of the resolved surface.
 
-The twenty basis classes are: twelve plane conics (among them the five
-sections of the fibration), seven exceptional curves over double points,
-and the fiber class.  Their Gram matrix is certified here in three
-independent ways:
+The twenty basis classes are numbered here, and only here: twelve plane
+conics (among them the five sections of the fibration), seven exceptional
+curves over double points, and the fiber class F, index 20.  F = H - [C0]
+for the fixed conic C0 cut out by x = a = 0, so F.C = 2 - C.C0 for any
+conic, C0 itself included, and F meets no exceptional curve.  The Gram
+matrix of the basis is certified here in three independent ways:
 
   * every pairing is computed by the conic intersection engine (see
     conics) from both sides, and the two are cross-checked by symmetry;
@@ -28,7 +30,7 @@ from itertools import combinations
 from math import isqrt, prod
 
 from . import conics
-from .curve import family_model, tate_classify
+from .curve import INFINITE_PLACE, family_model, tate_classify
 from .lattice import (
     DiscriminantGroup,
     _ldl,
@@ -42,7 +44,8 @@ from .lattice import (
     vec_dot,
     vectors_with_norm,
 )
-from .exactnum import Certificate
+from .exactnum import SQRT3, Certificate
+from .surface import normalize_projective
 
 RANK = 20
 _FIBER = 20  # basis index of the fiber class
@@ -67,15 +70,83 @@ _HYPERBOLIC_PAIR = (
 )
 
 
+# -- the named basis --------------------------------------------------------------
+
+# linear forms as coefficient rows on (x, y, z, a, b, c)
+_BASIS_CONIC_FORMS = {
+    1: [(1, 0, 0, 2, 0, 0), (0, -SQRT3, SQRT3, 0, 2, 2)],
+    3: [(0, 0, 0, 1, 1, 0), (0, -1, 0, 0, 0, 1)],
+    5: [(1, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, -1)],
+    7: [(0, 0, 0, 1, 0, 1), (0, 0, -1, 0, 1, 0)],
+    10: [(1, 0, 0, -1, 0, 0), (0, 0, 0, 0, 1, 1)],
+    12: [(0, 0, 0, 1, -1, 0), (0, 1, 0, 0, 0, 1)],
+    14: [(1, 0, 0, -2, 0, 0), (0, -SQRT3, SQRT3, 0, 2, -2)],
+    15: [(0, 0, 1, 0, -2, 0), (SQRT3, -SQRT3, 0, -2, 0, 2)],
+    16: [(1, 0, 0, -2, 0, 0), (0, SQRT3, -SQRT3, 0, 2, -2)],
+    17: [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)],
+    18: [(0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0)],
+    19: [(0, 0, 0, 1, 0, -1), (0, 1, 0, 0, 1, 0)],
+}
+
+_BASIS_POINTS_RAW = {
+    2: (2, -1, -1, -1, 1, -1),
+    4: (-1, -1, 2, 1, -1, -1),
+    6: (-1, 2, -1, 1, -1, -1),
+    8: (-1, 2, -1, 1, 1, 1),
+    9: (-1, 2, -1, -1, 1, -1),
+    11: (-1, -1, 2, -1, -1, 1),
+    13: (2, -1, -1, 1, 1, 1),
+}
+
+
+@lru_cache(maxsize=1)
+def basis_conics():
+    return {i: conics.Conic(forms) for i, forms in _BASIS_CONIC_FORMS.items()}
+
+
+@lru_cache(maxsize=1)
+def basis_points():
+    pts = {i: normalize_projective(p) for i, p in _BASIS_POINTS_RAW.items()}
+    for p in pts.values():
+        if p not in conics.double_points():
+            raise AssertionError("basis point is not a double point: %r" % (p,))
+    return pts
+
+
+@lru_cache(maxsize=1)
+def base_conic():
+    """The fixed conic x = a = 0 split off from the hyperplane class by
+    the fibration; F = H - [this]."""
+    return conics.Conic([(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
+
+
+def _conic_pairings(conic):
+    """Pairings of the strict transform of a conic with the twenty basis
+    classes."""
+    cs, pts = basis_conics(), basis_points()
+    return [conics.conic_intersection(conic, cs[i]) if i in cs
+            else (1 if pts[i] in conic.nodes else 0)
+            for i in range(1, _FIBER)] + [
+        2 - conics.conic_intersection(conic, base_conic())]
+
+
+def _point_pairings(point):
+    """Pairings of the exceptional curve over a normalized double point
+    with the twenty basis classes."""
+    cs, pts = basis_conics(), basis_points()
+    return [(1 if point in cs[i].nodes else 0) if i in cs
+            else (-2 if point == pts[i] else 0)
+            for i in range(1, _FIBER)] + [0]
+
+
 @lru_cache(maxsize=1)
 def ns_lattice():
     """Gram matrix of the twenty basis classes, rows as tuples: the
-    intersection vectors of the nineteen basis curves, then the fiber
-    row read off their fiber column, with F.F = 0."""
-    cs, pts = conics.basis_conics(), conics.basis_points()
-    rows = [conics.intersection_vector(("conic", cs[i]) if i in cs
-                                       else ("point", pts[i]))
-            for i in range(1, RANK)]
+    pairings of the nineteen basis curves, then the fiber row read off
+    their fiber column, with F.F = 0."""
+    cs, pts = basis_conics(), basis_points()
+    rows = [_conic_pairings(cs[i]) if i in cs else _point_pairings(pts[i])
+            for i in range(1, _FIBER)]
     rows.append([row[_FIBER - 1] for row in rows] + [0])
     gram = tuple(tuple(row) for row in rows)
     if any(gram[i][j] != gram[j][i] for i in range(RANK) for j in range(RANK)):
@@ -87,7 +158,7 @@ def ns_lattice():
 def _degree_pairings():
     """Pairings of the basis with the hyperplane class H = F + C0, for
     the base conic C0 of the pencil."""
-    c0 = conics.intersection_vector(("conic", conics.base_conic()))
+    c0 = _conic_pairings(base_conic())
     return tuple(f + c for f, c in zip(ns_lattice()[_FIBER - 1], c0))
 
 
@@ -146,19 +217,15 @@ def _unit(i):
 @lru_cache(maxsize=128)
 def class_of_conic(conic) -> tuple:
     """Class of the strict transform of a plane conic on the surface."""
-    vec = conics.intersection_vector(("conic", conic))
-    return _solve_class(vec)
+    return _solve_class(_conic_pairings(conic))
 
 
 def exceptional_class(point) -> tuple:
     """Class of the exceptional curve over a double point."""
-    from .surface import normalize_projective
-
     p = normalize_projective(point)
     if p not in conics.double_points():
         raise ValueError("not a double point: %r" % (point,))
-    vec = conics.intersection_vector(("point", p))
-    return _solve_class(vec)
+    return _solve_class(_point_pairings(p))
 
 
 def _solve_class(vec):
@@ -178,7 +245,7 @@ def _solve_class(vec):
 def strict_transform_conics():
     """All 63 plane conics on the surface, as three symmetry orbits keyed
     by the number of double points on each conic."""
-    cs = conics.basis_conics()
+    cs = basis_conics()
     orbits = {
         0: conics.conic_orbit(cs[17]),
         2: conics.conic_orbit(cs[16]),
@@ -194,7 +261,7 @@ def strict_transform_conics():
 @lru_cache(maxsize=1)
 def _conic_labels():
     labels = {}
-    for i, c in conics.basis_conics().items():
+    for i, c in basis_conics().items():
         labels[c] = "basis_%d" % i
     for nodes, orb in strict_transform_conics().items():
         for k, c in enumerate(orb):
@@ -203,8 +270,7 @@ def _conic_labels():
 
 
 def _point_label(p):
-    pts = conics.basis_points()
-    for i, q in pts.items():
+    for i, q in basis_points().items():
         if q == p:
             return "basis_%d" % i
     return "node(%s)" % ",".join(str(x) for x in p)
@@ -346,7 +412,7 @@ def catalogue_441():
 
 
 def _fiber_form(place):
-    if place == "inf":
+    if place == INFINITE_PLACE:
         return (0, 0, 0, 1, 0, 0)
     return (1, 0, 0, -Fraction(place), 0, 0)
 
@@ -370,7 +436,7 @@ def reconstruct_fiber_classes():
         place = fib.place
         form = _fiber_form(place)
         comps = []
-        base = conics.base_conic()
+        base = base_conic()
         for nodes, orb in sorted(strict_transform_conics().items()):
             for conic in orb:
                 # the base conic of the pencil lies in every member of
@@ -449,24 +515,31 @@ def _dual_graph_matches(fib, comps) -> bool:
 # -- structure certificates -------------------------------------------------------
 
 
-def _submatrix(G, idx):
-    return [[G[i - 1][j - 1] for j in idx] for i in idx]
-
-
 def decomposition_certificate() -> Certificate:
     """Facts of the splitting by the witness vectors: the discriminant and
     signature of the lattice, the Gram data of each block, orthogonality
-    across blocks and the index of their direct sum.  ok checks that both
-    E8 blocks are even, definite and unimodular."""
+    across blocks and the index of their direct sum, all read off one
+    Gram matrix of the stacked blocks.  ok checks that both E8 blocks are
+    even, definite and unimodular."""
     G = [list(r) for r in ns_lattice()]
     disc, sig = det(G), signature(G)
     facts = [("lattice.disc", disc), ("lattice.signature", sig)]
 
+    # the blocks stacked in order, 8 + 8 + 1 + 1 + 2 vectors, and the name
+    # of the block of each
+    groups = [("e8_1", [_unit(i) for i in _E8_BLOCKS[0]]),
+              ("e8_2", [_unit(i) for i in _E8_BLOCKS[1]]),
+              ("neg2", [_GLUE_NEG2]), ("neg24", [_GLUE_NEG24]),
+              ("hyperbolic", _HYPERBOLIC_PAIR)]
+    names = [name for name, vs in groups for _ in vs]
+    stack = [v for _, vs in groups for v in vs]
+    sub = [[pairing(u, v) for v in stack] for u in stack]
+
     ok = True
-    for which, idx in enumerate(_E8_BLOCKS):
-        B = _submatrix(G, idx)
-        neg = [[-x for x in row] for row in B]
-        even = all(B[i][i] % 2 == 0 for i in range(8))
+    for which in range(2):
+        at = slice(8 * which, 8 * which + 8)
+        neg = [[-x for x in row[at]] for row in sub[at]]
+        even = all(neg[i][i] % 2 == 0 for i in range(8))
         posdef = is_positive_definite(neg)
         unimod = det(neg) == 1
         roots = len(vectors_with_norm(neg, 2)) * 2  # counted with sign
@@ -474,36 +547,21 @@ def decomposition_certificate() -> Certificate:
         facts.append(("block.e8_%d" % (which + 1),
                       {"even": even, "definite": posdef,
                        "unimodular": unimod, "roots": roots}))
+    facts.append(("block.neg2", sub[16][16]))
+    facts.append(("block.neg24", sub[17][17]))
+    facts.append(("block.hyperbolic",
+                  tuple(tuple(row[18:]) for row in sub[18:])))
 
-    c1, c2 = _GLUE_NEG2, _GLUE_NEG24
-    c3, c4 = _HYPERBOLIC_PAIR
-    n1 = pairing(c1, c1)
-    n2 = pairing(c2, c2)
-    ugram = ((pairing(c3, c3), pairing(c3, c4)),
-             (pairing(c3, c4), pairing(c4, c4)))
-    facts.append(("block.neg2", n1))
-    facts.append(("block.neg24", n2))
-    facts.append(("block.hyperbolic", ugram))
-
-    # cross-block orthogonality, naming any offending pair
-    groups = [("e8_1", [_unit(i) for i in _E8_BLOCKS[0]]),
-              ("e8_2", [_unit(i) for i in _E8_BLOCKS[1]]),
-              ("neg2", [c1]), ("neg24", [c2]), ("hyperbolic", [c3, c4])]
-    offenders = []
-    for gi in range(len(groups)):
-        for gj in range(gi + 1, len(groups)):
-            for u in groups[gi][1]:
-                for v in groups[gj][1]:
-                    if pairing(u, v) != 0:
-                        offenders.append((groups[gi][0], groups[gj][0]))
-    facts.append(("blocks.orthogonal", "yes" if not offenders
-                  else sorted(set(offenders))))
+    # cross-block orthogonality, naming any offending pair of blocks
+    n = len(stack)
+    offenders = sorted({(names[i], names[j])
+                        for i in range(n) for j in range(i + 1, n)
+                        if names[i] != names[j] and sub[i][j]})
+    facts.append(("blocks.orthogonal", offenders or "yes"))
 
     # the squared index of the direct sum is the quotient of discriminants;
     # the index is None unless that is a positive integer square (zero
     # when the blocks are dependent, as with a broken witness)
-    stack = [v for _, vs in groups for v in vs]
-    sub = [[pairing(u, v) for v in stack] for u in stack]
     subdisc = det(sub)
     index_sq = Fraction(subdisc, disc)
     root = isqrt(max(index_sq.numerator, 0))
