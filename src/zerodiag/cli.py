@@ -228,10 +228,8 @@ def cmd_ns(args) -> Report:
 
 
 def cmd_checks(args) -> Report:
-    """descent, ns verify and orbits: the claims tagged with the command;
-    verify-all: every claim."""
-    return claims_report(None if args.command == "verify-all"
-                         else args.command)
+    """descent, ns verify and orbits: the claims tagged with the command."""
+    return claims_report(args.command)
 
 
 # -- the claims registry -----------------------------------------------------
@@ -508,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_checks)
 
     p = sub.add_parser("verify-all", help="run every check")
-    p.set_defaults(func=cmd_checks)
+    p.set_defaults(func=lambda args: claims_report(None))
 
     return parser
 

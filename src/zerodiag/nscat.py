@@ -120,12 +120,18 @@ def base_conic():
     return conics.Conic([(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
 
 
+def _meets(conic, point):
+    """The strict transform of a conic meets the exceptional curve over a
+    double point once if the point is a node of the conic, else not."""
+    return 1 if point in conic.nodes else 0
+
+
 def _conic_pairings(conic):
     """Pairings of the strict transform of a conic with the twenty basis
     classes."""
     cs, pts = basis_conics(), basis_points()
     return [conics.conic_intersection(conic, cs[i]) if i in cs
-            else (1 if pts[i] in conic.nodes else 0)
+            else _meets(conic, pts[i])
             for i in range(1, _FIBER)] + [
         2 - conics.conic_intersection(conic, base_conic())]
 
@@ -134,7 +140,7 @@ def _point_pairings(point):
     """Pairings of the exceptional curve over a normalized double point
     with the twenty basis classes."""
     cs, pts = basis_conics(), basis_points()
-    return [(1 if point in cs[i].nodes else 0) if i in cs
+    return [_meets(cs[i], point) if i in cs
             else (-2 if point == pts[i] else 0)
             for i in range(1, _FIBER)] + [0]
 
@@ -525,38 +531,39 @@ def decomposition_certificate() -> Certificate:
     disc, sig = det(G), signature(G)
     facts = [("lattice.disc", disc), ("lattice.signature", sig)]
 
-    # the blocks stacked in order, 8 + 8 + 1 + 1 + 2 vectors, and the name
-    # of the block of each
+    # the blocks stacked in order, 8 + 8 + 1 + 1 + 2 vectors; at[name] is
+    # the range of the stack that a block occupies
     groups = [("e8_1", [_unit(i) for i in _E8_BLOCKS[0]]),
               ("e8_2", [_unit(i) for i in _E8_BLOCKS[1]]),
               ("neg2", [_GLUE_NEG2]), ("neg24", [_GLUE_NEG24]),
               ("hyperbolic", _HYPERBOLIC_PAIR)]
-    names = [name for name, vs in groups for _ in vs]
-    stack = [v for _, vs in groups for v in vs]
+    stack, at = [], {}
+    for name, vs in groups:
+        at[name] = range(len(stack), len(stack) + len(vs))
+        stack += vs
     sub = [[pairing(u, v) for v in stack] for u in stack]
+    block = {name: [[sub[i][j] for j in r] for i in r]
+             for name, r in at.items()}
 
     ok = True
-    for which in range(2):
-        at = slice(8 * which, 8 * which + 8)
-        neg = [[-x for x in row[at]] for row in sub[at]]
-        even = all(neg[i][i] % 2 == 0 for i in range(8))
+    for name in ("e8_1", "e8_2"):
+        neg = [[-x for x in row] for row in block[name]]
+        even = all(neg[i][i] % 2 == 0 for i in range(len(neg)))
         posdef = is_positive_definite(neg)
         unimod = det(neg) == 1
         roots = len(vectors_with_norm(neg, 2)) * 2  # counted with sign
         ok = ok and even and posdef and unimod
-        facts.append(("block.e8_%d" % (which + 1),
+        facts.append(("block." + name,
                       {"even": even, "definite": posdef,
                        "unimodular": unimod, "roots": roots}))
-    facts.append(("block.neg2", sub[16][16]))
-    facts.append(("block.neg24", sub[17][17]))
+    facts.append(("block.neg2", block["neg2"][0][0]))
+    facts.append(("block.neg24", block["neg24"][0][0]))
     facts.append(("block.hyperbolic",
-                  tuple(tuple(row[18:]) for row in sub[18:])))
+                  tuple(tuple(row) for row in block["hyperbolic"])))
 
     # cross-block orthogonality, naming any offending pair of blocks
-    n = len(stack)
-    offenders = sorted({(names[i], names[j])
-                        for i in range(n) for j in range(i + 1, n)
-                        if names[i] != names[j] and sub[i][j]})
+    offenders = sorted((a, b) for a, b in combinations(at, 2)
+                       if any(sub[i][j] for i in at[a] for j in at[b]))
     facts.append(("blocks.orthogonal", offenders or "yes"))
 
     # the squared index of the direct sum is the quotient of discriminants;
