@@ -201,19 +201,20 @@ def cmd_lattice_forms(args) -> Report:
     return Report(columns, rows)
 
 
-def cmd_ns(args) -> Report:
-    if args.ns_cmd == "count-classes":
-        try:
-            classes = nscat.enumerate_classes(args.degree, args.genus)
-        except ValueError as e:
-            raise UsageError(str(e))
-        rows = [("degree", str(args.degree)), ("genus", str(args.genus)),
-                ("count", str(len(classes)))]
-        if args.list:
-            for i, c in enumerate(classes):
-                rows.append(("class %d" % i, " ".join(str(x) for x in c)))
-        return Report(("field", "value"), rows)
-    # catalogue
+def cmd_count_classes(args) -> Report:
+    try:
+        classes = nscat.enumerate_classes(args.degree, args.genus)
+    except ValueError as e:
+        raise UsageError(str(e))
+    rows = [("degree", str(args.degree)), ("genus", str(args.genus)),
+            ("count", str(len(classes)))]
+    if args.list:
+        for i, c in enumerate(classes):
+            rows.append(("class %d" % i, " ".join(str(x) for x in c)))
+    return Report(("field", "value"), rows)
+
+
+def cmd_catalogue(args) -> Report:
     cat = nscat.catalogue_441()
     matches = cat["matches_enumeration"]
     rows = [
@@ -498,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--genus", type=int, required=True)
     q.add_argument("--list", action="store_true",
                    help="print every class vector")
-    q.set_defaults(func=cmd_ns)
+    q.set_defaults(func=cmd_count_classes)
     q = ns_sub.add_parser("catalogue", help="the 441 conic classes")
-    q.set_defaults(func=cmd_ns)
+    q.set_defaults(func=cmd_catalogue)
 
     p = sub.add_parser("orbits", help="symmetry action on double points")
     p.set_defaults(func=cmd_checks)

@@ -14,12 +14,15 @@ matrix of the basis is certified here in three independent ways:
     full, which pins the discriminant to -48 and the embedding index to 1;
   * 112 k^2 - 168 c.c, for classes c of degree 2k, is a weighted sum of
     nineteen squares, derived here from its LDL^T decomposition rather
-    than shipped, which bounds class enumeration.
+    than shipped, which bounds class enumeration.  This is the Hodge-index
+    split NS (x) Q = QH + H^perp with H.H = 6: a class of degree d is
+    c = (d / H.H) H + y with y.H = 0, so c.c = d^2 / H.H + y.y, and y.y
+    is negative definite on H^perp.
 
 Classes are plain 20-tuples of integers in the fixed basis.  Enumeration
-of classes with given degree and arithmetic genus reduces, via the
-integral kernel of the degree form, to a definite quadratic equation
-solved by lattice point search.
+of classes with given degree and arithmetic genus reads the split in the
+integral kernel of the degree form, where it is a definite quadratic
+equation solved by lattice point search.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .lattice import (
     is_positive_definite,
     kummer_condition,
     mat_inverse,
-    mat_vec,
     reduced_binary_even_forms,
     signature,
     vec_dot,
@@ -49,6 +51,10 @@ from .surface import normalize_projective
 
 RANK = 20
 _FIBER = 20  # basis index of the fiber class
+# position of the degree-2 conic e17 in a class tuple, along which classes
+# of given degree lift from the degree kernel, and the other nineteen
+_E17 = 16
+_FREE = tuple(j for j in range(RANK) if j != _E17)
 # enumeration radius of the classes of degree 4 and genus 0, the largest
 # enumerate_classes accepts; it yields 50616 classes in under 2 s.
 # A larger radius is not yet cheap: (6, 1), radius 6, yields 427,808
@@ -252,11 +258,8 @@ def strict_transform_conics():
     """All 63 plane conics on the surface, as three symmetry orbits keyed
     by the number of double points on each conic."""
     cs = basis_conics()
-    orbits = {
-        0: conics.conic_orbit(cs[17]),
-        2: conics.conic_orbit(cs[16]),
-        4: conics.conic_orbit(cs[10]),
-    }
+    orbits = {nodes: conics.conic_orbit(cs[i])
+              for nodes, i in ((0, 17), (2, 16), (4, 10))}
     for nodes, orb in orbits.items():
         for c in orb:
             if len(c.nodes) != nodes:
@@ -301,12 +304,10 @@ def _degree_kernel_basis():
     """
     w = _degree_pairings()
     cols = []
-    for j in range(1, RANK + 1):
-        if j == 17:
-            continue
+    for j in _FREE:
         v = [0] * RANK
-        v[j - 1] = 1
-        v[16] = -(w[j - 1] // 2)
+        v[j] = 1
+        v[_E17] = -(w[j] // 2)
         cols.append(tuple(v))
     if any(degree(c) for c in cols):
         raise AssertionError("kernel basis vector has nonzero degree")
@@ -326,17 +327,16 @@ def _kernel_form():
 
 def _kernel_equation(d: int, g: int):
     """(center, radius) of the genus equation: the degree-d class
-    (d/2) e17 + sum_k z_k col_k has genus g iff Q(z + center) = radius,
-    Q the kernel form and col_k the kernel basis."""
-    m0 = [0] * RANK
-    m0[16] = d // 2
-    b = [pairing(c, m0) for c in _degree_kernel_basis()]
-    beta = pairing(m0, m0) - (2 * g - 2)
-    # c0 = A^-1 b = adj b / den for the kernel form A, and Q(c0) = b . c0
-    den, adj = mat_inverse(_kernel_form())
-    adj_b = mat_vec(adj, b)
-    return ([Fraction(-x, den) for x in adj_b],
-            beta + Fraction(vec_dot(b, adj_b), den))
+    c = (d/2) e17 + sum_k z_k col_k has genus g iff Q(z + center) = radius,
+    Q the kernel form and col_k the kernel basis.
+
+    By the split c = c* + y with c* = s H, s = d / H.H, and y in the
+    degree kernel over Q, c.c = s d - Q(y).  The coordinates of y are z less the
+    free coordinates of c*, since col_k has coordinate 1 at the k-th free
+    index and 0 at the others."""
+    h = hyperplane_class()
+    s = Fraction(d, pairing(h, h))
+    return [-s * h[j] for j in _FREE], s * d - (2 * g - 2)
 
 
 def enumerate_classes(d: int, g: int):
@@ -361,14 +361,13 @@ def enumerate_classes(d: int, g: int):
     # column k of the kernel basis is e_j - (w_j // 2) e17 for the k-th
     # free index j, so z lifts coordinate by coordinate
     cols = _degree_kernel_basis()
-    free = [j for j in range(RANK) if j != 16]
     out = []
     for z in vectors_with_norm(_kernel_form(), radius, center=center):
         c = [0] * RANK
-        c[16] = d // 2
-        for zi, col, j in zip(z, cols, free):
+        c[_E17] = d // 2
+        for zi, col, j in zip(z, cols, _FREE):
             c[j] = zi
-            c[16] += zi * col[16]
+            c[_E17] += zi * col[_E17]
         if degree(c) != d or pairing(c, c) != 2 * g - 2:
             raise AssertionError("enumerated class fails its defining "
                                  "equations: %r" % (c,))
@@ -581,7 +580,7 @@ def decomposition_certificate() -> Certificate:
 def hyperplane_certificate() -> Certificate:
     h = hyperplane_class()
     fiber_degree = pairing(h, _unit(_FIBER))
-    basis17_degree = pairing(h, _unit(17))
+    basis17_degree = pairing(h, _unit(_E17 + 1))
     facts = [("hyperplane.class", h),
              ("hyperplane.self_intersection", pairing(h, h)),
              ("hyperplane.degree", degree(h)),
@@ -631,24 +630,22 @@ def transcendental_certificate() -> Certificate:
 # -- the degree identity ----------------------------------------------------------
 
 
-def _lhs_matrix():
-    """Symmetric matrix of 112 k^2 - 168 c.c after eliminating m1, in the
-    variables (m2, ..., m20, k).
+def _identity_form():
+    """Integer matrix of 112 k^2 - 168 c.c in the coordinates (z, k) of
+    c = k e17 + sum_j z_j col_j, col_j the kernel basis: the kernel form
+    A bordered as [[168 A, -168 b], [-168 b^T, 112 - 168 e17.e17]], with
+    b_j = col_j.e17.
 
-    The degree relation 2k = deg(c) gives m1 = k - sum_{j>=2} w_j m_j / 2
-    (w_1 = 2); substituting it into the Gram form leaves a quadratic form
-    in the other coordinates and k.  Stated per class of genus g,
-    112(3 - 3g + k^2) = 112 k^2 - 168 c.c.  In this variable order the
-    LDL^T of the form has nineteen positive pivots and a final zero.
+    Stated per class of genus g, 112(3 - 3g + k^2) = 112 k^2 - 168 c.c.
+    By the split c = (k/3) H + y, y in the degree kernel over Q, it is
+    168 Q(y), Q the kernel form, so its LDL^T has nineteen positive
+    pivots and a final zero.
     """
-    w = _degree_pairings()
-    G = ns_lattice()
-    u = [Fraction(-x, 2) for x in w[1:]] + [Fraction(1)]  # m1
-    g = list(G[0][1:]) + [0]  # e1.e_j
-    rest = [list(row[1:]) + [0] for row in G[1:]] + [[0] * RANK]
-    M = [[-168 * (G[0][0] * u[a] * u[b] + u[a] * g[b] + g[a] * u[b]
-                  + rest[a][b]) for b in range(RANK)] for a in range(RANK)]
-    M[-1][-1] += 112
+    e17 = _unit(_E17 + 1)
+    b = [pairing(col, e17) for col in _degree_kernel_basis()]
+    M = [[168 * a for a in row] + [-168 * bj]
+         for row, bj in zip(_kernel_form(), b)]
+    M.append([-168 * bj for bj in b] + [112 - 168 * pairing(e17, e17)])
     return M
 
 
@@ -657,7 +654,7 @@ def degree_identity_certificate() -> Certificate:
     fraction-free LDL^T of 112 k^2 - 168 c.c, sum_k (U_k . x)^2 /
     (d_{k-1} d_k) from lattice._ldl, is multiplied back out and compared
     with the form.  ok checks that all weights are positive."""
-    lhs = _lhs_matrix()
+    lhs = _identity_form()
     n = len(lhs)
     _, rows = _ldl(lhs)
     minors = [1] + [row[0] for row in rows]

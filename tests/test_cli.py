@@ -89,6 +89,8 @@ GOLDEN_STDOUT = {
         "7f9e7fd014d73846daef49c4efbb693a6d3c26d9f844145e59b2621416f86473",
     "--format csv fibers":
         "718a3fee95714f7874cc62e650b7b87d7759797cc25b5476afc51568f100914d",
+    "ns count-classes --degree 4 --genus 1 --list":
+        "212e9464f83341fb43b20c2806eecae2798e66ae6ba2f858d6869b7da85ace33",
 }
 
 

@@ -34,7 +34,14 @@ from zerodiag.exactnum import (
     reduced_nullspace,
     rref,
 )
-from zerodiag.lattice import det, mat_vec, signature
+from zerodiag.lattice import (
+    _ldl,
+    det,
+    mat_inverse,
+    mat_vec,
+    signature,
+    vec_dot,
+)
 from zerodiag.mwlat import local_contribution, section_component
 from zerodiag.surface import (
     equation_values,
@@ -651,6 +658,66 @@ def test_degree_identity():
     assert cert.ok
     assert cert.fact("identity.forms") == 19
     assert cert.fact("identity.matrices_agree") is True
+
+
+# Oracles for the hyperplane split: the genus equation by inverting the
+# kernel form, and 112 k^2 - 168 c.c with m1 eliminated over Fractions.
+
+def kernel_equation_oracle(d, g):
+    """(center, radius) of the genus equation from A^-1 b, for the kernel
+    form A and b the pairings of the kernel basis with (d/2) e17."""
+    m0 = [0] * 20
+    m0[nscat._E17] = d // 2
+    b = [nscat.pairing(c, m0) for c in nscat._degree_kernel_basis()]
+    beta = nscat.pairing(m0, m0) - (2 * g - 2)
+    den, adj = mat_inverse(nscat._kernel_form())
+    adj_b = mat_vec(adj, b)
+    return ([Fraction(-x, den) for x in adj_b],
+            beta + Fraction(vec_dot(b, adj_b), den))
+
+
+def identity_matrix_oracle():
+    """112 k^2 - 168 c.c in the variables (m2, ..., m20, k), after
+    eliminating m1 = k - sum_{j>=2} w_j m_j / 2 by the degree relation."""
+    w = nscat._degree_pairings()
+    u = [Fraction(-x, 2) for x in w[1:]] + [Fraction(1)]  # m1
+    g = list(GRAM[0][1:]) + [0]  # e1.e_j
+    rest = [list(row[1:]) + [0] for row in GRAM[1:]] + [[0] * 20]
+    M = [[-168 * (GRAM[0][0] * u[a] * u[b] + u[a] * g[b] + g[a] * u[b]
+                  + rest[a][b]) for b in range(20)] for a in range(20)]
+    M[-1][-1] += 112
+    return M
+
+
+@pytest.mark.parametrize("d", [-4, -2, 0, 2, 4, 6])
+def test_kernel_equation_matches_inverse_oracle(d):
+    for g in range(-1, 4):
+        assert nscat._kernel_equation(d, g) == kernel_equation_oracle(d, g)
+
+
+def test_identity_form_evaluates_the_degree_identity():
+    M = nscat._identity_form()
+    cols = nscat._degree_kernel_basis()
+    rng = random.Random(33)
+    for _ in range(50):
+        z = [rng.randint(-3, 3) for _ in cols]
+        k = rng.randint(-4, 4)
+        c = [0] * 20
+        c[nscat._E17] = k
+        for zj, col in zip(z, cols):
+            c = [ci + zj * x for ci, x in zip(c, col)]
+        x = z + [k]
+        value = sum(x[a] * M[a][b] * x[b]
+                    for a in range(20) for b in range(20))
+        assert value == 112 * k * k - 168 * nscat.pairing(c, c)
+        assert nscat.degree(c) == 2 * k
+
+
+def test_identity_form_and_oracle_have_nineteen_positive_pivots():
+    for M in (nscat._identity_form(), identity_matrix_oracle()):
+        _, rows = _ldl(M)
+        assert len(rows) == 19
+        assert all(row[0] > 0 for row in rows)
 
 
 def test_decomposition_certificate():
