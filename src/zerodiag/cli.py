@@ -502,6 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_count_classes)
     q = ns_sub.add_parser("catalogue", help="the 441 conic classes")
     q.set_defaults(func=cmd_catalogue)
+    # a missing command is reported by its metavar, else by its dest; this
+    # one is the text argparse already prints for the choices
+    ns_sub.metavar = "{%s}" % ",".join(ns_sub.choices)
 
     p = sub.add_parser("orbits", help="symmetry action on double points")
     p.set_defaults(func=cmd_checks)
@@ -509,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run every check")
     p.set_defaults(func=lambda args: claims_report(None))
 
+    sub.metavar = "{%s}" % ",".join(sub.choices)
     return parser
 
 

@@ -3,9 +3,10 @@
 Gram matrices are lists of lists of ints (or Fractions where noted).
 Provided here: determinants and inverses, both from one fraction-free
 (Bareiss) Gauss-Jordan elimination, _bareiss, which keeps an inverse in
-integer form (det, adjugate); Smith normal form, discriminant groups of even
-lattices with their torsion quadratic form, enumeration of reduced positive
-definite even binary forms of given determinant, and the facts read off one
+integer form (det, adjugate); the invariant factors of the Smith normal
+form; discriminant groups of even lattices, with their torsion quadratic
+form read off that adjugate; enumeration of reduced positive definite even
+binary forms of given determinant; and the facts read off one
 fraction-free symmetric elimination, _ldl: signatures, positive
 definiteness, and short vector enumeration by integer Fincke-Pohst, whose
 exact integer budget recognises a vector of norm exactly the bound without
@@ -14,9 +15,9 @@ recomputing its norm.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
-from itertools import product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 
@@ -81,112 +82,58 @@ def _bareiss(aug):
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
-def mat_vec(mat, vec):
-    return [sum(m * v for m, v in zip(row, vec)) for row in mat]
-
-
 def vec_dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
 def smith_normal_form(mat):
-    """Return (d, uinv) where d are the nonzero diagonal entries of the
-    Smith form D = U A V (each dividing the next) and uinv is U^{-1}.
+    """The invariant factors d_1 | d_2 | ... | d_r of an integer matrix
+    of rank r: the nonzero diagonal of its Smith form, with no transform.
 
-    Only the row transform inverse is returned; it is what the
-    discriminant-group computation needs.
+    Each pass moves an entry of least nonzero absolute value p to the
+    corner and reduces the rest of its row and column modulo p.  A
+    nonzero remainder is a smaller entry, so the pass repeats until the
+    row and column are clear; then |p| is recorded and the minor is
+    next.  Pivoting on the least entry keeps the entries small in
+    practice, against the coefficient growth of naive elimination
+    (Kannan and Bachem 1979).  Last, (d_i, d_j) -> (gcd, lcm), which
+    keeps the group Z^r / diag(d), makes the diagonal a divisor chain.
     """
     a = [list(row) for row in mat]
-    if not a:
-        return [], []
-    m, n = len(a), len(a[0])
-    # uinv accumulates the inverses of the row operations applied to a
-    uinv = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(m):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
-
-    def row_addmul(i, j, c):
-        # row_i += c * row_j  in a;  col_j -= c * col_i  in uinv
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        for r in range(m):
-            uinv[r][j] -= c * uinv[r][i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        for r in range(m):
-            uinv[r][i] = -uinv[r][i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def col_addmul(i, j, c):
-        for row in a:
-            row[i] += c * row[j]
-
-    t = 0
-    while t < min(m, n):
-        # find a pivot
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
+    d = []
+    while True:
+        nonzero = [(abs(x), i, j) for i, row in enumerate(a)
+                   for j, x in enumerate(row) if x]
+        if not nonzero:
             break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_addmul(i, t, -q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_addmul(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        done = False
-            if done:
-                break
-        # divisibility fix-up: pivot must divide every later entry
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_addmul(t, bad, 1)
+        _, i, j = min(nonzero)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        top, p = a[0], a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            row[:] = [x - q * y for x, y in zip(row, top)]
+        for j in range(1, len(top)):
+            q = top[j] // p
+            for row in a:
+                row[j] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in a[1:]):
             continue
-        if a[t][t] < 0:
-            row_negate(t)
-        t += 1
-    d = [a[i][i] for i in range(t) if a[i][i]]
-    return d, uinv
+        d.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d
 
 
 class DiscriminantGroup:
-    """L*/L of an even nondegenerate lattice, with its Q/2Z quadratic form:
-    the orders of its cyclic factors and the exact pairings w_i . w_j of
-    their generators in L*, from which all_q_values reads q on every
-    element."""
+    """L*/L of an even nondegenerate lattice L, with its Q/2Z quadratic
+    form q (Nikulin 1979): the orders of its cyclic factors, read off the
+    Smith form, and q on every element through all_q_values."""
 
-    __slots__ = ("orders", "pairings")
+    __slots__ = ("orders", "_den", "_adj")
 
     def __init__(self, gram):
         n = len(gram)
@@ -194,34 +141,43 @@ class DiscriminantGroup:
             raise ValueError("gram matrix must be symmetric")
         if any(gram[i][i] % 2 for i in range(n)):
             raise ValueError("lattice is not even")
-        d, uinv = smith_normal_form(gram)
+        d = smith_normal_form(gram)
         if len(d) != n:
             raise ValueError("degenerate lattice")
         den, adj = mat_inverse(gram)
-        # x: the class of e_i pulled back; adj x / den: its generator in
-        # L* = G^-1 Z^n, and x . adj y / den = w_x^T G w_y
-        xs = [[uinv[r][i] for r in range(n)] for i in range(n) if d[i] != 1]
-        ys = [mat_vec(adj, x) for x in xs]
-        pairings = tuple(tuple(Fraction(vec_dot(x, y), den) for y in ys)
-                         for x in xs)
         object.__setattr__(self, "orders", tuple(e for e in d if e != 1))
-        object.__setattr__(self, "pairings", pairings)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_adj", adj)
 
     def __setattr__(self, *a):
         raise AttributeError("DiscriminantGroup is immutable")
 
     def all_q_values(self):
-        """The full multiset {q(x) : x in L*/L} as values in [0, 2), each
-        q(sum c_i w_i) read off the pairing matrix of the generators."""
-        b = self.pairings
-        return sorted(_mod_2z(sum(ci * cj * bij for ci, row in zip(c, b)
-                                  for cj, bij in zip(c, row)))
-                      for c in product(*(range(e) for e in self.orders)))
+        """The full multiset {q(x) : x in L*/L} as values in [0, 2).
 
-
-def _mod_2z(q: Fraction) -> Fraction:
-    q = Fraction(q)
-    return q - 2 * (q / 2).__floor__()
+        In the coordinates of L, y in Z^n stands for adj y / d in
+        L* = G^-1 Z^n, and q = y . adj y / d.  A walk from 0 adds the basis
+        vectors e_j and keeps v = adj y mod |d|, which names the element,
+        and t = y . adj y mod 2|d|, with t(y + e_j) = t(y) + 2 (adj y)_j
+        + adj_jj.  Reading v_j for (adj y)_j shifts t by a multiple of 2|d|,
+        which changes q by an even integer, so y itself is never kept."""
+        d, adj = self._den, self._adj
+        m = abs(d)
+        # the walk meets |d| elements, so v fits in 64-bit entries whenever
+        # it can finish; keys are bytes, not tuples, since CPython 3.11 keeps
+        # freed 20-item tuples on a free list that allocation never pops
+        start = [0] * len(adj)
+        seen = {array("q", start).tobytes()}
+        todo, out = [(start, 0)], []
+        for v, t in todo:
+            out.append(Fraction(t, d) % 2)
+            for j, col in enumerate(adj):
+                w = [(x + y) % m for x, y in zip(v, col)]
+                key = array("q", w).tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    todo.append((w, (t + 2 * v[j] + col[j]) % (2 * m)))
+        return sorted(out)
 
 
 def _as_int(x) -> int:

@@ -2,7 +2,7 @@
 
 The twenty basis classes are numbered here, and only here: twelve plane
 conics (among them the five sections of the fibration), seven exceptional
-curves over double points, and the fiber class F, index 20.  F = H - [C0]
+curves over double points, and the fiber class F, label 20.  F = H - [C0]
 for the fixed conic C0 cut out by x = a = 0, so F.C = 2 - C.C0 for any
 conic, C0 itself included, and F meets no exceptional curve.  The Gram
 matrix of the basis is certified here in three independent ways:
@@ -50,9 +50,11 @@ from .exactnum import SQRT3, Certificate
 from .surface import normalize_projective
 
 RANK = 20
-_FIBER = 20  # basis index of the fiber class
-# position of the degree-2 conic e17 in a class tuple, along which classes
-# of given degree lift from the degree kernel, and the other nineteen
+# Positions in a class tuple are 0-based; the basis labels, the keys of
+# basis_conics() and basis_points(), are 1-based, so e17 sits at 16.
+_FIBER = 19  # the fiber class, last in the basis
+# the degree-2 conic e17, along which classes of given degree lift from the
+# degree kernel, and the other nineteen positions
 _E17 = 16
 _FREE = tuple(j for j in range(RANK) if j != _E17)
 # enumeration radius of the classes of degree 4 and genus 0, the largest
@@ -62,10 +64,10 @@ _FREE = tuple(j for j in range(RANK) if j != _E17)
 _MAX_RADIUS = Fraction(14, 3)
 
 # Witnesses of the splitting E8(-1) + E8(-1) + <-2> + <-24> + U: the two E8
-# blocks are the basis classes 1-8 and 9-16, and the four vectors below
+# blocks are the basis classes e1-e8 and e9-e16, and the four vectors below
 # span the rest.  decomposition_certificate checks all of them in full:
 # norms, the hyperbolic Gram, orthogonality across blocks and index one.
-_E8_BLOCKS = (tuple(range(1, 9)), tuple(range(9, 17)))
+_E8_BLOCKS = (tuple(range(8)), tuple(range(8, 16)))
 _GLUE_NEG2 = (0, 0, 0, -1, -2, -2, -2, -1, 1, 2, 3, 4, 4, 2, 0, 2, 1, -2,
               0, 0)
 _GLUE_NEG24 = (6, 12, 26, 29, 32, 19, 6, 16, 9, 18, 27, 36, 34, 23, 12, 17,
@@ -138,7 +140,7 @@ def _conic_pairings(conic):
     cs, pts = basis_conics(), basis_points()
     return [conics.conic_intersection(conic, cs[i]) if i in cs
             else _meets(conic, pts[i])
-            for i in range(1, _FIBER)] + [
+            for i in range(1, RANK)] + [
         2 - conics.conic_intersection(conic, base_conic())]
 
 
@@ -148,7 +150,7 @@ def _point_pairings(point):
     cs, pts = basis_conics(), basis_points()
     return [_meets(cs[i], point) if i in cs
             else (-2 if point == pts[i] else 0)
-            for i in range(1, _FIBER)] + [0]
+            for i in range(1, RANK)] + [0]
 
 
 @lru_cache(maxsize=1)
@@ -158,8 +160,8 @@ def ns_lattice():
     their fiber column, with F.F = 0."""
     cs, pts = basis_conics(), basis_points()
     rows = [_conic_pairings(cs[i]) if i in cs else _point_pairings(pts[i])
-            for i in range(1, _FIBER)]
-    rows.append([row[_FIBER - 1] for row in rows] + [0])
+            for i in range(1, RANK)]
+    rows.append([row[_FIBER] for row in rows] + [0])
     gram = tuple(tuple(row) for row in rows)
     if any(gram[i][j] != gram[j][i] for i in range(RANK) for j in range(RANK)):
         raise RuntimeError("gram matrix is not symmetric")
@@ -171,7 +173,7 @@ def _degree_pairings():
     """Pairings of the basis with the hyperplane class H = F + C0, for
     the base conic C0 of the pencil."""
     c0 = _conic_pairings(base_conic())
-    return tuple(f + c for f, c in zip(ns_lattice()[_FIBER - 1], c0))
+    return tuple(f + c for f, c in zip(ns_lattice()[_FIBER], c0))
 
 
 @lru_cache(maxsize=1)
@@ -220,7 +222,7 @@ def rr_effective(c) -> bool:
 
 
 def _unit(i):
-    return tuple(1 if j == i - 1 else 0 for j in range(RANK))
+    return tuple(int(j == i) for j in range(RANK))
 
 
 # -- classes of curves ----------------------------------------------------------
@@ -580,7 +582,7 @@ def decomposition_certificate() -> Certificate:
 def hyperplane_certificate() -> Certificate:
     h = hyperplane_class()
     fiber_degree = pairing(h, _unit(_FIBER))
-    basis17_degree = pairing(h, _unit(_E17 + 1))
+    basis17_degree = pairing(h, _unit(_E17))
     facts = [("hyperplane.class", h),
              ("hyperplane.self_intersection", pairing(h, h)),
              ("hyperplane.degree", degree(h)),
@@ -641,7 +643,7 @@ def _identity_form():
     168 Q(y), Q the kernel form, so its LDL^T has nineteen positive
     pivots and a final zero.
     """
-    e17 = _unit(_E17 + 1)
+    e17 = _unit(_E17)
     b = [pairing(col, e17) for col in _degree_kernel_basis()]
     M = [[168 * a for a in row] + [-168 * bj]
          for row, bj in zip(_kernel_form(), b)]

@@ -548,6 +548,21 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as e:
         cli.main(["--format", "xml", "fibers"])
     assert e.value.code == 2
+    # a missing subcommand is named by its choices, not the parser's dest
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        cli.main(["ns"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "zerodiag ns: error: the following arguments are required: "
+        "{verify,count-classes,catalogue}\n")
+    with pytest.raises(SystemExit) as e:
+        cli.main([])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "zerodiag: error: the following arguments are required: "
+        "{search,param,mult,fibers,height,descent,lattice-forms,ns,orbits,"
+        "verify-all}\n")
     # search and verify-all run in one process and take no worker count
     for argv in (["verify-all", "--workers", "0"],
                  ["search", "--max", "30", "--workers", "0"],

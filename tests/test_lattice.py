@@ -1,7 +1,8 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -14,7 +15,6 @@ from zerodiag.lattice import (
     is_positive_definite,
     kummer_condition,
     mat_inverse,
-    mat_vec,
     reduced_binary_even_forms,
     short_vectors,
     signature,
@@ -32,6 +32,10 @@ E8 = [
     [0, 0, 0, 0, 0, -1, 2, 0],
     [0, 0, 0, 0, -1, 0, 0, 2],
 ]
+
+
+def mat_vec(mat, vec):
+    return [sum(m * v for m, v in zip(row, vec)) for row in mat]
 
 
 def gram_pairing(gram, u, v):
@@ -151,21 +155,177 @@ def test_mat_inverse_rejects_non_integral_entries():
     assert det([[F(1, 2), 0], [0, 1]]) == F(1, 2)
 
 
+# -- the former Smith form with its row transform, kept as the oracle -------
+
+
+def oracle_smith_normal_form(mat):
+    """(d, uinv): the nonzero diagonal d of the Smith form D = U A V and
+    U^-1, by Euclid along one row and column at a time with swaps.  Its
+    entries can blow up, so it is run only where it finishes."""
+    a = [list(row) for row in mat]
+    if not a:
+        return [], []
+    m, n = len(a), len(a[0])
+    uinv = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for r in range(m):
+            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+
+    def row_addmul(i, j, c):
+        # row_i += c * row_j  in a;  col_j -= c * col_i  in uinv
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for r in range(m):
+            uinv[r][j] -= c * uinv[r][i]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        for r in range(m):
+            uinv[r][i] = -uinv[r][i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def col_addmul(i, j, c):
+        for row in a:
+            row[i] += c * row[j]
+
+    t = 0
+    while t < min(m, n):
+        piv = next(((i, j) for i in range(t, m) for j in range(t, n)
+                    if a[i][j]), None)
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+        done = False
+        while not done:
+            done = True
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    row_addmul(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        row_swap(t, i)
+                        done = False
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    col_addmul(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        col_swap(t, j)
+                        done = False
+        # divisibility fix-up: the pivot must divide every later entry
+        bad = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                    if a[i][j] % a[t][t]), None)
+        if bad is not None:
+            row_addmul(t, bad, 1)
+            continue
+        if a[t][t] < 0:
+            row_negate(t)
+        t += 1
+    return [a[i][i] for i in range(t) if a[i][i]], uinv
+
+
+def oracle_pairing_q_values(gram):
+    """Oracle: q on L*/L from the generators w_i = G^-1 x_i, x_i the
+    columns of U^-1 whose invariant factor is not 1, and their exact
+    pairings w_i . w_j = x_i . adj x_j / det."""
+    n = len(gram)
+    d, uinv = oracle_smith_normal_form(gram)
+    den, adj = mat_inverse(gram)
+    xs = [[uinv[r][i] for r in range(n)] for i in range(n) if d[i] != 1]
+    b = [[F(sum(p * q for p, q in zip(x, mat_vec(adj, y))), den)
+          for y in xs] for x in xs]
+    orders = [e for e in d if e != 1]
+    return sorted(
+        sum(ci * cj * bij for ci, row in zip(c, b)
+            for cj, bij in zip(c, row)) % 2
+        for c in itertools.product(*(range(e) for e in orders)))
+
+
+def minor_gcd_invariants(mat):
+    """Oracle: d_1 ... d_k is the gcd of the k x k minors, for k up to the
+    rank."""
+    m, n = len(mat), len(mat[0])
+    out, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        g = gcd(*(cofactor_det([[mat[i][j] for j in cols] for i in rows])
+                  for rows in itertools.combinations(range(m), k)
+                  for cols in itertools.combinations(range(n), k)))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
+
 def test_smith_normal_form_divisibility_and_det():
     rng = random.Random(13)
     for _ in range(10):
         m = random_int_matrix(rng, 4)
         if det(m) == 0:
             continue
-        d, uinv = smith_normal_form(m)
+        d = smith_normal_form(m)
+        want, uinv = oracle_smith_normal_form(m)
+        assert d == want
         assert len(d) == 4
         for a, b in zip(d, d[1:]):
             assert b % a == 0
-        prod = 1
-        for x in d:
-            prod *= x
-        assert prod == abs(det(m))
+        assert prod(d) == abs(det(m))
         assert abs(det(uinv)) == 1
+
+
+def test_smith_normal_form_matches_minor_gcd_oracle():
+    rng = random.Random(17)
+    deficient = 0
+    for m in range(1, 5):
+        for n in range(1, 6):
+            for k in range(6):
+                a = [[rng.randint(-6, 6) for _ in range(n)]
+                     for _ in range(m)]
+                if k % 2 and m > 1:
+                    # the last row a combination of the first ones
+                    a[-1] = [3 * x - 2 * y
+                             for x, y in zip(a[0], a[1 % (m - 1)])]
+                d = smith_normal_form(a)
+                assert d == minor_gcd_invariants(a), a
+                deficient += len(d) < min(m, n)
+    assert deficient > 20
+    assert smith_normal_form([[0, 0, 0], [0, 0, 0]]) == []
+    assert smith_normal_form([]) == []
+
+
+def test_smith_normal_form_pinned_blowups():
+    """Two inputs on which the former Euclid-and-swap Smith form did not
+    finish in 30 s; the 6 x 6 one is an even lattice of prime det -277."""
+    wide = [[336, 0, 144, 709, 65], [836, 0, 0, -591, 67],
+            [-162, 177, -385, 0, -358], [-348, -334, 65, 77, -351]]
+    gram = [[-4, 0, 3, 4, 2, -3], [0, -6, -2, -3, -1, 4],
+            [3, -2, 4, 4, -1, 3], [4, -3, 4, 0, 3, 2],
+            [2, -1, -1, 3, -6, 4], [-3, 4, 3, 2, 4, -4]]
+    start = time.perf_counter()
+    assert smith_normal_form(wide) == [1, 1, 1, 22]
+    assert time.perf_counter() - start < 1
+    assert minor_gcd_invariants(wide) == [1, 1, 1, 22]
+    start = time.perf_counter()
+    assert smith_normal_form(gram) == [1, 1, 1, 1, 1, 277]
+    dg = DiscriminantGroup(gram)
+    assert dg.orders == (277,)
+    assert time.perf_counter() - start < 1
+    assert det(gram) == -277
+    assert dg.all_q_values() == fraction_all_q_values(gram)
+
+
+def test_smith_normal_form_dense_8x8_is_fast():
+    rng = random.Random(13)
+    for _ in range(20):
+        m = random_int_matrix(rng, 8)
+        start = time.perf_counter()
+        d = smith_normal_form(m)
+        assert time.perf_counter() - start < 1
+        assert all(b % a == 0 for a, b in zip(d, d[1:]))
+        assert prod(d) == abs(det(m)) if len(d) == 8 else det(m) == 0
 
 
 def test_discriminant_group_hyperbolic_plane():
@@ -173,14 +333,14 @@ def test_discriminant_group_hyperbolic_plane():
     dg = DiscriminantGroup([[0, 1], [1, 0]])
     assert dg.orders == ()
     assert prod(dg.orders) == 1
+    assert dg.all_q_values() == [0]
 
 
 def test_discriminant_group_orders_and_q():
     dg = DiscriminantGroup([[2, 0], [0, 24]])
     assert dg.orders == (2, 24)
     # q of the generators, in [0, 2)
-    assert [row[k] % 2 for k, row in enumerate(dg.pairings)] == [
-        F(1, 2), F(1, 24)]
+    assert {F(1, 2), F(1, 24)} <= set(dg.all_q_values())
 
 
 def test_discriminant_group_rejects_odd_lattice():
@@ -191,8 +351,9 @@ def test_discriminant_group_rejects_odd_lattice():
 def test_discriminant_group_negative_definite_rank_one():
     dg = DiscriminantGroup([[-24]])
     assert dg.orders == (24,)
-    assert dg.pairings == ((F(-1, 24),),)
-    # q(generator) = -1/24 mod 2Z, canonical representative in [0, 2)
+    # q(k w) = -k^2/24 mod 2Z for the generator w = e/24, canonical
+    # representatives in [0, 2); q(w) = 47/24
+    assert dg.all_q_values() == sorted(F(-k * k, 24) % 2 for k in range(24))
     assert F(47, 24) in dg.all_q_values()
 
 
@@ -230,6 +391,9 @@ def test_all_q_values_match_fraction_vector_oracle(gram):
     dg = DiscriminantGroup(gram)
     vals = dg.all_q_values()
     assert vals == fraction_all_q_values(gram)
+    assert vals == oracle_pairing_q_values(gram)
+    assert list(dg.orders) == [e for e in oracle_smith_normal_form(gram)[0]
+                               if e != 1]
     assert len(vals) == prod(dg.orders) == abs(det(gram))
 
 
@@ -636,7 +800,7 @@ def test_short_vectors_match_fraction_oracle_on_e8():
     assert len(exact) == 1080
     G = nscat.ns_lattice()
     for idx in nscat._E8_BLOCKS:
-        block = [[-G[i - 1][j - 1] for j in idx] for i in idx]
+        block = [[-G[i][j] for j in idx] for i in idx]
         _, roots = _assert_matches_oracle(block, 2)
         assert len(roots) == 120
         _assert_matches_oracle(block, 3, center=[F(1, 2)] * 8)

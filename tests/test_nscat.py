@@ -38,7 +38,6 @@ from zerodiag.lattice import (
     _ldl,
     det,
     mat_inverse,
-    mat_vec,
     signature,
     vec_dot,
 )
@@ -51,6 +50,10 @@ from zerodiag.surface import (
 )
 
 GRAM = nscat.ns_lattice()
+
+
+def mat_vec(mat, vec):
+    return [vec_dot(row, vec) for row in mat]
 
 SECTION_BASIS = {"O": 3, "P": 19, "Q": 15, "T1": 12, "T2": 7}
 
