@@ -23,19 +23,19 @@ transforms on the resolved surface reduce to linear algebra:
   * a conic meets the exceptional curve over a double point once iff it
     passes through the point, i.e. iff the point is one of its nodes.
 
-All of this runs on integers.  A plane is given over Q(sqrt 3), and each
-conic takes the integer form of its plane once: its three equations and
-its three basis vectors, each a pair of integer lists (x, y) with entries
-x + y*sqrt3 (exactnum._integer_parts), every vector scaled by its own
-integer d > 0.  An element of Z[sqrt 3] is a pair (re, im), with
-(a, b)(c, d) = (ac + 3bd, ad + bc), and is zero iff both parts are.  No
-test here sees the scales: a form vanishing, a cross product or the
-polar determinant being zero and q2 vanishing at a point are unchanged
-by positive factors, and the divisibility of restricted forms by a
-change of plane coordinates.  Points and forms with coefficients in Q or
-Q(sqrt 3) are taken to their integer form first.  The reduced equations
-over Q(sqrt 3), the conic's rows, are kept only as the plane's identity:
-equality, hashing and the order of an orbit.
+All of this runs on integers.  A vector over Q(sqrt 3) is kept in
+integer form: a pair of integer tuples (x, y) with entries x + y*sqrt3
+(exactnum._integer_parts), scaled by an integer d > 0.  An element of
+Z[sqrt 3] is a pair (re, im), with (a, b)(c, d) = (ac + 3bd, ad + bc),
+and is zero iff both parts are.  Points and forms with coefficients in
+Q or Q(sqrt 3) are taken to their integer form first.  A plane's
+defining forms are row reduced once, over Z[sqrt 3] by rref, to three
+equations in canonical form, the plane's identity (equality, hashing
+and, through the field rows they stand for, the order of an orbit); its
+three basis vectors are read off them.  No test here sees the scales: a
+form vanishing, a cross product or the polar determinant being zero and
+q2 vanishing at a point are unchanged by positive factors, and the
+divisibility of restricted forms by a change of plane coordinates.
 
 The orbit of a conic under the 144 symmetries is read off the stabilizer
 of its plane, the g whose moved equations vanish on its basis: g and g*h
@@ -48,9 +48,10 @@ among it, belongs to nscat; this module knows no basis.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
 
-from .exactnum import _integer_parts, reduced_nullspace, rref
+from .exactnum import _integer_parts, _scalar
 from .surface import (
     g_apply,
     g_compose,
@@ -60,9 +61,8 @@ from .surface import (
 )
 
 _NVARS = 6  # coordinates (x, y, z, a, b, c)
-
-
-_SUM_XYZ = (1, 1, 1, 0, 0, 0)
+_ZEROS = (0,) * _NVARS  # the sqrt 3 part of an integer point
+_SUM_XYZ = ((1, 1, 1, 0, 0, 0), _ZEROS)
 
 
 @lru_cache(maxsize=1)
@@ -74,23 +74,31 @@ def double_points():
 class Conic:
     """A plane conic on the surface, identified by its canonical plane.
 
-    rows are the reduced equations of the plane over Q(sqrt 3) (x+y+z = 0
-    among them), its identity; equations are the same three forms and
-    basis a basis of the plane itself, both in integer form; nodes are
-    the double points of the surface that lie on the conic.
+    equations are the reduced equations of the plane (x+y+z = 0 among
+    them) in canonical integer form, its identity; basis is a basis of
+    the plane itself in integer form; nodes are the double points of the
+    surface that lie on the conic.  Conic(forms) takes the forms that cut
+    out the plane over Q or Q(sqrt 3), Conic._of in integer form.
     """
 
-    __slots__ = ("rows", "equations", "basis", "nodes")
+    __slots__ = ("equations", "basis", "nodes")
 
     def __init__(self, forms):
-        rows, pivots = rref(list(forms) + [_SUM_XYZ])
+        self._set([_integer_form(form) for form in forms])
+
+    @classmethod
+    def _of(cls, equations):
+        """The conic of the plane that forms in integer form cut out."""
+        out = object.__new__(cls)
+        out._set(equations)
+        return out
+
+    def _set(self, equations):
+        rows, pivots = rref(list(equations) + [_SUM_XYZ])
         if len(rows) != 3:
             raise ValueError("plane of a conic must have codimension 3")
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "equations",
-                           tuple(_integer_form(row) for row in rows))
-        object.__setattr__(self, "basis", tuple(
-            _integer_form(w) for w in reduced_nullspace(rows, pivots, _NVARS)))
+        object.__setattr__(self, "equations", tuple(rows))
+        object.__setattr__(self, "basis", _nullspace(rows, pivots))
         if not any(_polar_det(self.basis)):
             raise ValueError("quadric is degenerate on the plane; not a "
                              "smooth conic")
@@ -110,13 +118,13 @@ class Conic:
     def __eq__(self, other):
         if not isinstance(other, Conic):
             return NotImplemented
-        return self.rows == other.rows
+        return self.equations == other.equations
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.equations)
 
     def __repr__(self):
-        return "Conic(%s)" % (self.rows,)
+        return "Conic(%s)" % (self.equations,)
 
 
 # -- Z[sqrt 3] in integer form ----------------------------------------------------
@@ -129,7 +137,67 @@ def _integer_form(vector):
     return tuple(x), tuple(y)
 
 
-_ZEROS = (0,) * _NVARS  # the sqrt 3 part of an integer point
+def rref(rows):
+    """Reduced row echelon form over Z[sqrt 3]; returns (rows, pivot
+    columns).  Rows are in integer form, and so are the reduced rows.
+
+    A division-free Gauss-Jordan elimination (Bareiss 1968, without the
+    exact division): the row of a pivot column is first taken through
+    _canonical, so its entry there is an integer n, and every other row r
+    with entry e in that column becomes n*r - e*(pivot row).  Each pivot
+    entry stays an integer, and the last pass of _canonical over the
+    reduced rows squares it: a reduced row comes out with content 1 and
+    a positive pivot entry, so it is the field row of the reduced echelon
+    form over Q(sqrt 3) times the least integer that clears its
+    denominators.
+    """
+    m = [list(zip(x, y)) for x, y in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if any(m[i][col])), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        top = m[r] = _canonical(m[r], col)
+        n = top[col][0]
+        for i, row in enumerate(m):
+            s, t = row[col]
+            if i != r and (s or t):
+                m[i] = [(n * a - s * u - 3 * t * v, n * b - s * v - t * u)
+                        for (a, b), (u, v) in zip(row, top)]
+        pivots.append(col)
+    return ([tuple(zip(*_canonical(m[r], col)))
+             for r, col in enumerate(pivots)], pivots)
+
+
+def _canonical(row, col):
+    """A row of Z[sqrt 3] pairs times the conjugate of its nonzero entry at
+    col, which makes that entry the integer norm, then divided by the
+    integer content."""
+    s, t = row[col]
+    row = [(s * a - 3 * t * b, s * b - t * a) for a, b in row]
+    g = gcd(*(v for z in row for v in z))
+    return [(a // g, b // g) for a, b in row]
+
+
+def _nullspace(rows, pivots):
+    """The basis of the plane that canonical rows cut out, in integer form:
+    for each free column f, the solution with 1 at f, times the least
+    integer that makes it integral."""
+    basis = []
+    for f in range(_NVARS):
+        if f in pivots:
+            continue
+        # at pivot p, -(x[f] + y[f]*sqrt3) / x[p]
+        d = lcm(*(x[p] // gcd(x[p], x[f], y[f])
+                  for (x, y), p in zip(rows, pivots)))
+        w = [[0] * _NVARS, [0] * _NVARS]
+        w[0][f] = d
+        for (x, y), p in zip(rows, pivots):
+            w[0][p], w[1][p] = -x[f] * d // x[p], -y[f] * d // x[p]
+        basis.append((tuple(w[0]), tuple(w[1])))
+    return tuple(basis)
 
 
 def _on_conic(conic, p):
@@ -224,25 +292,15 @@ def _cubic_divisible(basis):
     cubic forms: the four of them on the line s0 = 0 force a vanishing
     cubic to be divisible by s0, the quotient vanishes on the three with
     s0 = 1, and so on down.  It exists iff the column of q3 values is
-    not a pivot column of the 10x4 system, which a division-free
-    elimination over Z[sqrt 3] decides: each step replaces every other
-    row r by lead*r - r0*top, with top the first row whose leading entry
-    lead is nonzero and r0 the leading entry of r, and drops top and the
-    leading column.
+    not a pivot column of the 10x4 system.
     """
     rows = []
     for s in _CUBIC_NODES:
         p = _combine([(k, 0) for k in s], basis)
         q = _q2(p)
-        rows.append([(q[0] * k, q[1] * k) for k in s] + [_q3(p)])
-    for _ in range(3):  # the columns of the multiplier
-        k = next((i for i, row in enumerate(rows) if any(row[0])), None)
-        if k is not None:
-            top = rows.pop(k)
-            rows = [[_minor(top[0], t, row[0], r)
-                     for t, r in zip(top, row)] for row in rows]
-        rows = [row[1:] for row in rows]
-    return not any(any(row[0]) for row in rows)
+        entries = [(q[0] * k, q[1] * k) for k in s] + [_q3(p)]
+        rows.append(tuple(zip(*entries)))
+    return 3 not in rref(rows)[1]
 
 
 def conic_orbit(conic: Conic):
@@ -262,7 +320,8 @@ def conic_orbit(conic: Conic):
     for g in group:
         if g not in covered:
             covered.update(g_compose(g, h) for h in stabilizer)
-            orbit.append(Conic([g_apply(g, row) for row in conic.rows]))
+            orbit.append(Conic._of([(g_apply(g, x), g_apply(g, y))
+                                    for x, y in conic.equations]))
     if len(orbit) * len(stabilizer) != len(group):
         raise ArithmeticError("the stabilizer of %r is not a subgroup"
                               % (conic,))
@@ -270,7 +329,10 @@ def conic_orbit(conic: Conic):
 
 
 def _sort_key(conic):
-    return tuple(tuple(str(x) for x in row) for row in conic.rows)
+    """The entries of the reduced rows over Q(sqrt 3) as strings; a
+    canonical row divided by its pivot entry, its first nonzero x."""
+    return tuple(tuple(str(_scalar(u, v, next(filter(None, x))))
+                       for u, v in zip(x, y)) for x, y in conic.equations)
 
 
 def conic_intersection(c1: Conic, c2: Conic) -> int:

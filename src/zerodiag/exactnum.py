@@ -1,13 +1,12 @@
 """Exact arithmetic substrate: rationals, Q(sqrt 3), dense polynomials,
-rational functions, the one row reduction over Q and Q(sqrt 3) that conic
-planes and ranks are built on, and the certificate record every verified
-claim returns.  Integer matrices are inverted elsewhere, in lattice,
-without fractions.
+rational functions, and the certificate record every verified claim
+returns.  There is no linear algebra here: conic planes are row reduced
+over Z[sqrt 3] in conics, and integer matrices are inverted and brought
+to Smith form in lattice, all without fractions.
 
 Everything here is exact.  Floats are rejected on input and never produced.
 Rationals are stdlib ``fractions.Fraction``; the quadratic field Q(sqrt 3)
-gets its own small class because Galois conjugation (sqrt 3 -> -sqrt 3) has
-to be a first-class operation.  Each element of Q(sqrt 3) has one
+gets its own small class.  Each element of Q(sqrt 3) has one
 representation: a Fraction when its sqrt 3 part is zero, and a QuadElem
 only when that part is nonzero.  ``QuadElem(r, 0)`` returns the Fraction r,
 so every result whose sqrt 3 part cancels is a Fraction, and the field of
@@ -84,10 +83,6 @@ class QuadElem:
         raise AttributeError("QuadElem is immutable")
 
     # -- structure ---------------------------------------------------------
-
-    def conjugate(self) -> "QuadElem":
-        """Galois conjugation sqrt(3) -> -sqrt(3)."""
-        return QuadElem(self.r, -self.s)
 
     def norm(self) -> Fraction:
         return self.r * self.r - 3 * self.s * self.s
@@ -166,6 +161,10 @@ class QuadElem:
 SQRT3 = QuadElem(0, 1)
 
 
+def _inv(x):
+    return x.inverse() if isinstance(x, QuadElem) else 1 / x
+
+
 def field_sqrt(x):
     """Exact square root in Q(sqrt 3) of a rational or a QuadElem, or None.
 
@@ -192,70 +191,6 @@ def field_sqrt(x):
             if cand * cand == x:
                 return cand
     return None
-
-
-# -- linear algebra over Q and Q(sqrt 3) ---------------------------------------
-
-
-def _inv(x):
-    return x.inverse() if isinstance(x, QuadElem) else 1 / x
-
-
-def rref(rows):
-    """Reduced row echelon form over Q(sqrt 3); returns (rows, pivot cols)."""
-    m = [[x if isinstance(x, QuadElem) else rat(x) for x in row]
-         for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = _inv(m[r][col])
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nr):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nr:
-            break
-    return [tuple(row) for row in m[:r]], pivots
-
-
-def reduced_nullspace(reduced, pivots, nc):
-    """Basis of the solution space of forms in nc variables that rref has
-    already reduced to (reduced, pivots)."""
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * nc
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
-        basis.append(tuple(vec))
-    return basis
-
-
-def matrix_rank(rows) -> int:
-    return len(rref(rows)[0])
-
-
-def conj(x):
-    """Galois conjugation, lifted through the number tower."""
-    if isinstance(x, QuadElem):
-        return x.conjugate()
-    if isinstance(x, (int, Fraction)):
-        return x
-    if isinstance(x, Polynomial):
-        return Polynomial._of(x.x, [-v for v in x.y], x.d)
-    if isinstance(x, RationalFunction):
-        return RationalFunction._coprime(conj(x.num), conj(x.den))
-    raise TypeError("cannot conjugate %r" % type(x))
 
 
 # -- the integer form of a coefficient list ------------------------------------

@@ -492,31 +492,28 @@ def fiber_class_certificate() -> Certificate:
 
 
 def _dual_graph_matches(fib, comps) -> bool:
+    """Whether the components, with multiplicities, have the dual graph of
+    the fiber's Kodaira type.
+
+    By Zariski's lemma the pairings of the components of a fiber are
+    negative semidefinite with kernel spanned by the fiber.  Curves of
+    self-pairing -2 that meet nonnegatively, with such pairings and a
+    kernel vector of positive multiplicities, are an affine Dynkin
+    diagram, connected because a finite-type part would carry no kernel
+    vector; the multiplicities are its null vector and tell its type: n
+    ones for I_n (A~_{n-1}), four 1s and n - 4 2s for I_m* (D~_{n-1}).
+    """
     classes = [cls for _, _, cls in comps]
+    mult = [m for _, m, _ in comps]
     n = len(classes)
-    pair = [[pairing(classes[i], classes[j]) for j in range(n)]
-            for i in range(n)]
-    if any(pair[i][i] != -2 for i in range(n)):
-        return False
-    if fib.kind == "I" and fib.n == 2:
-        return n == 2 and pair[0][1] == 2
-    if fib.kind == "I":
-        # a single cycle: every component meets exactly two others once
-        for i in range(n):
-            offs = [pair[i][j] for j in range(n) if j != i]
-            if sorted(offs) != [0] * (n - 3) + [1, 1]:
-                return False
-        return True
-    if fib.kind == "I*" and fib.n == 0:
-        central = [i for i, (_, mult, _) in enumerate(comps) if mult == 2]
-        if len(central) != 1:
-            return False
-        c = central[0]
-        return all(pair[c][j] == 1 for j in range(n) if j != c) and all(
-            pair[i][j] == 0
-            for i in range(n) for j in range(n)
-            if i != j and i != c and j != c)
-    return False
+    pair = [[pairing(u, v) for v in classes] for u in classes]
+    patterns = {"I": [1] * n, "I*": [1] * 4 + [2] * (n - 4)}
+    return (all(pair[i][i] == -2 for i in range(n))
+            and all(x >= 0 for i, row in enumerate(pair)
+                    for j, x in enumerate(row) if i != j)
+            and sorted(mult) == patterns.get(fib.kind)
+            and signature(pair) == (0, n - 1, 1)
+            and not any(vec_dot(row, mult) for row in pair))
 
 
 # -- structure certificates -------------------------------------------------------

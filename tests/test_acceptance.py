@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from math import isqrt
 
+from field_oracle import matrix_rank
 from zerodiag import mwlat, nscat, surface
 from zerodiag.curve import (
     euler_number,
@@ -22,7 +23,7 @@ from zerodiag.curve import (
     shioda_tate_rank,
     tate_classify,
 )
-from zerodiag.exactnum import Polynomial, RationalFunction, matrix_rank
+from zerodiag.exactnum import Polynomial, RationalFunction
 from zerodiag.lattice import (
     det,
     reduced_binary_even_forms,

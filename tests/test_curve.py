@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from field_oracle import conj
 from zerodiag.exactnum import (
     Polynomial,
     QuadElem,
     RationalFunction,
     SQRT3,
-    conj,
     poly_sqrt,
 )
 from zerodiag.curve import (

@@ -13,10 +13,9 @@ MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(SRC.glob("*.py"))}
 # Public names kept for a planned caller, named as _public names them,
 # with the ROADMAP item that calls them: is_trivial filters the matrices
-# read off sections (item 5), rr_effective decides which (-2)-classes are
-# effective (item 3), and conj and QuadElem.conjugate build the Galois
-# action on NS from the conjugate conic planes (item 3).
-NO_CALLER_YET = {"is_trivial", "rr_effective", "conj", "QuadElem.conjugate"}
+# read off sections (item 5), and rr_effective decides which
+# (-2)-classes are effective (item 3).
+NO_CALLER_YET = {"is_trivial", "rr_effective"}
 # concurrency modules, and the two ways os reads the environment
 UNWANTED = {"concurrent", "multiprocessing", "threading", "environ", "getenv"}
 

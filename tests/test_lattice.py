@@ -6,8 +6,8 @@ from math import gcd, isqrt, prod
 
 import pytest
 
+from field_oracle import rref
 from zerodiag import nscat
-from zerodiag.exactnum import rref
 from zerodiag.lattice import (
     DiscriminantGroup,
     _ldl,

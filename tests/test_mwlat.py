@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from field_oracle import conj
 from zerodiag.exactnum import (
     Polynomial,
     RationalFunction,
-    conj,
 )
 from zerodiag import mwlat
 from zerodiag.curve import (

@@ -16,10 +16,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 
 import zerodiag
+from field_oracle import field_rows, matrix_rank, nullspace, rref
 from zerodiag import conics, exactnum, nscat
 from zerodiag.curve import (
     family_model,
@@ -27,13 +29,7 @@ from zerodiag.curve import (
     param_to_point,
     tate_classify,
 )
-from zerodiag.exactnum import (
-    QuadElem,
-    field_sqrt,
-    matrix_rank,
-    reduced_nullspace,
-    rref,
-)
+from zerodiag.exactnum import SQRT3, QuadElem, field_sqrt
 from zerodiag.lattice import (
     _ldl,
     det,
@@ -138,11 +134,6 @@ def test_conic_engine_values():
     assert nscat.basis_points()[2] not in cs[17].nodes
 
 
-def nullspace(rows):
-    reduced, pivots = rref(rows)
-    return reduced_nullspace(reduced, pivots, len(rows[0]))
-
-
 def former_is_double_point(p):
     if any(isinstance(x, QuadElem) for x in p):
         return False
@@ -177,7 +168,7 @@ def stacked_conic_intersection(c1, c2):
     # equations of both planes in all six coordinates
     if c1 == c2:
         return -2
-    stacked, _ = rref(list(c1.rows) + list(c2.rows))
+    stacked, _ = rref(list(field_rows(c1)) + list(field_rows(c2)))
     rank = len(stacked)
     assert rank > 3
     if rank == 6:
@@ -193,7 +184,7 @@ def stacked_conic_intersection(c1, c2):
 
 def contains_form_by_rref(conic, form):
     # the former test: the form lies in the span of the plane's equations
-    return len(rref(list(conic.rows) + [form])[0]) == 3
+    return len(rref(list(field_rows(conic)) + [form])[0]) == 3
 
 
 # -- the former engine over Q(sqrt 3), kept as the oracle of the integer one
@@ -208,10 +199,10 @@ def field_contains(rows, p):
 
 def field_plane(conic):
     # the rows, the basis over Q(sqrt 3) and the nodes of a conic's plane
-    basis = nullspace(list(conic.rows))
-    nodes = {p for p in conics.double_points()
-             if field_contains(conic.rows, p)}
-    return conic.rows, basis, nodes
+    rows = field_rows(conic)
+    basis = nullspace(list(rows))
+    nodes = {p for p in conics.double_points() if field_contains(rows, p)}
+    return rows, basis, nodes
 
 
 def field_cross(u, v):
@@ -319,6 +310,64 @@ def test_integer_engine_against_field_engine():
                     == all(field_dot(form, w) == 0 for w in basis))
 
 
+def test_rref_matches_the_field_oracle():
+    # conics.rref gives the integer form of the oracle's field rows, with
+    # the same pivots
+    rng = random.Random(29)
+
+    def coeff():
+        r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return QuadElem(r, rng.randint(-2, 2)) if rng.random() < 0.5 else r
+
+    def check(forms):
+        rows, pivots = rref(forms)
+        got = conics.rref([conics._integer_form(f) for f in forms])
+        assert got == ([conics._integer_form(row) for row in rows], pivots)
+        return got
+
+    # the 76 conics verify-all builds, each from its rows mixed by an
+    # invertible matrix over Z[sqrt 3], so that no pivot entry is 1
+    built = (list(nscat.basis_conics().values()) + [nscat.base_conic()]
+             + all_conics())
+    assert len(built) == 76
+    for c in built:
+        r0, r1, r2 = field_rows(c)
+        mixed = [[(1 + SQRT3) * a + b for a, b in zip(r0, r1)],
+                 [a + SQRT3 * b for a, b in zip(r0, r2)],
+                 [2 * a - b for a, b in zip(r1, r2)]]
+        assert check(mixed)[0] == list(c.equations)
+    # random planes: two forms over Q(sqrt 3) and x + y + z
+    for _ in range(200):
+        check([[coeff() for _ in range(6)] for _ in range(2)]
+              + [(1, 1, 1, 0, 0, 0)])
+    # other shapes, some rank deficient
+    for _ in range(100):
+        nc = rng.randint(1, 7)
+        forms = [[coeff() for _ in range(nc)]
+                 for _ in range(rng.randint(1, 5))]
+        if len(forms) > 1 and rng.random() < 0.5:
+            forms.append([a - SQRT3 * b for a, b in zip(*forms[:2])])
+        check(forms)
+
+
+def test_equivalent_forms_give_equal_conics():
+    f, g = nscat._BASIS_CONIC_FORMS[1]
+    s = (1, 1, 1, 0, 0, 0)
+    conic = conics.Conic([f, g])
+    variants = [
+        [[2 * x for x in f], g],
+        [f, [(1 + SQRT3) * x for x in g]],
+        [g, f],
+        [f, [x - 3 * y for x, y in zip(g, s)]],
+        [[(1 + SQRT3) * (x + SQRT3 * y) for x, y in zip(f, s)], g, s],
+    ]
+    for forms in variants:
+        other = conics.Conic(forms)
+        assert other == conic and hash(other) == hash(conic), forms
+        assert (other.basis, other.nodes) == (conic.basis, conic.nodes)
+    assert conics.Conic(nscat._BASIS_CONIC_FORMS[14]) != conic
+
+
 def test_integer_form_arithmetic_matches_the_field():
     # q2, q3, linear forms and cross products on Z[sqrt 3] pairs against
     # the same expressions over Q(sqrt 3)
@@ -362,32 +411,41 @@ def test_integer_engine_makes_no_field_multiplication(monkeypatch):
         for d in everything:
             conics.conic_intersection(c, d)
         assert conics._cubic_divisible(c.basis)
+    # building the conics: their planes from forms over Q(sqrt 3), and
+    # the orbits with their order
+    built = {i: conics.Conic(forms)
+             for i, forms in nscat._BASIS_CONIC_FORMS.items()}
+    orbits = [conics.conic_orbit(built[seed]) for seed in (17, 16, 10)]
     assert calls == []
+    assert built == nscat.basis_conics()
+    assert [c for orbit in orbits for c in orbit] == everything
 
 
 def test_verify_all_row_reduces_once_per_conic():
     # in a fresh interpreter, so that no cache holds a conic already
     script = "\n".join([
         "import contextlib, io",
-        "from zerodiag import cli, conics, exactnum",
-        "real, calls = exactnum.rref, []",
+        "from zerodiag import cli, conics",
+        "real, calls = conics.rref, []",
         "def counted(rows):",
-        "    calls.append(rows)",
+        "    calls.append(len(rows[0][0]))",
         "    return real(rows)",
-        "exactnum.rref = conics.rref = counted",
+        "conics.rref = counted",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = cli.main(['verify-all'])",
-        "print(code, len(calls))"])
+        "print(code, calls.count(6), calls.count(4), len(calls))"])
     src = os.path.dirname(os.path.dirname(zerodiag.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, calls = map(int, proc.stdout.split())
+    code, planes, cubics, calls = map(int, proc.stdout.split())
     assert code == 0
-    # 76 planes, one per conic built, and 12 Jacobian ranks
-    assert calls == 76 + 12
+    # 76 conics built, each reducing its 6-column plane equations and the
+    # 4-column system of its on-surface test; the Jacobian ranks come
+    # from Smith forms
+    assert (planes, cubics, calls) == (76, 76, 76 + 76)
 
 
 def test_bad_planes_rejected():
@@ -424,7 +482,7 @@ def test_cubic_nodes_are_unisolvent():
 
 def test_cubic_divisible_against_grid_oracle():
     everything = all_conics()
-    planes = [nullspace(list(c.rows)) for c in everything]
+    planes = [nullspace(list(field_rows(c))) for c in everything]
     assert [integer_basis(b)[0] for b in planes] == [
         c.basis for c in everything]
     assert len(planes) == 63
@@ -462,19 +520,18 @@ def test_conic_orbits():
 
 
 def test_conic_reduces_its_plane_once(monkeypatch):
-    # one reduction of the 6-column plane equations; the on-surface test
-    # runs on the integer form
-    real = exactnum.rref
+    # one reduction of the 6-column plane equations, then one of the
+    # 4-column system of the on-surface test
+    real = conics.rref
     widths = []
 
     def counted(rows):
-        widths.append(len(rows[0]))
+        widths.append(len(rows[0][0]))
         return real(rows)
 
     monkeypatch.setattr(conics, "rref", counted)
-    monkeypatch.setattr(exactnum, "rref", counted)
     conic = conics.Conic([(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
-    assert widths == [6]
+    assert widths == [6, 4]
     assert conic == nscat.base_conic()
     assert len(conic.basis) == 3
 
@@ -498,11 +555,12 @@ def test_conic_orbit_verifies_each_conic_once(monkeypatch):
 def rref_orbit(conic):
     # the former orbit, kept as the oracle: every image plane canonicalised
     # by rref; also the order of the plane's stabilizer
-    images = [tuple(rref([g_apply(g, row) for row in conic.rows])[0])
+    rows = field_rows(conic)
+    images = [tuple(rref([g_apply(g, row) for row in rows])[0])
               for g in group_elements()]
     orbit = sorted((conics.Conic(p) for p in set(images)),
                    key=conics._sort_key)
-    return orbit, images.count(conic.rows)
+    return orbit, images.count(rows)
 
 
 def test_conic_orbit_matches_rref_oracle():
@@ -525,8 +583,9 @@ def group_matrix(g):
 def test_conic_orbit_form_map_matches_group_matrix_oracle():
     cs = nscat.basis_conics()
     for k in (1, 14, 15, 16):
-        assert any(isinstance(x, QuadElem) for row in cs[k].rows for x in row)
-    rows = [row for c in cs.values() for row in c.rows]
+        assert any(isinstance(x, QuadElem)
+                   for row in field_rows(cs[k]) for x in row)
+    rows = [row for c in cs.values() for row in field_rows(c)]
     elements = group_elements()
     assert len(elements) == 144
     for g in elements:
@@ -636,7 +695,7 @@ def test_conic_point_intersection_reads_nodes():
     assert len(conics_63) == 63
     for c in conics_63:
         for p in conics.double_points():
-            assert (p in c.nodes) == field_contains(c.rows, p)
+            assert (p in c.nodes) == field_contains(field_rows(c), p)
 
 
 def test_catalogue():
@@ -742,6 +801,74 @@ def test_transcendental_certificate():
     assert cert.fact("kummer.condition") is False
 
 
+def former_dual_graph_matches(fib, comps):
+    # the former check, one branch per Kodaira type, kept as the oracle
+    classes = [cls for _, _, cls in comps]
+    n = len(classes)
+    pair = [[nscat.pairing(classes[i], classes[j]) for j in range(n)]
+            for i in range(n)]
+    if any(pair[i][i] != -2 for i in range(n)):
+        return False
+    if fib.kind == "I" and fib.n == 2:
+        return n == 2 and pair[0][1] == 2
+    if fib.kind == "I":
+        for i in range(n):
+            offs = [pair[i][j] for j in range(n) if j != i]
+            if sorted(offs) != [0] * (n - 3) + [1, 1]:
+                return False
+        return True
+    if fib.kind == "I*" and fib.n == 0:
+        central = [i for i, (_, mult, _) in enumerate(comps) if mult == 2]
+        if len(central) != 1:
+            return False
+        c = central[0]
+        return all(pair[c][j] == 1 for j in range(n) if j != c) and all(
+            pair[i][j] == 0
+            for i in range(n) for j in range(n)
+            if i != j and i != c and j != c)
+    return False
+
+
+def test_dual_graph_rule_matches_the_former_check_on_the_fibers():
+    decomp = nscat.reconstruct_fiber_classes()
+    fibers = tate_classify(family_model())
+    assert len(fibers) == 6
+    for fib in fibers:
+        comps = decomp[str(fib.place)]
+        assert nscat._dual_graph_matches(fib, comps), fib.symbol
+        assert former_dual_graph_matches(fib, comps), fib.symbol
+        # multiplicities that are not the fiber: all of them doubled, or
+        # a star fiber's 2 moved from its central component to a leaf
+        doubled = [(label, 2 * mult, cls) for label, mult, cls in comps]
+        assert not nscat._dual_graph_matches(fib, doubled), fib.symbol
+        mults = [mult for _, mult, _ in comps]
+        moved = [(label, mult, cls) for (label, _, cls), mult
+                 in zip(comps, mults[1:] + mults[:1])]
+        assert (nscat._dual_graph_matches(fib, moved)
+                == (fib.kind == "I")), fib.symbol
+
+
+def test_dual_graph_rejects_two_disjoint_cycles(monkeypatch):
+    # six components, each meeting two others once: a hexagon is the
+    # cycle of an I6 fiber, two disjoint triangles are not connected and
+    # have a kernel of rank two; the former check took both for I6
+    fib = SimpleNamespace(kind="I", n=6)
+    comps = [("c%d" % i, 1, unit(i + 1)) for i in range(6)]
+
+    def graph(meets):
+        def pairing(u, v):
+            i, j = u.index(1), v.index(1)
+            return -2 if i == j else int(meets(i, j))
+        return pairing
+
+    monkeypatch.setattr(nscat, "pairing", graph(lambda i, j: (i - j) % 6 in (1, 5)))
+    assert nscat._dual_graph_matches(fib, comps)
+    assert former_dual_graph_matches(fib, comps)
+    monkeypatch.setattr(nscat, "pairing", graph(lambda i, j: i // 3 == j // 3))
+    assert former_dual_graph_matches(fib, comps)
+    assert not nscat._dual_graph_matches(fib, comps)
+
+
 def test_fiber_reconstruction():
     decomp = nscat.reconstruct_fiber_classes()
     assert set(decomp) == {"0", "1", "-1", "2", "-2", "inf"}
@@ -771,7 +898,7 @@ def test_sections_lie_on_their_conics():
     for name, idx in SECTION_BASIS.items():
         par = secs[name]
         for t0 in (Fraction(5), Fraction(-7, 3)):
-            assert field_contains(cs[idx].rows, par.evaluate(t0))
+            assert field_contains(field_rows(cs[idx]), par.evaluate(t0))
 
 
 def _cycle_positions(comps, start):

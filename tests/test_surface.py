@@ -4,9 +4,11 @@ from math import isqrt
 
 import pytest
 
+from field_oracle import matrix_rank
 from zerodiag import surface
 from zerodiag.curve import named_sections
-from zerodiag.exactnum import SQRT3, Polynomial, matrix_rank, rational_roots
+from zerodiag.exactnum import SQRT3, Polynomial, rational_roots
+from zerodiag.lattice import smith_normal_form
 from zerodiag.surface import (
     SEARCH_MAX,
     Parametrization,
@@ -457,6 +459,15 @@ def test_singular_points_are_the_twelve_nodes():
         assert matrix_rank(jacobian(p)) == 2
     # and a smooth point is smooth
     assert not is_singular_point((190, -55, -135, 125, 99, 57))
+
+
+def test_jacobian_rank_from_smith_form_matches_field_rank():
+    # cli reads the Jacobian ranks off the Smith form; the field rank of
+    # the former row reduction is the oracle
+    points = list(singular_points()) + [(190, -55, -135, 125, 99, 57)]
+    ranks = [len(smith_normal_form(jacobian(p))) for p in points]
+    assert ranks == [matrix_rank(jacobian(p)) for p in points]
+    assert ranks == [2] * 12 + [3]
 
 
 def test_singular_points_form_one_orbit():
