@@ -383,12 +383,51 @@ def named_sections():
     return {"O": O, "P": P, "T1": T1, "T2": T2, "Q": Q}
 
 
+# The fiber map.  An adapted section (x = t a) is read on the chart a = 1,
+# x = t through its slope nu = (x - c)/(a + b), reduced once to n/d.  The
+# rest is polynomial in (n, d):
+#
+#     lam_n = (t^2 - 4) n + 3 t d,        k = t (n^2 + d^2) - 2 n d,
+#     s = lam_n^2 + t (t^2 - 1)(t + 8) d^2,
+#
+# and the Weierstrass point (u, v) of the section is
+#
+#     2 u d^2 = (t^2 - 4) k (z - y)/a + s,
+#     v = (lam_n / d)(u - u0) + v0:
+#
+# (u, v) is the other point of the curve on the chord of slope
+# lam = lam_n / d through the base point (u0, v0) = (4(t-1)(t+1)^2,
+# -4t(t^2-1)^2).  Where a numerator is known to be divisible by part of its
+# denominator, that part is cancelled first: gcd_cofactors settles a
+# dividing argument by one exact division, while a single reduction would
+# rebuild a gcd of most of the denominator's degree prime by prime.
+
+
+def _base_point():
+    t = Polynomial.gen()
+    return 4 * (t - 1) * (t + 1) ** 2, -4 * t * (t * t - 1) ** 2
+
+
+def _slope_terms(n: Polynomial, d: Polynomial):
+    """(lam_n, k, s) of the reduced slope n/d, as above."""
+    t = Polynomial.gen()
+    lam_n = (t * t - 4) * n + 3 * t * d
+    k = t * (n * n + d * d) - 2 * n * d
+    return lam_n, k, lam_n * lam_n + t * (t * t - 1) * (t + 8) * d * d
+
+
 def param_to_point(par: Parametrization) -> CurvePoint:
     """Point of the family model of a section parametrization.
 
     The section must be in fibration-adapted form, meaning x = t a
-    identically.  The zero section (characterized by a + b = 0) maps to
-    the point at infinity.
+    identically, or ValueError is raised.  The zero section (a + b = 0)
+    maps to the point at infinity, and a = 0 raises ValueError.
+
+    nu = n/d and q = (z - y)/a are reduced once each.  Then
+    u = ((t^2 - 4) k q.num + s q.den)/(2 q.den d^2), where q.den divides
+    the numerator on every section, and v = (lam_n (u - u0) + v0 d)/d by
+    the chord identity above, which holds for any section.  CurvePoint
+    still checks that (u, v) lies on the curve.
     """
     model = family_model()
     t = Polynomial.gen()
@@ -396,14 +435,17 @@ def param_to_point(par: Parametrization) -> CurvePoint:
         raise ValueError("parametrization is not fibration-adapted (x != t a)")
     if (par.a + par.b).is_zero:
         return model.infinity()
-    x, y, z, a, b, c = (RationalFunction(p) for p in par.components())
-    T = RationalFunction(t)
-    nu = (x - c) / (a + b)
-    lam = (T * T - 4) * nu + 3 * T
-    mu = T * (T * T - 4) * (z - y) * (T * nu * nu - 2 * nu + T) / x
-    u = (mu + lam * lam + T * (T * T - 1) * (T + 8)) / 2
-    v = (mu * lam + lam ** 3 + (T * T - 1) * (T * T - 8) * lam
-         - 8 * T * (T * T - 1) ** 2) / 2
+    if par.a.is_zero:
+        raise ValueError("a vanishes identically; the fiber map is undefined")
+    nu = RationalFunction(par.x - par.c, par.a + par.b)
+    n, d = nu.num, nu.den
+    q = RationalFunction(par.z - par.y, par.a)
+    lam_n, k, s = _slope_terms(n, d)
+    u = RationalFunction((t * t - 4) * k * q.num + s * q.den,
+                         q.den) / (2 * d * d)
+    u0, v0 = _base_point()
+    v = RationalFunction(lam_n * (u.num - u0 * u.den) + v0 * d * u.den,
+                         d * u.den)
     return CurvePoint(model, u, v)
 
 
@@ -419,55 +461,76 @@ def _clear_denominators(comps):
 def point_to_param(pt: CurvePoint) -> Parametrization:
     """Section parametrization of a Weierstrass point of the family model.
 
-    Inverts param_to_point with rational functions only.  Raises
-    ValueError when the inversion denominator u - 4(t-1)(t+1)^2 vanishes
-    identically (two sections of the family are genuinely outside this
-    chart).
+    Inverts param_to_point on the chart a = 1, x = t; the point at
+    infinity gives the zero section O.  The chord slope
+    lam = (v - v0)/(u - u0) gives nu = (lam - 3t)/(t^2 - 4) = n/d, reduced.
+    Then, with P/R reduced,
 
-    With a = 1, x = t, w = t - nu and c = w - nu b, the surface equations
-    are two quadratics in b:
+        z - y = P/R = (2 u d^2 - s)/((t^2 - 4) k),    y + z = -t,
+        y z = (t^2 R^2 - P^2)/(4 R^2).
 
-        f2 = (1 + nu^2) b^2 - 2 nu w b + w^2 + 1 + t y + y z + z t,
-        f3 = 2 nu b^2 - 2 w b + t y z,
+    Put w = t d - n.  Then c = (w - n b)/d, and the surface equations are
+    two quadratics in b:
 
-    and 2 nu f2 - (1 + nu^2) f3 = 2 w (1 - nu^2) b + 2 nu (w^2 + 1 + t y
-    + y z + z t) - (1 + nu^2) t y z is linear in b, so b is read off it.
-    Its divisor vanishes only for nu in {t, 1, -1}, where ArithmeticError
-    is raised; no section reaches them.  Those nu fix the slope
-    lam = (t^2 - 4) nu + 3t of the line through the base point
-    (u0, v0) = (4(t-1)(t+1)^2, -4t(t^2-1)^2) to t^3 - t, t^2 + 3t - 4 or
-    -t^2 + 3t + 4, and that line meets the curve again where a quadratic
-    in u has a discriminant that is not a square over the algebraic
-    closure of Q(t) (for nu = t it is t^12 - 2t^10 - 47t^8 + 224t^6
-    - 304t^4 + 128t^2), so no point of the curve over Q-bar(t) other
-    than the base point lies on it.
+        f2 = (1 + nu^2) b^2 - 2 nu (w/d) b + (w/d)^2 + 1 - t^2 + y z,
+        f3 = 2 nu b^2 - 2 (w/d) b + t y z.
+
+    2 nu f2 - (1 + nu^2) f3 is linear in b, so
+
+        b = (d k (t^2 R^2 - P^2) - 8 n R^2 (w^2 + (1 - t^2) d^2))
+            / (8 R^2 w (d^2 - n^2)),
+
+    where w (d^2 - n^2) and then R divide the numerator on every section.
+    c is one more reduction.  The components are cleared of denominators
+    and normalized, and the result must pass verify() and the round trip
+    through param_to_point.
+
+    The map is undefined, and raises, where
+    - u - u0 = 0 identically: ValueError.  Two sections of the family,
+      +-P + T1 + T2, are genuinely outside this chart.
+    - k = 0 identically: ValueError, a chart degeneracy.  Over a real
+      field k has degree 1 + 2 max(deg n, deg d), so this is a guard.
+    - w (d^2 - n^2) = 0 identically, that is nu in {t, 1, -1}:
+      ArithmeticError.  No section has such a slope.  These nu fix lam to
+      t^3 - t, t^2 + 3t - 4 or -t^2 + 3t + 4, and the chord of that slope
+      through (u0, v0) meets the curve again where a quadratic in u has a
+      discriminant that is not a square over the algebraic closure of
+      Q(t) (for nu = t it is t^12 - 2t^10 - 47t^8 + 224t^6 - 304t^4
+      + 128t^2).  So no point of the curve over Q-bar(t) other than the
+      base point lies on it.
     """
     if pt.model != family_model():
         raise ValueError("point is not on the family model")
-    t = Polynomial.gen()
-    T = RationalFunction(t)
     if pt.is_infinity:
         return named_sections()["O"]
-    den = pt.u - 4 * (T - 1) * (T + 1) ** 2
+    t = Polynomial.gen()
+    T = RationalFunction(t)
+    u0, v0 = _base_point()
+    den = pt.u - u0
     if den.is_zero:
         raise ValueError("inversion denominator identically zero; "
                          "this section is outside the chart")
-    lam = (pt.v + 4 * T * (T * T - 1) ** 2) / den
+    lam = (pt.v - v0) / den
     nu = (lam - 3 * T) / (T * T - 4)
-    mu = 2 * pt.u - lam * lam - T * (T * T - 1) * (T + 8)
-    den2 = (T * T - 4) * (T * (nu * nu + 1) - 2 * nu)
-    if den2.is_zero:
+    n, d = nu.num, nu.den
+    lam_n, k, s = _slope_terms(n, d)
+    if k.is_zero:
         raise ValueError("chart degeneracy: the component denominator vanishes")
-    y = -(T + mu / den2) / 2
-    z = -T - y
-    w = T - nu
-    divisor = 2 * w * (1 - nu * nu)
-    if divisor.is_zero:
+    w = t * d - n
+    dd, nn = d * d, n * n
+    if (w * (dd - nn)).is_zero:
         raise ArithmeticError("nu is t, 1 or -1; no section has this slope")
-    b = ((1 + nu * nu) * T * y * z
-         - 2 * nu * (w * w + 1 + T * y + y * z + z * T)) / divisor
-    comps = _clear_denominators(
-        [T * 1, y, z, RationalFunction(1), b, w - nu * b])
+    un, ud = pt.u.num, pt.u.den
+    zy = RationalFunction(2 * un * dd - ud * s, ud * (t * t - 4) * k)
+    p, r = zy.num, zy.den
+    rr = r * r
+    b = RationalFunction(
+        d * k * (t * t * rr - p * p) - 8 * n * rr * (w * w + (1 - t * t) * dd),
+        w * (dd - nn)) / r / r / 8
+    c = RationalFunction(w * b.den - n * b.num, d * b.den)
+    y = RationalFunction(-(t * r + p), 2 * r)
+    z = RationalFunction(p - t * r, 2 * r)
+    comps = _clear_denominators([T, y, z, RationalFunction(1), b, c])
     par = Parametrization(*comps).normalized()
     if not par.verify():
         raise ArithmeticError("inverted parametrization fails verification")

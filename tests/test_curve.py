@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from field_oracle import conj
+from zerodiag import curve, exactnum
 from zerodiag.exactnum import (
     Polynomial,
     QuadElem,
@@ -531,6 +532,202 @@ def test_point_to_param_sum_with_torsion(points):
     assert param_to_point(par) == pt
 
 
+# -- oracle: the fiber maps as chains of field operations -----------------------
+
+
+def chain_param_to_point(par):
+    """The former param_to_point: every step a RationalFunction operation,
+    each taking its own gcd."""
+    model = family_model()
+    t = Polynomial.gen()
+    if par.x != t * par.a:
+        raise ValueError("parametrization is not fibration-adapted (x != t a)")
+    if (par.a + par.b).is_zero:
+        return model.infinity()
+    x, y, z, a, b, c = (RationalFunction(p) for p in par.components())
+    T = RationalFunction(t)
+    nu = (x - c) / (a + b)
+    lam = (T * T - 4) * nu + 3 * T
+    mu = T * (T * T - 4) * (z - y) * (T * nu * nu - 2 * nu + T) / x
+    u = (mu + lam * lam + T * (T * T - 1) * (T + 8)) / 2
+    v = (mu * lam + lam ** 3 + (T * T - 1) * (T * T - 8) * lam
+         - 8 * T * (T * T - 1) ** 2) / 2
+    return CurvePoint(model, u, v)
+
+
+def chain_point_to_param(pt):
+    """The former point_to_param, with its round trip through
+    chain_param_to_point."""
+    if pt.model != family_model():
+        raise ValueError("point is not on the family model")
+    t = Polynomial.gen()
+    T = RationalFunction(t)
+    if pt.is_infinity:
+        return named_sections()["O"]
+    den = pt.u - 4 * (T - 1) * (T + 1) ** 2
+    if den.is_zero:
+        raise ValueError("inversion denominator identically zero; "
+                         "this section is outside the chart")
+    lam = (pt.v + 4 * T * (T * T - 1) ** 2) / den
+    nu = (lam - 3 * T) / (T * T - 4)
+    mu = 2 * pt.u - lam * lam - T * (T * T - 1) * (T + 8)
+    den2 = (T * T - 4) * (T * (nu * nu + 1) - 2 * nu)
+    if den2.is_zero:
+        raise ValueError("chart degeneracy: the component denominator vanishes")
+    y = -(T + mu / den2) / 2
+    z = -T - y
+    w = T - nu
+    divisor = 2 * w * (1 - nu * nu)
+    if divisor.is_zero:
+        raise ArithmeticError("nu is t, 1 or -1; no section has this slope")
+    b = ((1 + nu * nu) * T * y * z
+         - 2 * nu * (w * w + 1 + T * y + y * z + z * T)) / divisor
+    comps = _clear_denominators(
+        [T * 1, y, z, RationalFunction(1), b, w - nu * b])
+    par = Parametrization(*comps).normalized()
+    if not par.verify():
+        raise ArithmeticError("inverted parametrization fails verification")
+    if chain_param_to_point(par) != pt:
+        raise ArithmeticError("round trip failed")
+    return par
+
+
+def oracle_cases(points):
+    """Every m P + n Q + T with 3 m^2 + n^2 <= 7 (56 sections, O and the
+    three 2-torsion points), and n P, n Q for 1 <= |n| <= 6."""
+    P, Q, T1, T2 = (points[k] for k in ("P", "Q", "T1", "T2"))
+    torsion = (points["O"], T1, T2, T1 + T2)
+    cases = [m * P + n * Q + tor for m in (-1, 0, 1) for n in range(-2, 3)
+             if 3 * m * m + n * n <= 7 for tor in torsion]
+    cases += [n * base for base in (P, Q) for n in range(-6, 7) if n]
+    return cases
+
+
+def _coordinates(pt):
+    return None if pt.is_infinity else (pt.u.num, pt.u.den, pt.v.num, pt.v.den)
+
+
+def test_fiber_maps_match_the_chain_oracle(points):
+    out_of_chart = 0
+    cases = oracle_cases(points)
+    assert len(cases) == 60 + 24
+    for pt in cases:
+        got, want = _inversion(point_to_param, pt), _inversion(
+            chain_point_to_param, pt)
+        if want is ValueError:
+            out_of_chart += 1
+            with pytest.raises(ValueError, match="outside the chart"):
+                point_to_param(pt)
+            with pytest.raises(ValueError, match="outside the chart"):
+                chain_point_to_param(pt)
+        assert got == want, pt
+        if want is ValueError:
+            continue
+        par = Parametrization(*got)
+        assert _coordinates(param_to_point(par)) == _coordinates(pt)
+        assert _coordinates(chain_param_to_point(par)) == _coordinates(pt)
+    # +-P + T1 + T2, and nothing else
+    assert out_of_chart == 2
+
+
+def test_param_to_point_matches_the_chain_oracle_off_the_normal_form(points):
+    # unnormalised and rescaled sections, and Q's Q(sqrt 3) coefficients
+    pars = [point_to_param(pt) for pt in (points["P"] + points["T2"],
+                                          points["Q"], 2 * points["Q"])]
+    for par in list(pars):
+        for scale in (T + 3, -2 * T * T + SQRT3):
+            pars.append(Parametrization(*(scale * p for p in par.components())))
+    for par in pars:
+        assert (_coordinates(param_to_point(par))
+                == _coordinates(chain_param_to_point(par)))
+
+
+def test_point_to_param_round_trip_check_is_live(monkeypatch, points):
+    real = curve.param_to_point
+    monkeypatch.setattr(curve, "param_to_point", lambda par: -real(par))
+    with pytest.raises(ArithmeticError, match="round trip failed"):
+        point_to_param(points["P"])
+
+
+def test_point_to_param_verification_is_live(monkeypatch, points):
+    monkeypatch.setattr(Parametrization, "verify", lambda self: False)
+    with pytest.raises(ArithmeticError, match="fails verification"):
+        point_to_param(2 * points["P"])
+
+
+def test_param_to_point_rejects_sections_off_the_surface(sections):
+    P = sections["P"]
+    doubled = Parametrization(P.x, P.y, P.z, P.a, 2 * P.b, P.c)
+    assert doubled.x == T * doubled.a and not doubled.verify()
+    with pytest.raises(ValueError, match="not on the curve"):
+        param_to_point(doubled)
+    with pytest.raises(ValueError, match="not on the curve"):
+        chain_param_to_point(doubled)
+    with pytest.raises(ValueError, match="a vanishes"):
+        param_to_point(Parametrization(0, 1, -1, 0, 1, 0))
+
+
+def forged_point(model, nu, u):
+    """A CurvePoint built without its on-curve check: the point (u, v) on
+    the chord of slope lam = (t^2 - 4) nu + 3t through the base point."""
+    Tf = RationalFunction(T)
+    lam = (Tf * Tf - 4) * nu + 3 * Tf
+    v = lam * (u - 4 * (Tf - 1) * (Tf + 1) ** 2) - 4 * Tf * (Tf * Tf - 1) ** 2
+    pt = object.__new__(CurvePoint)
+    for name, value in (("model", model), ("u", u), ("v", v)):
+        object.__setattr__(pt, name, value)
+    return pt
+
+
+def test_point_to_param_degenerate_slopes_raise(monkeypatch, model):
+    # nu in {t, 1, -1} is reached by no point of the curve; forged points
+    # with these slopes must meet the named error, not a ZeroDivisionError
+    u = RationalFunction(T ** 3 + 5, T + 7)
+    for nu in (T, 1, -1):
+        pt = forged_point(model, RationalFunction(nu), u)
+        with pytest.raises(ArithmeticError, match="nu is t, 1 or -1"):
+            point_to_param(pt)
+        with pytest.raises(ArithmeticError, match="nu is t, 1 or -1"):
+            chain_point_to_param(pt)
+    # k = t(n^2 + d^2) - 2nd never vanishes over a real field (its degree
+    # is 1 + 2 max(deg n, deg d)), so the chart check is forced to fire
+    real = curve._slope_terms
+
+    def zero_k(n, d):
+        lam_n, _, s = real(n, d)
+        return lam_n, Polynomial(), s
+
+    monkeypatch.setattr(curve, "_slope_terms", zero_k)
+    pt = forged_point(model, RationalFunction(T + 1, T - 3), u)
+    with pytest.raises(ValueError, match="chart degeneracy"):
+        point_to_param(pt)
+
+
+def test_fiber_maps_take_fewer_gcds_than_the_chain(monkeypatch, points):
+    # on 2P + Q: param_to_point reduces nu, q, u (in two steps) and v;
+    # point_to_param reduces lam, nu, z - y, b (in three steps), c, y and
+    # z, clears denominators, and then runs verify() and param_to_point.
+    # The chain oracle took 20 and 75 modular gcds.
+    pt = 2 * points["P"] + points["Q"]
+    par = point_to_param(pt)
+    real, calls = exactnum._modular_gcd, []
+
+    def counted(a, b):
+        calls.append((a.degree, b.degree))
+        return real(a, b)
+
+    monkeypatch.setattr(exactnum, "_modular_gcd", counted)
+    assert param_to_point(par) == pt
+    forward = len(calls)
+    assert point_to_param(pt) == par
+    assert (forward, len(calls) - forward) == (5, 23)
+    calls.clear()
+    chain_param_to_point(par)
+    forward = len(calls)
+    chain_point_to_param(pt)
+    assert (forward, len(calls) - forward) == (20, 75)
+
+
 # -- oracle: point_to_param by a square root and a branch choice --------------
 
 
@@ -593,7 +790,7 @@ def branch_point_to_param(pt):
     par = Parametrization(*comps).normalized()
     if not par.verify():
         raise ArithmeticError("inverted parametrization fails verification")
-    if param_to_point(par) != pt:
+    if chain_param_to_point(par) != pt:
         raise ArithmeticError("round trip failed")
     return par
 
