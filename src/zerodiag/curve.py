@@ -17,6 +17,14 @@ function f of weight w (u is 2, v is 3, a_i is i) in the local coordinate
 of a place: t - r at a rational place r, and s = 1/t at infinity, where f
 is twisted to s^(w k) f(1/s) with k = twist_weight(model).  Fiber types
 come from the orders of c4, c6 and Delta at the place.
+
+Every CurvePoint is checked on the curve, on the model's integral twin:
+with L = lcm of the coefficient denominators, (u, v) lies on the model
+exactly when (L^2 u, L^3 v) = (n/d, m/e), reduced with monic denominators,
+lies on V^2 = U^3 + L^2 a2 U^2 + L^4 a4 U + L^6 a6, and as m, e and n^3, d
+are coprime that holds exactly when e^2 = d^3 and m^2 = N, for N the
+twin's cubic in n and d made homogeneous (see WeierstrassModel.contains).
+L = 1 on the family model.
 """
 
 from __future__ import annotations
@@ -46,9 +54,13 @@ def _rf(x) -> RationalFunction:
 
 
 class WeierstrassModel:
-    """v^2 = u^3 + a2 u^2 + a4 u + a6 with function-field coefficients."""
+    """v^2 = u^3 + a2 u^2 + a4 u + a6 with function-field coefficients.
 
-    __slots__ = ("a2", "a4", "a6", "_disc")
+    _twin holds the integral twin that contains tests points on: the
+    scalings (L^2, L^3) of u and v, None when L = 1, and the polynomial
+    coefficients L^i ai, for L = lcm(q2, q4, q6) where ai = pi/qi."""
+
+    __slots__ = ("a2", "a4", "a6", "_disc", "_twin")
 
     def __init__(self, a2, a4, a6):
         object.__setattr__(self, "a2", _rf(a2))
@@ -60,6 +72,15 @@ class WeierstrassModel:
         if disc.is_zero:
             raise ValueError("discriminant vanishes identically; "
                              "the generic fiber is singular")
+        coeffs = (self.a2, self.a4, self.a6)
+        lcm = Polynomial._lift(1)
+        for a in coeffs:
+            lcm = lcm * gcd_cofactors(lcm, a.den)[2]
+        scale = None if lcm.degree == 0 else (
+            RationalFunction(lcm ** 2), RationalFunction(lcm ** 3))
+        object.__setattr__(self, "_twin", (scale,) + tuple(
+            (a * RationalFunction(lcm ** i)).as_polynomial()
+            for i, a in zip((2, 4, 6), coeffs)))
 
     def __setattr__(self, *a):
         raise AttributeError("WeierstrassModel is immutable")
@@ -83,22 +104,28 @@ class WeierstrassModel:
         return c4 ** 3 / self.discriminant()
 
     def contains(self, u, v) -> bool:
-        """Whether v^2 = u^3 + a2 u^2 + a4 u + a6, by cross-multiplication.
+        """Whether v^2 = u^3 + a2 u^2 + a4 u + a6, on the integral twin.
 
-        With u = n/d and ai = pi/qi the right side is N/D over the common
-        denominator D = d^3 q2 q4 q6, so the test is v.num^2 D == N v.den^2:
-        polynomial products only, no gcd.
+        Let L = lcm(q2, q4, q6) for ai = pi/qi, monic.  Then Ai = L^i ai
+        are polynomials, and (u, v) lies on the model exactly when (U, V) =
+        (L^2 u, L^3 v) lies on the twin V^2 = U^3 + A2 U^2 + A4 U + A6.
+        Write U = n/d and V = m/e, reduced with monic denominators.  The
+        twin's equation is m^2 d^3 = e^2 N, where N = n^3 + A2 n^2 d
+        + A4 n d^2 + A6 d^3.  As gcd(m, e) = 1, e^2 divides d^3; as
+        gcd(N, d) = gcd(n^3, d) = 1, d^3 divides e^2.  Both are monic, so
+        the equation holds exactly when e^2 = d^3 and m^2 = N.  The test
+        forms neither m^2 d^3 nor e^2 N, and takes no gcd when L = 1.
         """
         u, v = _rf(u), _rf(v)
-        n, d = u.num, u.den
-        (p2, q2), (p4, q4), (p6, q6) = (
-            (a.num, a.den) for a in (self.a2, self.a4, self.a6))
-        q = q2 * q4 * q6
+        scale, a2, a4, a6 = self._twin
+        if scale is not None:
+            u, v = u * scale[0], v * scale[1]
+        n, d, m, e = u.num, u.den, v.num, v.den
         d2 = d * d
-        # N = n^3 q + p2 q4 q6 n^2 d + p4 q2 q6 n d^2 + p6 q2 q4 d^3, by Horner
-        big = (((q * n + p2 * q4 * q6 * d) * n + p4 * q2 * q6 * d2) * n
-               + p6 * q2 * q4 * d2 * d)
-        return v.num * v.num * (q * d2 * d) == big * (v.den * v.den)
+        d3 = d2 * d
+        if e * e != d3:
+            return False
+        return m * m == ((n + a2 * d) * n + a4 * d2) * n + a6 * d3
 
     def infinity(self) -> "CurvePoint":
         return CurvePoint(self, None, None)
@@ -160,10 +187,11 @@ class CurvePoint:
         if u1 == u2:
             if v1 == -v2:
                 return m.infinity()
-            lam = (3 * u1 * u1 + 2 * m.a2 * u1 + m.a4) / (2 * v1)
+            lam = (3 * u1 ** 2 + 2 * m.a2 * u1 + m.a4) / (2 * v1)
         else:
             lam = (v2 - v1) / (u2 - u1)
-        u3 = lam * lam - m.a2 - u1 - u2
+        # a square is reduced as it stands, so ** takes no gcd where * would
+        u3 = lam ** 2 - m.a2 - u1 - u2
         v3 = lam * (u1 - u3) - v1
         return CurvePoint(m, u3, v3)
 
@@ -403,17 +431,26 @@ def named_sections():
 # rebuild a gcd of most of the denominator's degree prime by prime.
 
 
+@lru_cache(maxsize=1)
 def _base_point():
     t = Polynomial.gen()
     return 4 * (t - 1) * (t + 1) ** 2, -4 * t * (t * t - 1) ** 2
 
 
+@lru_cache(maxsize=1)
+def _slope_constants():
+    """t, t^2 - 4, 3t and t (t^2 - 1)(t + 8): the fixed factors above."""
+    t = Polynomial.gen()
+    return t, t * t - 4, 3 * t, t * (t * t - 1) * (t + 8)
+
+
 def _slope_terms(n: Polynomial, d: Polynomial):
     """(lam_n, k, s) of the reduced slope n/d, as above."""
-    t = Polynomial.gen()
-    lam_n = (t * t - 4) * n + 3 * t * d
-    k = t * (n * n + d * d) - 2 * n * d
-    return lam_n, k, lam_n * lam_n + t * (t * t - 1) * (t + 8) * d * d
+    t, t2_4, t3, c = _slope_constants()
+    lam_n = t2_4 * n + t3 * d
+    dd = d * d
+    k = t * (n * n + dd) - 2 * n * d
+    return lam_n, k, lam_n ** 2 + c * dd
 
 
 def param_to_point(par: Parametrization) -> CurvePoint:

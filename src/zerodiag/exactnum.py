@@ -23,6 +23,12 @@ a zero sqrt 3 part, so a product of two rational polynomials runs one.
 Polynomial is built from one.  Nothing divides with remainder over the
 field: ``_quotient`` divides exactly, gcds come from images modulo primes,
 and ``_taylor`` expands at a rational place in integers.
+
+A RationalFunction is gcd-reduced with a monic denominator.  Its
+constructor takes one gcd; a result the arithmetic knows to be reduced
+takes none: a negative, an inverse, a power, a product once cross-
+cancelled, a sum over coprime denominators, and a sum with a polynomial
+summand b, since gcd(a + b d, d) = gcd(a, d) = 1 for a reduced a/d.
 """
 
 from __future__ import annotations
@@ -359,16 +365,21 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self^n by square-and-multiply: floor(log2 n) squarings and
+        popcount(n) - 1 further products, none by 1 and none past the top
+        bit."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial._lift(1)
-        base = self
-        while n:
+        if not n:
+            return Polynomial._lift(1)
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -780,7 +791,7 @@ class RationalFunction:
     def _set_monic(self, num, den):
         if num.is_zero:
             den = Polynomial._lift(1)
-        elif den.lead() != 1:
+        elif den.y[-1] or den.x[-1] != den.d:  # the lead is not 1
             num, den = num * _inv(den.lead()), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -821,6 +832,13 @@ class RationalFunction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        if self.den.degree == 0:
+            self, o = o, self
+        if o.den.degree == 0:
+            # a polynomial summand: gcd(num + o.num den, den) = gcd(num,
+            # den) = 1, so the sum is reduced as it stands
+            num = o.num * self.den if self.den.degree else o.num
+            return RationalFunction._coprime(self.num + num, self.den)
         # da, db are the denominators themselves when they are coprime
         g, da, db = gcd_cofactors(self.den, o.den)
         num, den = self.num * db + o.num * da, self.den * db

@@ -495,6 +495,138 @@ def test_double_P_coordinates(points):
     assert p2.v == RationalFunction(num_v, T ** 3)
 
 
+# -- oracle: the curve check by cross-multiplication ---------------------------
+
+
+def cross_multiplied_contains(self, u, v) -> bool:
+    """Whether v^2 = u^3 + a2 u^2 + a4 u + a6, by cross-multiplication.
+
+    With u = n/d and ai = pi/qi the right side is N/D over the common
+    denominator D = d^3 q2 q4 q6, so the test is v.num^2 D == N v.den^2:
+    polynomial products only, no gcd.
+    """
+    u, v = curve._rf(u), curve._rf(v)
+    n, d = u.num, u.den
+    (p2, q2), (p4, q4), (p6, q6) = (
+        (a.num, a.den) for a in (self.a2, self.a4, self.a6))
+    q = q2 * q4 * q6
+    d2 = d * d
+    # N = n^3 q + p2 q4 q6 n^2 d + p4 q2 q6 n d^2 + p6 q2 q4 d^3, by Horner
+    big = (((q * n + p2 * q4 * q6 * d) * n + p4 * q2 * q6 * d2) * n
+           + p6 * q2 * q4 * d2 * d)
+    return v.num * v.num * (q * d2 * d) == big * (v.den * v.den)
+
+
+def twin_check_cases(points):
+    """The 56 sums m P + n Q + T with 0 < 3 m^2 + n^2 <= 7, n P and n Q for
+    1 <= |n| <= 8, and the three finite 2-torsion points."""
+    P, Q, T1, T2 = (points[k] for k in ("P", "Q", "T1", "T2"))
+    torsion = (points["O"], T1, T2, T1 + T2)
+    sums = [m * P + n * Q + tor for m in (-1, 0, 1) for n in range(-2, 3)
+            if 0 < 3 * m * m + n * n <= 7 for tor in torsion]
+    multiples = [n * base for base in (P, Q) for n in range(-8, 9) if n]
+    return sums + multiples + [T1, T2, T1 + T2]
+
+
+def moved_points(model, points):
+    """(model, u, v) for the points on the model rescaled by lam = t + 3,
+    whose coefficients have denominators, and on the local models at
+    infinity and at t = -2."""
+    lam = RationalFunction(T + 3)
+    scaled = WeierstrassModel(model.a2 / lam ** 2, model.a4 / lam ** 4,
+                              model.a6 / lam ** 6)
+    at_inf, at_two = (local_model(model, p) for p in (INFINITE_PLACE, -2))
+    k = twist_weight(model)
+    out = []
+    for pt in points:
+        out.append((scaled, pt.u / lam ** 2, pt.v / lam ** 3))
+        out.append((at_inf, twist_at_infinity(pt.u, 2 * k),
+                    twist_at_infinity(pt.v, 3 * k)))
+        out.append((at_two, shift_rf(pt.u, F(-2)), shift_rf(pt.v, F(-2))))
+    return out
+
+
+def test_twin_check_matches_the_cross_multiplied_oracle(model, points):
+    cases = twin_check_cases(points)
+    assert len(cases) == 56 + 32 + 3
+    wobble = RationalFunction(T + 1, T + 2)
+    for pt in cases:
+        assert model.contains(pt.u, pt.v), pt
+        assert cross_multiplied_contains(model, pt.u, pt.v), pt
+        for v in (pt.v * wobble if pt.v else wobble, pt.v + 1):
+            assert not model.contains(pt.u, v), pt
+            assert not cross_multiplied_contains(model, pt.u, v), pt
+    P, Q = points["P"], points["Q"]
+    moved = moved_points(model, [P, Q, points["T1"], points["T2"], 2 * P,
+                                 P + Q])
+    # the rescaled model's twin scales points by (L^2, L^3), L = (t + 3)^4
+    assert moved[0][0]._twin[0][0] == RationalFunction((T + 3) ** 8)
+    for m, u, v in moved:
+        assert m.contains(u, v) and m.contains(u, -v)
+        for off in (v * wobble if v else wobble, v + 1):
+            assert not m.contains(u, off)
+            assert not cross_multiplied_contains(m, u, off)
+            assert off * off != _rhs(m, u)
+        assert cross_multiplied_contains(m, u, v)
+
+
+def test_each_half_of_the_twin_check_is_live(model, points):
+    # On the family model L = 1, so the twin is the model itself.  With
+    # u = n/d and v = m/e reduced, the check is e^2 = d^3 and m^2 = N.
+    # Each forged point keeps one half and breaks the other.
+    assert model._twin[0] is None and model.a6.is_zero
+    pt = 2 * points["P"] + points["Q"]
+    u, v = pt.u, pt.v
+    assert not u.is_polynomial() and not v.is_zero
+    n, d, m, e = u.num, u.den, v.num, v.den
+    big = ((n + model.a2.num * d) * n + model.a4.num * d * d) * n
+    assert e * e == d ** 3 and m * m == big
+    # (u, v/(t + 5)): t + 5 is prime to m, so m^2 = N holds and e^2 = d^3
+    # does not
+    assert m(F(-5)) != 0
+    bad_den = v / (T + 5)
+    assert bad_den.num == m and bad_den.den * bad_den.den != d ** 3
+    # (u, (m + e)/e): e^2 = d^3 holds and m^2 = N does not
+    bad_num = RationalFunction(m + e, e)
+    assert bad_num.den == e and bad_num.num ** 2 != big
+    for forged in (bad_den, bad_num):
+        assert not model.contains(u, forged)
+        assert not cross_multiplied_contains(model, u, forged)
+        with pytest.raises(ValueError, match="not on the curve"):
+            CurvePoint(model, u, forged)
+
+
+def test_group_law_takes_no_gcd_the_algebra_rules_out(monkeypatch, points):
+    # Polynomial products and modular gcds of one sum and one difference.
+    # The cross-multiplied curve check, lam * lam and u1 * u1 took 159
+    # products and 27 gcds on 2P + Q + T1, and 72 and 11 on S - P.
+    P, Q, T1 = points["P"], points["Q"], points["T1"]
+    want = 2 * P + Q + T1
+    real_mul, real_gcd = Polynomial.__mul__, exactnum._modular_gcd
+    counts = {"mul": 0, "gcd": 0}
+
+    def mul(a, b):
+        counts["mul"] += 1
+        return real_mul(a, b)
+
+    def gcd(a, b):
+        counts["gcd"] += 1
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", mul)
+    monkeypatch.setattr(exactnum, "_modular_gcd", gcd)
+    s = 2 * P + Q + T1
+    got = [(counts["mul"], counts["gcd"])]
+    counts.update(mul=0, gcd=0)
+    diff = s - P
+    got.append((counts["mul"], counts["gcd"]))
+    monkeypatch.undo()
+    assert got == [(88, 21), (38, 9)]
+    assert _coordinates(s) == _coordinates(want)
+    assert diff == P + Q + T1
+
+
 # -- section / point dictionary ---------------------------------------------------
 
 

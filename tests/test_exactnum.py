@@ -1054,6 +1054,55 @@ def test_reduced_results_take_no_gcd(monkeypatch):
     assert ab == RationalFunction((T ** 2 + 1) * (T + 4), T * (T ** 3 + 2))
 
 
+def test_polynomial_summand_takes_no_gcd(monkeypatch):
+    # (a + b d)/d is reduced when a/d is and b is a polynomial
+    r = RationalFunction((T - 1) * (T + 2), (T ** 2 + SQRT3) * (T + 5))
+    polys = [RationalFunction(T ** 3 - 2), RationalFunction(SQRT3 * T + 1),
+             RationalFunction(F(-3, 4)), RationalFunction(0)]
+    pairs = [(r, p) for p in polys] + [(p, r) for p in polys]
+    pairs += [(p, q) for p in polys for q in polys]
+    real, calls = exactnum.gcd_cofactors, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactnum, "gcd_cofactors", counted)
+    sums = [a + b for a, b in pairs] + [r - polys[0], polys[1] - r, r + 7]
+    assert calls == []
+    monkeypatch.undo()
+    want = [ParentRF(a.num, a.den) + ParentRF(b.num, b.den) for a, b in pairs]
+    want += [ParentRF(r.num, r.den) - ParentRF(polys[0].num),
+             ParentRF(polys[1].num) - ParentRF(r.num, r.den),
+             ParentRF(r.num, r.den) + ParentRF(7)]
+    for got, expected in zip(sums, want):
+        assert_same_rf(got, expected)
+
+
+def test_power_takes_no_product_past_the_top_bit(monkeypatch):
+    # square-and-multiply: floor(log2 n) squarings, popcount(n) - 1 products
+    f = SQRT3 * T ** 2 - F(1, 2) * T + 3
+    powers = [Polynomial([1])]
+    for _ in range(13):
+        powers.append(powers[-1] * f)
+    real, calls = Polynomial.__mul__, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for n in range(14):
+        calls.clear()
+        got = f ** n
+        want = (n.bit_length() - 1) + (bin(n).count("1") - 1) if n else 0
+        assert len(calls) == want, n
+        assert got == powers[n], n
+    calls.clear()
+    assert f ** 2 == powers[2] and f ** 5 == powers[5]
+    assert len(calls) == 1 + 3
+
+
 def test_monic_denominator_takes_no_product(monkeypatch):
     pairs = [((T - 1) * (T + 2), (T - 1) * (T + 5)),
              (SQRT3 * T + 1, T ** 2 + 3),
