@@ -16,6 +16,7 @@ import json
 import sys
 import traceback
 from fractions import Fraction
+from time import perf_counter
 
 from . import mwlat, nscat, surface
 from .curve import (
@@ -231,7 +232,7 @@ def cmd_catalogue(args) -> Report:
 
 def cmd_checks(args) -> Report:
     """descent, ns verify and orbits: the claims tagged with the command."""
-    return claims_report(args.command)
+    return claims_report(args.command, args.timings)
 
 
 # -- the claims registry -----------------------------------------------------
@@ -251,22 +252,36 @@ _CERTS = {
 }
 
 
+def _timed(label, fn, log):
+    """fn(), with (label, its wall time in seconds) appended to log, also
+    when it raises."""
+    start = perf_counter()
+    try:
+        return fn()
+    finally:
+        log.append((label, perf_counter() - start))
+
+
 class _Run:
     """One evaluation of the claims.  `built` keeps every value fetched
     through `get`, each certificate among them, in the order they were
     built, so each is built once.  `failed` keeps the exception of each
     build that raised, so each claim that needs it fails with that
-    exception, and nothing is built again."""
+    exception, and nothing is built again.  With a list as `log`, each
+    build appends its label and wall time there, and claims_report adds
+    those of the claim rows."""
 
-    def __init__(self):
-        self.built, self.failed = {}, {}
+    def __init__(self, log=None):
+        self.built, self.failed, self.log = {}, {}, log
 
     def get(self, fn):
         if fn in self.failed:
             raise self.failed[fn]
         if fn not in self.built:
             try:
-                self.built[fn] = fn()
+                self.built[fn] = fn() if self.log is None else _timed(
+                    "build %s.%s" % (fn.__module__, fn.__qualname__), fn,
+                    self.log)
             except Exception as e:
                 self.failed[fn] = e
                 raise
@@ -407,19 +422,22 @@ CLAIMS = (
 )
 
 
-def claims_report(command) -> Report:
+def claims_report(command, timings=False) -> Report:
     """Check rows of the claims `command` prints, or of every claim when it
     is None, then one row per imported fact of the certificates they used,
     in the order the certificates were built.  A claim whose computation
     raises fails, with "<Type>: <message>" as its computed value; each
     exception's traceback goes to stderr once, however many claims it
-    fails."""
-    run = _Run()
+    fails.  With timings, stderr also gets the wall time of each claim
+    row and of each value built for them, once each, in the order they
+    finished; a claim's time includes the builds it started."""
+    run = _Run([] if timings else None)
     rows, shown = [], []
     for claim, cmd, compute, expected in CLAIMS:
         if command is None or cmd == command:
             try:
-                value = compute(run)
+                value = compute(run) if run.log is None else _timed(
+                    "claim " + claim, lambda: compute(run), run.log)
                 computed = _render(value)
                 status = "pass" if value == expected else "fail"
             except Exception as e:
@@ -434,6 +452,9 @@ def claims_report(command) -> Report:
                 for text in value.imported]
     rows += [("assumed", text, "", "assumed")
              for text in dict.fromkeys(imported)]
+    if timings:
+        for label, seconds in run.log:
+            print("timing %.6f s  %s" % (seconds, label), file=sys.stderr)
     return Report(CHECK_COLUMNS, rows, failed)
 
 
@@ -451,6 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "symmetric matrices and the surface behind them.")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format")
+    parser.add_argument("--timings", action="store_true",
+                        help="write the wall time of each claim row and of "
+                             "each value built for it to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="triples with all-integral spectrum")
@@ -511,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_checks)
 
     p = sub.add_parser("verify-all", help="run every check")
-    p.set_defaults(func=lambda args: claims_report(None))
+    p.set_defaults(func=lambda args: claims_report(None, args.timings))
 
     sub.metavar = "{%s}" % ",".join(sub.choices)
     return parser

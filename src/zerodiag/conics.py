@@ -11,11 +11,12 @@ transforms on the resolved surface reduce to linear algebra:
 
   * two distinct conics meet X along the intersection of their planes,
     a line or a point, where the scheme is cut out by q2.  The other
-    conic's equations, restricted to one conic's plane basis, form a 3x3
-    matrix R of rank at most 2 (x+y+z is among them and vanishes on the
-    plane).  A nonzero cross product of two rows of R is the meet point;
-    if every one is zero but R is not, R has rank 1 and the planes share
-    a line, on which the smooth conic q2 cuts a scheme of length 2;
+    conic's second and third equations, restricted to one conic's plane
+    basis, form a 2x3 matrix R: with x+y+z, which vanishes on the plane,
+    they span the first equation too.  A nonzero cross product of the
+    rows of R is the meet point; if it is zero but R is not, R has rank
+    1 and the planes share a line, on which the smooth conic q2 cuts a
+    scheme of length 2;
   * blowing up an ordinary double point lowers a local intersection by
     one, so the corrected number is (total length) - (number of shared
     double points).  A double point lies on both conics exactly when it
@@ -39,7 +40,17 @@ divisibility of restricted forms by a change of plane coordinates.
 
 The orbit of a conic under the 144 symmetries is read off the stabilizer
 of its plane, the g whose moved equations vanish on its basis: g and g*h
-move the plane alike for h in it, so one conic is built per coset g*Stab.
+move the plane alike for h in it, so one image is made per coset g*Stab.
+Only the seed conic is verified.  Each symmetry permutes (x, y, z),
+permutes (a, b, c) and changes the sign of an even number of a, b, c, so
+it fixes x+y+z, q2 = xy+yz+zx+a^2+b^2+c^2 and q3 = xyz-2abc, and it
+permutes the double points, the singular points of the surface they cut
+out.  As a linear automorphism it therefore takes the seed's plane to a
+plane in x+y+z = 0 on which q2 again cuts a smooth conic (the polar
+determinant changes by a nonzero square), the restricted q3 stays a
+multiple of the restricted q2, and the double points on the image are
+the images of the seed's nodes.  conic_orbit checks that shape of every
+group element before it relies on it.
 
 The numbered basis of the Neron-Severi lattice, conics and double points
 among it, belongs to nscat; this module knows no basis.
@@ -48,7 +59,7 @@ among it, belongs to nscat; this module knows no basis.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .exactnum import _integer_parts, _scalar
@@ -78,27 +89,14 @@ class Conic:
     them) in canonical integer form, its identity; basis is a basis of
     the plane itself in integer form; nodes are the double points of the
     surface that lie on the conic.  Conic(forms) takes the forms that cut
-    out the plane over Q or Q(sqrt 3), Conic._of in integer form.
+    out the plane over Q or Q(sqrt 3) and verifies the conic;
+    Conic._of(seed, g) is the image of a verified conic under a symmetry.
     """
 
     __slots__ = ("equations", "basis", "nodes")
 
     def __init__(self, forms):
-        self._set([_integer_form(form) for form in forms])
-
-    @classmethod
-    def _of(cls, equations):
-        """The conic of the plane that forms in integer form cut out."""
-        out = object.__new__(cls)
-        out._set(equations)
-        return out
-
-    def _set(self, equations):
-        rows, pivots = rref(list(equations) + [_SUM_XYZ])
-        if len(rows) != 3:
-            raise ValueError("plane of a conic must have codimension 3")
-        object.__setattr__(self, "equations", tuple(rows))
-        object.__setattr__(self, "basis", _nullspace(rows, pivots))
+        self._plane([_integer_form(form) for form in forms])
         if not any(_polar_det(self.basis)):
             raise ValueError("quadric is degenerate on the plane; not a "
                              "smooth conic")
@@ -106,6 +104,29 @@ class Conic:
             raise ValueError("conic does not lie on the surface")
         object.__setattr__(self, "nodes", tuple(
             p for p in double_points() if _on_conic(self, (p, _ZEROS))))
+
+    @classmethod
+    def _of(cls, seed, g):
+        """The image of a verified conic under a symmetry g of the shape
+        conic_orbit checks: only its plane is reduced again, and the
+        nodes are the images of the seed's (see the module docstring)."""
+        out = object.__new__(cls)
+        # form' = form o g^{-1}; a signed permutation is orthogonal, so
+        # g^{-1} moves a form as g moves a point
+        out._plane([(g_apply(g, x), g_apply(g, y)) for x, y in seed.equations])
+        moved = {_projective(g_apply(g, p)) for p in seed.nodes}
+        object.__setattr__(out, "nodes", tuple(
+            p for p in double_points() if p in moved))
+        return out
+
+    def _plane(self, equations):
+        """Set the canonical equations, and the basis, of the plane that
+        forms in integer form cut out inside x+y+z = 0."""
+        rows, pivots = rref(list(equations) + [_SUM_XYZ])
+        if len(rows) != 3:
+            raise ValueError("plane of a conic must have codimension 3")
+        object.__setattr__(self, "equations", tuple(rows))
+        object.__setattr__(self, "basis", _nullspace(rows, pivots))
 
     def __setattr__(self, *a):
         raise AttributeError("Conic is immutable")
@@ -303,25 +324,44 @@ def _cubic_divisible(basis):
     return 3 not in rref(rows)[1]
 
 
+def _is_symmetry(g):
+    """Whether g = (pe, pm, sg) permutes (x, y, z) by pe and (a, b, c) by
+    pm, and changes the signs of a, b, c by an even pattern sg."""
+    pe, pm, sg = g
+    return (sorted(pe) == sorted(pm) == [0, 1, 2] and len(sg) == 3
+            and all(s in (1, -1) for s in sg) and prod(sg) == 1)
+
+
+def _projective(p):
+    """An integer point of content one as normalize_projective has it:
+    its last nonzero entry positive."""
+    return p if next(v for v in reversed(p) if v) > 0 else tuple(
+        -v for v in p)
+
+
 def conic_orbit(conic: Conic):
     """Orbit of a conic under the order-144 symmetry group.
 
-    The stabilizer of the plane is the set of g whose moved equations
-    vanish on the conic's basis; g and g*h, h in the stabilizer, move
-    the plane alike, so one conic is built, and verified, per coset.
+    Every group element is first checked to have the shape that carries
+    a verified conic to one (see the module docstring), so each image
+    is made by Conic._of without a check of its own.  The stabilizer of
+    the plane is the set of g whose moved equations vanish on the
+    conic's basis; g and g*h, h in the stabilizer, move the plane alike,
+    so one image is made per coset.  The second and third equations
+    suffice: with x+y+z, which every g fixes, they span the first.
     """
-    # form' = form o g^{-1}; a signed permutation is orthogonal, so
-    # g^{-1} moves a form as g moves a point
     group = group_elements()
+    for g in group:
+        if not _is_symmetry(g):
+            raise ValueError("%r is not a symmetry of the surface" % (g,))
     stabilizer = [g for g in group if all(
         _vanishes((g_apply(g, x), g_apply(g, y)), conic.basis)
-        for x, y in conic.equations)]
+        for x, y in conic.equations[1:])]
     covered, orbit = set(), []
     for g in group:
         if g not in covered:
             covered.update(g_compose(g, h) for h in stabilizer)
-            orbit.append(Conic._of([(g_apply(g, x), g_apply(g, y))
-                                    for x, y in conic.equations]))
+            orbit.append(Conic._of(conic, g))
     if len(orbit) * len(stabilizer) != len(group):
         raise ArithmeticError("the stabilizer of %r is not a subgroup"
                               % (conic,))
@@ -339,21 +379,22 @@ def conic_intersection(c1: Conic, c2: Conic) -> int:
     """Intersection number of strict transforms on the resolved surface.
 
     The planes meet where c2's equations vanish on c1's plane, the kernel
-    of their 3x3 restriction R to c1's basis.  R has rank at most 2, so a
-    nonzero cross product of two of its rows spans that kernel, and the
-    meet is the point it gives through the basis; otherwise the meet is
-    a line.  The shared double points are the common nodes.
+    of their 2x3 restriction R to c1's basis.  c2's first equation is
+    left out: its pivot is at x, so it lies in the span of the other two
+    and of x+y+z, which vanishes on c1's plane.  A nonzero cross product
+    of the rows of R spans that kernel, and the meet is the point it
+    gives through the basis; otherwise the meet is a line.  The shared
+    double points are the common nodes.
     """
     if c1 == c2:
         return -2  # smooth rational curve on a K3 surface
-    restricted = [[_dot(row, w) for w in c1.basis] for row in c2.equations]
+    u, v = [[_dot(row, w) for w in c1.basis] for row in c2.equations[1:]]
     shared = len(set(c1.nodes) & set(c2.nodes))
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        s = _cross(restricted[i], restricted[j])
-        if any(map(any, s)):
-            if shared:
-                return 0  # the common node is the meet point
-            return 0 if any(_q2(_combine(s, c1.basis))) else 1
-    if not any(any(map(any, row)) for row in restricted):
+    s = _cross(u, v)
+    if any(map(any, s)):
+        if shared:
+            return 0  # the common node is the meet point
+        return 0 if any(_q2(_combine(s, c1.basis))) else 1
+    if not any(map(any, u + v)):
         raise ArithmeticError("distinct conics cannot share a plane here")
     return 2 - shared

@@ -83,7 +83,7 @@ def _bareiss(aug):
 
 
 def vec_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def smith_normal_form(mat):

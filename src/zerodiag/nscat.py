@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 from . import conics
 from .curve import INFINITE_PLACE, family_model, tate_classify
@@ -652,17 +652,20 @@ def degree_identity_certificate() -> Certificate:
     """The sum-of-squares identity backing the class enumeration: the
     fraction-free LDL^T of 112 k^2 - 168 c.c, sum_k (U_k . x)^2 /
     (d_{k-1} d_k) from lattice._ldl, is multiplied back out and compared
-    with the form.  ok checks that all weights are positive."""
+    with the form, in integers: m times the form against the sum of
+    (m / (d_{k-1} d_k)) U_k U_k^T, m the lcm of the d_{k-1} d_k.  ok
+    checks that all weights are positive."""
     lhs = _identity_form()
     n = len(lhs)
     _, rows = _ldl(lhs)
     minors = [1] + [row[0] for row in rows]
-    squares = [(Fraction(1, minors[k] * minors[k + 1]), [0] * k + rows[k])
-               for k in range(len(rows))]
+    dens = [minors[k] * minors[k + 1] for k in range(len(rows))]
+    m = lcm(*dens)
+    squares = [(m // den, [0] * k + rows[k]) for k, den in enumerate(dens)]
     rhs = [[sum(wt * f[a] * f[b] for wt, f in squares if f[a] and f[b])
             for b in range(n)] for a in range(n)]
-    agree = lhs == rhs
-    positive = all(wt > 0 for wt, _ in squares)
+    agree = [[m * x for x in row] for row in lhs] == rhs
+    positive = all(den > 0 for den in dens)
     facts = [("identity.forms", len(squares)),
              ("identity.matrices_agree", agree),
              ("identity.weights_positive", positive)]

@@ -91,6 +91,9 @@ GOLDEN_STDOUT = {
         "718a3fee95714f7874cc62e650b7b87d7759797cc25b5476afc51568f100914d",
     "ns count-classes --degree 4 --genus 1 --list":
         "212e9464f83341fb43b20c2806eecae2798e66ae6ba2f858d6869b7da85ace33",
+    # the timings go to stderr only
+    "--timings verify-all":
+        "86beaa6683abf07d4e8f62dd2a2f432d55617d4db9a48937a66a4852ce1bea26",
 }
 
 
@@ -298,6 +301,29 @@ def test_stdout_matches_the_recorded_digest(capsys, command):
     code, out = run(capsys, command.split())
     assert code == 0
     assert sha256(out) == GOLDEN_STDOUT[command]
+
+
+@pytest.mark.parametrize("argv, claims", [
+    (["verify-all"], VERIFY_ALL_CLAIMS), (["ns", "verify"], NS_VERIFY_CLAIMS),
+    (["descent"], DESCENT_CLAIMS), (["orbits"], ORBIT_CLAIMS)])
+def test_timings_name_every_claim_row_once(capsys, argv, claims):
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert cli.main(["--timings"] + argv) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    lines = [line.split() for line in timed.err.splitlines()]
+    assert all(len(w) == 5 and w[0] == "timing" and float(w[1]) >= 0
+               and w[2] == "s" for w in lines), timed.err
+    assert [w[4] for w in lines if w[3] == "claim"] == claims
+    builds = [w[4] for w in lines if w[3] == "build"]
+    assert len(builds) == len(set(builds))
+    assert len(lines) == len(claims) + len(builds)
+    if argv == ["verify-all"]:
+        # every certificate is built, and named by its module
+        assert {"%s.%s" % (module.__name__, attr)
+                for module, attr in cli._CERTS.values()} <= set(builds)
 
 
 def test_claim_ids_are_unique():

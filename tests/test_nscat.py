@@ -29,7 +29,7 @@ from zerodiag.curve import (
     param_to_point,
     tate_classify,
 )
-from zerodiag.exactnum import SQRT3, QuadElem, field_sqrt
+from zerodiag.exactnum import SQRT3, Certificate, QuadElem, field_sqrt
 from zerodiag.lattice import (
     _ldl,
     det,
@@ -310,6 +310,38 @@ def test_integer_engine_against_field_engine():
                     == all(field_dot(form, w) == 0 for w in basis))
 
 
+def three_row_conic_intersection(c1, c2):
+    # the former conics.conic_intersection, kept as the oracle: all three
+    # of c2's equations restricted to c1's basis, and the first nonzero
+    # cross product of two of those rows
+    if c1 == c2:
+        return -2  # smooth rational curve on a K3 surface
+    restricted = [[conics._dot(row, w) for w in c1.basis]
+                  for row in c2.equations]
+    shared = len(set(c1.nodes) & set(c2.nodes))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        s = conics._cross(restricted[i], restricted[j])
+        if any(map(any, s)):
+            if shared:
+                return 0  # the common node is the meet point
+            return 0 if any(conics._q2(conics._combine(s, c1.basis))) else 1
+    if not any(any(map(any, row)) for row in restricted):
+        raise ArithmeticError("distinct conics cannot share a plane here")
+    return 2 - shared
+
+
+def test_two_row_meet_matches_the_three_row_oracle():
+    # the 63 orbit conics and the 13 built from forms, every ordered pair
+    everything = all_conics() + list(nscat.basis_conics().values()) + [
+        nscat.base_conic()]
+    assert len(everything) == 76
+    for c in everything:
+        assert c.equations[0][0][0] > 0  # the first row's pivot is at x
+        for d in everything:
+            assert (conics.conic_intersection(c, d)
+                    == three_row_conic_intersection(c, d)), (c, d)
+
+
 def test_rref_matches_the_field_oracle():
     # conics.rref gives the integer form of the oracle's field rows, with
     # the same pivots
@@ -442,10 +474,11 @@ def test_verify_all_row_reduces_once_per_conic():
     assert proc.returncode == 0, proc.stderr
     code, planes, cubics, calls = map(int, proc.stdout.split())
     assert code == 0
-    # 76 conics built, each reducing its 6-column plane equations and the
-    # 4-column system of its on-surface test; the Jacobian ranks come
-    # from Smith forms
-    assert (planes, cubics, calls) == (76, 76, 76 + 76)
+    # 76 conics, each reducing its 6-column plane equations; only the 13
+    # built from forms (the basis conics and the base conic) reduce the
+    # 4-column system of the on-surface test, the orbit images carry it
+    # over from their seed; the Jacobian ranks come from Smith forms
+    assert (planes, cubics, calls) == (76, 13, 76 + 13)
 
 
 def test_bad_planes_rejected():
@@ -536,20 +569,62 @@ def test_conic_reduces_its_plane_once(monkeypatch):
     assert len(conic.basis) == 3
 
 
-def test_conic_orbit_verifies_each_conic_once(monkeypatch):
+def test_conic_orbit_runs_no_cubic_divisible(monkeypatch):
+    # an image is carried from its verified seed: one reduction of its
+    # 6-column plane equations, and no on-surface or smoothness test of
+    # its own
     cs = nscat.basis_conics()
-    real = conics._cubic_divisible
-    calls = []
+    real, calls = conics.rref, []
 
-    def counted(basis):
+    def counted(rows):
+        calls.append(len(rows[0][0]))
+        return real(rows)
+
+    def unexpected(basis):
         calls.append(basis)
-        return real(basis)
 
-    monkeypatch.setattr(conics, "_cubic_divisible", counted)
+    monkeypatch.setattr(conics, "rref", counted)
+    for name in ("_cubic_divisible", "_polar_det"):
+        monkeypatch.setattr(conics, name, unexpected)
     for seed, size in ((17, 9), (16, 36), (10, 18)):
         calls.clear()
         assert len(conics.conic_orbit(cs[seed])) == size
-        assert len(calls) == size
+        assert calls == [6] * size
+
+
+def test_orbit_images_pass_the_checks_they_carry_over():
+    # the oracle of the transport: each of the 63 images passes the
+    # checks of a conic built from forms, and its nodes are those the
+    # direct scan of the double points finds
+    everything = all_conics()
+    assert len(everything) == 63
+    for c in everything:
+        assert conics._cubic_divisible(c.basis), c
+        assert any(conics._polar_det(c.basis)), c
+        assert c.nodes == tuple(
+            p for p in conics.double_points()
+            if conics._on_conic(c, (p, conics._ZEROS))), c
+
+
+ODD_SIGN_CHANGE = ((0, 1, 2), (0, 1, 2), (-1, 1, 1))
+
+
+def test_conic_orbit_rejects_an_odd_sign_change(monkeypatch):
+    # an odd sign change moves q3 = xyz - 2abc to xyz + 2abc, so the
+    # images of a conic need not lie on the surface
+    real = group_elements()
+    seed = nscat.basis_conics()[16]
+    monkeypatch.setattr(conics, "group_elements", lambda: real + [
+        ODD_SIGN_CHANGE])
+    with pytest.raises(ValueError, match="not a symmetry"):
+        conics.conic_orbit(seed)
+    # closed under it, the 288 signed permutations form a group, so the
+    # coset count holds and only the shape check is left to refuse it
+    signed = real + [conics.g_compose(g, ODD_SIGN_CHANGE) for g in real]
+    assert len(set(signed)) == 288
+    monkeypatch.setattr(conics, "group_elements", lambda: signed)
+    with pytest.raises(ValueError, match="not a symmetry"):
+        conics.conic_orbit(seed)
 
 
 def rref_orbit(conic):
@@ -720,6 +795,60 @@ def test_degree_identity():
     assert cert.ok
     assert cert.fact("identity.forms") == 19
     assert cert.fact("identity.matrices_agree") is True
+
+
+def fraction_identity_certificate():
+    # the former nscat.degree_identity_certificate, kept as the oracle:
+    # the weights 1 / (d_{k-1} d_k) as Fractions
+    lhs = nscat._identity_form()
+    n = len(lhs)
+    _, rows = nscat._ldl(lhs)
+    minors = [1] + [row[0] for row in rows]
+    squares = [(Fraction(1, minors[k] * minors[k + 1]), [0] * k + rows[k])
+               for k in range(len(rows))]
+    rhs = [[sum(wt * f[a] * f[b] for wt, f in squares if f[a] and f[b])
+            for b in range(n)] for a in range(n)]
+    agree = lhs == rhs
+    positive = all(wt > 0 for wt, _ in squares)
+    facts = [("identity.forms", len(squares)),
+             ("identity.matrices_agree", agree),
+             ("identity.weights_positive", positive)]
+    return Certificate("degree.identity", facts, ok=positive)
+
+
+def same_certificate(a, b):
+    return (a.name, a.facts, a.ok) == (b.name, b.facts, b.ok)
+
+
+def test_degree_identity_in_integers_matches_the_fraction_oracle(
+        monkeypatch):
+    cert = nscat.degree_identity_certificate()
+    assert same_certificate(cert, fraction_identity_certificate())
+    assert cert.fact("identity.weights_positive") is True
+    real = nscat._ldl
+
+    def changed(entry, sign):
+        # one entry of U_k moved by one, or one U_k negated, which
+        # flips the sign of the weights next to it and keeps U_k U_k^T
+        def ldl(form):
+            order, rows = real(form)
+            rows = [list(row) for row in rows]
+            if entry is None:
+                rows[-1] = [-x for x in rows[-1]]
+            else:
+                rows[entry[0]][entry[1]] += sign
+            return order, rows
+        return ldl
+
+    for entry, sign in (((5, 3), 1), ((0, 7), -1), ((18, 1), 1),
+                        (None, None)):
+        monkeypatch.setattr(nscat, "_ldl", changed(entry, sign))
+        cert = nscat.degree_identity_certificate()
+        assert same_certificate(cert, fraction_identity_certificate())
+        assert cert.fact("identity.matrices_agree") is False
+        if entry is None:
+            assert cert.fact("identity.weights_positive") is False
+            assert not cert.ok
 
 
 # Oracles for the hyperplane split: the genus equation by inverting the
