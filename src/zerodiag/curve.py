@@ -16,7 +16,7 @@ rebuilt.  _leading_term reads the order and the leading coefficient of a
 function f of weight w (u is 2, v is 3, a_i is i) in the local coordinate
 of a place: t - r at a rational place r, and s = 1/t at infinity, where f
 is twisted to s^(w k) f(1/s) with k = twist_weight(model).  Fiber types
-come from the orders of c4, c6 and Delta at the place.
+come from the orders of c4, c6, Delta (Tate), shapes from Kodaira's table.
 
 Every CurvePoint is checked on the curve, on the model's integral twin:
 with L = lcm of the coefficient denominators, (u, v) lies on the model
@@ -53,6 +53,14 @@ def _rf(x) -> RationalFunction:
     return out
 
 
+def _common_denominator(fs) -> Polynomial:
+    """The monic lcm of the denominators of rational functions."""
+    lcm = Polynomial._lift(1)
+    for f in fs:
+        lcm = lcm * gcd_cofactors(lcm, f.den)[2]
+    return lcm
+
+
 class WeierstrassModel:
     """v^2 = u^3 + a2 u^2 + a4 u + a6 with function-field coefficients.
 
@@ -73,9 +81,7 @@ class WeierstrassModel:
             raise ValueError("discriminant vanishes identically; "
                              "the generic fiber is singular")
         coeffs = (self.a2, self.a4, self.a6)
-        lcm = Polynomial._lift(1)
-        for a in coeffs:
-            lcm = lcm * gcd_cofactors(lcm, a.den)[2]
+        lcm = _common_denominator(coeffs)
         scale = None if lcm.degree == 0 else (
             RationalFunction(lcm ** 2), RationalFunction(lcm ** 3))
         object.__setattr__(self, "_twin", (scale,) + tuple(
@@ -243,23 +249,40 @@ def family_model() -> WeierstrassModel:
 # -- Kodaira fiber classification ---------------------------------------------
 
 
+# Kodaira's table (Kodaira 1963; Tate's algorithm): each type by the sorted
+# multiplicities of its components, the null vector of its affine Dynkin
+# diagram.  I_n has n 1s (I0 one), I_n* four 1s and n + 1 2s, and the types
+# below have, by Ogg's formula, delta = (number of components) + 1.
+_ADDITIVE = {"II": (1,), "III": (1, 1), "IV": (1, 1, 1),
+             "IV*": (1, 1, 1, 2, 2, 2, 3), "III*": (1, 1, 2, 2, 2, 3, 3, 4),
+             "II*": (1, 2, 2, 3, 3, 4, 4, 5, 6)}
+
+
 class LocalFiber:
     """One fiber of an elliptic surface: its place, its Kodaira kind and n
-    (I_n, I_n*), the printed symbol, the numbers of components and of
-    simple components, and delta, the order of the minimal discriminant
-    there, which the Euler number sums."""
+    (I_n, I_n*), the printed symbol, its components' multiplicities in
+    Kodaira's table, how many components and simple ones there are, and
+    delta, the minimal discriminant's order, which the Euler number sums."""
 
-    __slots__ = ("place", "symbol", "kind", "n", "components", "simple",
-                 "delta")
+    __slots__ = ("place", "symbol", "kind", "n", "multiplicities",
+                 "components", "simple", "delta")
 
     def __init__(self, place, kind, n, delta):
-        m, m1, symbol = _fiber_shape(kind, n)
+        if kind == "I":
+            mult, symbol = (1,) * max(n, 1), "I%d" % n
+        elif kind == "I*":
+            mult, symbol = (1,) * 4 + (2,) * (n + 1), "I%d*" % n
+        elif kind in _ADDITIVE:
+            mult, symbol = _ADDITIVE[kind], kind
+        else:
+            raise ValueError("unknown Kodaira fiber type %r" % (kind,))
         object.__setattr__(self, "place", place)
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "components", m)
-        object.__setattr__(self, "simple", m1)
+        object.__setattr__(self, "multiplicities", mult)
+        object.__setattr__(self, "components", len(mult))
+        object.__setattr__(self, "simple", mult.count(1))
         object.__setattr__(self, "delta", delta)
 
     def __setattr__(self, *a):
@@ -267,18 +290,6 @@ class LocalFiber:
 
     def __repr__(self):
         return "LocalFiber(%s at %s)" % (self.symbol, self.place)
-
-
-def _fiber_shape(kind, n):
-    """(component count, simple component count, printed symbol)."""
-    if kind == "I":
-        return max(n, 1), max(n, 1), "I%d" % n
-    if kind == "I*":
-        return n + 5, 4, "I%d*" % n
-    shapes = {"II": (1, 1), "III": (2, 2), "IV": (3, 3),
-              "IV*": (7, 3), "III*": (8, 2), "II*": (9, 1)}
-    m, m1 = shapes[kind]
-    return m, m1, kind
 
 
 def _leading_term(f: RationalFunction, place, w: int, k: int):
@@ -310,7 +321,7 @@ def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
     Residue characteristic zero, so Tate's algorithm needs only the
     valuations alpha, beta, delta of c4, c6 and Delta, read off the global
     model.  Rescaling a_i by the uniformizer^(-i) lowers them by 4, 6 and
-    12; it is done while all three allow it, so the model is minimal.
+    12, m times for the largest m all three allow: the model is minimal.
     """
     if place != INFINITE_PLACE:
         place = Fraction(place)
@@ -318,37 +329,24 @@ def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
     c4, c6 = model.c_invariants()
     alpha, beta, delta = (_leading_term(f, place, w, k)[0] for f, w in
                           ((c4, 4), (c6, 6), (model.discriminant(), 12)))
-    while alpha >= 4 and beta >= 6 and delta >= 12:
-        alpha, beta, delta = (v if v == _BIG else v - d for v, d in
-                              ((alpha, 4), (beta, 6), (delta, 12)))
-    if delta == 0:
-        return LocalFiber(place, "I", 0, delta)
-    if alpha == 0:
+    m = min(alpha // 4, beta // 6, delta // 12)
+    alpha, beta, delta = alpha - 4 * m, beta - 6 * m, delta - 12 * m
+    if alpha == 0 or delta == 0:
         return LocalFiber(place, "I", delta, delta)
-    if delta == 2:
-        return LocalFiber(place, "II", 0, delta)
-    if delta == 3:
-        return LocalFiber(place, "III", 0, delta)
-    if delta == 4:
-        return LocalFiber(place, "IV", 0, delta)
-    if delta == 6:
-        return LocalFiber(place, "I*", 0, delta)
-    if alpha == 2 and beta == 3:
+    if delta == 6 or (alpha, beta) == (2, 3):
         return LocalFiber(place, "I*", delta - 6, delta)
-    if delta == 8:
-        return LocalFiber(place, "IV*", 0, delta)
-    if delta == 9:
-        return LocalFiber(place, "III*", 0, delta)
-    if delta == 10:
-        return LocalFiber(place, "II*", 0, delta)
+    for kind, mult in _ADDITIVE.items():
+        if delta == len(mult) + 1:
+            return LocalFiber(place, kind, 0, delta)
     raise ArithmeticError("unclassifiable fiber at %s: "
                           "alpha=%s beta=%s delta=%s" % (place, alpha, beta, delta))
 
 
-def bad_places(model: WeierstrassModel):
-    """Rational places where the discriminant vanishes, plus infinity if
-    the fiber there is not smooth.  Raises if the discriminant has an
-    irrational factor (residue field extensions are not implemented)."""
+@lru_cache(maxsize=8)
+def tate_classify(model: WeierstrassModel) -> tuple:
+    """All singular fibers of the model, finite rational places first
+    (sorted), then infinity.  Raises if the discriminant has a denominator
+    or an irrational factor (residue field extensions are not implemented)."""
     dlt = model.discriminant()
     if not dlt.is_polynomial():
         raise NotImplementedError("discriminant with denominator")
@@ -358,17 +356,7 @@ def bad_places(model: WeierstrassModel):
         raise NotImplementedError(
             "discriminant has a nonrational factor; residue field "
             "extensions are not implemented")
-    places = sorted(roots)
-    inf = fiber_at(model, INFINITE_PLACE)
-    return places, inf
-
-
-@lru_cache(maxsize=8)
-def tate_classify(model: WeierstrassModel) -> tuple:
-    """All singular fibers of the model, finite rational places first
-    (sorted), then infinity."""
-    places, inf_fiber = bad_places(model)
-    fibers = [fiber_at(model, r) for r in places] + [inf_fiber]
+    fibers = (fiber_at(model, r) for r in sorted(roots) + [INFINITE_PLACE])
     return tuple(fib for fib in fibers if fib.delta > 0)
 
 
@@ -489,9 +477,7 @@ def param_to_point(par: Parametrization) -> CurvePoint:
 def _clear_denominators(comps):
     """Scale rational-function components by a common polynomial to make
     all of them polynomials."""
-    lcm = Polynomial([1])
-    for c in comps:
-        lcm = lcm * gcd_cofactors(lcm, c.den)[2]
+    lcm = _common_denominator(comps)
     return [(c * RationalFunction(lcm)).as_polynomial() for c in comps]
 
 

@@ -204,8 +204,8 @@ def field_sqrt(x):
 
 def _integer_parts(coeffs):
     """Integer lists x, y and an integer d > 0 with coeffs[i] =
-    (x[i] + y[i]*sqrt3) / d, for coefficients in Q or Q(sqrt 3).  This is
-    the one place denominators are cleared; d is the least such integer."""
+    (x[i] + y[i]*sqrt3) / d, for coefficients in Q or Q(sqrt 3), with d
+    the least such integer: the one place a coefficient list is cleared."""
     parts = [(c.r, c.s) if isinstance(c, QuadElem) else (c, 0)
              for c in coeffs]
     d = 1

@@ -115,8 +115,8 @@ def section_component(pt: CurvePoint, fiber):
     at order 1.  A section through the triple point has exactly one u - e_i
     of order >= 2 (three orders 1 would give v^2 the odd order 3), and is
     labelled by the linear coefficient of u, which is that of e_i."""
-    if pt.is_infinity or fiber.kind in ("II", "II*"):
-        return None  # II, II*: a single simple component
+    if pt.is_infinity or fiber.simple == 1:
+        return None  # a section meets only simple components
     if fiber.kind != "I" and (fiber.kind, fiber.n) != ("I*", 0):
         raise NotImplementedError(
             "component identification on a %s fiber is not implemented"

@@ -500,18 +500,17 @@ def _dual_graph_matches(fib, comps) -> bool:
     self-pairing -2 that meet nonnegatively, with such pairings and a
     kernel vector of positive multiplicities, are an affine Dynkin
     diagram, connected because a finite-type part would carry no kernel
-    vector; the multiplicities are its null vector and tell its type: n
-    ones for I_n (A~_{n-1}), four 1s and n - 4 2s for I_m* (D~_{n-1}).
+    vector; the multiplicities are its null vector and tell its type, so
+    sorted they must be the fiber's, fib.multiplicities (Kodaira's table).
     """
     classes = [cls for _, _, cls in comps]
     mult = [m for _, m, _ in comps]
     n = len(classes)
     pair = [[pairing(u, v) for v in classes] for u in classes]
-    patterns = {"I": [1] * n, "I*": [1] * 4 + [2] * (n - 4)}
     return (all(pair[i][i] == -2 for i in range(n))
             and all(x >= 0 for i, row in enumerate(pair)
                     for j, x in enumerate(row) if i != j)
-            and sorted(mult) == patterns.get(fib.kind)
+            and tuple(sorted(mult)) == fib.multiplicities
             and signature(pair) == (0, n - 1, 1)
             and not any(vec_dot(row, mult) for row in pair))
 

@@ -20,7 +20,6 @@ from zerodiag.curve import (
     _BIG,
     _clear_denominators,
     _leading_term,
-    bad_places,
     euler_number,
     family_model,
     fiber_at,
@@ -281,6 +280,54 @@ def test_kodaira_zoo():
         assert fiber_at(m, 0).symbol == symbol, symbol
 
 
+# Kodaira's table written out: (kind, n) -> (components, simple components,
+# sorted multiplicities of the components)
+KODAIRA_TABLE = {
+    ("I", 0): (1, 1, (1,)),
+    ("I", 1): (1, 1, (1,)),
+    ("I", 2): (2, 2, (1, 1)),
+    ("I", 3): (3, 3, (1, 1, 1)),
+    ("I", 4): (4, 4, (1, 1, 1, 1)),
+    ("I", 5): (5, 5, (1, 1, 1, 1, 1)),
+    ("I", 6): (6, 6, (1, 1, 1, 1, 1, 1)),
+    ("I*", 0): (5, 4, (1, 1, 1, 1, 2)),
+    ("I*", 1): (6, 4, (1, 1, 1, 1, 2, 2)),
+    ("I*", 2): (7, 4, (1, 1, 1, 1, 2, 2, 2)),
+    ("I*", 3): (8, 4, (1, 1, 1, 1, 2, 2, 2, 2)),
+    ("II", 0): (1, 1, (1,)),
+    ("III", 0): (2, 2, (1, 1)),
+    ("IV", 0): (3, 3, (1, 1, 1)),
+    ("IV*", 0): (7, 3, (1, 1, 1, 2, 2, 2, 3)),
+    ("III*", 0): (8, 2, (1, 1, 2, 2, 2, 3, 3, 4)),
+    ("II*", 0): (9, 1, (1, 2, 2, 3, 3, 4, 4, 5, 6)),
+}
+
+
+def test_local_fiber_reads_kodaira_table():
+    for (kind, n), (components, simple, mult) in KODAIRA_TABLE.items():
+        fib = LocalFiber(0, kind, n, None)
+        assert (fib.components, fib.simple, fib.multiplicities) == (
+            components, simple, mult), (kind, n)
+
+
+def test_unknown_fiber_kind_raises():
+    for kind in ("V", "I**", "ii"):
+        with pytest.raises(ValueError, match="Kodaira"):
+            LocalFiber(0, kind, 0, 0)
+
+
+def test_ogg_relation(model):
+    # delta = components + 1 for every fiber type but I_n (n >= 1), whose
+    # delta is n
+    e2, e3 = Polynomial([0, 1]), Polynomial([0, 0, 2])
+    i2_star = WeierstrassModel(-(e2 + e3), e2 * e3, 0)
+    fibers = [fiber_at(m, 0) for m, _ in KODAIRA_ZOO] + [fiber_at(i2_star, 0)]
+    fibers += tate_classify(model)
+    assert len(fibers) == 8 + 1 + 6
+    for fib in fibers:
+        assert fib.delta == fib.components + (fib.kind != "I"), fib.symbol
+
+
 def test_fiber_at_matches_local_model_oracle(model):
     e2, e3 = Polynomial([0, 1]), Polynomial([0, 0, 2])
     i2_star = WeierstrassModel(-(e2 + e3), e2 * e3, 0)
@@ -354,6 +401,16 @@ def test_minimality_rescaling():
     assert f.delta == 0
 
 
+def test_pole_at_the_place_is_rescaled_away():
+    # v^2 = u^3 + t^-6 is v^2 = u^3 + 1 after u -> t^-2 u: good at 0.
+    # Its discriminant has a denominator, which tate_classify refuses.
+    m = WeierstrassModel(0, 0, RationalFunction(1, Polynomial([0] * 6 + [1])))
+    f = fiber_at(m, 0)
+    assert (f.symbol, f.delta) == ("I0", 0)
+    with pytest.raises(NotImplementedError, match="denominator"):
+        tate_classify(m)
+
+
 def test_good_reduction_everywhere():
     m = WeierstrassModel(0, -1, 0)
     assert tate_classify(m) == ()
@@ -363,8 +420,8 @@ def test_nonrational_place_raises():
     # Delta = -4t^2(16t^2 + 108) has an irrational factor
     m = WeierstrassModel(Polynomial([0, 1]), 0, Polynomial([0, 1]))
     assert fiber_at(m, 0).symbol == "II"
-    with pytest.raises(NotImplementedError):
-        bad_places(m)
+    with pytest.raises(NotImplementedError, match="nonrational"):
+        tate_classify(m)
 
 
 def test_model_at_infinity_weight(model):

@@ -224,3 +224,16 @@ def test_claims_read_certificates_through_the_tagged_reader():
                and node.func.attr == "cert" for node in ast.walk(stmt)):
             callers |= _defined(stmt)
     assert callers == {"_fact", "_certified"}
+
+
+def test_curve_owns_the_additive_fiber_types():
+    """Kodaira's table lives in curve: no other module names an additive
+    fiber type, so each reads a fiber's shape from the fiber itself."""
+    kinds = {"II", "III", "IV", "IV*", "III*", "II*"}
+    found = sorted("%s: %s" % (name, node.value)
+                   for name, tree in MODULES.items() if name != "curve"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in kinds)
+    assert found == []
+    assert kinds <= {node.value for node in ast.walk(MODULES["curve"])
+                     if isinstance(node, ast.Constant)}

@@ -14,6 +14,7 @@ from zerodiag.exactnum import (
 from zerodiag import mwlat
 from zerodiag.curve import (
     CurvePoint,
+    LocalFiber,
     WeierstrassModel,
     family_model,
     fiber_at,
@@ -282,6 +283,19 @@ def test_contribution_values():
     a, b = Fraction(0), Fraction(18)
     assert local_contribution(star, a, a) == 1
     assert local_contribution(star, a, b) == Fraction(1, 2)
+
+
+def test_a_single_simple_component_is_the_identity(pts):
+    # a section meets only simple components: on II, II* and I1 there is
+    # one, and every section meets it; III, IV* and III* have more, and
+    # reading them is not implemented
+    place = Fraction(0)
+    for kind, n, delta in (("II", 0, 2), ("II*", 0, 10), ("I", 1, 1)):
+        fib = LocalFiber(place, kind, n, delta)
+        assert section_component(pts["P"], fib) is None, fib.symbol
+    for kind, delta in (("III", 3), ("IV*", 8), ("III*", 9)):
+        with pytest.raises(NotImplementedError):
+            section_component(pts["P"], LocalFiber(place, kind, 0, delta))
 
 
 def test_unsupported_fiber_type_is_loud():

@@ -16,7 +16,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import prod
-from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +23,7 @@ import zerodiag
 from field_oracle import field_rows, matrix_rank, nullspace, rref
 from zerodiag import conics, exactnum, nscat
 from zerodiag.curve import (
+    LocalFiber,
     family_model,
     named_sections,
     param_to_point,
@@ -977,25 +977,63 @@ def test_dual_graph_rule_matches_the_former_check_on_the_fibers():
                 == (fib.kind == "I")), fib.symbol
 
 
+def _graph_pairing(meets):
+    """A pairing on unit vectors: -2 on the diagonal, and 1 where the
+    components i and j meet."""
+    def pairing(u, v):
+        i, j = u.index(1), v.index(1)
+        return -2 if i == j else int(meets(i, j))
+    return pairing
+
+
 def test_dual_graph_rejects_two_disjoint_cycles(monkeypatch):
     # six components, each meeting two others once: a hexagon is the
     # cycle of an I6 fiber, two disjoint triangles are not connected and
     # have a kernel of rank two; the former check took both for I6
-    fib = SimpleNamespace(kind="I", n=6)
+    fib = LocalFiber(0, "I", 6, 6)
     comps = [("c%d" % i, 1, unit(i + 1)) for i in range(6)]
-
-    def graph(meets):
-        def pairing(u, v):
-            i, j = u.index(1), v.index(1)
-            return -2 if i == j else int(meets(i, j))
-        return pairing
-
-    monkeypatch.setattr(nscat, "pairing", graph(lambda i, j: (i - j) % 6 in (1, 5)))
+    monkeypatch.setattr(nscat, "pairing",
+                        _graph_pairing(lambda i, j: (i - j) % 6 in (1, 5)))
     assert nscat._dual_graph_matches(fib, comps)
     assert former_dual_graph_matches(fib, comps)
-    monkeypatch.setattr(nscat, "pairing", graph(lambda i, j: i // 3 == j // 3))
+    monkeypatch.setattr(nscat, "pairing",
+                        _graph_pairing(lambda i, j: i // 3 == j // 3))
     assert former_dual_graph_matches(fib, comps)
     assert not nscat._dual_graph_matches(fib, comps)
+
+
+# the trees E~6, E~7 and E~8 of the fibers IV*, III* and II*: the
+# multiplicity of each node, and the edges
+AFFINE_E = {
+    "IV*": ([3, 2, 1, 2, 1, 2, 1],
+            [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
+    "III*": ([1, 2, 3, 4, 3, 2, 1, 2],
+             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]),
+    "II*": ([1, 2, 3, 4, 5, 6, 4, 2, 3],
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+             (5, 8)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AFFINE_E))
+def test_dual_graph_accepts_the_exceptional_fibers(kind, monkeypatch):
+    """An E~ tree with the null vector of Kodaira's table is its fiber; with
+    one 1 and one 2 swapped the multiplicities still sort to the table's,
+    but they are no longer a kernel vector, and the tree is rejected."""
+    mults, edges = AFFINE_E[kind]
+    fib = LocalFiber(0, kind, 0, len(mults) + 1)
+    assert tuple(sorted(mults)) == fib.multiplicities
+    monkeypatch.setattr(nscat, "pairing", _graph_pairing(
+        lambda i, j: (i, j) in edges or (j, i) in edges))
+
+    def comps(ms):
+        return [("c%d" % i, m, unit(i + 1)) for i, m in enumerate(ms)]
+
+    assert nscat._dual_graph_matches(fib, comps(mults))
+    one, two = mults.index(1), mults.index(2)
+    swapped = list(mults)
+    swapped[one], swapped[two] = 2, 1
+    assert not nscat._dual_graph_matches(fib, comps(swapped))
 
 
 def test_fiber_reconstruction():
