@@ -37,9 +37,9 @@ from .lattice import (
 
 CHECK_COLUMNS = ("claim", "computed", "expected", "status")
 
-# largest |n| that mult accepts; four runs each on a 2-core host, Python
-# 3.11: mult --n +-16 takes 0.9-1.5 s, and mult --emit-param 1.7-2.2 s at
-# n = -8 and 0.9-1.3 s at n = 8
+# largest |n| that mult accepts; four fresh processes each on a 2-core
+# host, Python 3.11.7: mult --n 16 takes 0.41-0.69 s and --n -16 0.41-0.43
+# s, and mult --emit-param 0.43-0.46 s at n = -8 and 0.31-0.38 s at n = 8
 MULT_MAX = 16
 MULT_PARAM_MAX = 8
 
@@ -267,19 +267,19 @@ class _Run:
     through `get`, each certificate among them, in the order they were
     built, so each is built once.  `failed` keeps the exception of each
     build that raised, so each claim that needs it fails with that
-    exception, and nothing is built again.  With a list as `log`, each
-    build appends its label and wall time there, and claims_report adds
-    those of the claim rows."""
+    exception, and nothing is built again.  `log` gets the label and
+    wall time of each build, and claims_report adds those of the claim
+    rows."""
 
-    def __init__(self, log=None):
-        self.built, self.failed, self.log = {}, {}, log
+    def __init__(self):
+        self.built, self.failed, self.log = {}, {}, []
 
     def get(self, fn):
         if fn in self.failed:
             raise self.failed[fn]
         if fn not in self.built:
             try:
-                self.built[fn] = fn() if self.log is None else _timed(
+                self.built[fn] = _timed(
                     "build %s.%s" % (fn.__module__, fn.__qualname__), fn,
                     self.log)
             except Exception as e:
@@ -431,13 +431,13 @@ def claims_report(command, timings=False) -> Report:
     fails.  With timings, stderr also gets the wall time of each claim
     row and of each value built for them, once each, in the order they
     finished; a claim's time includes the builds it started."""
-    run = _Run([] if timings else None)
+    run = _Run()
     rows, shown = [], []
     for claim, cmd, compute, expected in CLAIMS:
         if command is None or cmd == command:
             try:
-                value = compute(run) if run.log is None else _timed(
-                    "claim " + claim, lambda: compute(run), run.log)
+                value = _timed("claim " + claim, lambda: compute(run),
+                               run.log)
                 computed = _render(value)
                 status = "pass" if value == expected else "fail"
             except Exception as e:

@@ -18,13 +18,10 @@ of a place: t - r at a rational place r, and s = 1/t at infinity, where f
 is twisted to s^(w k) f(1/s) with k = twist_weight(model).  Fiber types
 come from the orders of c4, c6, Delta (Tate), shapes from Kodaira's table.
 
-Every CurvePoint is checked on the curve, on the model's integral twin:
-with L = lcm of the coefficient denominators, (u, v) lies on the model
-exactly when (L^2 u, L^3 v) = (n/d, m/e), reduced with monic denominators,
-lies on V^2 = U^3 + L^2 a2 U^2 + L^4 a4 U + L^6 a6, and as m, e and n^3, d
-are coprime that holds exactly when e^2 = d^3 and m^2 = N, for N the
-twin's cubic in n and d made homogeneous (see WeierstrassModel.contains).
-L = 1 on the family model.
+A model's coefficients are polynomials in t, and every CurvePoint is
+checked on the model itself: (u, v) = (n/d, m/e), reduced with monic
+denominators, lies on it exactly when e^2 = d^3 and m^2 = N, for N the
+cubic in n and d made homogeneous (see WeierstrassModel.contains).
 """
 
 from __future__ import annotations
@@ -53,40 +50,28 @@ def _rf(x) -> RationalFunction:
     return out
 
 
-def _common_denominator(fs) -> Polynomial:
-    """The monic lcm of the denominators of rational functions."""
-    lcm = Polynomial._lift(1)
-    for f in fs:
-        lcm = lcm * gcd_cofactors(lcm, f.den)[2]
-    return lcm
-
-
 class WeierstrassModel:
-    """v^2 = u^3 + a2 u^2 + a4 u + a6 with function-field coefficients.
+    """v^2 = u^3 + a2 u^2 + a4 u + a6 with polynomial coefficients in t,
+    held as RationalFunctions.  A coefficient with a denominator is
+    refused: u -> lam^2 u, v -> lam^3 v, a_i -> lam^i a_i clears it."""
 
-    _twin holds the integral twin that contains tests points on: the
-    scalings (L^2, L^3) of u and v, None when L = 1, and the polynomial
-    coefficients L^i ai, for L = lcm(q2, q4, q6) where ai = pi/qi."""
-
-    __slots__ = ("a2", "a4", "a6", "_disc", "_twin")
+    __slots__ = ("a2", "a4", "a6", "_disc")
 
     def __init__(self, a2, a4, a6):
-        object.__setattr__(self, "a2", _rf(a2))
-        object.__setattr__(self, "a4", _rf(a4))
-        object.__setattr__(self, "a6", _rf(a6))
+        for name, a in (("a2", a2), ("a4", a4), ("a6", a6)):
+            a = _rf(a)
+            if not a.is_polynomial():
+                raise ValueError(
+                    "%s = %s has a denominator; a model takes polynomial "
+                    "coefficients (clear it by u -> lam^2 u, v -> lam^3 v)"
+                    % (name, a))
+            object.__setattr__(self, name, a)
         b2, b4, b6, b8 = self.b_invariants()
         disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         object.__setattr__(self, "_disc", disc)
         if disc.is_zero:
             raise ValueError("discriminant vanishes identically; "
                              "the generic fiber is singular")
-        coeffs = (self.a2, self.a4, self.a6)
-        lcm = _common_denominator(coeffs)
-        scale = None if lcm.degree == 0 else (
-            RationalFunction(lcm ** 2), RationalFunction(lcm ** 3))
-        object.__setattr__(self, "_twin", (scale,) + tuple(
-            (a * RationalFunction(lcm ** i)).as_polynomial()
-            for i, a in zip((2, 4, 6), coeffs)))
 
     def __setattr__(self, *a):
         raise AttributeError("WeierstrassModel is immutable")
@@ -110,28 +95,23 @@ class WeierstrassModel:
         return c4 ** 3 / self.discriminant()
 
     def contains(self, u, v) -> bool:
-        """Whether v^2 = u^3 + a2 u^2 + a4 u + a6, on the integral twin.
+        """Whether v^2 = u^3 + a2 u^2 + a4 u + a6.
 
-        Let L = lcm(q2, q4, q6) for ai = pi/qi, monic.  Then Ai = L^i ai
-        are polynomials, and (u, v) lies on the model exactly when (U, V) =
-        (L^2 u, L^3 v) lies on the twin V^2 = U^3 + A2 U^2 + A4 U + A6.
-        Write U = n/d and V = m/e, reduced with monic denominators.  The
-        twin's equation is m^2 d^3 = e^2 N, where N = n^3 + A2 n^2 d
-        + A4 n d^2 + A6 d^3.  As gcd(m, e) = 1, e^2 divides d^3; as
+        Write u = n/d and v = m/e, reduced with monic denominators.  The
+        equation is m^2 d^3 = e^2 N, where N = n^3 + a2 n^2 d + a4 n d^2
+        + a6 d^3 is a polynomial.  As gcd(m, e) = 1, e^2 divides d^3; as
         gcd(N, d) = gcd(n^3, d) = 1, d^3 divides e^2.  Both are monic, so
         the equation holds exactly when e^2 = d^3 and m^2 = N.  The test
-        forms neither m^2 d^3 nor e^2 N, and takes no gcd when L = 1.
+        forms neither m^2 d^3 nor e^2 N, and takes no gcd.
         """
         u, v = _rf(u), _rf(v)
-        scale, a2, a4, a6 = self._twin
-        if scale is not None:
-            u, v = u * scale[0], v * scale[1]
         n, d, m, e = u.num, u.den, v.num, v.den
         d2 = d * d
         d3 = d2 * d
         if e * e != d3:
             return False
-        return m * m == ((n + a2 * d) * n + a4 * d2) * n + a6 * d3
+        return m * m == (((n + self.a2.num * d) * n + self.a4.num * d2) * n
+                         + self.a6.num * d3)
 
     def infinity(self) -> "CurvePoint":
         return CurvePoint(self, None, None)
@@ -322,6 +302,7 @@ def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
     valuations alpha, beta, delta of c4, c6 and Delta, read off the global
     model.  Rescaling a_i by the uniformizer^(-i) lowers them by 4, 6 and
     12, m times for the largest m all three allow: the model is minimal.
+    The coefficients are polynomials, so m is never negative.
     """
     if place != INFINITE_PLACE:
         place = Fraction(place)
@@ -345,12 +326,9 @@ def fiber_at(model: WeierstrassModel, place) -> LocalFiber:
 @lru_cache(maxsize=8)
 def tate_classify(model: WeierstrassModel) -> tuple:
     """All singular fibers of the model, finite rational places first
-    (sorted), then infinity.  Raises if the discriminant has a denominator
-    or an irrational factor (residue field extensions are not implemented)."""
-    dlt = model.discriminant()
-    if not dlt.is_polynomial():
-        raise NotImplementedError("discriminant with denominator")
-    poly = dlt.as_polynomial()
+    (sorted), then infinity.  Raises if the discriminant has an irrational
+    factor (residue field extensions are not implemented)."""
+    poly = model.discriminant().as_polynomial()
     roots = rational_roots(poly)
     if sum(poly.lead_at(r)[0] for r in roots) != poly.degree:
         raise NotImplementedError(
@@ -475,9 +453,11 @@ def param_to_point(par: Parametrization) -> CurvePoint:
 
 
 def _clear_denominators(comps):
-    """Scale rational-function components by a common polynomial to make
-    all of them polynomials."""
-    lcm = _common_denominator(comps)
+    """Scale rational-function components by the monic lcm of their
+    denominators, which makes all of them polynomials."""
+    lcm = Polynomial._lift(1)
+    for c in comps:
+        lcm = lcm * gcd_cofactors(lcm, c.den)[2]
     return [(c * RationalFunction(lcm)).as_polynomial() for c in comps]
 
 

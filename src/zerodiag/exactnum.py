@@ -318,6 +318,15 @@ class Polynomial:
             return Polynomial([x])
         return None
 
+    @staticmethod
+    def coerce(x) -> "Polynomial":
+        """x as a Polynomial, or TypeError.  _lift returns None instead,
+        so that arithmetic can return NotImplemented."""
+        out = Polynomial._lift(x)
+        if out is None:
+            raise TypeError("expected a polynomial, got %r" % (x,))
+        return out
+
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
@@ -396,6 +405,8 @@ class Polynomial:
     # -- calculus / transforms ----------------------------------------------
 
     def __call__(self, x):
+        if not isinstance(x, QuadElem):
+            x = rat(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -780,8 +791,8 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = Polynomial._lift(num)
-        den = Polynomial._lift(1) if den is None else Polynomial._lift(den)
+        num = Polynomial.coerce(num)
+        den = Polynomial._lift(1) if den is None else Polynomial.coerce(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if not num.is_zero:

@@ -61,12 +61,12 @@ def _two_torsion(model) -> tuple:
     when a6 = 0 and a2^2 - 4 a4 is a square: 0 and (-a2 +- sqrt)/2.  Each
     is checked by building the point (e, 0).  Raises NotImplementedError
     for any other model."""
-    disc = model.a2 * model.a2 - 4 * model.a4
-    root = poly_sqrt(disc.num * disc.den) if model.a6.is_zero else None
+    disc = (model.a2 * model.a2 - 4 * model.a4).num
+    root = poly_sqrt(disc) if model.a6.is_zero else None
     if root is None:
         raise NotImplementedError(
             "fiber components are read from rational 2-torsion only")
-    half = RationalFunction(root, 2 * disc.den)
+    half = RationalFunction(root, 2)
     roots = (RationalFunction(0), -model.a2 / 2 + half, -model.a2 / 2 - half)
     for e in roots:
         model.point(e, 0)

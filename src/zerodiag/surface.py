@@ -351,7 +351,7 @@ class Parametrization:
 
     def __init__(self, x, y, z, a, b, c):
         for name, val in zip(self.__slots__, (x, y, z, a, b, c)):
-            object.__setattr__(self, name, Polynomial._lift(val))
+            object.__setattr__(self, name, Polynomial.coerce(val))
 
     def __setattr__(self, *args):
         raise AttributeError("Parametrization is immutable")

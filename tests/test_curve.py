@@ -194,11 +194,26 @@ def b_invariant_discriminant(m):
 
 def test_stored_discriminant(model):
     assert family_model() is family_model()
-    lam = RationalFunction(T + 3)
     for m in (model, local_model(model, INFINITE_PLACE),
-              WeierstrassModel(model.a2 / lam ** 2, model.a4 / lam ** 4,
-                               model.a6 / lam ** 6)):
+              local_model(model, -2)):
         assert m.discriminant() == b_invariant_discriminant(m)
+    # the family rescaled by lam = t + 3 has denominators and is refused
+    lam = RationalFunction(T + 3)
+    with pytest.raises(ValueError, match="denominator"):
+        WeierstrassModel(model.a2 / lam ** 2, model.a4 / lam ** 4,
+                         model.a6 / lam ** 6)
+
+
+def test_coefficient_with_denominator_refused():
+    # v^2 = u^3 - u with 1/(t + 3) added to one coefficient at a time:
+    # nonsingular, but not polynomial
+    pole = RationalFunction(1, T + 3)
+    for i, name in enumerate(("a2", "a4", "a6")):
+        coeffs = [RationalFunction(0), RationalFunction(-1), RationalFunction(0)]
+        coeffs[i] = coeffs[i] + pole
+        with pytest.raises(ValueError, match="^%s = .* has a denominator; "
+                           "a model takes polynomial coefficients" % name):
+            WeierstrassModel(*coeffs)
 
 
 def test_twist_at_infinity():
@@ -402,13 +417,15 @@ def test_minimality_rescaling():
 
 
 def test_pole_at_the_place_is_rescaled_away():
-    # v^2 = u^3 + t^-6 is v^2 = u^3 + 1 after u -> t^-2 u: good at 0.
-    # Its discriminant has a denominator, which tate_classify refuses.
-    m = WeierstrassModel(0, 0, RationalFunction(1, Polynomial([0] * 6 + [1])))
+    # v^2 = u^3 + t^-6 has a pole at 0, and the model refuses it.  The
+    # caller rescales it away: u -> t^-2 u, v -> t^-3 v gives v^2 = u^3 + 1,
+    # good at 0 and everywhere else.
+    with pytest.raises(ValueError, match="a6 = .* has a denominator"):
+        WeierstrassModel(0, 0, RationalFunction(1, Polynomial([0] * 6 + [1])))
+    m = WeierstrassModel(0, 0, 1)
     f = fiber_at(m, 0)
     assert (f.symbol, f.delta) == ("I0", 0)
-    with pytest.raises(NotImplementedError, match="denominator"):
-        tate_classify(m)
+    assert tate_classify(m) == ()
 
 
 def test_good_reduction_everywhere():
@@ -444,22 +461,19 @@ def test_point_validation(model, points):
     for u, v in ((P.u, P.v * wobble), (twoP.u, twoP.v * wobble)):
         with pytest.raises(ValueError):
             CurvePoint(model, u, v)
-    # a model whose coefficients have denominators: rescale by lam = t + 3
-    lam = RationalFunction(T + 3)
-    scaled = WeierstrassModel(model.a2 / lam ** 2, model.a4 / lam ** 4,
-                              model.a6 / lam ** 6)
-    assert not scaled.a2.is_polynomial() and not scaled.a4.is_polynomial()
+    # points on the local model at t = -2, 2P's with denominators
+    shifted = local_model(model, -2)
+    tu, tv = shift_rf(twoP.u, F(-2)), shift_rf(twoP.v, F(-2))
+    assert not tu.is_polynomial() and not tv.is_polynomial()
     for pt in (P, twoP, points["Q"]):
-        on = CurvePoint(scaled, pt.u / lam ** 2, pt.v / lam ** 3)
-        assert on.u * lam ** 2 == pt.u
+        on = CurvePoint(shifted, shift_rf(pt.u, F(-2)), shift_rf(pt.v, F(-2)))
         with pytest.raises(ValueError):
-            CurvePoint(scaled, on.u, on.v * wobble)
+            CurvePoint(shifted, on.u, on.v * wobble)
         with pytest.raises(ValueError):
-            CurvePoint(scaled, on.u, on.v + 1)
-    # the cross-multiplied check agrees with v^2 == rhs(u) in the field
+            CurvePoint(shifted, on.u, on.v + 1)
+    # the check agrees with v^2 == rhs(u) in the field
     for m, u, v in ((model, P.u, P.v), (model, twoP.u, twoP.v * wobble),
-                    (scaled, P.u / lam ** 2, P.v / lam ** 3),
-                    (scaled, P.u / lam ** 2, P.v / lam ** 2)):
+                    (shifted, tu, tv), (shifted, tu, tv * wobble)):
         assert m.contains(u, v) == (v * v == _rhs(m, u))
 
 
@@ -574,7 +588,7 @@ def cross_multiplied_contains(self, u, v) -> bool:
     return v.num * v.num * (q * d2 * d) == big * (v.den * v.den)
 
 
-def twin_check_cases(points):
+def curve_check_cases(points):
     """The 56 sums m P + n Q + T with 0 < 3 m^2 + n^2 <= 7, n P and n Q for
     1 <= |n| <= 8, and the three finite 2-torsion points."""
     P, Q, T1, T2 = (points[k] for k in ("P", "Q", "T1", "T2"))
@@ -586,25 +600,20 @@ def twin_check_cases(points):
 
 
 def moved_points(model, points):
-    """(model, u, v) for the points on the model rescaled by lam = t + 3,
-    whose coefficients have denominators, and on the local models at
-    infinity and at t = -2."""
-    lam = RationalFunction(T + 3)
-    scaled = WeierstrassModel(model.a2 / lam ** 2, model.a4 / lam ** 4,
-                              model.a6 / lam ** 6)
+    """(model, u, v) for the points on the local models at infinity and at
+    t = -2."""
     at_inf, at_two = (local_model(model, p) for p in (INFINITE_PLACE, -2))
     k = twist_weight(model)
     out = []
     for pt in points:
-        out.append((scaled, pt.u / lam ** 2, pt.v / lam ** 3))
         out.append((at_inf, twist_at_infinity(pt.u, 2 * k),
                     twist_at_infinity(pt.v, 3 * k)))
         out.append((at_two, shift_rf(pt.u, F(-2)), shift_rf(pt.v, F(-2))))
     return out
 
 
-def test_twin_check_matches_the_cross_multiplied_oracle(model, points):
-    cases = twin_check_cases(points)
+def test_curve_check_matches_the_cross_multiplied_oracle(model, points):
+    cases = curve_check_cases(points)
     assert len(cases) == 56 + 32 + 3
     wobble = RationalFunction(T + 1, T + 2)
     for pt in cases:
@@ -616,8 +625,6 @@ def test_twin_check_matches_the_cross_multiplied_oracle(model, points):
     P, Q = points["P"], points["Q"]
     moved = moved_points(model, [P, Q, points["T1"], points["T2"], 2 * P,
                                  P + Q])
-    # the rescaled model's twin scales points by (L^2, L^3), L = (t + 3)^4
-    assert moved[0][0]._twin[0][0] == RationalFunction((T + 3) ** 8)
     for m, u, v in moved:
         assert m.contains(u, v) and m.contains(u, -v)
         for off in (v * wobble if v else wobble, v + 1):
@@ -627,11 +634,10 @@ def test_twin_check_matches_the_cross_multiplied_oracle(model, points):
         assert cross_multiplied_contains(m, u, v)
 
 
-def test_each_half_of_the_twin_check_is_live(model, points):
-    # On the family model L = 1, so the twin is the model itself.  With
-    # u = n/d and v = m/e reduced, the check is e^2 = d^3 and m^2 = N.
+def test_each_half_of_the_curve_check_is_live(model, points):
+    # With u = n/d and v = m/e reduced, the check is e^2 = d^3 and m^2 = N.
     # Each forged point keeps one half and breaks the other.
-    assert model._twin[0] is None and model.a6.is_zero
+    assert model.a6.is_zero
     pt = 2 * points["P"] + points["Q"]
     u, v = pt.u, pt.v
     assert not u.is_polynomial() and not v.is_zero

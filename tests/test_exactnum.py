@@ -20,6 +20,7 @@ from zerodiag.exactnum import (
     rat_sqrt,
     rational_roots,
 )
+from zerodiag.surface import Parametrization, low_degree_parametrization
 
 T = Polynomial.gen()
 
@@ -29,6 +30,20 @@ def test_floats_rejected():
         Polynomial([0.5])
     with pytest.raises(TypeError):
         QuadElem(1.5)
+    for num, den in ((1.5, None), (1, 0.5)):
+        with pytest.raises(TypeError):
+            RationalFunction(num, den)
+    with pytest.raises(TypeError):
+        Parametrization(1.5, 0, 0, 0, 0, 0)
+    # evaluation takes exact arguments only, a QuadElem among them
+    with pytest.raises(TypeError):
+        Polynomial([1, 2])(0.5)
+    with pytest.raises(TypeError):
+        RationalFunction(1 + 2 * T, T)(0.5)
+    with pytest.raises(TypeError):
+        low_degree_parametrization().evaluate(0.5)
+    assert Polynomial([1, 2])(F(1, 2)) == 2
+    assert Polynomial([1, 2])(SQRT3) == QuadElem(1, 2)
 
 
 def test_quadelem_field_axioms():
