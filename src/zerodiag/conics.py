@@ -122,10 +122,8 @@ class Conic:
     def _plane(self, equations):
         """Set the canonical equations, and the basis, of the plane that
         forms in integer form cut out inside x+y+z = 0."""
-        rows, pivots = rref(list(equations) + [_SUM_XYZ])
-        if len(rows) != 3:
-            raise ValueError("plane of a conic must have codimension 3")
-        object.__setattr__(self, "equations", tuple(rows))
+        rows, pivots = _canonical_plane(equations)
+        object.__setattr__(self, "equations", rows)
         object.__setattr__(self, "basis", _nullspace(rows, pivots))
 
     def __setattr__(self, *a):
@@ -146,6 +144,22 @@ class Conic:
 
     def __repr__(self):
         return "Conic(%s)" % (self.equations,)
+
+
+def plane_equations(forms):
+    """The canonical equations of the plane that forms over Q or Q(sqrt 3)
+    cut out inside x+y+z = 0: the Conic.equations, and so the identity,
+    of the conic in that plane, found without verifying a conic."""
+    return _canonical_plane([_integer_form(form) for form in forms])[0]
+
+
+def _canonical_plane(equations):
+    """(rows, pivots) of the plane that equations in integer form cut out
+    inside x+y+z = 0, its canonical rows as a tuple."""
+    rows, pivots = rref(list(equations) + [_SUM_XYZ])
+    if len(rows) != 3:
+        raise ValueError("plane of a conic must have codimension 3")
+    return tuple(rows), pivots
 
 
 # -- Z[sqrt 3] in integer form ----------------------------------------------------

@@ -747,7 +747,8 @@ def _divisors(n: int):
 
 
 def rational_roots(f: Polynomial):
-    """All rational roots of f, by the rational root theorem.
+    """All rational roots of f, by the rational root theorem: a candidate
+    p/q in lowest terms is a root iff q^deg f(p/q), an integer, is zero.
 
     Coefficients must be rational.  Returns a set of Fractions.
     """
@@ -768,20 +769,23 @@ def rational_roots(f: Polynomial):
     g = _int_gcd(*ints)
     ints = [v // g for v in ints]
     a0, an = ints[0], ints[-1]
+    top = ints[::-1]
 
-    def val(r):
-        acc = 0
-        for c in reversed(ints):
-            acc = acc * r + c
-        return acc
+    def vanishes(p, q):
+        # q^deg f(p/q) = sum c_i p^i q^(deg - i), by Horner in integers
+        acc, qk = 0, 1
+        for c in top:
+            acc = acc * p + c * qk
+            qk *= q
+        return not acc
 
     for p in _divisors(a0):
         for q in _divisors(an):
             if _int_gcd(p, q) != 1:
                 continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and val(cand) == 0:
-                    roots.add(cand)
+            for num in (p, -p):
+                if vanishes(num, q):
+                    roots.add(Fraction(num, q))
     return roots
 
 

@@ -1,16 +1,19 @@
 """Exact integer lattice utilities.
 
 Gram matrices are lists of lists of ints (or Fractions where noted).
-Provided here: determinants and inverses, both from one fraction-free
-(Bareiss) Gauss-Jordan elimination, _bareiss, which keeps an inverse in
-integer form (det, adjugate); the invariant factors of the Smith normal
-form; discriminant groups of even lattices, with their torsion quadratic
-form read off that adjugate; enumeration of reduced positive definite even
-binary forms of given determinant; and the facts read off one
-fraction-free symmetric elimination, _ldl: signatures, positive
-definiteness, and short vector enumeration by integer Fincke-Pohst, whose
-exact integer budget recognises a vector of norm exactly the bound without
-recomputing its norm.
+Integer input is taken as it is and Fraction input is scaled to
+integers first; a float, or any other inexact entry, bound or center,
+raises TypeError.  Provided here: determinants and inverses, both from
+one fraction-free (Bareiss) Gauss-Jordan elimination, _bareiss, which
+keeps an inverse in integer form (det, adjugate); the invariant factors
+of the Smith normal form; discriminant groups of even lattices, with
+their torsion quadratic form read off that adjugate; enumeration of
+reduced positive definite even binary forms of given determinant; and
+the facts read off one fraction-free symmetric elimination, _ldl:
+signatures, positive definiteness, and short vector enumeration by
+integer Fincke-Pohst, whose exact integer budget recognises a vector of
+norm exactly the bound without recomputing its norm, and whose walk
+keeps its centre sums current.
 """
 
 from __future__ import annotations
@@ -22,15 +25,17 @@ from operator import mul
 
 
 def det(mat) -> Fraction:
-    """Exact determinant: each row is scaled to integers by the lcm of its
-    denominators, _bareiss runs on the result, and the scales are divided
-    out again."""
+    """Exact determinant, by _bareiss.  An integer matrix goes in as it
+    is; otherwise each row is scaled to integers by the lcm of its
+    denominators, and the scales are divided out again."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
+    if all(type(x) is int for row in mat for x in row):
+        return Fraction(_bareiss(mat)[0])
     rows, scale = [], 1
     for row in mat:
-        row = [Fraction(x) for x in row]
+        row = [_rational(x) for x in row]
         m = lcm(*(x.denominator for x in row))
         rows.append([int(x * m) for x in row])
         scale *= m
@@ -99,7 +104,7 @@ def smith_normal_form(mat):
     (Kannan and Bachem 1979).  Last, (d_i, d_j) -> (gcd, lcm), which
     keeps the group Z^r / diag(d), makes the diagonal a divisor chain.
     """
-    a = [list(row) for row in mat]
+    a = [[_as_int(x) for x in row] for row in mat]
     d = []
     while True:
         nonzero = [(abs(x), i, j) for i, row in enumerate(a)
@@ -136,6 +141,7 @@ class DiscriminantGroup:
     __slots__ = ("orders", "_den", "_adj")
 
     def __init__(self, gram):
+        gram = [[_as_int(x) for x in row] for row in gram]
         n = len(gram)
         if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
             raise ValueError("gram matrix must be symmetric")
@@ -180,8 +186,19 @@ class DiscriminantGroup:
         return sorted(out)
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction; an entry that is not an int or a Fraction, a
+    float say, raises TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("lattice entries are exact; pass int or Fraction, "
+                        "not %r" % (x,))
+    return Fraction(x)
+
+
 def _as_int(x) -> int:
-    f = Fraction(x)
+    if type(x) is int:
+        return x
+    f = _rational(x)
     if f.denominator != 1:
         raise ValueError("entry %s is not an integer" % (f,))
     return f.numerator
@@ -236,17 +253,22 @@ def _ldl(gram):
 def signature(gram):
     """(n_plus, n_minus, n_zero) of a symmetric rational matrix, exactly.
 
-    The matrix is scaled to integers by the lcm of its denominators, which
-    keeps the signature, and run through _ldl.  By Sylvester's law of
-    inertia the signs of the pivots d_k / d_{k-1} of the congruent form are
-    the signature, and the rank is the number of pivots.
+    An integer matrix goes to _ldl as it is; otherwise it is scaled to
+    integers by the lcm of its denominators, which keeps the signature.
+    By Sylvester's law of inertia the signs of the pivots d_k / d_{k-1}
+    of the congruent form are the signature, and the rank is the number
+    of pivots.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    if all(type(x) is int for row in gram for x in row):
+        a = gram
+    else:
+        a = [[_rational(x) for x in row] for row in gram]
+        m = lcm(*(x.denominator for row in a for x in row))
+        a = [[x * m for x in row] for row in a]
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("gram matrix must be symmetric")
-    m = lcm(*(x.denominator for row in a for x in row))
-    _, rows = _ldl([[x * m for x in row] for row in a])
+    _, rows = _ldl(a)
     minors = [1] + [row[0] for row in rows]
     pos = sum(1 for k in range(len(rows)) if minors[k] * minors[k + 1] > 0)
     return pos, len(rows) - pos, n - len(rows)
@@ -268,6 +290,7 @@ def reduced_binary_even_forms(d: int):
     Even means a and c even.  Returns a sorted list of ((a, b), (b, c)).
     The scan is linear in d; raises ValueError unless 0 < d <= FORMS_MAX_DET.
     """
+    d = _as_int(d)
     if not 0 < d <= FORMS_MAX_DET:
         raise ValueError("determinant must be between 1 and %d, got %d"
                          % (FORMS_MAX_DET, d))
@@ -290,7 +313,7 @@ def kummer_condition(form) -> bool:
 
     For gram [[a, b], [b, c]] this says a = c = 0 mod 4 and b even.
     """
-    (a, b), (_, c) = form
+    (a, b), (_, c) = [[_as_int(x) for x in row] for row in form]
     return a % 4 == 0 and c % 4 == 0 and b % 2 == 0
 
 
@@ -311,19 +334,24 @@ def short_vectors(gram, bound, center=None, *, _exact=False):
     denominator, so that
     M Q(x + center) = sum_i k_i t_i^2 with t_i = den U_i . x + U_i . C and
     integer weights k_i.  Level i takes x_i from
-    |t_i| <= isqrt(rem // k_i), where t_i = den d_i x_i + s and s collects
-    the coordinates already fixed.  The remaining budget is exact, so a
-    leaf with rem == 0 has norm exactly bound.
+    |t_i| <= isqrt(rem // k_i), where t_i = den d_i x_i + s_i and s_i
+    collects the coordinates already fixed.  Each s_i is kept current
+    rather than recomputed: when x_j moves by one, every s_l with a
+    nonzero U_l[j] moves by den U_l[j] (Schnorr and Euchner 1994).  The
+    remaining budget is exact, so a leaf with rem == 0 has norm exactly
+    bound.
     """
     n = len(gram)
-    bound = Fraction(bound)
+    bound = _rational(bound)
     if bound < 0:
         return []
     _, rows = _ldl(gram)
     if len(rows) < n or any(row[0] <= 0 for row in rows):
         raise ValueError("form is not positive definite")
     symmetric = center is None
-    c = [Fraction(0)] * n if symmetric else [Fraction(x) for x in center]
+    if n == 0:
+        return [] if symmetric or (_exact and bound) else [()]
+    c = [Fraction(0)] * n if symmetric else [_rational(x) for x in center]
     den = lcm(*(x.denominator for x in c))
     big_c = [int(x * den) for x in c]
     minors = [1] + [row[0] for row in rows]
@@ -331,29 +359,43 @@ def short_vectors(gram, bound, center=None, *, _exact=False):
     m = lcm(bound.denominator, *scales)
     weight = [m // s for s in scales]
     step = [den * minors[i + 1] for i in range(n)]
-    shift = [vec_dot(rows[i], big_c[i:]) for i in range(n)]
-    tail = [[den * u for u in rows[i][1:]] for i in range(n)]
+    # s_i with every coordinate at 0, and the moves of s when x_j does
+    sums = [vec_dot(rows[i], big_c[i:]) for i in range(n)]
+    moves = [[(l, den * rows[l][j - l]) for l in range(j) if rows[l][j - l]]
+             for j in range(n)]
     out = []
     x = [0] * n
 
     def walk(i, rem):
-        if i < 0:
-            if _exact and rem:
-                return
-            vec = tuple(x)
-            if symmetric:
-                lead = next((v for v in vec if v), None)
-                if lead is None or lead < 0:
-                    return
-            out.append(vec)
-            return
-        s = shift[i] + sum(map(mul, tail[i], x[i + 1:]))
-        k, d = weight[i], step[i]
+        s, k, d = sums[i], weight[i], step[i]
         r = isqrt(rem // k)
-        for xi in range(-((r + s) // d), (r - s) // d + 1):
+        lo, hi = -((r + s) // d), (r - s) // d
+        if lo > hi:
+            return
+        if i == 0:
+            if _exact and rem != k * r * r:
+                return  # no t_0 with k t_0^2 == rem
+            tail = x[1:]
+            # the representative of +-x has its first nonzero entry
+            # positive: x_0 > 0, or x_0 = 0 after a tail that leads with one
+            if symmetric:
+                lo = max(lo, 0 if next((v for v in tail if v), 0) > 0 else 1)
+            for x0 in range(lo, hi + 1):
+                t = d * x0 + s
+                if not _exact or rem == t * t * k:
+                    out.append((x0, *tail))
+            return
+        mv = moves[i]
+        for l, u in mv:
+            sums[l] += lo * u
+        for xi in range(lo, hi + 1):
             x[i] = xi
             t = d * xi + s
             walk(i - 1, rem - t * t * k)
+            for l, u in mv:
+                sums[l] += u
+        for l, u in mv:
+            sums[l] -= (hi + 1) * u
         x[i] = 0
 
     walk(n - 1, bound.numerator * (m // bound.denominator))

@@ -107,9 +107,32 @@ _BASIS_POINTS_RAW = {
 }
 
 
+# the seed of each orbit of conics, by the number of its nodes
+_SEEDS = {0: 17, 2: 16, 4: 10}
+
+
+@lru_cache(maxsize=1)
+def _seed_conics():
+    """The three orbit seeds, each verified from its forms."""
+    return {i: conics.Conic(_BASIS_CONIC_FORMS[i]) for i in _SEEDS.values()}
+
+
 @lru_cache(maxsize=1)
 def basis_conics():
-    return {i: conics.Conic(forms) for i, forms in _BASIS_CONIC_FORMS.items()}
+    """The twelve basis conics.  The seeds are verified from their forms;
+    each other one is the catalogued conic in the plane its forms cut
+    out, verified along its orbit, since equal canonical planes are equal
+    conics, nodes included."""
+    seeds = _seed_conics()
+    by_plane = {c.equations: c
+                for orb in strict_transform_conics().values() for c in orb}
+    out = {}
+    for i, forms in _BASIS_CONIC_FORMS.items():
+        out[i] = seeds[i] if i in seeds else by_plane.get(
+            conics.plane_equations(forms))
+        if out[i] is None:
+            raise ValueError("basis conic %d is not a catalogued conic" % i)
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -193,6 +216,18 @@ def pairing(u, v) -> int:
     return sum(g * u[i] * v[j] for i, j, g in _gram_entries())
 
 
+def _gram_of(vs, pair=None):
+    """The matrix [[pair(u, v) for v in vs] for u in vs] of a symmetric
+    pair, pairing unless given, each entry computed once and mirrored."""
+    pair = pair or pairing
+    n = len(vs)
+    gram = [[0] * n for _ in range(n)]
+    for i, u in enumerate(vs):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = pair(u, vs[j])
+    return gram
+
+
 def degree(c) -> int:
     """Degree of a class against the hyperplane section."""
     w = _degree_pairings()
@@ -230,7 +265,12 @@ def _unit(i):
 
 @lru_cache(maxsize=128)
 def class_of_conic(conic) -> tuple:
-    """Class of the strict transform of a plane conic on the surface."""
+    """Class of the strict transform of a plane conic on the surface: a
+    basis conic's is its unit vector, any other solves G c = its
+    pairings."""
+    for i, c in basis_conics().items():
+        if c == conic:
+            return _unit(i - 1)
     return _solve_class(_conic_pairings(conic))
 
 
@@ -259,9 +299,9 @@ def _solve_class(vec):
 def strict_transform_conics():
     """All 63 plane conics on the surface, as three symmetry orbits keyed
     by the number of double points on each conic."""
-    cs = basis_conics()
-    orbits = {nodes: conics.conic_orbit(cs[i])
-              for nodes, i in ((0, 17), (2, 16), (4, 10))}
+    seeds = _seed_conics()
+    orbits = {nodes: conics.conic_orbit(seeds[i])
+              for nodes, i in _SEEDS.items()}
     for nodes, orb in orbits.items():
         for c in orb:
             if len(c.nodes) != nodes:
@@ -321,7 +361,7 @@ def _kernel_form():
     """The negative of the Gram matrix on the degree kernel; positive
     definite by the index theorem."""
     cols = _degree_kernel_basis()
-    A = tuple(tuple(-pairing(u, v) for v in cols) for u in cols)
+    A = tuple(tuple(-x for x in row) for row in _gram_of(cols))
     if not is_positive_definite(A):
         raise RuntimeError("degree kernel is not negative definite")
     return A
@@ -506,7 +546,7 @@ def _dual_graph_matches(fib, comps) -> bool:
     classes = [cls for _, _, cls in comps]
     mult = [m for _, m, _ in comps]
     n = len(classes)
-    pair = [[pairing(u, v) for v in classes] for u in classes]
+    pair = _gram_of(classes)
     return (all(pair[i][i] == -2 for i in range(n))
             and all(x >= 0 for i, row in enumerate(pair)
                     for j, x in enumerate(row) if i != j)
@@ -538,7 +578,7 @@ def decomposition_certificate() -> Certificate:
     for name, vs in groups:
         at[name] = range(len(stack), len(stack) + len(vs))
         stack += vs
-    sub = [[pairing(u, v) for v in stack] for u in stack]
+    sub = _gram_of(stack)
     block = {name: [[sub[i][j] for j in r] for i in r]
              for name, r in at.items()}
 
@@ -661,8 +701,8 @@ def degree_identity_certificate() -> Certificate:
     dens = [minors[k] * minors[k + 1] for k in range(len(rows))]
     m = lcm(*dens)
     squares = [(m // den, [0] * k + rows[k]) for k, den in enumerate(dens)]
-    rhs = [[sum(wt * f[a] * f[b] for wt, f in squares if f[a] and f[b])
-            for b in range(n)] for a in range(n)]
+    rhs = _gram_of(range(n), lambda a, b: sum(
+        wt * f[a] * f[b] for wt, f in squares if f[a] and f[b]))
     agree = [[m * x for x in row] for row in lhs] == rhs
     positive = all(den > 0 for den in dens)
     facts = [("identity.forms", len(squares)),

@@ -920,6 +920,46 @@ def test_rational_roots_against_divisor_oracle():
         assert found == set(roots)
 
 
+def horner_rational_roots(f):
+    # the former rational_roots, kept as the oracle: each candidate p/q a
+    # Fraction, f evaluated there by Horner's rule in Fractions
+    ints = list(f.x)
+    roots = set()
+    while not ints[0]:
+        roots.add(F(0))
+        ints = ints[1:]
+    for p in exactnum._divisors(ints[0]):
+        for q in exactnum._divisors(ints[-1]):
+            if gcd(p, q) != 1:
+                continue
+            for cand in (F(p, q), F(-p, q)):
+                acc = 0
+                for c in reversed(ints):
+                    acc = acc * cand + c
+                if acc == 0:
+                    roots.add(cand)
+    return roots
+
+
+def test_rational_roots_match_the_fraction_horner_oracle():
+    rng = random.Random(41)
+    planted_seen = 0
+    for _ in range(60):
+        roots = {F(rng.randint(-6, 6), rng.randint(1, 4))
+                 for _ in range(rng.randint(0, 4))}
+        f = Polynomial([F(rng.randint(1, 7), rng.randint(1, 3))])
+        for r in roots:
+            f = f * Polynomial([-r, 1])
+        # an integer cofactor with roots of its own or none
+        f = f * Polynomial([rng.randint(-5, 5) or 1 for _ in range(
+            rng.randint(1, 4))])
+        got = rational_roots(f)
+        assert got == horner_rational_roots(f), f
+        assert roots <= got
+        planted_seen += len(roots)
+    assert planted_seen > 60
+
+
 def test_rational_roots_handles_zero_root_and_scaling():
     f = 6 * T ** 2 * (3 * T - 2) * (T + F(1, 2))
     assert rational_roots(f) == {F(0), F(2, 3), F(-1, 2)}

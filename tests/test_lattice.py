@@ -2,7 +2,8 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 import pytest
 
@@ -10,6 +11,7 @@ from field_oracle import rref
 from zerodiag import nscat
 from zerodiag.lattice import (
     DiscriminantGroup,
+    _bareiss,
     _ldl,
     det,
     is_positive_definite,
@@ -68,6 +70,77 @@ def test_det_against_cofactor_oracle():
             assert det(q) == cofactor_det(q)
     singular = [[F(1, 2), F(1, 3)], [F(3, 2), 1]]
     assert det(singular) == 0
+
+
+def scaled_det(mat):
+    # the former det, kept as the oracle: every row scaled to integers by
+    # the lcm of its Fraction denominators, and the scales divided out
+    rows, scale = [], 1
+    for row in mat:
+        row = [F(x) for x in row]
+        m = lcm(*(x.denominator for x in row))
+        rows.append([int(x * m) for x in row])
+        scale *= m
+    return F(_bareiss(rows)[0], scale)
+
+
+def scaled_signature(gram):
+    # the former signature, kept as the oracle: every entry a Fraction,
+    # scaled to integers by the lcm of the denominators
+    a = [[F(x) for x in row] for row in gram]
+    m = lcm(*(x.denominator for row in a for x in row))
+    _, rows = _ldl([[x * m for x in row] for row in a])
+    minors = [1] + [row[0] for row in rows]
+    pos = sum(1 for k in range(len(rows)) if minors[k] * minors[k + 1] > 0)
+    return pos, len(rows) - pos, len(gram) - len(rows)
+
+
+def test_integer_input_matches_the_scaling_oracle():
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for _ in range(8):
+            m = random_int_matrix(rng, n)
+            got = det(m)
+            assert type(got) is F and got == scaled_det(m)
+            sym = _random_symmetric(rng, n, zero_diagonal=rng.random() < 0.3)
+            assert signature(sym) == scaled_signature(sym)
+            q = [[F(x, 3) for x in row] for row in sym]
+            assert signature(q) == scaled_signature(q)
+            assert det(q) == scaled_det(q)
+    G = [list(r) for r in nscat.ns_lattice()]
+    assert det(G) == scaled_det(G) == -48
+    assert signature(G) == scaled_signature(G) == (1, 19, 0)
+
+
+def test_floats_rejected():
+    with pytest.raises(TypeError):
+        det([[0.1, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        signature([[0.1, 0], [0, -1]])
+    with pytest.raises(TypeError):
+        is_positive_definite([[2.0, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        mat_inverse([[2.0, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        smith_normal_form([[2.0, 0], [0, 4]])
+    with pytest.raises(TypeError):
+        DiscriminantGroup([[2.0, 1], [1, 2]])
+    with pytest.raises(TypeError):
+        reduced_binary_even_forms(48.0)
+    with pytest.raises(TypeError):
+        kummer_condition(((8.0, 4), (4, 8)))
+    for fn in (short_vectors, vectors_with_norm):
+        with pytest.raises(TypeError):
+            fn([[2.0, 0], [0, 2]], 2)
+        with pytest.raises(TypeError):
+            fn([[2, 0], [0, 2]], 2.5)
+        with pytest.raises(TypeError):
+            fn([[2, 0], [0, 2]], F(5, 2), center=[0.5, 0])
+    # the exact forms of the same input are taken
+    assert det([[F(1, 10), 0], [0, 1]]) == F(1, 10)
+    assert smith_normal_form([[F(2), 0], [0, 4]]) == [2, 4]
+    assert short_vectors([[2, 0], [0, 2]], F(5, 2), center=[F(1, 2), 0]) \
+        == [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1)]
 
 
 def test_det_fraction_entries():
@@ -744,6 +817,88 @@ def fraction_vectors_with_norm(gram, target, center=None):
         if gram_pairing(gram, y, y) == target:
             out.append(v)
     return out
+
+
+def recursive_short_vectors(gram, bound, center=None, exact=False):
+    """The former integer walk, kept as the oracle of short_vectors: one
+    call per node, each taking the fresh dot product of its row of _ldl
+    with the coordinates already fixed, and one call per leaf."""
+    n = len(gram)
+    bound = F(bound)
+    if bound < 0:
+        return []
+    _, rows = _ldl(gram)
+    symmetric = center is None
+    c = [F(0)] * n if symmetric else [F(x) for x in center]
+    den = lcm(*(x.denominator for x in c))
+    big_c = [int(x * den) for x in c]
+    minors = [1] + [row[0] for row in rows]
+    scales = [den * den * minors[i] * minors[i + 1] for i in range(n)]
+    m = lcm(bound.denominator, *scales)
+    weight = [m // s for s in scales]
+    step = [den * minors[i + 1] for i in range(n)]
+    shift = [sum(map(mul, rows[i], big_c[i:])) for i in range(n)]
+    tail = [[den * u for u in rows[i][1:]] for i in range(n)]
+    out = []
+    x = [0] * n
+
+    def walk(i, rem):
+        if i < 0:
+            if exact and rem:
+                return
+            vec = tuple(x)
+            if symmetric:
+                lead = next((v for v in vec if v), None)
+                if lead is None or lead < 0:
+                    return
+            out.append(vec)
+            return
+        s = shift[i] + sum(map(mul, tail[i], x[i + 1:]))
+        k, d = weight[i], step[i]
+        r = isqrt(rem // k)
+        for xi in range(-((r + s) // d), (r - s) // d + 1):
+            x[i] = xi
+            t = d * xi + s
+            walk(i - 1, rem - t * t * k)
+        x[i] = 0
+
+    walk(n - 1, bound.numerator * (m // bound.denominator))
+    return sorted(out)
+
+
+def _assert_matches_recursive_walk(gram, bound, center=None):
+    got = short_vectors(gram, bound, center=center)
+    assert got == recursive_short_vectors(gram, bound, center)
+    exact = vectors_with_norm(gram, bound, center=center)
+    assert exact == recursive_short_vectors(gram, bound, center, exact=True)
+    return got, exact
+
+
+def test_incremental_walk_matches_the_recursive_walk():
+    rng = random.Random(20261018)
+    for n in range(1, 7):
+        for _ in range(6):
+            gram = _random_definite(rng, n)
+            for with_center in (False, True):
+                center = None
+                if with_center:
+                    center = [F(rng.randint(-7, 7), rng.randint(1, 6))
+                              for _ in range(n)]
+                bound = F(rng.randint(0, 30), rng.randint(1, 3))
+                _assert_matches_recursive_walk(gram, bound, center)
+    G = nscat.ns_lattice()
+    for idx in nscat._E8_BLOCKS:
+        block = [[-G[i][j] for j in idx] for i in idx]
+        got, roots = _assert_matches_recursive_walk(block, 2)
+        assert len(got) == len(roots) == 120
+        _assert_matches_recursive_walk(block, 3, center=[F(1, 2)] * 8)
+    form = [list(r) for r in nscat._kernel_form()]
+    for (d, g), count in (((2, 0), 441), ((4, 1), 441), ((4, 0), 50616)):
+        center, radius = nscat._kernel_equation(d, g)
+        got = vectors_with_norm(form, radius, center=center)
+        assert got == recursive_short_vectors(form, radius, center,
+                                              exact=True)
+        assert len(got) == count
 
 
 def _random_definite(rng, n):

@@ -120,6 +120,84 @@ def test_basis_classes_are_unit_vectors():
         assert nscat.exceptional_class(point) == unit(i)
 
 
+def test_basis_conic_classes_match_the_solved_oracle():
+    # the former class_of_conic solved G c = (the conic's pairings); for
+    # a basis conic that is row i of G, so the solution is e_i
+    for i, conic in nscat.basis_conics().items():
+        assert nscat._solve_class(nscat._conic_pairings(conic)) == unit(i)
+        assert list(nscat._conic_pairings(conic)) == list(GRAM[i - 1])
+
+
+def test_catalogued_basis_conics_match_the_conics_built_from_forms():
+    # only the seeds are verified from their forms; each other basis
+    # conic is the catalogued conic in its plane, and the full check of
+    # its forms gives the same conic, nodes and basis included
+    cs = nscat.basis_conics()
+    seeds = set(nscat._SEEDS.values())
+    assert seeds == {17, 16, 10}
+    catalogue = {c for orb in nscat.strict_transform_conics().values()
+                 for c in orb}
+    others = [i for i in nscat._BASIS_CONIC_FORMS if i not in seeds]
+    assert len(others) == 9
+    for i in others:
+        built = conics.Conic(nscat._BASIS_CONIC_FORMS[i])
+        assert cs[i] in catalogue and cs[i] == built, i
+        assert cs[i].nodes == built.nodes, i
+        assert cs[i].basis == built.basis, i
+        assert conics.plane_equations(nscat._BASIS_CONIC_FORMS[i]) \
+            == built.equations
+    for i in seeds:
+        assert cs[i] is nscat._seed_conics()[i]
+
+
+def test_basis_conic_outside_the_catalogue_raises(monkeypatch):
+    # the plane x = y = 0 meets the surface in no conic
+    forms = dict(nscat._BASIS_CONIC_FORMS)
+    forms[5] = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
+    monkeypatch.setattr(nscat, "_BASIS_CONIC_FORMS", forms)
+    nscat.basis_conics.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="basis conic 5"):
+            nscat.basis_conics()
+    finally:
+        nscat.basis_conics.cache_clear()
+
+
+def double_comprehension(vs, pair):
+    return [[pair(u, v) for v in vs] for u in vs]
+
+
+def test_gram_of_matches_the_double_comprehension_at_each_site():
+    # _kernel_form
+    cols = nscat._degree_kernel_basis()
+    assert nscat._gram_of(cols) == double_comprehension(cols, nscat.pairing)
+    assert [list(r) for r in nscat._kernel_form()] == [
+        [-x for x in row] for row in double_comprehension(
+            cols, nscat.pairing)]
+    # decomposition_certificate's stacked blocks
+    stack = ([unit(i + 1) for block in nscat._E8_BLOCKS for i in block]
+             + [nscat._GLUE_NEG2, nscat._GLUE_NEG24]
+             + list(nscat._HYPERBOLIC_PAIR))
+    assert len(stack) == 20
+    assert nscat._gram_of(stack) == double_comprehension(stack, nscat.pairing)
+    # _dual_graph_matches on each fiber
+    for comps in nscat.reconstruct_fiber_classes().values():
+        classes = [cls for _, _, cls in comps]
+        assert nscat._gram_of(classes) == double_comprehension(
+            classes, nscat.pairing)
+    # degree_identity_certificate's sum of weighted squares
+    lhs = nscat._identity_form()
+    _, rows = nscat._ldl(lhs)
+    squares = [(k + 1, [0] * k + row) for k, row in enumerate(rows)]
+
+    def pair(a, b):
+        return sum(wt * f[a] * f[b] for wt, f in squares if f[a] and f[b])
+
+    n = len(lhs)
+    assert nscat._gram_of(range(n), pair) == double_comprehension(
+        range(n), pair)
+
+
 def test_conic_engine_values():
     cs = nscat.basis_conics()
     assert conics.conic_intersection(cs[14], cs[16]) == 0
@@ -457,28 +535,43 @@ def test_verify_all_row_reduces_once_per_conic():
     # in a fresh interpreter, so that no cache holds a conic already
     script = "\n".join([
         "import contextlib, io",
-        "from zerodiag import cli, conics",
+        "from zerodiag import cli, conics, nscat",
         "real, calls = conics.rref, []",
         "def counted(rows):",
         "    calls.append(len(rows[0][0]))",
         "    return real(rows)",
         "conics.rref = counted",
+        "meets, pairs = [], []",
+        "real_meet, real_pairing = conics.conic_intersection, nscat.pairing",
+        "def meet(c, d):",
+        "    meets.append(1)",
+        "    return real_meet(c, d)",
+        "def pairing(u, v):",
+        "    pairs.append(1)",
+        "    return real_pairing(u, v)",
+        "conics.conic_intersection, nscat.pairing = meet, pairing",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = cli.main(['verify-all'])",
-        "print(code, calls.count(6), calls.count(4), len(calls))"])
+        "print(code, calls.count(6), calls.count(4), len(calls), len(meets),",
+        "      len(pairs))"])
     src = os.path.dirname(os.path.dirname(zerodiag.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path),
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, planes, cubics, calls = map(int, proc.stdout.split())
+    code, planes, cubics, calls, meets, pairs = map(int, proc.stdout.split())
     assert code == 0
-    # 76 conics, each reducing its 6-column plane equations; only the 13
-    # built from forms (the basis conics and the base conic) reduce the
-    # 4-column system of the on-surface test, the orbit images carry it
-    # over from their seed; the Jacobian ranks come from Smith forms
-    assert (planes, cubics, calls) == (76, 13, 76 + 13)
+    # 76 conic planes reduced on their 6 columns: the 63 orbit images,
+    # the 3 seeds and the base conic, built from forms, and the planes of
+    # the 9 other basis conics, looked up in the catalogue.  Only the 4
+    # conics built from forms reduce the 4-column system of the
+    # on-surface test; the orbit images carry it over from their seed,
+    # and the Jacobian ranks come from Smith forms
+    assert (planes, cubics, calls) == (76, 4, 76 + 4)
+    # the work of the NS side: no basis conic solves for its class, and
+    # each symmetric Gram matrix pairs each pair of classes once
+    assert (meets, pairs) == (832, 921)
 
 
 def test_bad_planes_rejected():
