@@ -28,9 +28,7 @@ def det(mat) -> Fraction:
     """Exact determinant, by _bareiss.  An integer matrix goes in as it
     is; otherwise each row is scaled to integers by the lcm of its
     denominators, and the scales are divided out again."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("determinant of a non-square matrix")
+    n = _require_square(mat, "determinant")
     if all(type(x) is int for row in mat for x in row):
         return Fraction(_bareiss(mat)[0])
     rows, scale = [], 1
@@ -46,15 +44,22 @@ def mat_inverse(mat):
     """Exact inverse in integer form: (d, adj) with mat^-1 = adj / d, d the
     determinant and adj the adjugate.  Raises ValueError on a non-square
     matrix or a non-integral entry, ZeroDivisionError on a singular one."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("inverse of a non-square matrix")
+    n = _require_square(mat, "inverse")
     d, adj = _bareiss([[_as_int(x) for x in row]
                        + [int(i == j) for j in range(n)]
                        for i, row in enumerate(mat)])
     if d == 0:
         raise ZeroDivisionError("singular matrix")
     return d, adj
+
+
+def _require_square(mat, what) -> int:
+    """The size n of an n x n matrix; ValueError names what was asked of
+    a matrix that is not square."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("%s of a non-square matrix" % what)
+    return n
 
 
 def _bareiss(aug):
@@ -136,13 +141,15 @@ def smith_normal_form(mat):
 class DiscriminantGroup:
     """L*/L of an even nondegenerate lattice L, with its Q/2Z quadratic
     form q (Nikulin 1979): the orders of its cyclic factors, read off the
-    Smith form, and q on every element through all_q_values."""
+    Smith form, q on every element through all_q_values, and the inverse
+    (d, adj) of the Gram matrix as mat_inverse gives it, from which q is
+    read."""
 
-    __slots__ = ("orders", "_den", "_adj")
+    __slots__ = ("orders", "inverse")
 
     def __init__(self, gram):
+        n = _require_square(gram, "discriminant group")
         gram = [[_as_int(x) for x in row] for row in gram]
-        n = len(gram)
         if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
             raise ValueError("gram matrix must be symmetric")
         if any(gram[i][i] % 2 for i in range(n)):
@@ -150,10 +157,8 @@ class DiscriminantGroup:
         d = smith_normal_form(gram)
         if len(d) != n:
             raise ValueError("degenerate lattice")
-        den, adj = mat_inverse(gram)
         object.__setattr__(self, "orders", tuple(e for e in d if e != 1))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "inverse", mat_inverse(gram))
 
     def __setattr__(self, *a):
         raise AttributeError("DiscriminantGroup is immutable")
@@ -167,7 +172,7 @@ class DiscriminantGroup:
         and t = y . adj y mod 2|d|, with t(y + e_j) = t(y) + 2 (adj y)_j
         + adj_jj.  Reading v_j for (adj y)_j shifts t by a multiple of 2|d|,
         which changes q by an even integer, so y itself is never kept."""
-        d, adj = self._den, self._adj
+        d, adj = self.inverse
         m = abs(d)
         # the walk meets |d| elements, so v fits in 64-bit entries whenever
         # it can finish; keys are bytes, not tuples, since CPython 3.11 keeps
@@ -257,9 +262,9 @@ def signature(gram):
     integers by the lcm of its denominators, which keeps the signature.
     By Sylvester's law of inertia the signs of the pivots d_k / d_{k-1}
     of the congruent form are the signature, and the rank is the number
-    of pivots.
+    of pivots.  A non-square matrix raises ValueError.
     """
-    n = len(gram)
+    n = _require_square(gram, "signature")
     if all(type(x) is int for row in gram for x in row):
         a = gram
     else:
@@ -323,9 +328,9 @@ def short_vectors(gram, bound, center=None, *, _exact=False):
     Exact enumeration.  Without a center, x and -x are identified and one
     representative is returned (first nonzero coordinate positive); the
     zero vector is omitted.  With a center, every solution is returned,
-    zero included.  Raises ValueError unless gram is integral and
-    positive definite.  _exact keeps only Q(x + center) == bound, for
-    vectors_with_norm.
+    zero included.  Raises ValueError unless gram is square, integral and
+    positive definite, or when the center's length is not gram's.  _exact
+    keeps only Q(x + center) == bound, for vectors_with_norm.
 
     Integer Fincke-Pohst on the rows U_i and minors d_i of _ldl, which
     pivots in index order on a positive definite form.  The center is
@@ -341,17 +346,20 @@ def short_vectors(gram, bound, center=None, *, _exact=False):
     remaining budget is exact, so a leaf with rem == 0 has norm exactly
     bound.
     """
-    n = len(gram)
+    n = _require_square(gram, "short vectors")
     bound = _rational(bound)
+    symmetric = center is None
+    c = [Fraction(0)] * n if symmetric else [_rational(x) for x in center]
+    if len(c) != n:
+        raise ValueError("center of length %d for a form of rank %d"
+                         % (len(c), n))
     if bound < 0:
         return []
     _, rows = _ldl(gram)
     if len(rows) < n or any(row[0] <= 0 for row in rows):
         raise ValueError("form is not positive definite")
-    symmetric = center is None
     if n == 0:
         return [] if symmetric or (_exact and bound) else [()]
-    c = [Fraction(0)] * n if symmetric else [_rational(x) for x in center]
     den = lcm(*(x.denominator for x in c))
     big_c = [int(x * den) for x in c]
     minors = [1] + [row[0] for row in rows]

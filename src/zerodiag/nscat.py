@@ -40,7 +40,6 @@ from .lattice import (
     det,
     is_positive_definite,
     kummer_condition,
-    mat_inverse,
     reduced_binary_even_forms,
     signature,
     vec_dot,
@@ -200,9 +199,11 @@ def _degree_pairings():
 
 
 @lru_cache(maxsize=1)
-def _gram_inverse():
-    """(d, adj) with G^-1 = adj / d, d = det G."""
-    return mat_inverse(ns_lattice())
+def _discriminant_group():
+    """NS*/NS with its form; its inverse (d, adj), G^-1 = adj / d and
+    d = det G, is the one inverse of G that solving for classes and the
+    transcendental candidates both read."""
+    return DiscriminantGroup(ns_lattice())
 
 
 @lru_cache(maxsize=1)
@@ -284,7 +285,7 @@ def exceptional_class(point) -> tuple:
 
 def _solve_class(vec):
     """The class c with G c = vec, by one exact division of adj vec by d."""
-    d, adj = _gram_inverse()
+    d, adj = _discriminant_group().inverse
     out = []
     for row in adj:
         q, r = divmod(vec_dot(row, vec), d)
@@ -642,7 +643,7 @@ def transcendental_certificate() -> Certificate:
     the one of NS, those attaining _ATTAINED_Q, and whether the opposing
     one, when unique, passes the evenness-after-halving test a Kummer
     surface would pass.  ok checks the list of candidates."""
-    ns = DiscriminantGroup([list(r) for r in ns_lattice()])
+    ns = _discriminant_group()
     forms = reduced_binary_even_forms(prod(ns.orders))
     facts = [("candidates.count", len(forms)),
              ("candidates.forms", forms)]

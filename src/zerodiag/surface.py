@@ -20,7 +20,9 @@ singular points, and polynomial parametrizations of curves on X.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
+from operator import ne
 
 from .exactnum import (
     Polynomial,
@@ -96,8 +98,9 @@ def integral_eigenvalues(a: int, b: int, c: int):
 
 
 # the largest limit search accepts: search(2000) finds 125 triples in about
-# 3 s of CPU (2-core host, Python 3.11.7); the kernel looks at O(limit^2)
-# pairs (x, a), so the time grows about fourfold per doubling of the limit
+# 1.5 s of CPU (2-core host, Python 3.11.7); the kernel looks at O(limit^2)
+# pairs (x, a), 4.2M at 2000, so the time grows about fourfold per doubling
+# of the limit
 SEARCH_MAX = 2000
 
 
@@ -119,10 +122,13 @@ def _square_parts(n):
 def _entry_range(x, limit):
     """The entries a < b of a triple of search(limit) with largest
     eigenvalue x can take: 4a^2 >= 3x^2 - 4(limit^2 + (limit - 1)^2) and
-    b <= min(x - 2, limit - 1)."""
+    b <= min(x - 2, limit - 1, (isqrt(2x^2 - 5) - 1) // 2), the last from
+    2b^2 + 2b + 3 <= x^2 (see search)."""
     rest = 3 * x * x - 4 * (limit * limit + (limit - 1) ** 2)
     lo = isqrt((rest + 3) // 4 - 1) + 1 if rest > 0 else 1
-    return range(lo, min(x - 2, limit - 1) + 1)
+    # x <= 1 leaves no entry: x - 2 < 0
+    hi = min(x - 2, limit - 1, (isqrt(max(2 * x * x - 5, 0)) - 1) // 2)
+    return range(lo, hi + 1)
 
 
 def search(limit: int, workers: int = 1):
@@ -152,9 +158,16 @@ def search(limit: int, workers: int = 1):
     The entries range over an interval per x.  b < c < x and b < c <= limit
     give b <= min(x - 2, limit - 1).  y + z = -x and 0 < yz <= x^2/4 give
     p = x^2 - yz >= 3x^2/4, and b^2 + c^2 <= limit^2 + (limit - 1)^2, so
-    4a^2 >= 3x^2 - 4(limit^2 + (limit - 1)^2).  p < 3 limit^2 also gives
-    x < 2 limit, past which the interval is empty.  For each x the
-    entries are bucketed by k0, and each pair a < b in a bucket gives c;
+    4a^2 >= 3x^2 - 4(limit^2 + (limit - 1)^2).  yz > 0 also gives the
+    upper end p = x^2 - yz < x^2, so p <= x^2 - 1, and a >= 1, c >= b + 1
+    give p >= 1 + b^2 + (b + 1)^2: together 2b^2 + 2b + 3 <= x^2, that is
+    (2b + 1)^2 <= 2x^2 - 5, or b <= (isqrt(2x^2 - 5) - 1) // 2.
+    p < 3 limit^2 also gives x < 2 limit, past which the interval is
+    empty.  For each x only the entries whose k0 repeats are bucketed:
+    an entry met again later is kept with its bucket, and the last
+    occurrence of each such k0 closes the bucket, which stays in
+    ascending order; k1 is computed only for those entries, and x with
+    no repeated k0 is passed over.  Each pair a < b in a bucket gives c;
     it is kept when x divides exactly and b < c <= limit.  Along a bucket
     k1(b) falls as b rises, so c falls, and the scan for b stops at the
     first c <= b.  The other eigenvalues are the roots (-x +/- r)/2 of
@@ -185,25 +198,29 @@ def search(limit: int, workers: int = 1):
         if len(entries) < 2:
             continue
         lo, hi = entries.start, entries.stop - 1
-        # core and root of x - a and x + a for a = lo, ..., hi
+        # core of x - a and x + a for a = lo, ..., hi
         cu = core[x - hi:x - lo + 1]
         cu.reverse()
         cv = core[x + lo:x + hi + 1]
-        gs = list(map(gcd, cu, cv))
         # x^2 - a^2 = k0 * k1^2 with k0 squarefree
+        k0s = [u * v // (g * g) for u, v, g in zip(cu, cv, map(gcd, cu, cv))]
+        last = dict(zip(k0s, entries))
+        if len(last) == len(entries):
+            continue  # no k0 repeats
+        # the entries met again later, each bucket closed by its last one
         buckets = {}
-        for a, k0 in zip(entries, [u * v // (g * g)
-                                   for u, v, g in zip(cu, cv, gs)]):
+        for k0, a in compress(zip(k0s, entries),
+                              map(ne, map(last.__getitem__, k0s), entries)):
             if k0 in buckets:
                 buckets[k0].append(a)
             else:
                 buckets[k0] = [a]
         x_limit = x * limit
         for k0, bucket in buckets.items():
+            bucket.append(last[k0])
             n = len(bucket)
-            if n < 2:
-                continue
-            k1 = [gs[a - lo] * root[x - a] * root[x + a] for a in bucket]
+            k1 = [gcd(core[x - a], core[x + a]) * root[x - a] * root[x + a]
+                  for a in bucket]
             for i in range(n - 1):
                 a = bucket[i]
                 ka = k0 * k1[i]

@@ -700,6 +700,33 @@ def test_short_vectors_rejects_indefinite():
         short_vectors([[1, 1], [1, 1]], 2)  # semidefinite is not enough
 
 
+def test_non_square_forms_and_short_centers_rejected():
+    # a form is read from its upper triangle, so a non-square matrix or a
+    # center of another length used to pass as a smaller or padded input
+    for mat in ([[1, 2]], [[2], [0]], [[2, 0], [0]], [[2, 0]]):
+        for fn in (signature, is_positive_definite, det, mat_inverse,
+                   DiscriminantGroup):
+            with pytest.raises(ValueError, match="non-square"):
+                fn(mat)
+        for fn in (short_vectors, vectors_with_norm):
+            with pytest.raises(ValueError, match="non-square"):
+                fn(mat, 2)
+    gram = [[2, 0], [0, 2]]
+    for center in ([F(1, 2)], [F(1, 2), 0, 5], [], [0, 0, 0]):
+        for fn in (short_vectors, vectors_with_norm):
+            with pytest.raises(ValueError, match="center"):
+                fn(gram, 2, center=center)
+            with pytest.raises(ValueError, match="center"):
+                fn(gram, -1, center=center)
+    with pytest.raises(ValueError, match="center"):
+        short_vectors([], 1, center=[0])
+    # the right length is still taken, as a list, a tuple or a generator
+    assert short_vectors(gram, 2, center=(F(1, 2), 0)) == [(-1, 0), (0, 0)]
+    assert short_vectors(gram, 2, center=(v for v in [F(1, 2), 0])) \
+        == [(-1, 0), (0, 0)]
+    assert short_vectors([], 1, center=[]) == [()]
+
+
 def test_short_vectors_rejects_non_integral_gram():
     for fn in (short_vectors, vectors_with_norm):
         with pytest.raises(ValueError):

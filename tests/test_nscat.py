@@ -574,6 +574,37 @@ def test_verify_all_row_reduces_once_per_conic():
     assert (meets, pairs) == (832, 921)
 
 
+def test_verify_all_inverts_the_gram_matrix_once():
+    # in a fresh interpreter, so that no cache holds the inverse already;
+    # every name the package binds to mat_inverse is counted
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from zerodiag import cli, lattice, nscat",
+        "real, seen = lattice.mat_inverse, []",
+        "def counted(mat):",
+        "    seen.append(tuple(tuple(row) for row in mat))",
+        "    return real(mat)",
+        "for name, mod in list(sys.modules.items()):",
+        "    if name.startswith('zerodiag') and \\",
+        "            getattr(mod, 'mat_inverse', None) is real:",
+        "        mod.mat_inverse = counted",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['verify-all'])",
+        "print(code, seen.count(nscat.ns_lattice()), len(seen))"])
+    src = os.path.dirname(os.path.dirname(zerodiag.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, gram, calls = map(int, proc.stdout.split())
+    assert code == 0
+    # the classes solved for and the discriminant group of NS read one
+    # inverse; the other calls invert the candidate binary forms
+    assert gram == 1
+    assert calls == 1 + len(nscat._DET48_FORMS)
+
+
 def test_bad_planes_rejected():
     with pytest.raises(ValueError, match="codimension"):
         conics.Conic([(1, 0, 0, 0, 0, 0)])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -323,11 +323,11 @@ def test_search_matches_window_scan_oracle():
 
 
 def test_entry_range_is_exact():
-    # every a < b < c <= limit and x > c with 3x^2 <= 4(a^2 + b^2 + c^2),
-    # integral spectrum or not, has a and b in _entry_range(x, limit), and
-    # both ends of the range are reached; the sets of such points only
-    # grow with the limit, so the least a and greatest b per x are kept
-    # while the limit rises
+    # every a < b < c <= limit and x > c with 3x^2 <= 4p < 4x^2,
+    # p = a^2 + b^2 + c^2, integral spectrum or not, has a and b in
+    # _entry_range(x, limit), and both ends of the range are reached; the
+    # sets of such points only grow with the limit, so the least a and
+    # greatest b per x are kept while the limit rises
     top = 40
     least_a, greatest_b = {}, {}
     reached = 0
@@ -335,8 +335,9 @@ def test_entry_range_is_exact():
         c = limit
         for b in range(1, c):
             for a in range(1, b):
-                x_max = isqrt(4 * (a * a + b * b + c * c) // 3)
-                for x in range(c + 1, x_max + 1):
+                p = a * a + b * b + c * c
+                x_min = max(c, isqrt(p)) + 1  # x > c and x^2 > p
+                for x in range(x_min, isqrt(4 * p // 3) + 1):
                     least_a[x] = min(least_a.get(x, a), a)
                     greatest_b[x] = max(greatest_b.get(x, b), b)
         for x in range(2 * limit + 2):
@@ -348,7 +349,7 @@ def test_entry_range_is_exact():
             else:
                 # no point: x <= 3, or x past the largest x
                 assert len(entries) < 2, (limit, x)
-    assert reached > 1000
+    assert reached == 1444
 
 
 def test_search_matches_divisor_oracle():
@@ -360,6 +361,97 @@ def test_search_matches_divisor_oracle():
         expected = _by_c_a_b(t for t in oracle if t[0][2] <= limit)
         assert search(limit) == expected, limit
     assert search(250) == _by_c_a_b(_search_range(range(2, 501), 250))
+
+
+def _uncapped_entry_range(x, limit):
+    """The entries a < b of a triple of search(limit) with largest
+    eigenvalue x can take: 4a^2 >= 3x^2 - 4(limit^2 + (limit - 1)^2) and
+    b <= min(x - 2, limit - 1)."""
+    rest = 3 * x * x - 4 * (limit * limit + (limit - 1) ** 2)
+    lo = isqrt((rest + 3) // 4 - 1) + 1 if rest > 0 else 1
+    return range(lo, min(x - 2, limit - 1) + 1)
+
+
+def _bucketing_search(limit):
+    # oracle: the former search, every entry up to min(x - 2, limit - 1)
+    # bucketed by k0
+    if limit < 3:
+        return []
+    core, root = surface._square_parts(3 * limit)  # x + a < 3 limit
+    found = []
+    for x in range(2, 2 * limit + 1):
+        entries = _uncapped_entry_range(x, limit)
+        if len(entries) < 2:
+            continue
+        lo, hi = entries.start, entries.stop - 1
+        # core and root of x - a and x + a for a = lo, ..., hi
+        cu = core[x - hi:x - lo + 1]
+        cu.reverse()
+        cv = core[x + lo:x + hi + 1]
+        gs = list(map(gcd, cu, cv))
+        # x^2 - a^2 = k0 * k1^2 with k0 squarefree
+        buckets = {}
+        for a, k0 in zip(entries, [u * v // (g * g)
+                                   for u, v, g in zip(cu, cv, gs)]):
+            if k0 in buckets:
+                buckets[k0].append(a)
+            else:
+                buckets[k0] = [a]
+        x_limit = x * limit
+        for k0, bucket in buckets.items():
+            n = len(bucket)
+            if n < 2:
+                continue
+            k1 = [gs[a - lo] * root[x - a] * root[x + a] for a in bucket]
+            for i in range(n - 1):
+                a = bucket[i]
+                ka = k0 * k1[i]
+                for j in range(i + 1, n):
+                    b = bucket[j]
+                    cx = ka * k1[j] - a * b  # c * x
+                    if cx > x_limit:
+                        continue
+                    if cx <= x * b:
+                        break  # c falls and b rises along the bucket
+                    if cx % x:
+                        continue
+                    c = cx // x
+                    # the other eigenvalues (-x +/- r)/2, r^2 = 4p - 3x^2
+                    disc = 4 * (a * a + b * b + c * c) - 3 * x * x
+                    r = isqrt(disc)
+                    if r * r != disc:
+                        continue
+                    ev = (x, (r - x) // 2, -(r + x) // 2)
+                    if integral_eigenvalues(a, b, c) != ev:
+                        raise ArithmeticError(
+                            "triple %r does not have spectrum %r"
+                            % ((a, b, c), ev))
+                    found.append(((a, b, c), ev))
+    return sorted(found, key=lambda item: (item[0][2], item[0][0], item[0][1]))
+
+
+def test_search_matches_bucketing_oracle():
+    for limit in list(range(BISECTION_TOP + 1)) + [250, 500]:
+        assert search(limit) == _bucketing_search(limit), limit
+
+
+def _pairs(entry_range, limit):
+    """The pairs (x, a) a search kernel visits: every entry a of each x
+    with at least two entries."""
+    return sum(len(r) for x in range(2, 2 * limit + 1)
+               if len(r := entry_range(x, limit)) >= 2)
+
+
+def test_entry_cap_drops_a_sixth_of_the_pairs():
+    # p < x^2 caps b; at N = 250 the pairs (x, a) fall from 77,881
+    assert _pairs(_uncapped_entry_range, 250) == 77881
+    assert _pairs(surface._entry_range, 250) == 65183
+    for limit in (3, 10, 50, 130):
+        for x in range(2, 2 * limit + 1):
+            capped = surface._entry_range(x, limit)
+            uncapped = _uncapped_entry_range(x, limit)
+            assert capped.start == uncapped.start
+            assert capped.stop <= uncapped.stop, (limit, x)
 
 
 SEARCH_250 = [
