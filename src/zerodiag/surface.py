@@ -20,9 +20,9 @@ singular points, and polynomial parametrizations of curves on X.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, isqrt
-from operator import ne
+from operator import ne, xor
 
 from .exactnum import (
     Polynomial,
@@ -119,6 +119,26 @@ def _square_parts(n):
     return core, root
 
 
+def _parity_keys(n):
+    """List key over 0 <= k < n: bit i of key[k] is set exactly when the
+    i-th prime divides k to an odd power (key[0] = 0).  So key[k] is
+    key[core[k]], key is one to one on the squarefree k, and the
+    squarefree part of u v has the key key[u] ^ key[v]."""
+    key = [0] * n
+    composite = bytearray(n)
+    bit = 1
+    for p in range(2, n):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\1" * len(range(p * p, n, p))
+        q = p
+        while q < n:
+            key[q::q] = map(xor, key[q::q], repeat(bit))
+            q *= p
+        bit <<= 1
+    return key
+
+
 def _entry_range(x, limit):
     """The entries a < b of a triple of search(limit) with largest
     eigenvalue x can take: 4a^2 >= 3x^2 - 4(limit^2 + (limit - 1)^2) and
@@ -150,10 +170,16 @@ def search(limit: int, workers: int = 1):
     square s^2 and c = (s - ab)/x.  Both factors are positive, and their
     product is a square exactly when they have the same squarefree part
     k0: x^2 - a^2 = k0 k1(a)^2, x^2 - b^2 = k0 k1(b)^2 and
-    s = k0 k1(a) k1(b).  The squarefree part comes from tables up to
-    3 limit (x + a < 3 limit): with u = x - a, v = x + a and
+    s = k0 k1(a) k1(b).  Entries are told apart by the key of k0, from a
+    table up to 3 limit (x + a < 3 limit) of the bitmask key(n) of the
+    primes that divide n to an odd power.  Squarefree numbers multiplied
+    modulo squares map one to one onto bitmasks under XOR, so with
+    u = x - a and v = x + a the key of k0 is key(u) ^ key(v), one XOR
+    per entry, and equal keys mean equal k0.  k1 comes from the tables of
+    the squarefree part core and the square root part root: with
     g = gcd(core(u), core(v)), k0 = core(u) core(v) / g^2 and
-    k1 = g root(u) root(v).
+    k1 = g root(u) root(v).  k1 is computed per bucketed entry, and k0
+    once per bucket, as (x^2 - a^2) / k1(a)^2 of its first entry.
 
     The entries range over an interval per x.  b < c < x and b < c <= limit
     give b <= min(x - 2, limit - 1).  y + z = -x and 0 < yz <= x^2/4 give
@@ -180,9 +206,11 @@ def search(limit: int, workers: int = 1):
     calls search(limit, workers=1), and will be removed when the benchmark
     child stops passing it.
 
-    Raises ValueError when limit is negative or above SEARCH_MAX, or when
-    workers is not 1.
+    Raises TypeError when limit is not an int, and ValueError when limit
+    is negative or above SEARCH_MAX, or when workers is not 1.
     """
+    if not isinstance(limit, int):
+        raise TypeError("search limit must be an int, got %r" % (limit,))
     if not 0 <= limit <= SEARCH_MAX:
         raise ValueError("search limit must be between 0 and %d, got %d"
                          % (SEARCH_MAX, limit))
@@ -192,35 +220,35 @@ def search(limit: int, workers: int = 1):
     if limit < 3:
         return []
     core, root = _square_parts(3 * limit)  # x + a < 3 limit
+    key = _parity_keys(3 * limit)
     found = []
     for x in range(2, 2 * limit + 1):
         entries = _entry_range(x, limit)
         if len(entries) < 2:
             continue
         lo, hi = entries.start, entries.stop - 1
-        # core of x - a and x + a for a = lo, ..., hi
-        cu = core[x - hi:x - lo + 1]
-        cu.reverse()
-        cv = core[x + lo:x + hi + 1]
-        # x^2 - a^2 = k0 * k1^2 with k0 squarefree
-        k0s = [u * v // (g * g) for u, v, g in zip(cu, cv, map(gcd, cu, cv))]
-        last = dict(zip(k0s, entries))
+        # x^2 - a^2 = k0 * k1^2 with k0 squarefree; keys[i] is the key of
+        # k0 for a = lo + i, from x - a and x + a
+        keys = list(map(xor, key[x - lo:x - hi - 1:-1],
+                        key[x + lo:x + hi + 1]))
+        last = dict(zip(keys, entries))
         if len(last) == len(entries):
             continue  # no k0 repeats
         # the entries met again later, each bucket closed by its last one
         buckets = {}
-        for k0, a in compress(zip(k0s, entries),
-                              map(ne, map(last.__getitem__, k0s), entries)):
-            if k0 in buckets:
-                buckets[k0].append(a)
+        for k, a in compress(zip(keys, entries),
+                             map(ne, map(last.__getitem__, keys), entries)):
+            if k in buckets:
+                buckets[k].append(a)
             else:
-                buckets[k0] = [a]
+                buckets[k] = [a]
         x_limit = x * limit
-        for k0, bucket in buckets.items():
-            bucket.append(last[k0])
+        for k, bucket in buckets.items():
+            bucket.append(last[k])
             n = len(bucket)
             k1 = [gcd(core[x - a], core[x + a]) * root[x - a] * root[x + a]
                   for a in bucket]
+            k0 = (x * x - bucket[0] ** 2) // (k1[0] * k1[0])
             for i in range(n - 1):
                 a = bucket[i]
                 ka = k0 * k1[i]

@@ -454,6 +454,31 @@ def test_entry_cap_drops_a_sixth_of_the_pairs():
             assert capped.stop <= uncapped.stop, (limit, x)
 
 
+def _k0_by_gcd(core, u, v):
+    # oracle: the former per-entry k0, the squarefree part of u v
+    g = gcd(core[u], core[v])
+    return core[u] * core[v] // (g * g)
+
+
+def test_parity_keys_tell_squarefree_parts_apart():
+    core, _ = surface._square_parts(750)
+    key = surface._parity_keys(750)
+    assert len(key) == 750
+    assert all(key[n] == key[core[n]] for n in range(750))
+    squarefree = [n for n in range(1, 750) if core[n] == n]
+    assert len({key[n] for n in squarefree}) == len(squarefree) == 456
+    # every pair (x, a) search(250) visits: its key of k0 and k0 itself
+    # determine each other
+    seen = set()
+    for x in range(2, 501):
+        for a in surface._entry_range(x, 250):
+            seen.add((key[x - a] ^ key[x + a],
+                      _k0_by_gcd(core, x - a, x + a)))
+    assert len(seen) == 21266  # distinct k0 over the 65,184 pairs
+    assert len({k for k, _ in seen}) == len(seen)
+    assert len({k0 for _, k0 in seen}) == len(seen)
+
+
 SEARCH_250 = [
     ((26, 51, 114), (136, -19, -117)),
     ((57, 99, 125), (190, -55, -135)),
@@ -502,6 +527,14 @@ def test_search_limit_is_bounded():
         with pytest.raises(ValueError):
             search(limit)
     assert [search(limit) for limit in range(3)] == [[], [], []]
+
+
+def test_search_refuses_a_limit_that_is_not_an_int():
+    for limit in (2.5, 250.0, -1.0, F(250), "250"):
+        with pytest.raises(TypeError):
+            search(limit)
+    with pytest.raises(TypeError):
+        search(2.5, workers=2)
 
 
 def test_search_finds_the_lowest_triple():
