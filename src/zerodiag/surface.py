@@ -98,7 +98,7 @@ def integral_eigenvalues(a: int, b: int, c: int):
 
 
 # the largest limit search accepts: search(2000) finds 125 triples in about
-# 1.4 s of CPU (2-core host, Python 3.11.7); the kernel looks at O(limit^2)
+# 1.3 s of CPU (2-core host, Python 3.11.7); the kernel looks at O(limit^2)
 # pairs (x, a), 4.2M at 2000, so the time grows about fourfold per doubling
 # of the limit
 SEARCH_MAX = 2000

@@ -471,10 +471,13 @@ def test_parity_keys_tell_squarefree_parts_apart():
     # determine each other
     seen = set()
     for x in range(2, 501):
-        for a in surface._entry_range(x, 250):
+        entries = surface._entry_range(x, 250)
+        if len(entries) < 2:
+            continue
+        for a in entries:
             seen.add((key[x - a] ^ key[x + a],
                       _k0_by_gcd(core, x - a, x + a)))
-    assert len(seen) == 21266  # distinct k0 over the 65,184 pairs
+    assert len(seen) == 21266  # distinct k0 over the 65,183 pairs
     assert len({k for k, _ in seen}) == len(seen)
     assert len({k0 for _, k0 in seen}) == len(seen)
 
