@@ -98,45 +98,33 @@ def integral_eigenvalues(a: int, b: int, c: int):
 
 
 # the largest limit search accepts: search(2000) finds 125 triples in about
-# 1.3 s of CPU (2-core host, Python 3.11.7); the kernel looks at O(limit^2)
+# 1.2 s of CPU (2-core host, Python 3.11.7); the kernel looks at O(limit^2)
 # pairs (x, a), 4.2M at 2000, so the time grows about fourfold per doubling
 # of the limit
 SEARCH_MAX = 2000
 
 
-def _square_parts(n):
-    """Lists core and root over 0 <= k < n with k = core[k] * root[k]^2 and
-    core[k] squarefree (core[0] = 0)."""
-    core, root = list(range(n)), [1] * n
-    q = 2
-    while q * q < n:
-        qq = q * q
-        for k in range(qq, n, qq):
-            while core[k] % qq == 0:
-                core[k] //= qq
-                root[k] *= q
-        q += 1
-    return core, root
-
-
 def _parity_keys(n):
-    """List key over 0 <= k < n: bit i of key[k] is set exactly when the
-    i-th prime divides k to an odd power (key[0] = 0).  So key[k] is
-    key[core[k]], key is one to one on the squarefree k, and the
-    squarefree part of u v has the key key[u] ^ key[v]."""
+    """The lists key over 0 <= k < n and primes, the primes below n in
+    order: bit i of key[k] is set exactly when primes[i] divides k to an
+    odd power (key[0] = 0).  So key[k] is the key of the squarefree part
+    of k, which is the product of the primes of its key, key is one to one
+    on the squarefree k, and the squarefree part of u v has the key
+    key[u] ^ key[v]."""
     key = [0] * n
+    primes = []
     composite = bytearray(n)
-    bit = 1
     for p in range(2, n):
         if composite[p]:
             continue
         composite[p * p::p] = b"\1" * len(range(p * p, n, p))
+        bit = 1 << len(primes)
+        primes.append(p)
         q = p
         while q < n:
             key[q::q] = map(xor, key[q::q], repeat(bit))
             q *= p
-        bit <<= 1
-    return key
+    return key, primes
 
 
 def _entry_range(x, limit):
@@ -175,11 +163,10 @@ def search(limit: int, workers: int = 1):
     primes that divide n to an odd power.  Squarefree numbers multiplied
     modulo squares map one to one onto bitmasks under XOR, so with
     u = x - a and v = x + a the key of k0 is key(u) ^ key(v), one XOR
-    per entry, and equal keys mean equal k0.  k1 comes from the tables of
-    the squarefree part core and the square root part root: with
-    g = gcd(core(u), core(v)), k0 = core(u) core(v) / g^2 and
-    k1 = g root(u) root(v).  k1 is computed per bucketed entry, and k0
-    once per bucket, as (x^2 - a^2) / k1(a)^2 of its first entry.
+    per entry, and equal keys mean equal k0.  That table is the only one:
+    k0 is squarefree, so it is the product of the primes whose bits its
+    key sets, read once per bucket, and k1 = isqrt((x^2 - a^2) / k0) per
+    bucketed entry, where the division is exact.
 
     The entries range over an interval per x.  b < c < x and b < c <= limit
     give b <= min(x - 2, limit - 1).  y + z = -x and 0 < yz <= x^2/4 give
@@ -219,8 +206,7 @@ def search(limit: int, workers: int = 1):
                          "got %r" % (workers,))
     if limit < 3:
         return []
-    core, root = _square_parts(3 * limit)  # x + a < 3 limit
-    key = _parity_keys(3 * limit)
+    key, primes = _parity_keys(3 * limit)  # x + a < 3 limit
     found = []
     for x in range(2, 2 * limit + 1):
         entries = _entry_range(x, limit)
@@ -246,9 +232,13 @@ def search(limit: int, workers: int = 1):
         for k, bucket in buckets.items():
             bucket.append(last[k])
             n = len(bucket)
-            k1 = [gcd(core[x - a], core[x + a]) * root[x - a] * root[x + a]
-                  for a in bucket]
-            k0 = (x * x - bucket[0] ** 2) // (k1[0] * k1[0])
+            # k0 is the product of the primes of its key k
+            k0, bits = 1, k
+            while bits:
+                low = bits & -bits
+                k0 *= primes[low.bit_length() - 1]
+                bits ^= low
+            k1 = [isqrt((x * x - a * a) // k0) for a in bucket]
             for i in range(n - 1):
                 a = bucket[i]
                 ka = k0 * k1[i]

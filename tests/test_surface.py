@@ -372,12 +372,27 @@ def _uncapped_entry_range(x, limit):
     return range(lo, min(x - 2, limit - 1) + 1)
 
 
+def _square_parts(n):
+    """Lists core and root over 0 <= k < n with k = core[k] * root[k]^2 and
+    core[k] squarefree (core[0] = 0)."""
+    core, root = list(range(n)), [1] * n
+    q = 2
+    while q * q < n:
+        qq = q * q
+        for k in range(qq, n, qq):
+            while core[k] % qq == 0:
+                core[k] //= qq
+                root[k] *= q
+        q += 1
+    return core, root
+
+
 def _bucketing_search(limit):
     # oracle: the former search, every entry up to min(x - 2, limit - 1)
     # bucketed by k0
     if limit < 3:
         return []
-    core, root = surface._square_parts(3 * limit)  # x + a < 3 limit
+    core, root = _square_parts(3 * limit)  # x + a < 3 limit
     found = []
     for x in range(2, 2 * limit + 1):
         entries = _uncapped_entry_range(x, limit)
@@ -461,9 +476,19 @@ def _k0_by_gcd(core, u, v):
 
 
 def test_parity_keys_tell_squarefree_parts_apart():
-    core, _ = surface._square_parts(750)
-    key = surface._parity_keys(750)
+    core, _ = _square_parts(750)
+    key, primes = surface._parity_keys(750)
     assert len(key) == 750
+    # bit i of a key stands for primes[i], the primes below 750 in order
+    assert primes == [p for p in range(2, 750)
+                      if all(p % d for d in range(2, isqrt(p) + 1))]
+    for n in range(1, 750):
+        product, bits = 1, key[n]
+        for p in primes:
+            if bits & 1:
+                product *= p
+            bits >>= 1
+        assert product == core[n], n
     assert all(key[n] == key[core[n]] for n in range(750))
     squarefree = [n for n in range(1, 750) if core[n] == n]
     assert len({key[n] for n in squarefree}) == len(squarefree) == 456
