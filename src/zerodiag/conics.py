@@ -58,28 +58,15 @@ among it, belongs to nscat; this module knows no basis.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
 from .exactnum import _integer_parts, _scalar
-from .surface import (
-    g_apply,
-    g_compose,
-    group_elements,
-    normalize_projective,
-    singular_points,
-)
+from .surface import g_apply, g_compose, group_elements, singular_points
 
 _NVARS = 6  # coordinates (x, y, z, a, b, c)
 _ZEROS = (0,) * _NVARS  # the sqrt 3 part of an integer point
 _SUM_XYZ = ((1, 1, 1, 0, 0, 0), _ZEROS)
-
-
-@lru_cache(maxsize=1)
-def double_points():
-    """The twelve ordinary double points, projectively normalized."""
-    return tuple(normalize_projective(p) for p in singular_points())
 
 
 class Conic:
@@ -103,7 +90,7 @@ class Conic:
         if not _cubic_divisible(self.basis):
             raise ValueError("conic does not lie on the surface")
         object.__setattr__(self, "nodes", tuple(
-            p for p in double_points() if _on_conic(self, (p, _ZEROS))))
+            p for p in singular_points() if _on_conic(self, (p, _ZEROS))))
 
     @classmethod
     def _of(cls, seed, g):
@@ -116,7 +103,7 @@ class Conic:
         out._plane([(g_apply(g, x), g_apply(g, y)) for x, y in seed.equations])
         moved = {_projective(g_apply(g, p)) for p in seed.nodes}
         object.__setattr__(out, "nodes", tuple(
-            p for p in double_points() if p in moved))
+            p for p in singular_points() if p in moved))
         return out
 
     def _plane(self, equations):

@@ -46,7 +46,7 @@ from .lattice import (
     vectors_with_norm,
 )
 from .exactnum import SQRT3, Certificate
-from .surface import normalize_projective
+from .surface import normalize_projective, singular_points
 
 RANK = 20
 # Positions in a class tuple are 0-based; the basis labels, the keys of
@@ -95,12 +95,14 @@ _BASIS_CONIC_FORMS = {
     19: [(0, 0, 0, 1, 0, -1), (0, 1, 0, 0, 1, 0)],
 }
 
-_BASIS_POINTS_RAW = {
-    2: (2, -1, -1, -1, 1, -1),
-    4: (-1, -1, 2, 1, -1, -1),
-    6: (-1, 2, -1, 1, -1, -1),
+# double points in normalize_projective form, each standing for the
+# exceptional curve over it
+_BASIS_POINTS = {
+    2: (-2, 1, 1, 1, -1, 1),
+    4: (1, 1, -2, -1, 1, 1),
+    6: (1, -2, 1, -1, 1, 1),
     8: (-1, 2, -1, 1, 1, 1),
-    9: (-1, 2, -1, -1, 1, -1),
+    9: (1, -2, 1, 1, -1, 1),
     11: (-1, -1, 2, -1, -1, 1),
     13: (2, -1, -1, 1, 1, 1),
 }
@@ -136,11 +138,17 @@ def basis_conics():
 
 @lru_cache(maxsize=1)
 def basis_points():
-    pts = {i: normalize_projective(p) for i, p in _BASIS_POINTS_RAW.items()}
-    for p in pts.values():
-        if p not in conics.double_points():
+    for p in _BASIS_POINTS.values():
+        if p not in singular_points():
             raise AssertionError("basis point is not a double point: %r" % (p,))
-    return pts
+    return _BASIS_POINTS
+
+
+@lru_cache(maxsize=1)
+def _basis_curves():
+    """The nineteen basis curves by label: the conics, and the double
+    points standing for the exceptional curves over them."""
+    return {**basis_conics(), **basis_points()}
 
 
 @lru_cache(maxsize=1)
@@ -150,29 +158,30 @@ def base_conic():
     return conics.Conic([(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
 
 
-def _meets(conic, point):
-    """The strict transform of a conic meets the exceptional curve over a
-    double point once if the point is a node of the conic, else not."""
-    return 1 if point in conic.nodes else 0
+def _meet(x, y):
+    """Intersection number of two curves on the resolved surface, each a
+    Conic for its strict transform or a normalized double point for the
+    exceptional curve over it.  Two conics meet as conic_intersection
+    says; a conic meets the exceptional curve over a double point once if
+    the point is one of its nodes, else not; two exceptional curves are
+    disjoint, and each has self-intersection -2."""
+    if isinstance(x, conics.Conic) and isinstance(y, conics.Conic):
+        return conics.conic_intersection(x, y)
+    if isinstance(x, conics.Conic) or isinstance(y, conics.Conic):
+        conic, point = (x, y) if isinstance(x, conics.Conic) else (y, x)
+        return 1 if point in conic.nodes else 0
+    return -2 if x == y else 0
 
 
-def _conic_pairings(conic):
-    """Pairings of the strict transform of a conic with the twenty basis
-    classes."""
-    cs, pts = basis_conics(), basis_points()
-    return [conics.conic_intersection(conic, cs[i]) if i in cs
-            else _meets(conic, pts[i])
-            for i in range(1, RANK)] + [
-        2 - conics.conic_intersection(conic, base_conic())]
-
-
-def _point_pairings(point):
-    """Pairings of the exceptional curve over a normalized double point
-    with the twenty basis classes."""
-    cs, pts = basis_conics(), basis_points()
-    return [_meets(cs[i], point) if i in cs
-            else (-2 if point == pts[i] else 0)
-            for i in range(1, RANK)] + [0]
+def _pairings(curve):
+    """Pairings of a curve, as _meet takes it, with the twenty basis
+    classes.  The last is F.curve = H.curve - C0.curve, where the
+    hyperplane section H meets a conic twice and an exceptional curve
+    not at all."""
+    curves = _basis_curves()
+    h = 2 if isinstance(curve, conics.Conic) else 0
+    return [_meet(curve, curves[i]) for i in range(1, RANK)] + [
+        h - _meet(curve, base_conic())]
 
 
 @lru_cache(maxsize=1)
@@ -180,9 +189,7 @@ def ns_lattice():
     """Gram matrix of the twenty basis classes, rows as tuples: the
     pairings of the nineteen basis curves, then the fiber row read off
     their fiber column, with F.F = 0."""
-    cs, pts = basis_conics(), basis_points()
-    rows = [_conic_pairings(cs[i]) if i in cs else _point_pairings(pts[i])
-            for i in range(1, RANK)]
+    rows = [_pairings(_basis_curves()[i]) for i in range(1, RANK)]
     rows.append([row[_FIBER] for row in rows] + [0])
     gram = tuple(tuple(row) for row in rows)
     if any(gram[i][j] != gram[j][i] for i in range(RANK) for j in range(RANK)):
@@ -194,7 +201,7 @@ def ns_lattice():
 def _degree_pairings():
     """Pairings of the basis with the hyperplane class H = F + C0, for
     the base conic C0 of the pencil."""
-    c0 = _conic_pairings(base_conic())
+    c0 = _pairings(base_conic())
     return tuple(f + c for f, c in zip(ns_lattice()[_FIBER], c0))
 
 
@@ -265,22 +272,21 @@ def _unit(i):
 
 
 @lru_cache(maxsize=128)
-def class_of_conic(conic) -> tuple:
-    """Class of the strict transform of a plane conic on the surface: a
-    basis conic's is its unit vector, any other solves G c = its
-    pairings."""
-    for i, c in basis_conics().items():
-        if c == conic:
+def class_of(curve) -> tuple:
+    """Class of a curve on the resolved surface: the strict transform of a
+    Conic, or the exceptional curve over a double point, given as a tuple.
+    The point is normalized first, and refused with ValueError if it is
+    not a double point.  A basis curve's class is its unit vector, any
+    other solves G c = its pairings."""
+    if not isinstance(curve, conics.Conic):
+        p = normalize_projective(curve)
+        if p not in singular_points():
+            raise ValueError("not a double point: %r" % (curve,))
+        curve = p
+    for i, c in _basis_curves().items():
+        if c == curve:
             return _unit(i - 1)
-    return _solve_class(_conic_pairings(conic))
-
-
-def exceptional_class(point) -> tuple:
-    """Class of the exceptional curve over a double point."""
-    p = normalize_projective(point)
-    if p not in conics.double_points():
-        raise ValueError("not a double point: %r" % (point,))
-    return _solve_class(_point_pairings(p))
+    return _solve_class(_pairings(curve))
 
 
 def _solve_class(vec):
@@ -311,26 +317,17 @@ def strict_transform_conics():
 
 
 @lru_cache(maxsize=1)
-def _conic_labels():
-    labels = {}
-    for i, c in basis_conics().items():
-        labels[c] = "basis_%d" % i
+def _labels():
+    """The label of each of the 63 conics and 12 double points: basis_<i>
+    for a basis curve, else conic_<nodes>n_<place in its orbit> or
+    node(<coordinates>)."""
+    labels = {c: "basis_%d" % i for i, c in _basis_curves().items()}
     for nodes, orb in strict_transform_conics().items():
         for k, c in enumerate(orb):
             labels.setdefault(c, "conic_%dn_%d" % (nodes, k))
+    for p in singular_points():
+        labels.setdefault(p, "node(%s)" % ",".join(map(str, p)))
     return labels
-
-
-def _point_label(p):
-    for i, q in basis_points().items():
-        if q == p:
-            return "basis_%d" % i
-    return "node(%s)" % ",".join(str(x) for x in p)
-
-
-@lru_cache(maxsize=1)
-def _exceptional_classes():
-    return {p: exceptional_class(p) for p in conics.double_points()}
 
 
 # -- enumeration of classes -----------------------------------------------------
@@ -388,9 +385,13 @@ def enumerate_classes(d: int, g: int):
     Every class of degree d differs from (d/2) e17 by an element of the
     degree kernel, so the genus condition becomes a definite quadratic
     equation there, solved exactly.  Returns a sorted list of 20-tuples.
-    Raises ValueError, before enumerating, when the radius of that
-    equation exceeds _MAX_RADIUS.
+    Raises TypeError when d or g is not an int, and ValueError, before
+    enumerating, when d is odd or the radius of that equation exceeds
+    _MAX_RADIUS.
     """
+    for name, v in (("degree", d), ("genus", g)):
+        if not isinstance(v, int):
+            raise TypeError("%s must be an int, got %r" % (name, v))
     if d % 2:
         raise ValueError("degree must be even")
     center, radius = _kernel_equation(d, g)
@@ -428,21 +429,20 @@ def catalogue_441():
     full set, and whether that set is the one enumerate_classes(2, 0)
     finds in the lattice.
     """
-    exc = _exceptional_classes()
     families = {}
     strict = []
     everything = set()
     for nodes, orb in sorted(strict_transform_conics().items()):
         fam = []
         for conic in orb:
-            base = class_of_conic(conic)
+            base = class_of(conic)
             strict.append(base)
             pts = conic.nodes
             for r in range(len(pts) + 1):
                 for subset in combinations(pts, r):
                     cls = list(base)
                     for p in subset:
-                        e = exc[p]
+                        e = class_of(p)
                         for i in range(RANK):
                             cls[i] += e[i]
                     fam.append(tuple(cls))
@@ -477,8 +477,7 @@ def reconstruct_fiber_classes():
     to the fiber class and has the dual graph of its Kodaira type (for a
     star fiber, one central component of multiplicity two).
     """
-    labels = _conic_labels()
-    exc = _exceptional_classes()
+    labels = _labels()
     out = {}
     for fib in tate_classify(family_model()):
         place = fib.place
@@ -493,10 +492,10 @@ def reconstruct_fiber_classes():
                     continue
                 if conic.contains_form(form):
                     mult = 2 if fib.kind == "I*" else 1
-                    comps.append((labels[conic], mult, class_of_conic(conic)))
-        for p in conics.double_points():
+                    comps.append((labels[conic], mult, class_of(conic)))
+        for p in singular_points():
             if vec_dot(form, p) == 0:
-                comps.append((_point_label(p), 1, exc[p]))
+                comps.append((labels[p], 1, class_of(p)))
         out[str(place)] = tuple(sorted(comps))
     return out
 

@@ -20,6 +20,7 @@ singular points, and polynomial parametrizations of curves on X.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd, isqrt
 from operator import ne, xor
@@ -287,19 +288,21 @@ def jacobian(pt):
     ]
 
 
+@lru_cache(maxsize=1)
 def singular_points():
-    """The twelve ordinary double points of the surface.
+    """The twelve ordinary double points of the surface, as a tuple of
+    points in normalize_projective form.
 
-    Each has eigenvalue coordinates a permutation of (2, -1, -1) and
-    (a, b, c) a sign pattern with abc = 1.
+    Each is, up to sign, a permutation of (2, -1, -1) for (x, y, z) and a
+    sign pattern with abc = 1 for (a, b, c); normalized, c = 1.
     """
     pts = []
     for pos in range(3):
         xyz = [-1, -1, -1]
         xyz[pos] = 2
         for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
-            pts.append(tuple(xyz) + signs)
-    return pts
+            pts.append(normalize_projective(tuple(xyz) + signs))
+    return tuple(pts)
 
 
 # -- symmetry group ----------------------------------------------------------
@@ -379,7 +382,7 @@ class Parametrization:
 
     Components are (x, y, z, a, b, c).  Coefficients may lie in Q or in
     Q(sqrt 3).  The tuple is taken projectively: rescaling all six by a
-    common polynomial gives the same curve.
+    common polynomial gives the same curve, so six zeros are refused.
     """
 
     __slots__ = ("x", "y", "z", "a", "b", "c")
@@ -387,6 +390,8 @@ class Parametrization:
     def __init__(self, x, y, z, a, b, c):
         for name, val in zip(self.__slots__, (x, y, z, a, b, c)):
             object.__setattr__(self, name, Polynomial.coerce(val))
+        if all(p.is_zero for p in self.components()):
+            raise ValueError("zero vector is not a projective point")
 
     def __setattr__(self, *args):
         raise AttributeError("Parametrization is immutable")
@@ -404,7 +409,7 @@ class Parametrization:
         if f1 or f2 or f3:
             return False
         nonzero = [p for p in self.components() if not p.is_zero]
-        if not nonzero or all(p.degree == 0 for p in nonzero):
+        if all(p.degree == 0 for p in nonzero):
             return False
         g = nonzero[0]
         for p in nonzero[1:]:
@@ -430,8 +435,8 @@ class Parametrization:
         ints, _, m = _integer_parts([c for p in comps for c in p.coeffs])
         scale = Fraction(m, gcd(*ints))
         comps = [p * scale for p in comps]
-        anchor = next((p for p in reversed(comps) if not p.is_zero), None)
-        if anchor is not None and anchor.lead() < 0:
+        anchor = next(p for p in reversed(comps) if not p.is_zero)
+        if anchor.lead() < 0:
             comps = [-p for p in comps]
         return Parametrization(*comps)
 

@@ -226,6 +226,23 @@ def test_claims_read_certificates_through_the_tagged_reader():
     assert callers == {"_fact", "_certified"}
 
 
+def test_nscat_pairs_curves_through_one_rule():
+    """In nscat only _meet reads conics.conic_intersection, under any
+    name: conics, exceptional curves and the fiber column are all paired
+    through it, so a second pairing rule would show here."""
+    def names_it(node):
+        return (isinstance(node, ast.Attribute)
+                and node.attr == "conic_intersection"
+                or isinstance(node, ast.Name) and node.id == "conic_intersection"
+                or isinstance(node, ast.alias)
+                and node.name == "conic_intersection")
+    callers = set()
+    for stmt in MODULES["nscat"].body:
+        if any(map(names_it, ast.walk(stmt))):
+            callers |= _defined(stmt) or {"<import>"}
+    assert callers == {"_meet"}
+
+
 def test_curve_owns_the_additive_fiber_types():
     """Kodaira's table lives in curve: no other module names an additive
     fiber type, so each reads a fiber's shape from the fiber itself."""

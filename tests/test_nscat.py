@@ -43,6 +43,7 @@ from zerodiag.surface import (
     g_apply,
     group_elements,
     normalize_projective,
+    singular_points,
 )
 
 GRAM = nscat.ns_lattice()
@@ -112,20 +113,55 @@ def test_wrong_witness_fails_decomposition(monkeypatch, capsys):
 
 
 def test_basis_classes_are_unit_vectors():
-    # solving the engine's intersection vectors against the Gram matrix
-    # must give back the basis
     for i, conic in nscat.basis_conics().items():
-        assert nscat.class_of_conic(conic) == unit(i)
+        assert nscat.class_of(conic) == unit(i)
     for i, point in nscat.basis_points().items():
-        assert nscat.exceptional_class(point) == unit(i)
+        assert nscat.class_of(point) == unit(i)
 
 
 def test_basis_conic_classes_match_the_solved_oracle():
-    # the former class_of_conic solved G c = (the conic's pairings); for
-    # a basis conic that is row i of G, so the solution is e_i
-    for i, conic in nscat.basis_conics().items():
-        assert nscat._solve_class(nscat._conic_pairings(conic)) == unit(i)
-        assert list(nscat._conic_pairings(conic)) == list(GRAM[i - 1])
+    # class_of gives a basis curve its unit vector without solving; the
+    # former class_of_conic and exceptional_class solved G c = (the
+    # curve's pairings), and for each of the 19 basis curves those are
+    # row i of G, so the solution is e_i
+    curves = {**nscat.basis_conics(), **nscat.basis_points()}
+    assert sorted(curves) == list(range(1, nscat.RANK))
+    for i, curve in curves.items():
+        assert nscat._solve_class(nscat._pairings(curve)) == unit(i)
+        assert list(nscat._pairings(curve)) == list(GRAM[i - 1])
+
+
+def test_class_of_every_curve_matches_the_solved_oracle():
+    # the 63 conics and the 12 exceptional curves, basis curves included
+    curves = [c for orb in nscat.strict_transform_conics().values()
+              for c in orb] + list(singular_points())
+    assert len(curves) == 75
+    for c in curves:
+        assert nscat.class_of(c) == nscat._solve_class(nscat._pairings(c))
+    # a point is normalized first, and refused unless a double point
+    p = singular_points()[1]
+    assert nscat.class_of(tuple(-3 * x for x in p)) == nscat.class_of(p)
+    with pytest.raises(ValueError, match="not a double point"):
+        nscat.class_of((190, -55, -135, 125, 99, 57))
+
+
+# the seven basis points as nscat listed them before they were written
+# normalized, each a double point standing for its exceptional curve
+FORMER_BASIS_POINTS_RAW = {
+    2: (2, -1, -1, -1, 1, -1),
+    4: (-1, -1, 2, 1, -1, -1),
+    6: (-1, 2, -1, 1, -1, -1),
+    8: (-1, 2, -1, 1, 1, 1),
+    9: (-1, 2, -1, -1, 1, -1),
+    11: (-1, -1, 2, -1, -1, 1),
+    13: (2, -1, -1, 1, 1, 1),
+}
+
+
+def test_basis_points_are_the_former_points_normalized():
+    assert nscat._BASIS_POINTS == {
+        i: normalize_projective(p) for i, p in FORMER_BASIS_POINTS_RAW.items()}
+    assert nscat.basis_points() == nscat._BASIS_POINTS
 
 
 def test_catalogued_basis_conics_match_the_conics_built_from_forms():
@@ -215,7 +251,7 @@ def test_conic_engine_values():
 def former_is_double_point(p):
     if any(isinstance(x, QuadElem) for x in p):
         return False
-    return normalize_projective(p) in conics.double_points()
+    return normalize_projective(p) in singular_points()
 
 
 def former_line_zero_points(w0, w1):
@@ -279,7 +315,7 @@ def field_plane(conic):
     # the rows, the basis over Q(sqrt 3) and the nodes of a conic's plane
     rows = field_rows(conic)
     basis = nullspace(list(rows))
-    nodes = {p for p in conics.double_points() if field_contains(rows, p)}
+    nodes = {p for p in singular_points() if field_contains(rows, p)}
     return rows, basis, nodes
 
 
@@ -726,7 +762,7 @@ def test_orbit_images_pass_the_checks_they_carry_over():
         assert conics._cubic_divisible(c.basis), c
         assert any(conics._polar_det(c.basis)), c
         assert c.nodes == tuple(
-            p for p in conics.double_points()
+            p for p in singular_points()
             if conics._on_conic(c, (p, conics._ZEROS))), c
 
 
@@ -820,7 +856,7 @@ def test_solve_class_raises_outside_the_gram_image():
 
 
 def test_exceptional_classes():
-    classes = {p: nscat.exceptional_class(p) for p in conics.double_points()}
+    classes = {p: nscat.class_of(p) for p in singular_points()}
     assert len(classes) == 12
     vals = list(classes.values())
     for i, u in enumerate(vals):
@@ -835,8 +871,8 @@ def test_hyperplane_class():
     assert nscat.degree(h) == 6
     assert nscat.pairing(h, unit(17)) == 2
     assert nscat.pairing(h, unit(20)) == 4
-    for p in conics.double_points():
-        assert nscat.pairing(h, nscat.exceptional_class(p)) == 0
+    for p in singular_points():
+        assert nscat.pairing(h, nscat.class_of(p)) == 0
     assert nscat.hyperplane_certificate().ok
 
 
@@ -858,6 +894,18 @@ def test_degree_genus_effectivity():
         nscat.rr_effective(fiber)
     with pytest.raises(ValueError, match="even"):
         nscat.enumerate_classes(3, 0)
+
+
+@pytest.mark.parametrize("d, g, name", [
+    (2.0, 0, "degree"), (2, 0.5, "genus"), (Fraction(2), 0, "degree"),
+    ("2", 0, "degree"), (2, None, "genus")])
+def test_enumerate_classes_refuses_a_non_int(d, g, name, monkeypatch):
+    # refused before any arithmetic: the genus equation is never built
+    def unreachable(*args):
+        raise AssertionError("the genus equation was built")
+    monkeypatch.setattr(nscat, "_kernel_equation", unreachable)
+    with pytest.raises(TypeError, match="%s must be an int" % name):
+        nscat.enumerate_classes(d, g)
 
 
 def test_enumerate_conic_classes():
@@ -884,8 +932,8 @@ def test_enumerate_degree_zero_roots():
     s = set(classes)
     assert all(nscat.degree(c) == 0 and nscat.pairing(c, c) == -2 for c in s)
     assert all(tuple(-x for x in c) in s for c in s)
-    for p in conics.double_points():
-        assert nscat.exceptional_class(p) in s
+    for p in singular_points():
+        assert nscat.class_of(p) in s
 
 
 def test_conic_point_intersection_reads_nodes():
@@ -893,7 +941,7 @@ def test_conic_point_intersection_reads_nodes():
                  for c in orb]
     assert len(conics_63) == 63
     for c in conics_63:
-        for p in conics.double_points():
+        for p in singular_points():
             assert (p in c.nodes) == field_contains(field_rows(c), p)
 
 

@@ -614,6 +614,21 @@ def test_singular_points_are_the_twelve_nodes():
     assert not is_singular_point((190, -55, -135, 125, 99, 57))
 
 
+# the twelve double points as singular_points gave them before it
+# normalized them, in its order
+FORMER_SINGULAR_POINTS = [
+    (2, -1, -1, 1, 1, 1), (2, -1, -1, 1, -1, -1), (2, -1, -1, -1, 1, -1),
+    (2, -1, -1, -1, -1, 1), (-1, 2, -1, 1, 1, 1), (-1, 2, -1, 1, -1, -1),
+    (-1, 2, -1, -1, 1, -1), (-1, 2, -1, -1, -1, 1), (-1, -1, 2, 1, 1, 1),
+    (-1, -1, 2, 1, -1, -1), (-1, -1, 2, -1, 1, -1), (-1, -1, 2, -1, -1, 1),
+]
+
+
+def test_singular_points_are_the_former_points_normalized():
+    assert singular_points() == tuple(
+        normalize_projective(p) for p in FORMER_SINGULAR_POINTS)
+
+
 def test_jacobian_rank_from_smith_form_matches_field_rank():
     # cli reads the Jacobian ranks off the Smith form; the field rank of
     # the former row reduction is the oracle
@@ -656,7 +671,7 @@ def test_normalize_projective():
 
 
 def test_partition_orbits():
-    pts = singular_points() + [(190, -55, -135, 125, 99, 57)]
+    pts = list(singular_points()) + [(190, -55, -135, 125, 99, 57)]
     orbits = partition_orbits(pts)
     assert sorted(len(o) for o in orbits) == [1, 12]
 
@@ -688,6 +703,21 @@ def test_parametrization_verify_rejects_bad():
     assert not scaled.verify()
     # violates the equations
     assert not Parametrization(t, t, -2 * t, 1, 1, 1).verify()
+
+
+def test_parametrization_refuses_the_zero_tuple():
+    # as normalize_projective refuses the zero vector; the check follows
+    # coercion, so a float is still a TypeError
+    with pytest.raises(ValueError, match="zero vector"):
+        Parametrization(0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="zero vector"):
+        Parametrization(*[Polynomial.coerce(0)] * 6)
+    with pytest.raises(TypeError):
+        Parametrization(1.5, 0, 0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        Parametrization(0.0, 0, 0, 0, 0, 0)
+    # one nonzero component is enough
+    assert Parametrization(0, 0, 0, 0, 0, T).degree() == 1
 
 
 def test_parametrization_group_action_keeps_validity():
